@@ -8,8 +8,9 @@ while the cyclic third derivative d_sss removes an ordered triple
 (i, j, r) from every cyclic rotation of the s-word that starts at an
 occurrence of i.  Two monomials are equivalent when their words agree
 as multisets; projecting onto equivalence classes is multiplicative,
-so the seven quadratic conditions on a potential series are evaluated
-in the class algebra.
+with the multiset union of words as the class product, so the seven
+quadratic conditions on a potential series are evaluated in the class
+algebra.
 
 Conditions, stated on the class projections with Fa and Fb the inverse
 quadratic blocks:
@@ -27,14 +28,24 @@ quadratic blocks:
 
 with T3 the triple t-derivative, S3 the cyclic s-derivative, and M2 the
 mixed second derivative.  Each condition is asserted on classes whose
-degree is below truncation - 3, the largest window the truncated data
-determines exactly.
+degree is at most the window, truncation - 4, the largest degree the
+truncated data determines exactly.
+
+A class-valued tensor is a dense array whose trailing axis runs over
+the class basis: the (sorted t-word, sorted s-word) pairs of degree at
+most the window.  The class product is a precomputed pair list that
+sends each pair of basis classes to their multiset union and drops the
+pairs whose union leaves the window.  T3, S3 and M2 are built in one
+pass over the series terms, and conditions 3-7 are the einsums above
+with the class product folded in over the pair list.  At window 0 the
+basis is the single empty class and the conditions are plain tensor
+contractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -43,11 +54,12 @@ from .frobenius import VerificationReport, nondegeneracy_margin
 
 __all__ = [
     "TensorSeries",
-    "ClassSeries",
     "d_t",
     "d_s",
     "d_sss",
     "project",
+    "class_basis",
+    "class_tensors",
     "encode_symmetric",
     "quadratic_t_block",
     "quadratic_s_block",
@@ -92,13 +104,6 @@ class TensorSeries:
         return TensorSeries(
             self.n, self.m, self.truncation,
             {k: v * factor for k, v in self.terms.items()},
-        )
-
-    def t_part(self):
-        """Sub-series of monomials with empty s-word."""
-        return TensorSeries(
-            self.n, self.m, self.truncation,
-            {k: v for k, v in self.terms.items() if not k[1]},
         )
 
 
@@ -150,60 +155,12 @@ def d_sss(series, i, j, r):
     return out
 
 
-@dataclass
-class ClassSeries:
-    """Series on multiset classes; keys are (sorted t-word, sorted s-word)."""
-
-    truncation: int
-    terms: dict = field(default_factory=dict)
-
-    def add_term(self, tkey, skey, coeff):
-        if len(tkey) + len(skey) > self.truncation:
-            return
-        key = (tuple(tkey), tuple(skey))
-        value = self.terms.get(key, 0.0) + coeff
-        if value == 0.0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = value
-
-    def copy(self):
-        return ClassSeries(self.truncation, dict(self.terms))
-
-    def accumulate(self, other, factor=1.0):
-        for (tk, sk), c in other.terms.items():
-            self.add_term(tk, sk, c * factor)
-
-    def mul(self, other):
-        """Class product: multiset union of the words, truncated."""
-        trunc = min(self.truncation, other.truncation)
-        out = ClassSeries(trunc)
-        for (t1, s1), c1 in self.terms.items():
-            for (t2, s2), c2 in other.terms.items():
-                out.add_term(tuple(sorted(t1 + t2)), tuple(sorted(s1 + s2)), c1 * c2)
-        return out
-
-    def restrict(self, max_degree):
-        return ClassSeries(
-            max_degree,
-            {
-                k: v
-                for k, v in self.terms.items()
-                if len(k[0]) + len(k[1]) <= max_degree
-            },
-        )
-
-    def difference_norm(self, other):
-        keys = set(self.terms) | set(other.terms)
-        worst = 0.0
-        for k in keys:
-            worst = max(worst, abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)))
-        return worst
-
-
 def project(series):
-    """Sum coefficients over monomials with equal word multisets."""
-    out = ClassSeries(series.truncation)
+    """Sum coefficients over monomials with equal word multisets.
+
+    The result holds one sorted (t-word, s-word) pair per class.
+    """
+    out = TensorSeries(series.n, series.m, series.truncation)
     for (tw, sw), c in series.terms.items():
         out.add_term(tuple(sorted(tw)), tuple(sorted(sw)), c)
     return out
@@ -269,177 +226,98 @@ def _condition_one(series):
     return worst
 
 
-def _contract_series_matrix(tensors, matrix, axis_dim):
-    """sum_p tensors[p] * matrix[p, q] for each q, tensors class-valued."""
-    out = []
-    for q in range(axis_dim):
-        acc = ClassSeries(tensors[0].truncation)
-        for p in range(axis_dim):
-            fac = matrix[p, q]
-            if fac != 0.0:
-                acc.accumulate(tensors[p], fac)
-        out.append(acc)
-    return out
+def _without(word, positions):
+    """Sorted letters of ``word`` outside ``positions``."""
+    return tuple(sorted(w for q, w in enumerate(word) if q not in positions))
 
 
-def _scalar_conditions(rep, t3, s3, m2, fa, fb, window0=True):
-    """Conditions 3-7 as plain tensor contractions (degree-zero window)."""
-    lhs3 = np.einsum("ijp,pq,qkl->ijkl", t3, fa, t3)
-    rep.residuals["condition_3"] = float(
-        np.max(np.abs(lhs3 - lhs3.transpose(2, 1, 0, 3))) if t3.size else 0.0
-    )
-    if s3 is None:
-        for key in ("condition_4", "condition_5", "condition_6", "condition_7"):
-            rep.residuals[key] = 0.0
-        return
-    lhs4 = np.einsum("ijp,pq,qkl->ijkl", s3, fb, s3)
-    rhs4 = np.einsum("lip,pq,qjk->ijkl", s3, fb, s3)
-    rep.residuals["condition_4"] = float(np.max(np.abs(lhs4 - rhs4)))
-    w5 = m2 @ fb
-    lhs5 = np.einsum("kq,qij->kij", w5, s3)
-    rep.residuals["condition_5"] = float(
-        np.max(np.abs(lhs5 - lhs5.transpose(0, 2, 1)))
-    )
-    lhs6 = np.einsum("pk,pq,qij->kij", m2, fa, t3)
-    rhs6 = np.einsum("ip,pq,qkr,rl,jl->kij", m2, fb, s3, fb, m2)
-    rep.residuals["condition_6"] = float(np.max(np.abs(lhs6 - rhs6)))
-    lhs7 = np.einsum("pu,pq,qv->uv", m2, fa, m2)
-    rhs7 = np.einsum("upr,rl,pq,lvq->uv", s3, fb, fb, s3)
-    rep.residuals["condition_7"] = float(np.max(np.abs(lhs7 - rhs7)))
+def class_basis(n, m, window):
+    """Classes of degree at most ``window`` and their product pair list.
+
+    Returns ``(index, pairs)``.  ``index`` maps each class, a pair of
+    sorted t- and s-words, to its position on the class axis;
+    ``pairs[c]`` lists the position pairs (a, b) whose multiset union
+    is class c.  A product that leaves the window is in no list.
+    """
+    classes = [
+        (tkey, skey)
+        for degree in range(window + 1)
+        for k in range(degree + 1)
+        for tkey in combinations_with_replacement(range(n), k)
+        for skey in combinations_with_replacement(range(m), degree - k)
+    ]
+    index = {cls: c for c, cls in enumerate(classes)}
+    pairs = [[] for _ in classes]
+    for a, (ta, sa) in enumerate(classes):
+        for b, (tb, sb) in enumerate(classes):
+            c = index.get((tuple(sorted(ta + tb)), tuple(sorted(sa + sb))))
+            if c is not None:
+                pairs[c].append((a, b))
+    return index, pairs
 
 
-def _series_conditions(rep, t3, s3, m2, fa, fb, window, n, m):
-    """Conditions 3-7 on class series (window degree 1 or more)."""
-    u3 = [[_contract_series_matrix(t3[i][j], fa, n) for j in range(n)] for i in range(n)]
-    lhs3 = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    acc = ClassSeries(window)
-                    for q in range(n):
-                        acc.accumulate(u3[i][j][q].mul(t3[q][k][l]))
-                    lhs3[(i, j, k, l)] = acc
-    res3 = 0.0
-    for (i, j, k, l), val in lhs3.items():
-        res3 = max(res3, val.difference_norm(lhs3[(k, j, i, l)]))
-    rep.residuals["condition_3"] = res3
+def class_tensors(series, index):
+    """T3, S3 and M2 with a trailing class axis, in one pass over the terms.
 
-    if s3 is None:
-        for key in ("condition_4", "condition_5", "condition_6", "condition_7"):
-            rep.residuals[key] = 0.0
-        return
-
-    # condition 4: cyclic exchange on the boundary side
-    v4 = [[_contract_series_matrix(s3[i][j], fb, m) for j in range(m)] for i in range(m)]
-    res4 = 0.0
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                for l in range(m):
-                    lhs = ClassSeries(window)
-                    for q in range(m):
-                        lhs.accumulate(v4[i][j][q].mul(s3[q][k][l]))
-                    rhs = ClassSeries(window)
-                    for q in range(m):
-                        rhs.accumulate(v4[l][i][q].mul(s3[q][j][k]))
-                    res4 = max(res4, lhs.difference_norm(rhs))
-    rep.residuals["condition_4"] = res4
-
-    # condition 5: the two inner s-slots commute through the transfer
-    w5 = [_contract_series_matrix(m2[k], fb, m) for k in range(n)]
-    res5 = 0.0
-    for k in range(n):
-        for i in range(m):
-            for j in range(m):
-                lhs = ClassSeries(window)
-                rhs = ClassSeries(window)
-                for q in range(m):
-                    lhs.accumulate(w5[k][q].mul(s3[q][i][j]))
-                    rhs.accumulate(w5[k][q].mul(s3[q][j][i]))
-                res5 = max(res5, lhs.difference_norm(rhs))
-    rep.residuals["condition_5"] = res5
-
-    # condition 6: transfer of bulk multiplication to the boundary
-    res6 = 0.0
-    x6 = []
-    for k in range(m):
-        col = []
-        for q in range(n):
-            acc = ClassSeries(window)
-            for p in range(n):
-                fac = fa[p, q]
-                if fac != 0.0:
-                    acc.accumulate(m2[p][k], fac)
-            col.append(acc)
-        x6.append(col)
-    y6 = [_contract_series_matrix(m2[i], fb, m) for i in range(n)]
-    z6 = []
-    for j in range(n):
-        row = []
-        for r in range(m):
-            acc = ClassSeries(window)
-            for l in range(m):
-                fac = fb[r, l]
-                if fac != 0.0:
-                    acc.accumulate(m2[j][l], fac)
-            row.append(acc)
-        z6.append(row)
-    for k in range(m):
-        for i in range(n):
-            for j in range(n):
-                lhs = ClassSeries(window)
-                for q in range(n):
-                    lhs.accumulate(x6[k][q].mul(t3[q][i][j]))
-                rhs = ClassSeries(window)
-                for q in range(m):
-                    for r in range(m):
-                        rhs.accumulate(y6[i][q].mul(s3[q][k][r]).mul(z6[j][r]))
-                res6 = max(res6, lhs.difference_norm(rhs))
-    rep.residuals["condition_6"] = res6
-
-    # condition 7: the trace identity
-    res7 = 0.0
-    b7 = [[_contract_series_matrix(s3[u][p], fb, m) for p in range(m)] for u in range(m)]
-    for u in range(m):
-        a7 = [[ClassSeries(window) for _ in range(m)] for _ in range(m)]
-        for l in range(m):
-            for q in range(m):
-                for p in range(m):
-                    fac = fb[p, q]
-                    if fac != 0.0:
-                        a7[l][q].accumulate(b7[u][p][l], fac)
-        for v in range(m):
-            lhs = ClassSeries(window)
-            for p in range(n):
-                for q in range(n):
-                    fac = fa[p, q]
-                    if fac != 0.0:
-                        lhs.accumulate(m2[p][u].mul(m2[q][v]), fac)
-            rhs = ClassSeries(window)
-            for l in range(m):
-                for q in range(m):
-                    rhs.accumulate(a7[l][q].mul(s3[l][v][q]))
-            res7 = max(res7, lhs.difference_norm(rhs))
-    rep.residuals["condition_7"] = res7
+    T3[i, j, p] is the class projection of d_t(d_t(d_t(F, p), j), i),
+    S3[i, j, r] that of d_sss(F, i, j, r) and M2[k, p] that of
+    d_t(d_s(F, p), k), each kept on the classes of ``index``.  Every
+    derivative deletes letters at distinct positions, and S3 runs over
+    the cyclic rotations of the s-word as d_sss does.
+    """
+    n, m, size = series.n, series.m, len(index)
+    t3 = np.zeros((n, n, n, size), dtype=complex)
+    s3 = np.zeros((m, m, m, size), dtype=complex)
+    m2 = np.zeros((n, m, size), dtype=complex)
+    for (tw, sw), coeff in series.terms.items():
+        tkey, skey = tuple(sorted(tw)), tuple(sorted(sw))
+        for picked in combinations(range(len(tw)), 3):
+            c = index.get((_without(tw, picked), skey))
+            if c is not None:
+                for i, j, p in permutations([tw[q] for q in picked]):
+                    t3[i, j, p, c] += coeff
+        for x in range(len(tw)):
+            for y in range(len(sw)):
+                c = index.get((_without(tw, (x,)), _without(sw, (y,))))
+                if c is not None:
+                    m2[tw[x], sw[y], c] += coeff
+        ell = len(sw)
+        for start in range(ell):
+            for p, q in combinations(range(1, ell), 2):
+                picked = [(start + d) % ell for d in (0, p, q)]
+                c = index.get((tkey, _without(sw, picked)))
+                if c is not None:
+                    i, j, r = (sw[x] for x in picked)
+                    s3[i, j, r, c] += coeff
+    return t3, s3, m2
 
 
-def ext_wdvv_check(series, n=None, m=None, tol=None, force_general=False):
+def _class_product(spec, x, y, pairs):
+    """einsum(spec) of two class-valued tensors, one output class at a time."""
+    for ab in pairs:
+        yield sum(np.einsum(spec, x[..., a], y[..., b]) for a, b in ab)
+
+
+def _worst(defects):
+    """Largest modulus over per-class defect arrays, which may be empty."""
+    return max(float(np.max(np.abs(d), initial=0.0)) for d in defects)
+
+
+def ext_wdvv_check(series, n=None, m=None, tol=None):
     """Evaluate the seven conditions on a truncated potential series.
 
     Residuals condition_1 and condition_3 .. condition_7 are worst
     class-coefficient defects on the exactly determined window (classes
-    of degree below truncation - 3); margins condition_2_t and
+    of degree at most truncation - 4); margins condition_2_t and
     condition_2_s are the singular value ratios of the quadratic blocks.
-    A truncation of 3 leaves an empty window, so conditions 3-7 hold
-    vacuously and only condition 1 and the margins carry content.
-    Raises ValueError("no inverse Gram") when a quadratic block cannot
-    be inverted.
-
-    When the window holds only degree-zero classes the conditions are
-    plain tensor contractions and are evaluated with numpy; the generic
-    class-series route can be forced with ``force_general`` (the two
-    agree exactly).
+    T3, S3 and M2 are class-valued arrays over the class basis of the
+    window, conditions 3-7 are the einsums of the module docstring with
+    the class product taken over the pair list, and each defect is
+    reduced one output class at a time.  At window 0 the basis is the
+    single empty class.  A truncation of 3 leaves an empty window, so
+    conditions 3-7 hold vacuously and only condition 1 and the margins
+    carry content.  Raises ValueError("no inverse Gram") when a
+    quadratic block cannot be inverted.
     """
     tol = tol or ToleranceConfig()
     if n is not None and n != series.n:
@@ -458,7 +336,7 @@ def ext_wdvv_check(series, n=None, m=None, tol=None, force_general=False):
     if margin_t <= tol.eq_tol:
         raise ValueError("no inverse Gram")
     fa = np.linalg.inv(ga)
-    fb = None
+    fb = np.zeros((0, 0))
     if m > 0:
         gb = quadratic_s_block(series)
         margin_s = nondegeneracy_margin(gb)
@@ -473,64 +351,32 @@ def ext_wdvv_check(series, n=None, m=None, tol=None, force_general=False):
             rep.residuals[key] = 0.0
         return rep
 
-    t_only = series.t_part()
-    s_rich = TensorSeries(
-        n, m, series.truncation,
-        {k: v for k, v in series.terms.items() if len(k[1]) >= 3},
-    )
-    mixed = TensorSeries(
-        n, m, series.truncation,
-        {k: v for k, v in series.terms.items() if k[0] and k[1]},
-    )
+    index, pairs = class_basis(n, m, window)
+    t3, s3, m2 = class_tensors(series, index)
+    m2fa = np.einsum("pka,pq->kqa", m2, fa)
+    m2fb = np.einsum("kpa,pq->kqa", m2, fb)
 
-    if window == 0 and not force_general:
-        t3 = np.zeros((n, n, n), dtype=complex)
-        for i in range(n):
-            di = d_t(t_only, i)
-            for j in range(n):
-                dj = d_t(di, j)
-                for p in range(n):
-                    t3[i, j, p] = project(d_t(dj, p)).terms.get(((), ()), 0.0)
-        s3 = None
-        m2 = None
-        if m > 0:
-            s3 = np.zeros((m, m, m), dtype=complex)
-            for i in range(m):
-                for j in range(m):
-                    for r in range(m):
-                        s3[i, j, r] = project(d_sss(s_rich, i, j, r)).terms.get(
-                            ((), ()), 0.0
-                        )
-            m2 = np.zeros((n, m), dtype=complex)
-            for k in range(n):
-                dk = d_t(mixed, k)
-                for p in range(m):
-                    m2[k, p] = project(d_s(dk, p)).terms.get(((), ()), 0.0)
-        _scalar_conditions(rep, t3, s3, m2, fa, fb)
-        return rep
-
-    t3 = [
-        [
-            [project(d_t(d_t(d_t(series, p), j), i)).restrict(window) for p in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    s3 = None
-    m2 = None
-    if m > 0:
-        s3 = [
-            [
-                [project(d_sss(series, i, j, r)).restrict(window) for r in range(m)]
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
-        m2 = [
-            [project(d_t(d_s(series, p), k)).restrict(window) for p in range(m)]
-            for k in range(n)
-        ]
-    _series_conditions(rep, t3, s3, m2, fa, fb, window, n, m)
+    lhs3 = _class_product(
+        "ijq,qkl->ijkl", np.einsum("ijpa,pq->ijqa", t3, fa), t3, pairs
+    )
+    rep.residuals["condition_3"] = _worst(v - np.einsum("kjil->ijkl", v) for v in lhs3)
+    lhs4 = _class_product(
+        "ijq,qkl->ijkl", np.einsum("ijpa,pq->ijqa", s3, fb), s3, pairs
+    )
+    rep.residuals["condition_4"] = _worst(v - np.einsum("lijk->ijkl", v) for v in lhs4)
+    lhs5 = _class_product("kq,qij->kij", m2fb, s3, pairs)
+    rep.residuals["condition_5"] = _worst(v - np.einsum("kji->kij", v) for v in lhs5)
+    # the inner factor M2 Fb S3 of condition 6, formed once
+    inner = np.stack(list(_class_product("iq,qkr->ikr", m2fb, s3, pairs)), axis=-1)
+    lhs6 = _class_product("kq,qij->kij", m2fa, t3, pairs)
+    rhs6 = _class_product(
+        "ikr,jr->kij", inner, np.einsum("rl,jla->jra", fb, m2), pairs
+    )
+    rep.residuals["condition_6"] = _worst(l - r for l, r in zip(lhs6, rhs6))
+    s3fbfb = np.einsum("upla,pq->ulqa", np.einsum("upra,rl->upla", s3, fb), fb)
+    lhs7 = _class_product("uq,qv->uv", m2fa, m2, pairs)
+    rhs7 = _class_product("ulq,lvq->uv", s3fbfb, s3, pairs)
+    rep.residuals["condition_7"] = _worst(l - r for l, r in zip(lhs7, rhs7))
     return rep
 
 
@@ -553,14 +399,19 @@ def series_to_dict(series):
 
 
 def series_from_dict(data):
+    """Series from its JSON payload; refuses what add_term would drop."""
     n = int(data["n"])
     m = int(data["m"])
     out = TensorSeries(n, m, int(data["truncation"]))
+    if out.truncation < 0:
+        raise ValueError("negative truncation")
     for row in data["terms"]:
         re, im = row["coeff"]
         tw = tuple(int(i) - 1 for i in row["t"])
         sw = tuple(int(j) - 1 for j in row["s"])
         if any(i < 0 or i >= n for i in tw) or any(j < 0 or j >= m for j in sw):
             raise ValueError("series letter out of range")
+        if len(tw) + len(sw) > out.truncation:
+            raise ValueError("term longer than truncation")
         out.add_term(tw, sw, complex(re, im))
     return out

@@ -126,6 +126,33 @@ def test_corruptions_fire_predicted_conditions(model):
         assert fired[0] == predicted, (corruption, fired)
 
 
+# Condition residuals of verify_bundle(t_degree=5, sample_points=2) on the
+# fixture model, as the series route gave them when first recorded.  The
+# clean condition_6 = 3*sqrt(6) is the known truncation-5 defect (the
+# boundary blocks stay frozen at the base point); the change that makes
+# the series route true above truncation 4 updates that value.
+T5_RESIDUALS = {
+    None: {"condition_6": 7.3484692283495345},
+    "t_symmetry": {"condition_1": 0.05000000000000002, "condition_6": 7.3484692283495345},
+    "b_associativity": {"condition_4": 0.02721655269759087,
+                        "condition_6": 7.3484692283495345,
+                        "condition_7": 0.016666666666666666},
+    "centrality": {"condition_5": 2.449489742783178,
+                   "condition_6": 7.3484692283495345,
+                   "condition_7": 2.999999999999999},
+}
+
+
+def test_truncation_five_residuals_pinned(model):
+    for corruption, pinned in T5_RESIDUALS.items():
+        rep = verify_bundle(model, t_degree=5, sample_points=2, corruption=corruption)
+        residuals = rep.conditions.residuals
+        assert sorted(residuals) == ["condition_%d" % k for k in (1, 3, 4, 5, 6, 7)]
+        for name, value in residuals.items():
+            want = pinned.get(name, 0.0)
+            assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (corruption, name)
+
+
 def test_cardy_corruption_is_isolated(model):
     rep = verify_bundle(model, sample_points=2, corruption="cardy")
     for name in ("condition_4", "condition_5", "condition_6"):

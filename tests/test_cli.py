@@ -124,6 +124,16 @@ def test_ext_wdvv_detects_corrupt_series_file(tmp_path, capsys):
     assert byname["condition_7"]["value"] > 1e-3
 
 
+def test_ext_wdvv_refuses_term_longer_than_truncation(tmp_path, capsys):
+    series_file = tmp_path / "series.json"
+    series_file.write_text(json.dumps({
+        "n": 1, "m": 0, "truncation": 3,
+        "terms": [{"t": [1, 1, 1, 1], "s": [], "coeff": [1.0, 0.0]}],
+    }))
+    assert main(["ext-wdvv", "--input", str(series_file)]) == 2
+    assert "bad series file" in capsys.readouterr().err
+
+
 def test_branch_flag_builds_valid_model(capsys):
     code, out = _run(capsys, ["verify-cf"] + FROZEN + ["--branch", "+,-"])
     assert code == 0

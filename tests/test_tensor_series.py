@@ -5,8 +5,9 @@ import pytest
 
 from lgcardy.frobenius import quaternion_pair
 from lgcardy.tensor_series import (
-    ClassSeries,
     TensorSeries,
+    class_basis,
+    class_tensors,
     d_s,
     d_sss,
     d_t,
@@ -76,15 +77,24 @@ def test_project_collects_classes():
 
 
 def test_class_product_is_multiset_union():
-    a = ClassSeries(3)
-    a.add_term((0,), (), 2.0)
-    b = ClassSeries(3)
-    b.add_term((1,), (0,), 3.0)
-    c = a.mul(b)
-    assert c.terms == {((0, 1), (0,)): 6.0}
-    # products beyond the window vanish
-    d = c.mul(b)
-    assert d.terms == {}
+    index, pairs = class_basis(2, 1, 3)
+    classes = {c: cls for cls, c in index.items()}
+    assert len(index) == 1 + 3 + 6 + 10
+    for c, ab in enumerate(pairs):
+        for a, b in ab:
+            (ta, sa), (tb, sb) = classes[a], classes[b]
+            assert (tuple(sorted(ta + tb)), tuple(sorted(sa + sb))) == classes[c]
+    # every product inside the window is listed once
+    inside = sum(
+        len(ta) + len(sa) + len(tb) + len(sb) <= 3
+        for ta, sa in index for tb, sb in index
+    )
+    assert sum(len(ab) for ab in pairs) == inside
+    a, b = index[((0,), ())], index[((1,), (0,))]
+    c = index[((0, 1), (0,))]
+    assert (a, b) in pairs[c] and (b, a) in pairs[c]
+    # products beyond the window are dropped
+    assert not any((c, b) in ab for ab in pairs)
 
 
 def test_encode_symmetric_commutes_with_derivative():
@@ -199,12 +209,42 @@ def test_truncation_three_is_vacuous():
     assert rep.margins["condition_2_t"] > 0.0
 
 
-def test_general_route_matches_scalar_route():
-    for f in (_quaternion_toy(), _quaternion_toy(scale_boundary=1.07)):
-        fast = ext_wdvv_check(f)
-        slow = ext_wdvv_check(f, force_general=True)
-        for name, value in fast.residuals.items():
-            assert slow.residuals[name] == pytest.approx(value, abs=1e-12), name
+def _random_series(n, m, truncation, count, seed):
+    rng = np.random.default_rng(seed)
+    f = TensorSeries(n, m, truncation)
+    for _ in range(count):
+        length = rng.integers(2, truncation + 1)
+        split = rng.integers(0, length + 1)
+        tw = tuple(rng.integers(0, n, split))
+        sw = tuple(rng.integers(0, m, length - split))
+        f.add_term(tw, sw, complex(rng.standard_normal(), rng.standard_normal()))
+    return f
+
+
+def test_one_pass_tensors_match_derivatives():
+    n, m = 2, 3
+    for window in (0, 1, 2):
+        f = _random_series(n, m, window + 4, 120, seed=window)
+        index, _ = class_basis(n, m, window)
+        t3, s3, m2 = class_tensors(f, index)
+        reference = []
+        for i in range(n):
+            for j in range(n):
+                for p in range(n):
+                    reference.append((t3[i, j, p], project(d_t(d_t(d_t(f, p), j), i))))
+        for i in range(m):
+            for j in range(m):
+                for r in range(m):
+                    reference.append((s3[i, j, r], project(d_sss(f, i, j, r))))
+        for k in range(n):
+            for p in range(m):
+                reference.append((m2[k, p], project(d_t(d_s(f, p), k))))
+        nonzero = 0
+        for dense, cls in reference:
+            want = np.array([cls.terms.get(key, 0.0) for key in index])
+            assert np.max(np.abs(dense - want)) < 1e-12
+            nonzero += np.count_nonzero(want)
+        assert nonzero > 0
 
 
 def test_random_symmetric_cubic_breaks_condition_four():
@@ -299,3 +339,9 @@ def test_series_json_round_trip():
     data["terms"][0]["s"] = [99]
     with pytest.raises(ValueError, match="letter out of range"):
         series_from_dict(data)
+    long_term = {"n": 1, "m": 0, "truncation": 3,
+                 "terms": [{"t": [1, 1, 1, 1], "s": [], "coeff": [1.0, 0.0]}]}
+    with pytest.raises(ValueError, match="term longer than truncation"):
+        series_from_dict(long_term)
+    with pytest.raises(ValueError, match="negative truncation"):
+        series_from_dict({"n": 1, "m": 0, "truncation": -1, "terms": []})
