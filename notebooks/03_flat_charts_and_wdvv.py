@@ -31,10 +31,10 @@ print("tangent polynomials:")
 print(np.round(chart.tangents, 12))
 
 # grading identities at the same point
-print("grading residuals:", euler_check(n=2, a=(-3.0, 0.0)))
+print("grading residuals:", euler_check(chart))
 
 # structure constants in the flat frame: c112 = 1 and c222 = 9 here.
-c = structure_tensor(n=2, a=(-3.0, 0.0))
+c = structure_tensor(chart)
 print("c(1,1,2) =", np.round(c[0, 0, 1], 12))
 print("c(2,2,2) =", np.round(c[1, 1, 1], 12))
 
@@ -50,7 +50,7 @@ print("quasi-homogeneity defect:", pot.quasi_homogeneity_residual())
 beta2 = pot.terms[(0, 4)]
 worst = 0.0
 for ch in sample_charts(2, 8, seed=9):
-    cc = structure_tensor(chart=ch)
+    cc = structure_tensor(ch)
     worst = max(worst, abs(cc[1, 1, 1] - 24.0 * beta2 * ch.t[1]))
 print("quartic vs freshly sampled c222:", worst)
 

@@ -42,10 +42,11 @@ from .frobenius import (
     verify_frobenius,
 )
 from .cardy import CardyFrobeniusAlgebra, verify_cardy_frobenius
-from .landau_ginzburg import build_closed, build_quaternion_model
+from .landau_ginzburg import LGClosedAlgebra, _quaternion_model, build_closed
 from .moduli import (
+    _chart_on,
+    _match_roots,
     coefficients_from_flat,
-    flat_chart,
     reconstruct_potential,
     structure_tensor,
 )
@@ -92,9 +93,13 @@ _QUATERNION_SIGNS = np.array([2.0, -2.0, -2.0, -2.0])
 
 @dataclass
 class FrameData:
-    """Continued boundary frame at one nearby polynomial."""
+    """Continued boundary frame at one nearby polynomial.
 
-    a: np.ndarray
+    ``closed`` is the closed algebra of that polynomial, in its own root
+    order; ``roots`` and ``mu`` are matched to the base point.
+    """
+
+    closed: LGClosedAlgebra
     roots: np.ndarray
     mu: np.ndarray
     rho: np.ndarray
@@ -102,27 +107,6 @@ class FrameData:
     b_gram: np.ndarray
     drift: float
     paper_scale: bool
-
-
-def _match_permutation(roots, ref, sep_tol):
-    """Index of the root nearest each reference root, demanded bijective.
-
-    Two candidate roots at the same distance (within sep_tol) make the
-    continuation ambiguous, as does any non-bijective assignment.
-    """
-    perm = np.zeros(len(ref), dtype=int)
-    taken = set()
-    for i, r in enumerate(ref):
-        dist = np.abs(roots - r)
-        order = np.argsort(dist)
-        j = int(order[0])
-        if len(dist) > 1 and dist[order[1]] - dist[order[0]] < sep_tol:
-            raise DegenerateModelError("frame continuation failed")
-        if j in taken:
-            raise DegenerateModelError("frame continuation failed")
-        taken.add(j)
-        perm[i] = j
-    return perm
 
 
 def _block_gram(rho, scales):
@@ -146,11 +130,9 @@ def flat_s_frame(model, q, tol=None, paper_scale=False):
     """
     tol = tol or ToleranceConfig()
     n = model.n
-    if isinstance(q, LGPolynomial):
-        q = q.a
-    a_q = np.asarray(q, dtype=complex)
-    closed_q = build_closed(n=n, a=tuple(a_q), tol=tol)
-    perm = _match_permutation(closed_q.roots, model.closed.roots, tol.root_sep_tol)
+    p = q if isinstance(q, LGPolynomial) else LGPolynomial(n, tuple(q))
+    closed_q = build_closed(p=p, tol=tol)
+    perm = _match_roots(closed_q.roots, model.closed.roots, tol.root_sep_tol)
     roots = closed_q.roots[perm]
     mu = closed_q.mu[perm]
     rho = np.sqrt(mu.astype(complex))
@@ -163,7 +145,7 @@ def flat_s_frame(model, q, tol=None, paper_scale=False):
     gram = _block_gram(rho, scales)
     base = _block_gram(model.rho, np.ones(n))
     drift = float(np.max(np.abs(gram - base)))
-    return FrameData(a_q, roots, mu, rho, scales, gram, drift, paper_scale)
+    return FrameData(closed_q, roots, mu, rho, scales, gram, drift, paper_scale)
 
 
 @dataclass
@@ -195,24 +177,20 @@ def bundle_tensors(model, q=None, frame=None, tol=None):
     ``frame`` from flat_s_frame.  The tensors are expressed in the
     transported frame vectors lambda_i V e_i.
     """
-    tol = tol or ToleranceConfig()
     n = model.n
     if frame is None:
-        if isinstance(q, LGPolynomial):
-            q = q.a
-        a_q = model.p.a if q is None else q
-        frame = flat_s_frame(model, np.asarray(a_q, dtype=complex), tol=tol)
+        frame = flat_s_frame(model, model.p.a if q is None else q, tol=tol)
     m = 4 * n
     cb = np.zeros((m, m, m), dtype=complex)
     for i in range(n):
         block = frame.scales[i] ** 3 * _quaternion_cubic(frame.rho[i])
         sl = slice(4 * i, 4 * i + 4)
         cb[sl, sl, sl] = block
-    cab = _frame_transfer(frame, tol)
+    cab = _frame_transfer(frame)
     return BundleTensors(cB=cb, cAB=cab)
 
 
-def _tensors_from_cf(model, chart, cf, tol):
+def _tensors_from_cf(model, chart, cf):
     """Constant tensors of the series at the base point, from Cardy data.
 
     Returns the boundary pairing, the boundary triple pairing
@@ -237,10 +215,10 @@ def _tensors_from_cf(model, chart, cf, tol):
     return {"b_gram": gram, "boundary_cubic": cubic, "transfer": transfer}
 
 
-def _frame_transfer(frame, tol):
+def _frame_transfer(frame):
     """Transfer matrix at a continued frame away from the base point."""
     n = len(frame.mu)
-    chart_q = flat_chart(n=n, a=tuple(frame.a), tol=tol)
+    chart_q = _chart_on(frame.closed)
     cab = np.zeros((n, 4 * n), dtype=complex)
     for k in range(n):
         for i in range(n):
@@ -254,7 +232,7 @@ def _transfer_at_shift(model, chart, l, h, tol, paper_scale):
     t[l] += h
     a_q = coefficients_from_flat(model.n, t, a0=model.p.a, tol=tol)
     frame = flat_s_frame(model, a_q, tol=tol, paper_scale=paper_scale)
-    return _frame_transfer(frame, tol)
+    return _frame_transfer(frame)
 
 
 def _transfer_derivative(model, chart, tol, paper_scale):
@@ -318,19 +296,25 @@ def assemble_potential(model, t_degree=4, tol=None, mixed_taylor_order=0,
     is required, and a violation raises DegenerateModelError
     ("transition tensor not closed").
     """
-    tol = tol or ToleranceConfig()
+    return _assemble(
+        model, _chart_on(model.closed), model.cf if cf is None else cf,
+        t_degree, tol or ToleranceConfig(), mixed_taylor_order, paper_scale,
+    )
+
+
+def _assemble(model, chart, cf, t_degree, tol, mixed_taylor_order, paper_scale):
+    """assemble_potential on the flat chart of the base point."""
     if t_degree < 3:
         raise ValueError("t-degree must be at least 3")
     if mixed_taylor_order not in (0, 1):
         raise ValueError("mixed taylor order above 1 not supported")
     n = model.n
     m = 4 * n
-    chart = flat_chart(p=model.p, tol=tol)
-    tensors = _tensors_from_cf(model, chart, model.cf if cf is None else cf, tol)
+    tensors = _tensors_from_cf(model, chart, cf)
     series = TensorSeries(n, m, t_degree)
 
     if t_degree <= 4:
-        c3 = structure_tensor(chart=chart, tol=tol)
+        c3 = structure_tensor(chart)
         for i in range(n):
             for j in range(n):
                 for k in range(n):
@@ -543,9 +527,9 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
     """
     tol = tol or ToleranceConfig()
     cf = model.cf if corruption is None else corrupt_model(model, corruption, eps=eps)
-    series = assemble_potential(
-        model, t_degree=t_degree, tol=tol, paper_scale=paper_scale, cf=cf
-    )
+    chart = _chart_on(model.closed)
+    series = _assemble(model, chart, cf, t_degree, tol, mixed_taylor_order=0,
+                       paper_scale=paper_scale)
     if corruption == "t_symmetry":
         series.add_term((0, 0, 1), (), eps)
         series.add_term((0, 1, 0), (), -eps)
@@ -556,7 +540,6 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
 
     facts, margins = _pointwise_facts(cf, tol)
     rng = np.random.default_rng(seed)
-    chart = flat_chart(p=model.p, tol=tol)
     drift = 0.0
     spread = 0.0
     scales = tuple(np.ones(model.n, dtype=complex))
@@ -570,10 +553,7 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
             drift = frame.drift
             scales = tuple(frame.scales)
         spread = max(spread, float(np.max(np.abs(frame.scales - 1.0))))
-        model_q = build_quaternion_model(
-            n=model.n, a=tuple(a_q), branch=model.branch, tol=tol
-        )
-        cf_q = model_q.cf
+        cf_q = _quaternion_model(frame.closed, model.branch).cf
         if corruption is not None:
             cf_q = _corrupt_cf(cf_q, model.n, corruption, eps)
         facts_q, margins_q = _pointwise_facts(cf_q, tol)

@@ -181,8 +181,6 @@ def _model_from_config(c):
             raise CLIError("bad model file %s: %s" % (c.input, exc))
     if c.n is None or c.a is None:
         raise CLIError("need --n together with --a, or --input FILE")
-    if len(c.a) != c.n:
-        raise CLIError("expected %d coefficients in --a, got %d" % (c.n, len(c.a)))
     return build_quaternion_model(n=c.n, a=c.a, branch=c.branch, tol=tol)
 
 
@@ -237,11 +235,9 @@ def cmd_verify_cf(c):
 def cmd_chart(c):
     if c.n is None or c.a is None:
         raise CLIError("chart needs --n together with --a")
-    if len(c.a) != c.n:
-        raise CLIError("expected %d coefficients in --a, got %d" % (c.n, len(c.a)))
     tol = c.tolerances()
     chart = flat_chart(n=c.n, a=c.a, tol=tol, index_reversal=c.index_reversal)
-    euler = euler_check(n=c.n, a=c.a, tol=tol)
+    euler = euler_check(chart)
     entries = [
         _entry("metric_constancy", chart.metric_residual, tol.eq_tol),
         _entry("grading_of_p", euler["p_identity"], tol.eq_tol),
@@ -425,8 +421,26 @@ def _config_from_args(args):
     )
 
 
+def _refuse_unsupported(c):
+    """Raise CLIError for option values that no run of the command supports."""
+    if c.n is not None and c.n < 1:
+        raise CLIError("--n must be at least 1, got %d" % c.n)
+    if c.n is not None and c.a is not None and len(c.a) != c.n:
+        raise CLIError("expected %d coefficients in --a, got %d" % (c.n, len(c.a)))
+    if c.t_degree < 3:
+        raise CLIError("--t-degree must be at least 3, got %d" % c.t_degree)
+    # potential and wdvv check nothing without a sample or check point
+    least = 1 if c.command in ("potential", "wdvv") else 0
+    if c.samples is not None and c.samples < least:
+        raise CLIError("%s needs --samples of at least %d" % (c.command, least))
+    if c.branch is not None and c.n is not None and len(c.branch) != c.n:
+        raise CLIError("expected %d entries in --branch, got %d" % (c.n, len(c.branch)))
+
+
 def run(config):
-    """Execute one command; returns (report dict, exit code)."""
+    """Execute one command; returns (report dict, exit code).  Option
+    values the command does not support raise CLIError up front."""
+    _refuse_unsupported(config)
     handler = COMMANDS[config.command]
     report = handler(config)
     report["timestamp"] = datetime.now(timezone.utc).isoformat()

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polycore import (
-    DegenerateModelError,
     LGPolynomial,
     ToleranceConfig,
+    _lagrange_rows,
+    _residues,
     critical_points,
-    lagrange_basis,
     poly_mod,
-    residue_functional,
 )
 from .frobenius import (
     FiniteAlgebra,
@@ -54,6 +53,10 @@ class LGClosedAlgebra:
     the idempotent weights in root order, computed from the residue
     functional; ``mu_product`` is the same quantity from the product
     formula 1/((n+1) prod_{j!=i} (alpha_i - alpha_j)).
+
+    It is the per-model context: charts, frames and the CLI read the
+    roots, weights and functional values from here instead of
+    recomputing them.
     """
 
     p: LGPolynomial
@@ -73,8 +76,11 @@ def build_closed(n=None, a=None, p=None, tol=None):
     """Construct the closed-sector Frobenius pair of a polynomial model.
 
     Pass either an LGPolynomial via ``p`` or the degree data ``n`` and
-    coefficient tuple ``a``.  Raises DegenerateModelError when critical
-    points collide.
+    coefficient tuple ``a``.  The critical points are found once and the
+    residue functional on z^0 .. z^(2n-2) is evaluated over them in one
+    pass, each value along both residue routes.  Raises
+    DegenerateModelError when critical points collide or the routes
+    disagree.
     """
     tol = tol or ToleranceConfig()
     if p is None:
@@ -82,10 +88,8 @@ def build_closed(n=None, a=None, p=None, tol=None):
     n = p.n
     dp = p.derivative_coeffs()
     roots = critical_points(p, tol=tol)
+    values = _residues(np.eye(2 * n - 1, dtype=complex), p, roots, tol)
 
-    values = np.array(
-        [residue_functional([0.0] * k + [1.0], p, tol=tol) for k in range(2 * n - 1)]
-    )
     mul = np.zeros((n, n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
@@ -101,10 +105,7 @@ def build_closed(n=None, a=None, p=None, tol=None):
         name="closed_n%d" % n,
     )
 
-    _, basis = lagrange_basis(p, tol=tol)
-    idem = np.zeros((n, n), dtype=complex)
-    for i, e in enumerate(basis):
-        idem[i, : len(e)] = e
+    idem = _lagrange_rows(roots)
     mu = idem @ values[:n]
     diffs = roots[:, None] - roots[None, :] + np.eye(n)
     mu_product = 1.0 / ((n + 1) * np.prod(diffs, axis=1))
@@ -138,8 +139,11 @@ def build_quaternion_model(n=None, a=None, p=None, branch=None, tol=None):
     vector is the idempotent at the i-th critical point and the
     transfer map sends it to the unit of the i-th block.
     """
-    tol = tol or ToleranceConfig()
-    closed = build_closed(n=n, a=a, p=p, tol=tol)
+    return _quaternion_model(build_closed(n=n, a=a, p=p, tol=tol), branch)
+
+
+def _quaternion_model(closed, branch):
+    """Quaternion model on an already built closed algebra."""
     n = closed.n
     if branch is None:
         branch = (1,) * n

@@ -33,8 +33,8 @@ from .polycore import (
     reversion_polynomials,
     revert_series,
 )
-from .frobenius import VerificationReport, complex_to_json, json_to_complex
-from .landau_ginzburg import build_closed
+from .frobenius import VerificationReport, complex_to_json
+from .landau_ginzburg import LGClosedAlgebra, build_closed
 
 __all__ = [
     "CanonicalChart",
@@ -57,23 +57,27 @@ __all__ = [
 ]
 
 
-def _match_roots(roots, ref):
-    """Reorder ``roots`` so that entry i is the one nearest ref[i].
+def _match_roots(roots, ref, sep_tol):
+    """Index of the root nearest each reference root, demanded bijective.
 
-    Raises DegenerateModelError when the nearest-neighbour assignment is
-    not a bijection, which signals that the perturbation jumped between
-    branches.
+    Two candidate roots at the same distance (within sep_tol) make the
+    continuation ambiguous, as does any non-bijective assignment; both
+    raise DegenerateModelError, which signals that the perturbation
+    jumped between branches.
     """
-    roots = np.asarray(roots)
+    perm = np.zeros(len(ref), dtype=int)
     taken = set()
-    out = np.zeros_like(roots)
     for i, r in enumerate(ref):
-        j = int(np.argmin(np.abs(roots - r)))
+        dist = np.abs(roots - r)
+        order = np.argsort(dist)
+        j = int(order[0])
+        if len(dist) > 1 and dist[order[1]] - dist[order[0]] < sep_tol:
+            raise DegenerateModelError("frame continuation failed")
         if j in taken:
             raise DegenerateModelError("frame continuation failed")
         taken.add(j)
-        out[i] = roots[j]
-    return out
+        perm[i] = j
+    return perm
 
 
 @dataclass
@@ -122,7 +126,8 @@ def canonical_chart(p=None, n=None, a=None, tol=None):
         ref = roots
         for _ in range(8):
             q = LGPolynomial(n, tuple(a_new))
-            r_new = _match_roots(critical_points(q, tol=tol), ref)
+            r_new = critical_points(q, tol=tol)
+            r_new = r_new[_match_roots(r_new, ref, tol.root_sep_tol)]
             x_new = np.array([q.eval(r) for r in r_new])
             delta = target - x_new
             if float(np.max(np.abs(delta))) < 1e-14:
@@ -165,13 +170,14 @@ def _flat_mixing_matrix(n):
 class FlatChart:
     """Flat coordinates at a base point.
 
+    ``closed`` is the closed algebra the chart was built on.
     ``tangents[k]`` holds the ascending coefficients (length n) of
     dp/dt^{k+1}, ``jacobian_at`` is da/dt, and the metric residuals
     compare the residue pairing of tangents against the constant model:
     antidiagonal 1 in t, antidiagonal (n+1) in the raw coordinates.
     """
 
-    p: LGPolynomial
+    closed: LGClosedAlgebra
     ttilde: np.ndarray
     t: np.ndarray
     jacobian_at: np.ndarray
@@ -181,8 +187,12 @@ class FlatChart:
     index_reversal: bool = False
 
     @property
+    def p(self):
+        return self.closed.p
+
+    @property
     def n(self):
-        return self.p.n
+        return self.closed.n
 
 
 def _ttilde_jacobian(n, a):
@@ -206,44 +216,35 @@ def flat_chart(p=None, n=None, a=None, tol=None, index_reversal=False):
     With ``index_reversal`` the coordinate labels run backwards, which
     moves the unit direction from the first slot to the last.
     """
-    tol = tol or ToleranceConfig()
-    if p is None:
-        p = LGPolynomial(int(n), tuple(a))
+    return _chart_on(build_closed(n=n, a=a, p=p, tol=tol), index_reversal)
+
+
+def _chart_on(closed, index_reversal=False):
+    """The flat chart at the polynomial of an already built closed algebra."""
+    p = closed.p
     n = p.n
     avals = np.asarray(p.a, dtype=complex)
     ttilde = revert_series(p)
     L = _flat_mixing_matrix(n)
     t = L @ ttilde
-    jac_ta = L @ _ttilde_jacobian(n, avals)  # dt/da
-    jac_at = np.linalg.inv(jac_ta)
+    jac_tta = _ttilde_jacobian(n, avals)  # dttilde/da
+    jac_at = np.linalg.inv(L @ jac_tta)
 
     # dp/dt^k = sum_j (da_j/dt^k) z^{n-j}
-    tangents = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for j in range(n):
-            tangents[k, n - 1 - j] += jac_at[j, k]
-
-    closed = build_closed(p=p, tol=tol)
+    tangents = jac_at.T[:, ::-1].copy()
+    raw_tangents = np.linalg.inv(jac_tta).T[:, ::-1].copy()
     values = closed.functional_values
     dp = p.derivative_coeffs()
     flip = np.fliplr(np.eye(n))
     g = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = _pair_polys(tangents[i], tangents[j], dp, values)
-    metric_residual = float(np.max(np.abs(g - flip)))
-
-    jac_tta_inv = np.linalg.inv(_ttilde_jacobian(n, avals))
-    raw_tangents = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for j in range(n):
-            raw_tangents[k, n - 1 - j] += jac_tta_inv[j, k]
     g_raw = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(i, n):
+            g[i, j] = g[j, i] = _pair_polys(tangents[i], tangents[j], dp, values)
             g_raw[i, j] = g_raw[j, i] = _pair_polys(
                 raw_tangents[i], raw_tangents[j], dp, values
             )
+    metric_residual = float(np.max(np.abs(g - flip)))
     metric_residual_raw = float(np.max(np.abs(g_raw - (n + 1) * flip)))
 
     if index_reversal:
@@ -251,7 +252,7 @@ def flat_chart(p=None, n=None, a=None, tol=None, index_reversal=False):
         jac_at = jac_at[:, ::-1].copy()
         tangents = tangents[::-1].copy()
     return FlatChart(
-        p, ttilde, t, jac_at, tangents, metric_residual, metric_residual_raw,
+        closed, ttilde, t, jac_at, tangents, metric_residual, metric_residual_raw,
         index_reversal=index_reversal,
     )
 
@@ -278,17 +279,16 @@ class EulerData:
         self.upsilon = 2.0 / (n + 1.0) - 1.0
 
 
-def euler_check(p=None, n=None, a=None, tol=None):
-    """Residuals of the grading identities at one base point.
+def euler_check(chart):
+    """Residuals of the grading identities at the base point of a chart.
 
     ``p_identity``: the rescaling of p by the grading field equals
     p - (z/(n+1)) p', coefficient by coefficient.  ``flat_scaling``:
     applying the field to each flat coordinate function of a returns
-    d_i times its value.
+    d_i times its value.  ``raw_scaling``: the same for the raw
+    inversion coefficients.
     """
-    tol = tol or ToleranceConfig()
-    if p is None:
-        p = LGPolynomial(int(n), tuple(a))
+    p = chart.p
     n = p.n
     avals = np.asarray(p.a, dtype=complex)
     weights = np.array([(k + 1.0) / (n + 1.0) for k in range(1, n + 1)])
@@ -303,18 +303,18 @@ def euler_check(p=None, n=None, a=None, tol=None):
     rhs[1:] -= dpc / (n + 1.0)
     p_identity = float(np.max(np.abs(lep - rhs)))
 
-    # E t^i = d_i t^i through the chain rule in the a variables
-    chart = flat_chart(p=p, tol=tol)
-    jac_ta = np.linalg.inv(chart.jacobian_at)
+    # E t^i = d_i t^i through the chain rule in the a variables, with the
+    # coordinates in their natural order
+    order = slice(None, None, -1) if chart.index_reversal else slice(None)
+    jac_ta = np.linalg.inv(chart.jacobian_at[:, order])
     e_vec = weights * avals
     lhs = jac_ta @ e_vec
     d = EulerData(n).degrees
-    flat_scaling = float(np.max(np.abs(lhs - d * chart.t)))
+    flat_scaling = float(np.max(np.abs(lhs - d * chart.t[order])))
 
-    raw = revert_series(p)
     raw_degrees = np.array([(i + 1.0) / (n + 1.0) for i in range(1, n + 1)])
     lhs_raw = _ttilde_jacobian(n, avals) @ e_vec
-    raw_scaling = float(np.max(np.abs(lhs_raw - raw_degrees * raw)))
+    raw_scaling = float(np.max(np.abs(lhs_raw - raw_degrees * chart.ttilde)))
     return {
         "p_identity": p_identity,
         "flat_scaling": flat_scaling,
@@ -322,18 +322,11 @@ def euler_check(p=None, n=None, a=None, tol=None):
     }
 
 
-def structure_tensor(p=None, n=None, a=None, chart=None, tol=None):
+def structure_tensor(chart):
     """c_ijk = residue pairing of three flat tangent directions."""
-    tol = tol or ToleranceConfig()
-    if chart is None:
-        if p is None:
-            p = LGPolynomial(int(n), tuple(a))
-        chart = flat_chart(p=p, tol=tol)
-    p = chart.p
-    n = p.n
-    closed = build_closed(p=p, tol=tol)
-    values = closed.functional_values
-    dp = p.derivative_coeffs()
+    n = chart.n
+    values = chart.closed.functional_values
+    dp = chart.p.derivative_coeffs()
     c = np.zeros((n, n, n), dtype=complex)
     for i in range(n):
         for j in range(i, n):
@@ -372,7 +365,6 @@ def sample_charts(n, count, seed=42, tol=None, scale=0.8, index_reversal=False):
     weights leave the window [1e-3, 1e3], so downstream linear algebra
     stays well conditioned.
     """
-    tol = tol or ToleranceConfig()
     rng = np.random.default_rng(seed)
     out = []
     guard = 0
@@ -381,16 +373,14 @@ def sample_charts(n, count, seed=42, tol=None, scale=0.8, index_reversal=False):
         if guard > 200 * count:
             raise DegenerateModelError("sampling kept hitting degenerate models")
         a = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        p = LGPolynomial(n, tuple(a))
         try:
-            roots = critical_points(p, tol=tol)
+            closed = build_closed(n=n, a=a, tol=tol)
         except DegenerateModelError:
             continue
-        diffs = roots[:, None] - roots[None, :] + np.eye(n)
-        mu = 1.0 / ((n + 1) * np.prod(diffs, axis=1))
+        mu = closed.mu_product
         if np.min(np.abs(mu)) < 1e-3 or np.max(np.abs(mu)) > 1e3:
             continue
-        out.append(flat_chart(p=p, tol=tol, index_reversal=index_reversal))
+        out.append(_chart_on(closed, index_reversal))
     return out
 
 
@@ -480,7 +470,6 @@ def reconstruct_potential(n, sample_count=60, tol=None, seed=42, index_reversal=
     is the worst defect of the fitted third derivatives against the
     sampled tensor entries.
     """
-    tol = tol or ToleranceConfig()
     euler = EulerData(n, index_reversal=index_reversal)
     exponents = _weighted_exponents(n, 2 * n + 4)
     if index_reversal:
@@ -490,7 +479,7 @@ def reconstruct_potential(n, sample_count=60, tol=None, seed=42, index_reversal=
     rows = []
     rhs = []
     for chart in charts:
-        c = structure_tensor(chart=chart, tol=tol)
+        c = structure_tensor(chart)
         probe = PotentialPoly(n, {}, euler)
         basis_derivs = []
         for exps in exponents:
@@ -562,7 +551,7 @@ def sample_structure_rows(n, count, seed=42, tol=None):
     charts = sample_charts(n, count, seed=seed, tol=tol)
     rows = []
     for chart in charts:
-        c = structure_tensor(chart=chart, tol=tol)
+        c = structure_tensor(chart)
         rows.append(
             {
                 "a": np.asarray(chart.p.a, dtype=complex),
@@ -630,8 +619,8 @@ def structure_gradient_residual(chart, tol=None):
         shift[l] = step
         a_plus = coefficients_from_flat(n, chart.t + shift, a0=a0, tol=tol)
         a_minus = coefficients_from_flat(n, chart.t - shift, a0=a0, tol=tol)
-        c_plus = structure_tensor(n=n, a=a_plus, tol=tol)
-        c_minus = structure_tensor(n=n, a=a_minus, tol=tol)
+        c_plus = structure_tensor(flat_chart(n=n, a=a_plus, tol=tol))
+        c_minus = structure_tensor(flat_chart(n=n, a=a_minus, tol=tol))
         grad[l] = (c_plus - c_minus) / (2 * step)
     residual = 0.0
     for perm in ((1, 0, 2, 3), (2, 1, 0, 3), (3, 1, 2, 0)):

@@ -187,26 +187,28 @@ def encode_symmetric(exponent_terms, n, m, truncation):
     return out
 
 
-def quadratic_t_block(series):
-    """Matrix of second t-derivatives of the constant part."""
-    n = series.n
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        di = d_t(series, i)
-        for j in range(n):
-            out[i, j] = complex(d_t(di, j).coefficient((), ()))
+def _quadratic_block(series, size, side):
+    """F_xy + F_yx at (x, y), read off in one pass over the degree-2 terms
+    whose two letters both sit in word ``side`` (0: t-word, 1: s-word)."""
+    out = np.zeros((size, size), dtype=complex)
+    for words, c in series.terms.items():
+        if len(words[side]) == 2 and not words[1 - side]:
+            x, y = words[side]
+            out[x, y] += c
+            out[y, x] += c
     return out
+
+
+def quadratic_t_block(series):
+    """Matrix of second t-derivatives of the constant part,
+    F[(i, j), ()] + F[(j, i), ()]."""
+    return _quadratic_block(series, series.n, 0)
 
 
 def quadratic_s_block(series):
-    """Half the matrix of second s-derivatives of the constant part."""
-    m = series.m
-    out = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        di = d_s(series, i)
-        for j in range(m):
-            out[i, j] = 0.5 * complex(d_s(di, j).coefficient((), ()))
-    return out
+    """Half the matrix of second s-derivatives of the constant part,
+    (F[(), (u, v)] + F[(), (v, u)]) / 2."""
+    return 0.5 * _quadratic_block(series, series.m, 1)
 
 
 def _condition_one(series):

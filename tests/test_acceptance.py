@@ -122,7 +122,7 @@ def test_criterion_4_flat_chart():
         a = rng.uniform(-2, 2, n) + 1j * rng.uniform(-1, 1, n)
         try:
             chart = flat_chart(n=n, a=tuple(a))
-            grading = euler_check(n=n, a=tuple(a))
+            grading = euler_check(chart)
         except (DegenerateModelError, ValueError):
             continue
         worst_lead = max(

@@ -17,8 +17,8 @@ from lgcardy.bundle import (
 )
 from lgcardy.frobenius import quaternion_pair
 from lgcardy.landau_ginzburg import build_quaternion_model
-from lgcardy.moduli import flat_chart
-from lgcardy.polycore import DegenerateModelError, poly_eval
+from lgcardy.moduli import canonical_chart, flat_chart
+from lgcardy.polycore import DegenerateModelError, ToleranceConfig, poly_eval
 from lgcardy.tensor_series import d_sss, quadratic_s_block
 
 
@@ -54,6 +54,15 @@ def test_frame_continuation_ambiguous_raises(model):
     # base critical points +-1
     with pytest.raises(DegenerateModelError, match="frame continuation failed"):
         flat_s_frame(model, (3.0, 0.0))
+
+
+def test_canonical_chart_ambiguous_continuation_raises():
+    # critical points +-i/sqrt(3), 1.15 apart; a unit step in one critical
+    # value moves them 0.24, so each reference root's nearest and
+    # second-nearest candidates differ by 0.99, within root_sep_tol = 1
+    tol = ToleranceConfig(fd_step=1.0, root_sep_tol=1.0)
+    with pytest.raises(DegenerateModelError, match="frame continuation failed"):
+        canonical_chart(n=2, a=(1.0, 0.5), tol=tol)
 
 
 def test_bundle_tensors_frozen_values(model):
@@ -199,7 +208,7 @@ def test_mixed_taylor_order_needs_closed_scale(model):
 def test_transfer_remainder_scales_quadratically(model):
     tol = bd.ToleranceConfig()
     chart = flat_chart(p=model.p, tol=tol)
-    base = bd._frame_transfer(flat_s_frame(model, model.p.a, tol=tol), tol)
+    base = bd._frame_transfer(flat_s_frame(model, model.p.a, tol=tol))
     dcab = bd._transfer_derivative(model, chart, tol, paper_scale=False)
     # direction 0 leaves the critical data of this model untouched, so
     # probe the direction that actually moves the frame

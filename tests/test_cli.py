@@ -144,6 +144,16 @@ def test_exit_code_two_for_bad_arguments(capsys):
     assert main(["verify-cf", "--n", "2", "--a", "oops"]) == 2
     assert main(["verify-cf", "--n", "2", "--a", "1,0"]) == 2  # wrong count
     assert main(["verify-cf", "--input", "/nonexistent/path.json"]) == 2
+    # refused up front: unsupported truncation, size, branch and sample counts
+    assert main(["bundle"] + FROZEN + ["--t-degree", "2"]) == 2
+    assert main(["ext-wdvv"] + FROZEN + ["--t-degree", "2"]) == 2
+    assert main(["chart", "--n", "0", "--a", "1,0"]) == 2
+    assert main(["potential", "--n", "0"]) == 2
+    assert main(["build"] + FROZEN + ["--branch", "+,+,+"]) == 2
+    assert main(["potential", "--n", "2", "--samples", "0"]) == 2
+    assert main(["wdvv", "--n", "2", "--samples", "0"]) == 2
+    assert main(["bundle"] + FROZEN + ["--samples", "-1"]) == 2
+    assert main(["wdvv", "--n", "2", "--samples", "-3"]) == 2
     capsys.readouterr()
 
 

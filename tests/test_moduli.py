@@ -94,19 +94,19 @@ def test_euler_data():
 
 
 def test_euler_identities():
-    res = euler_check(n=2, a=(-3.0, 0.0))
+    res = euler_check(flat_chart(n=2, a=(-3.0, 0.0)))
     assert res["p_identity"] < 1e-14
     assert res["flat_scaling"] < 1e-12
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 4, 5):
         a = rng.normal(size=n) + 1j * rng.normal(size=n)
-        res = euler_check(n=n, a=a)
+        res = euler_check(flat_chart(n=n, a=a))
         for v in res.values():
             assert v < 1e-10
 
 
 def test_structure_tensor_frozen():
-    c = structure_tensor(n=2, a=(-3.0, 0.0))
+    c = structure_tensor(flat_chart(n=2, a=(-3.0, 0.0)))
     assert c[0, 0, 1] == pytest.approx(1.0)
     assert c[1, 1, 1] == pytest.approx(9.0)
     assert c[0, 0, 0] == pytest.approx(0.0, abs=1e-12)

@@ -247,6 +247,31 @@ def test_one_pass_tensors_match_derivatives():
         assert nonzero > 0
 
 
+def test_quadratic_blocks_match_derivative_definition():
+    n, m = 3, 4
+    for seed in range(3):
+        f = _random_series(n, m, 5, 150, seed=40 + seed)
+        rng = np.random.default_rng(seed)
+        # every ordered quadratic word, so both blocks are asymmetric in F,
+        # plus terms of length 0 and 1 that neither block may read
+        for i in range(n):
+            for j in range(n):
+                f.add_term((i, j), (), complex(*rng.standard_normal(2)))
+        for u in range(m):
+            for v in range(m):
+                f.add_term((), (u, v), complex(*rng.standard_normal(2)))
+        f.add_term((), (), 1.5)
+        f.add_term((1,), (), -0.5)
+        f.add_term((), (2,), 0.25j)
+        assert f.coefficient((0, 1), ()) != f.coefficient((1, 0), ())
+        assert f.coefficient((), (0, 1)) != f.coefficient((), (1, 0))
+        want_t = [[d_t(d_t(f, i), j).coefficient((), ()) for j in range(n)] for i in range(n)]
+        want_s = [[0.5 * d_s(d_s(f, u), v).coefficient((), ()) for v in range(m)]
+                  for u in range(m)]
+        assert np.max(np.abs(quadratic_t_block(f) - np.array(want_t))) < 1e-14
+        assert np.max(np.abs(quadratic_s_block(f) - np.array(want_s))) < 1e-14
+
+
 def test_random_symmetric_cubic_breaks_condition_four():
     f = _quaternion_toy()
     for key in [k for k in f.terms if len(k[1]) == 3]:
