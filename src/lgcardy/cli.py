@@ -435,6 +435,9 @@ def _refuse_unsupported(c):
         raise CLIError("%s needs --samples of at least %d" % (c.command, least))
     if c.branch is not None and c.n is not None and len(c.branch) != c.n:
         raise CLIError("expected %d entries in --branch, got %d" % (c.n, len(c.branch)))
+    # a model or series file fixes its own branch
+    if c.branch is not None and c.input:
+        raise CLIError("--branch cannot be combined with --input")
 
 
 def run(config):

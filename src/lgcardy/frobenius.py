@@ -57,8 +57,11 @@ class FiniteAlgebra:
     """Associative unital algebra given by its structure tensor.
 
     ``mul[i, j, :]`` holds the coordinates of ``e_i * e_j`` in the basis,
-    ``unit`` the coordinates of the identity.  ``blocks`` optionally
-    records (offset, dim) slices when the algebra is an orthogonal sum.
+    ``unit`` the coordinates of the identity.  ``blocks`` lists disjoint
+    (offset, dim) slices of the basis that split the algebra: every
+    entry of ``mul`` outside the cubes of the blocks is exactly zero,
+    which the constructor checks.  Without declared blocks the whole
+    algebra is the one block (0, dim).
     """
 
     def __init__(self, mul, unit, labels=None, blocks=None):
@@ -70,12 +73,20 @@ class FiniteAlgebra:
         if self.unit.shape != (self.dim,):
             raise ValueError("unit has wrong length")
         self.labels = list(labels) if labels is not None else ["e%d" % i for i in range(self.dim)]
-        if blocks is not None:
-            self.blocks = list(blocks)
-        elif self.dim:
-            self.blocks = [(0, self.dim)]
-        else:
-            self.blocks = []
+        if blocks is None:
+            blocks = [(0, self.dim)] if self.dim else []
+        self.blocks = [(int(off), int(d)) for off, d in blocks]
+        inside = 0
+        end = 0
+        for off, d in sorted(self.blocks):
+            if off < end or d < 1 or off + d > self.dim:
+                raise ValueError("blocks must be disjoint slices of the basis")
+            end = off + d
+            inside += np.count_nonzero(self.mul[off:end, off:end, off:end])
+        # disjoint blocks hold every nonzero entry exactly when the counts
+        # agree; NaN counts as nonzero, so it is refused outside the blocks
+        if np.count_nonzero(self.mul) != inside:
+            raise ValueError("blocks do not split the structure tensor")
 
     def multiply(self, x, y):
         x = np.asarray(x, dtype=complex)
@@ -91,10 +102,19 @@ class FiniteAlgebra:
         return np.einsum("j,ijk->ki", np.asarray(y, dtype=complex), self.mul)
 
     def associator_residual(self):
-        """Max norm of (e_i e_j) e_k - e_i (e_j e_k) over all basis triples."""
-        left = np.einsum("ijm,mkl->ijkl", self.mul, self.mul)
-        right = np.einsum("jkm,iml->ijkl", self.mul, self.mul)
-        return float(np.max(np.abs(left - right)))
+        """Max norm of (e_i e_j) e_k - e_i (e_j e_k) over all basis triples.
+
+        The blocks split the structure tensor, so both sides vanish
+        exactly on a triple that spans two blocks, and each block is
+        checked on its own.  A NaN in any block makes the result NaN.
+        """
+        worst = [0.0]
+        for off, d in self.blocks:
+            m = self.mul[off:off + d, off:off + d, off:off + d]
+            left = np.einsum("ijm,mkl->ijkl", m, m)
+            right = np.einsum("jkm,iml->ijkl", m, m)
+            worst.append(np.max(np.abs(left - right)))
+        return float(np.max(worst))
 
     def unit_residual(self):
         e = self.unit
@@ -172,11 +192,14 @@ class VerificationReport:
 
 
 def nondegeneracy_margin(matrix):
-    """Smallest over largest singular value; 0 for a singular matrix and
-    inf for an empty one (a zero dimensional form is vacuously fine)."""
+    """Smallest over largest singular value; 0 for a singular matrix,
+    inf for an empty one (a zero dimensional form is vacuously fine) and
+    NaN for one with a non-finite entry, which fails every margin test."""
     m = np.asarray(matrix, dtype=complex)
     if m.size == 0:
         return float(np.inf)
+    if not np.all(np.isfinite(m)):
+        return float("nan")
     svals = np.linalg.svd(m, compute_uv=False)
     if svals[0] == 0:
         return 0.0
@@ -249,26 +272,20 @@ def matrix_pair(m, mu, name=None):
     )
 
 
-_QUAT_TABLE = None
-
-
 def _quaternion_table():
     """Structure tensor of the quaternions in the basis (1, I, J, K)."""
-    global _QUAT_TABLE
-    if _QUAT_TABLE is None:
-        mul = np.zeros((4, 4, 4), dtype=complex)
-        # products of the imaginary units; 0 is the real unit
-        mul[0, 0, 0] = 1.0
-        for i in (1, 2, 3):
-            mul[0, i, i] = 1.0
-            mul[i, 0, i] = 1.0
-            mul[i, i, 0] = -1.0
-        cyc = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
-        for (i, j), k in cyc.items():
-            mul[i, j, k] = 1.0
-            mul[j, i, k] = -1.0
-        _QUAT_TABLE = mul
-    return _QUAT_TABLE
+    mul = np.zeros((4, 4, 4), dtype=complex)
+    # products of the imaginary units; 0 is the real unit
+    mul[0, 0, 0] = 1.0
+    for i in (1, 2, 3):
+        mul[0, i, i] = 1.0
+        mul[i, 0, i] = 1.0
+        mul[i, i, 0] = -1.0
+    cyc = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
+    for (i, j), k in cyc.items():
+        mul[i, j, k] = 1.0
+        mul[j, i, k] = -1.0
+    return mul
 
 
 def quaternion_pair(rho, name=None):
@@ -279,7 +296,7 @@ def quaternion_pair(rho, name=None):
         raise ValueError("scale must be nonzero")
     functional = np.array([2.0 * rho, 0, 0, 0], dtype=complex)
     return FrobeniusPair(
-        FiniteAlgebra(_quaternion_table().copy(), [1, 0, 0, 0], labels=["1", "I", "J", "K"]),
+        FiniteAlgebra(_quaternion_table(), [1, 0, 0, 0], labels=["1", "I", "J", "K"]),
         functional,
         name=name or "quaternion",
     )

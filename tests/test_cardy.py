@@ -1,8 +1,11 @@
 """Tests for bulk-boundary pairs and commutative decomposition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lgcardy.bundle import CORRUPTIONS, corrupt_model
 from lgcardy.cardy import (
     CardyFrobeniusAlgebra,
     cardy_residual_coordinates,
@@ -21,8 +24,38 @@ from lgcardy.frobenius import (
     FrobeniusPair,
     number_pair,
     quaternion_pair,
+    verify_frobenius,
     zero_pair,
 )
+from lgcardy.landau_ginzburg import build_quaternion_model
+from lgcardy.polycore import DegenerateModelError
+
+
+def _seeded_model(n, seed=0):
+    """A quaternion model at n with seeded random coefficients."""
+    rng = np.random.default_rng(100 + 10 * n + seed)
+    while True:
+        a = rng.uniform(-2, 2, n) + 1j * rng.uniform(-1, 1, n)
+        try:
+            return build_quaternion_model(n=n, a=tuple(a))
+        except (DegenerateModelError, ValueError):
+            continue
+
+
+def _three_einsum_coordinates(cf):
+    """The coordinate route as three dense einsums over m^4 intermediates
+    (the contraction the O(m^4) order replaced), kept as the reference.
+    The path search only reorders the sums of each einsum."""
+    ga_inv = np.linalg.inv(cf.a.gram())
+    gb_inv = cf.b.gram_inverse()
+    mulb = cf.b.algebra.mul
+    lb = cf.b.functional
+    m1 = np.einsum("bi,bkc,c->ik", cf.phi, mulb, lb, optimize=True)
+    lhs = m1.T @ ga_inv @ m1
+    triple = np.einsum("ksc,cld->ksld", mulb, mulb, optimize=True)
+    quad = np.einsum("ksld,dre,e->kslr", triple, mulb, lb, optimize=True)
+    rhs = np.einsum("rs,kslr->kl", gb_inv, quad, optimize=True)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def test_quaternionic_block_passes():
@@ -68,6 +101,46 @@ def test_trace_and_coordinate_routes_agree():
         r1 = cardy_residual_trace(cf)
         r2 = cardy_residual_coordinates(cf)
         assert abs(r1 - r2) < 1e-10
+
+
+def test_coordinate_route_matches_three_einsum_formula():
+    for n in range(2, 9):
+        model = _seeded_model(n)
+        for cf in [model.cf] + [corrupt_model(model, c) for c in CORRUPTIONS]:
+            old = _three_einsum_coordinates(cf)
+            new = cardy_residual_coordinates(cf)
+            assert abs(new - old) <= 1e-12 * max(1.0, old), (n, cf.name, old, new)
+
+
+def test_coordinate_route_memory_at_n8():
+    cf = _seeded_model(8).cf
+    cardy_residual_coordinates(cf)
+    tracemalloc.start()
+    try:
+        cardy_residual_coordinates(cf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense three-einsum order holds two m^4 tensors, about 33 MB at m = 32
+    assert peak < 4e6, peak
+
+
+def test_routes_agree_at_n7_and_n8():
+    for n in (7, 8):
+        rep = verify_cardy_frobenius(_seeded_model(n).cf)
+        assert rep.passed, rep.summary()
+        gap = abs(rep.residuals["cardy_trace"] - rep.residuals["cardy_coordinate"])
+        assert gap < 1e-10
+
+
+def test_t_symmetry_corruption_keeps_bulk_associativity():
+    # the bump e_0 e_1 += eps e_0 spans two bulk blocks, and the
+    # associator (e_0 e_1) e_0 - e_0 (e_1 e_0) = eps e_0 must still show
+    for n in (2, 3, 5):
+        cf = corrupt_model(_seeded_model(n), "t_symmetry")
+        rep = verify_frobenius(cf.a, commutative=True)
+        assert rep.residuals["associativity"] == pytest.approx(0.05, rel=1e-9)
+        assert rep.residuals["commutativity"] == pytest.approx(0.05, rel=1e-9)
 
 
 def test_wrong_scale_fails_cardy_only():

@@ -140,7 +140,7 @@ def test_branch_flag_builds_valid_model(capsys):
     assert json.loads(out)["passed"] is True
 
 
-def test_exit_code_two_for_bad_arguments(capsys):
+def test_exit_code_two_for_bad_arguments(tmp_path, capsys):
     assert main(["verify-cf", "--n", "2", "--a", "oops"]) == 2
     assert main(["verify-cf", "--n", "2", "--a", "1,0"]) == 2  # wrong count
     assert main(["verify-cf", "--input", "/nonexistent/path.json"]) == 2
@@ -154,6 +154,11 @@ def test_exit_code_two_for_bad_arguments(capsys):
     assert main(["wdvv", "--n", "2", "--samples", "0"]) == 2
     assert main(["bundle"] + FROZEN + ["--samples", "-1"]) == 2
     assert main(["wdvv", "--n", "2", "--samples", "-3"]) == 2
+    # a loaded model keeps its own branch
+    model_file = tmp_path / "model.json"
+    assert main(["build"] + FROZEN + ["--output", str(model_file)]) == 0
+    assert main(["verify-cf", "--input", str(model_file)]) == 0
+    assert main(["verify-cf", "--input", str(model_file), "--branch", "+,-"]) == 2
     capsys.readouterr()
 
 

@@ -151,6 +151,39 @@ def test_broken_associativity_detected():
     assert not rep.passed
 
 
+def test_blocks_must_split_structure_tensor():
+    p = orthogonal_sum(number_pair(2.0), quaternion_pair(0.5))
+    mul = p.algebra.mul.copy()
+    mul[0, 1, 1] = 1e-300  # e_0 e_1 reaches into the quaternion block
+    with pytest.raises(ValueError, match="do not split"):
+        FiniteAlgebra(mul, p.algebra.unit, blocks=p.algebra.blocks)
+    FiniteAlgebra(mul, p.algebra.unit)  # one whole block is always a split
+    d = pair_to_dict(p)
+    d["structure"] = complex_to_json(mul.reshape(-1))
+    with pytest.raises(ValueError, match="do not split"):
+        pair_from_dict(d)
+    d = pair_to_dict(p)
+    d["blocks"] = [[0, 1], [1, 3]]  # index 4 is left out of every block
+    with pytest.raises(ValueError, match="do not split"):
+        pair_from_dict(d)
+    for blocks in ([(0, 2), (1, 4)], [(0, 1), (1, 5)], [(0, 0), (0, 5)]):
+        with pytest.raises(ValueError, match="disjoint slices"):
+            FiniteAlgebra(p.algebra.mul, p.algebra.unit, blocks=blocks)
+
+
+def test_nan_in_one_block_fails_associativity():
+    p = orthogonal_sum_list([number_pair(1.0), quaternion_pair(0.5), number_pair(2.0)])
+    mul = p.algebra.mul.copy()
+    mul[2, 3, 4] = np.nan  # inside the quaternion block, which is not the last
+    pair = FrobeniusPair(
+        FiniteAlgebra(mul, p.algebra.unit, blocks=p.algebra.blocks), p.functional
+    )
+    assert np.isnan(pair.algebra.associator_residual())
+    rep = verify_frobenius(pair)
+    assert np.isnan(rep.residuals["associativity"])
+    assert not rep.passed
+
+
 def test_m2_quaternion_isomorphism():
     psi, residual = m2_quaternion_isomorphism()
     assert residual < 1e-12
