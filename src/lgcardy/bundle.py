@@ -423,16 +423,23 @@ def corrupt_model(model, corruption, eps=0.05):
     return _corrupt_cf(model.cf, model.n, corruption, eps)
 
 
+def _keep_nan(reduce, a, b):
+    """``reduce(a, b)``, or NaN when a or b is NaN: the builtin max and
+    min drop a NaN that comes second."""
+    return np.nan if a != a or b != b else reduce(a, b)
+
+
 def _pointwise_facts(cardy_rep, a_associativity, b_associativity):
     """The five pointwise algebra facts checked at every sample point,
-    read off a Cardy report and the associator residuals of both pairs."""
+    read off a Cardy report and the associator residuals of both pairs.
+    A NaN residual makes its fact NaN."""
     r = cardy_rep.residuals
     facts = {
-        "a_associativity": max(a_associativity, r["commutativity"]),
+        "a_associativity": _keep_nan(max, a_associativity, r["commutativity"]),
         "b_associativity": b_associativity,
         "centrality": r["centrality"],
-        "homomorphism": max(r["homomorphism"], r["unit_preservation"]),
-        "cardy": max(r["cardy_trace"], r["cardy_coordinate"]),
+        "homomorphism": _keep_nan(max, r["homomorphism"], r["unit_preservation"]),
+        "cardy": _keep_nan(max, r["cardy_trace"], r["cardy_coordinate"]),
     }
     return facts, dict(cardy_rep.margins)
 
@@ -566,9 +573,9 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
             cf_q.b.algebra.associator_residual(),
         )
         for name in facts:
-            facts[name] = max(facts[name], facts_q[name])
+            facts[name] = _keep_nan(max, facts[name], facts_q[name])
         for name in margins:
-            margins[name] = min(margins[name], margins_q[name])
+            margins[name] = _keep_nan(min, margins[name], margins_q[name])
     pointwise = VerificationReport(
         "pointwise axioms (%d sample points)" % sample_points,
         tol.eq_tol, facts, margins,

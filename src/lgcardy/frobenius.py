@@ -40,9 +40,7 @@ __all__ = [
 def complex_to_json(x):
     """Encode a complex scalar or nested array as [re, im] pairs."""
     arr = np.asarray(x, dtype=complex)
-    if arr.ndim == 0:
-        return [float(arr.real), float(arr.imag)]
-    return [complex_to_json(v) for v in arr]
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def json_to_complex(obj):
@@ -51,6 +49,18 @@ def json_to_complex(obj):
     if arr.shape[-1] != 2:
         raise ValueError("expected trailing [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _block_slices(blocks, dim):
+    """Blocks as (offset, dim) integer pairs, refused unless they are
+    disjoint slices of a basis of dimension ``dim``."""
+    blocks = [(int(off), int(d)) for off, d in blocks]
+    end = 0
+    for off, d in sorted(blocks):
+        if off < end or d < 1 or off + d > dim:
+            raise ValueError("blocks must be disjoint slices of the basis")
+        end = off + d
+    return blocks
 
 
 class FiniteAlgebra:
@@ -75,14 +85,11 @@ class FiniteAlgebra:
         self.labels = list(labels) if labels is not None else ["e%d" % i for i in range(self.dim)]
         if blocks is None:
             blocks = [(0, self.dim)] if self.dim else []
-        self.blocks = [(int(off), int(d)) for off, d in blocks]
-        inside = 0
-        end = 0
-        for off, d in sorted(self.blocks):
-            if off < end or d < 1 or off + d > self.dim:
-                raise ValueError("blocks must be disjoint slices of the basis")
-            end = off + d
-            inside += np.count_nonzero(self.mul[off:end, off:end, off:end])
+        self.blocks = _block_slices(blocks, self.dim)
+        inside = sum(
+            np.count_nonzero(self.mul[off:off + d, off:off + d, off:off + d])
+            for off, d in self.blocks
+        )
         # disjoint blocks hold every nonzero entry exactly when the counts
         # agree; NaN counts as nonzero, so it is refused outside the blocks
         if np.count_nonzero(self.mul) != inside:
@@ -406,7 +413,11 @@ def m2_quaternion_isomorphism():
 def pair_to_dict(pair):
     """JSON-compatible encoding of a Frobenius pair.
 
-    The structure tensor is flattened row-major, entries as [re, im].
+    ``structure`` holds one array per entry of ``blocks``, in the same
+    order: the d x d x d cube of the structure tensor on that block,
+    flattened row-major, entries as [re, im].  Entries outside the
+    cubes are zero by the invariant of FiniteAlgebra, so they are not
+    written.
     """
     alg = pair.algebra
     return {
@@ -414,19 +425,31 @@ def pair_to_dict(pair):
         "dim": alg.dim,
         "labels": alg.labels,
         "blocks": [list(b) for b in alg.blocks],
-        "structure": complex_to_json(alg.mul.reshape(-1)),
+        "structure": [
+            complex_to_json(alg.mul[off:off + d, off:off + d, off:off + d].reshape(-1))
+            for off, d in alg.blocks
+        ],
         "unit": complex_to_json(alg.unit),
         "functional": complex_to_json(pair.functional),
     }
 
 
 def pair_from_dict(data):
+    """Inverse of pair_to_dict.  Refuses a ``structure`` that does not
+    hold exactly one array of d^3 entries per declared block."""
     d = int(data["dim"])
+    blocks = _block_slices(data["blocks"], d)
+    cubes = data["structure"]
+    if len(cubes) != len(blocks):
+        raise ValueError("structure must hold one array per block")
     mul = np.zeros((d, d, d), dtype=complex)
-    if d:
-        mul = json_to_complex(data["structure"]).reshape(d, d, d)
+    for (off, bd), cube in zip(blocks, cubes):
+        cube = json_to_complex(cube)
+        if cube.shape != (bd**3,):
+            raise ValueError("structure array of a block of dimension %d needs %d entries"
+                             % (bd, bd**3))
+        mul[off:off + bd, off:off + bd, off:off + bd] = cube.reshape(bd, bd, bd)
     unit = json_to_complex(data["unit"]) if d else np.zeros(0, dtype=complex)
     functional = json_to_complex(data["functional"]) if d else np.zeros(0, dtype=complex)
-    blocks = [tuple(b) for b in data.get("blocks", [])]
-    alg = FiniteAlgebra(mul, unit, labels=data.get("labels"), blocks=blocks or None)
+    alg = FiniteAlgebra(mul, unit, labels=data.get("labels"), blocks=blocks)
     return FrobeniusPair(alg, functional, name=data.get("name", "pair"))

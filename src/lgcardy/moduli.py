@@ -323,22 +323,25 @@ def euler_check(chart):
 
 
 def structure_tensor(chart):
-    """c_ijk = residue pairing of three flat tangent directions."""
+    """c_ijk = residue pairing of three flat tangent directions.
+
+    One contraction of the tangents T with the triple form
+    l((z^a z^b) z^d) of the closed pair, from its structure tensor and
+    functional: the products T_i T_j are formed in the algebra first and
+    then paired with T_k, the order of the residue pairing
+    l((T_i T_j) T_k).  Every entry is read from its sorted index, so c
+    is exactly totally symmetric.
+    """
     n = chart.n
-    values = chart.closed.functional_values
-    dp = chart.p.derivative_coeffs()
-    c = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            prod = poly_mod(poly_mul(chart.tangents[i], chart.tangents[j]), dp)
-            for k in range(j, n):
-                c[i, j, k] = _pair_polys(prod, chart.tangents[k], dp, values)
-    # fill the remaining slots from the sorted representative
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c[i, j, k] = c[tuple(sorted((i, j, k)))]
-    return c
+    pair = chart.closed.pair
+    tangents = chart.tangents
+    # products[i, j] holds the coordinates of T_i T_j
+    products = tangents @ (tangents @ pair.algebra.mul.reshape(n, n * n)).reshape(n, n, n)
+    c = products @ (tangents @ pair.gram()).T
+    i, j, k = np.indices((n, n, n))
+    low = np.minimum(np.minimum(i, j), k)
+    high = np.maximum(np.maximum(i, j), k)
+    return c[low, i + j + k - low - high, high]
 
 
 def coefficients_from_flat(n, t_target, a0=None, tol=None, max_iter=60):
@@ -401,6 +404,30 @@ def _weighted_exponents(n, total):
     return rec(0, total)
 
 
+def _third_derivative_basis(exponents, points):
+    """d_i d_j d_k t^e for each exponent tuple e at each point.
+
+    Returns an array indexed [point, monomial, i, j, k].  The
+    falling-factorial factor and the lowered exponents depend only on e
+    and on how often each coordinate occurs in (i, j, k); the powers of
+    each coordinate are taken once per point and gathered.
+    """
+    t = np.asarray(points, dtype=complex)
+    count, n = t.shape
+    e = np.asarray(exponents, dtype=int).reshape(len(exponents), n)
+    # hits[q, l]: how often coordinate l occurs in the q-th triple (i, j, k)
+    hits = (np.indices((n, n, n)).reshape(3, -1, 1) == np.arange(n)).sum(axis=0)
+    factor = np.ones((len(e), n**3), dtype=int)
+    for s in range(3):
+        factor *= np.prod(np.where(hits > s, e[:, None, :] - s, 1), axis=2)
+    lowered = np.maximum(e[:, None, :] - hits, 0)
+    powers = t[:, :, None] ** np.arange(lowered.max(initial=0) + 1)
+    out = np.ones((count, len(e), n**3), dtype=complex)
+    for l in range(n):
+        out = out * powers[:, l, lowered[:, :, l]]
+    return (factor * out).reshape(count, len(e), n, n, n)
+
+
 @dataclass
 class PotentialPoly:
     """Polynomial potential in the flat coordinates.
@@ -422,31 +449,14 @@ class PotentialPoly:
         return total
 
     def third_derivatives(self, t):
-        t = np.asarray(t, dtype=complex)
-        n = self.n
-        out = np.zeros((n, n, n), dtype=complex)
-        for exps, coeff in self.terms.items():
-            exps = np.array(exps)
-            for i in range(n):
-                if exps[i] == 0:
-                    continue
-                ei = exps.copy()
-                fi = ei[i]
-                ei[i] -= 1
-                for j in range(n):
-                    if ei[j] == 0:
-                        continue
-                    ej = ei.copy()
-                    fj = ej[j]
-                    ej[j] -= 1
-                    for k in range(n):
-                        if ej[k] == 0:
-                            continue
-                        ek = ej.copy()
-                        fk = ek[k]
-                        ek[k] -= 1
-                        out[i, j, k] += coeff * fi * fj * fk * np.prod(t**ek)
-        return out
+        return self._third_derivatives_at([t])[0]
+
+    def _third_derivatives_at(self, points):
+        """Third derivative tensors at each point, as [point, i, j, k]."""
+        points = np.asarray(points, dtype=complex).reshape(-1, self.n)
+        basis = _third_derivative_basis(list(self.terms), points)
+        coeffs = np.array(list(self.terms.values()), dtype=complex)
+        return np.tensordot(coeffs, basis, axes=(0, 1))
 
     def quasi_homogeneity_residual(self):
         """Worst weighted-degree defect over cubic-and-higher monomials."""
@@ -475,21 +485,12 @@ def reconstruct_potential(n, sample_count=60, tol=None, seed=42, index_reversal=
     if index_reversal:
         exponents = [tuple(reversed(e)) for e in exponents]
     charts = sample_charts(n, sample_count, seed=seed, tol=tol, index_reversal=index_reversal)
-    triples = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)]
-    rows = []
-    rhs = []
-    for chart in charts:
-        c = structure_tensor(chart)
-        probe = PotentialPoly(n, {}, euler)
-        basis_derivs = []
-        for exps in exponents:
-            probe.terms = {exps: 1.0}
-            basis_derivs.append(probe.third_derivatives(chart.t))
-        for i, j, k in triples:
-            rows.append([bd[i, j, k] for bd in basis_derivs])
-            rhs.append(c[i, j, k])
-    design = np.asarray(rows, dtype=complex)
-    rhs = np.asarray(rhs, dtype=complex)
+    # one row per chart and sorted triple i <= j <= k, chart-major
+    i, j, k = np.array([(i, j, k) for i in range(n) for j in range(i, n)
+                        for k in range(j, n)]).T
+    basis = _third_derivative_basis(exponents, [chart.t for chart in charts])
+    design = basis[:, :, i, j, k].transpose(0, 2, 1).reshape(-1, len(exponents))
+    rhs = np.concatenate([structure_tensor(chart)[i, j, k] for chart in charts])
     beta, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     fit_residual = float(np.max(np.abs(design @ beta - rhs)))
     terms = {exps: complex(b) for exps, b in zip(exponents, beta)}
@@ -511,13 +512,10 @@ def wdvv_check(potential, points, tol=None):
     n = potential.n
     flip = np.fliplr(np.eye(n))
     unit = n - 1 if potential.euler.index_reversal else 0
-    assoc = 0.0
-    norm = 0.0
-    for t in points:
-        d3 = potential.third_derivatives(t)
-        left = np.einsum("ijq,qr,klr->ijkl", d3, flip, d3)
-        assoc = max(assoc, float(np.max(np.abs(left - left.transpose(2, 1, 0, 3)))))
-        norm = max(norm, float(np.max(np.abs(d3[:, :, unit] - flip))))
+    d3 = potential._third_derivatives_at(list(points))
+    left = np.einsum("pijq,qr,pklr->pijkl", d3, flip, d3)
+    assoc = float(np.max(np.abs(left - left.transpose(0, 3, 2, 1, 4)), initial=0.0))
+    norm = float(np.max(np.abs(d3[..., unit] - flip), initial=0.0))
     rep = VerificationReport(subject="wdvv_n%d" % n, tol=tol.eq_tol)
     rep.residuals["associativity"] = assoc
     rep.residuals["normalization"] = norm

@@ -260,3 +260,27 @@ def test_report_round_trips_to_json(model):
     assert data["routes_agree"] is True
     assert "condition_7" in data["conditions"]["residuals"]
     assert len(data["frame_scales"]) == 2
+
+
+def test_nan_at_one_sample_point_fails_pointwise_route(model, monkeypatch):
+    # the NaN comes after finite values of the same facts, where the
+    # builtin max and min would drop it
+    calls = []
+    exact = bd.verify_cardy_frobenius
+
+    def nan_at_second_sample(cf, tol=None):
+        rep = exact(cf, tol=tol)
+        calls.append(cf)
+        if len(calls) == 3:
+            rep.residuals["cardy_trace"] = float("nan")
+            rep.margins = {name: float("nan") for name in rep.margins}
+        return rep
+
+    monkeypatch.setattr(bd, "verify_cardy_frobenius", nan_at_second_sample)
+    rep = verify_bundle(model, sample_points=3)
+    assert len(calls) == 4  # the base point and three sample points
+    assert np.isnan(rep.pointwise.residuals["cardy"])
+    assert rep.pointwise.margins and all(np.isnan(v) for v in rep.pointwise.margins.values())
+    assert not rep.pointwise.passed and not rep.pointwise_passed
+    assert rep.series_passed and not rep.routes_agree
+    assert not rep.passed

@@ -1,6 +1,7 @@
 """Tests for the command line front end."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -176,3 +177,34 @@ def test_reports_deterministic_modulo_timestamp(tmp_path, capsys):
     second = [ln for ln in out_file.read_text().splitlines() if '"timestamp"' not in ln]
     capsys.readouterr()
     assert first == second
+
+
+def test_build_report_stays_small_at_n8(capsys):
+    # the boundary algebra is written block by block: 64 entries per
+    # quaternion block, not the dense (4n)^3 tensor (2.26 MB of JSON)
+    a = "--a=" + " ".join("%r,%r" % (0.3 * k - 1.0, 0.1 * k) for k in range(8))
+    code, out = _run(capsys, ["build", "--n", "8", a])
+    assert code == 0
+    assert len(out.encode()) < 200_000
+    cf = json.loads(out)["data"]["model"]["cf"]
+    assert [len(cube) for cube in cf["b"]["structure"]] == [64] * 8
+    assert [len(cube) for cube in cf["a"]["structure"]] == [1] * 8
+
+
+REFERENCE_POTENTIALS = os.path.join(
+    os.path.dirname(__file__), os.pardir, "perfbench", "reference_potentials.json"
+)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_potential_matches_reference_potentials(capsys, n):
+    with open(REFERENCE_POTENTIALS) as fh:
+        reference = json.load(fh)["potentials"][str(n)]["monomials"]
+    want = {tuple(m["exponents"]): complex(*m["coeff"]) for m in reference}
+    code, out = _run(capsys, ["potential", "--n", str(n)])
+    assert code == 0
+    monomials = json.loads(out)["data"]["potential"]["monomials"]
+    got = {tuple(m["exponents"]): complex(*m["coeff"]) for m in monomials}
+    assert got.keys() == want.keys()
+    scale = max(1.0, max(abs(c) for c in want.values()))
+    assert max(abs(got[e] - want[e]) for e in want) <= 1e-12 * scale

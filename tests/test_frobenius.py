@@ -158,17 +158,45 @@ def test_blocks_must_split_structure_tensor():
     with pytest.raises(ValueError, match="do not split"):
         FiniteAlgebra(mul, p.algebra.unit, blocks=p.algebra.blocks)
     FiniteAlgebra(mul, p.algebra.unit)  # one whole block is always a split
+    # a dense tensor is not one array per block, flat or wrapped in a list
+    for dense in (complex_to_json(mul.reshape(-1)), [complex_to_json(mul.reshape(-1))]):
+        d = pair_to_dict(p)
+        d["structure"] = dense
+        with pytest.raises(ValueError, match="one array per block"):
+            pair_from_dict(d)
     d = pair_to_dict(p)
-    d["structure"] = complex_to_json(mul.reshape(-1))
-    with pytest.raises(ValueError, match="do not split"):
-        pair_from_dict(d)
-    d = pair_to_dict(p)
-    d["blocks"] = [[0, 1], [1, 3]]  # index 4 is left out of every block
-    with pytest.raises(ValueError, match="do not split"):
+    d["blocks"] = [[0, 1], [1, 3]]  # the quaternion cube does not fit a 3-block
+    with pytest.raises(ValueError, match="needs 27 entries"):
         pair_from_dict(d)
     for blocks in ([(0, 2), (1, 4)], [(0, 1), (1, 5)], [(0, 0), (0, 5)]):
         with pytest.raises(ValueError, match="disjoint slices"):
             FiniteAlgebra(p.algebra.mul, p.algebra.unit, blocks=blocks)
+        d = pair_to_dict(p)
+        d["blocks"] = [list(b) for b in blocks]
+        with pytest.raises(ValueError, match="disjoint slices"):
+            pair_from_dict(d)
+
+
+def test_pair_from_dict_needs_one_cube_per_block():
+    p = orthogonal_sum(number_pair(2.0), quaternion_pair(0.5))
+    good = pair_to_dict(p)
+    quat = good["structure"][1]
+    bad_structures = {
+        "one array per block": ([good["structure"][0]], good["structure"] + [quat], []),
+        "needs 64 entries": (
+            [good["structure"][0], quat[:-1]],
+            [good["structure"][0], quat + quat[:1]],
+            [good["structure"][0], np.asarray(quat).reshape(4, 4, 4, 2).tolist()],
+        ),
+        "needs 1 entries": ([quat, quat],),
+    }
+    for message, structures in bad_structures.items():
+        for structure in structures:
+            d = dict(good, structure=structure)
+            with pytest.raises(ValueError, match=message):
+                pair_from_dict(d)
+    with pytest.raises(KeyError):
+        pair_from_dict({k: v for k, v in good.items() if k != "blocks"})
 
 
 def test_nan_in_one_block_fails_associativity():
@@ -210,7 +238,9 @@ def test_json_round_trip():
     p = orthogonal_sum(quaternion_pair(1j), number_pair(3.0), name="mix")
     d = pair_to_dict(p)
     assert d["dim"] == 5
-    assert len(d["structure"]) == 125 and len(d["structure"][0]) == 2
+    # one flattened cube per block, in block order: 4^3 then 1^3 entries
+    assert [len(cube) for cube in d["structure"]] == [64, 1]
+    assert all(len(entry) == 2 for cube in d["structure"] for entry in cube)
     q = pair_from_dict(d)
     assert q.name == "mix"
     assert np.allclose(q.algebra.mul, p.algebra.mul)
@@ -218,3 +248,32 @@ def test_json_round_trip():
     assert q.algebra.blocks == p.algebra.blocks
     x = json_to_complex(complex_to_json(np.array([[1 + 2j, 0], [3, -1j]])))
     assert np.allclose(x, [[1 + 2j, 0], [3, -1j]])
+
+
+def _block_layout_pairs():
+    from lgcardy.bundle import corrupt_model
+    from lgcardy.landau_ginzburg import build_quaternion_model
+
+    yield orthogonal_sum(number_pair(2.0 - 1j), quaternion_pair(0.5 + 0.25j), name="1+4")
+    yield zero_pair()
+    yield matrix_pair(2, 0.3 - 0.8j)
+    # the t_symmetry bump spans bulk blocks 0 and 1, so the corrupted bulk
+    # is declared as one block
+    model = build_quaternion_model(n=3, a=(0.4, -0.9 + 0.2j, 0.3))
+    yield corrupt_model(model, "t_symmetry").a
+
+
+def test_block_layout_round_trip_is_exact():
+    import json
+
+    for p in _block_layout_pairs():
+        d = json.loads(json.dumps(pair_to_dict(p)))
+        # only the cubes of the blocks are written: sum of d^3 entries
+        assert sum(len(cube) for cube in d["structure"]) == sum(b**3 for _, b in p.algebra.blocks)
+        q = pair_from_dict(d)
+        assert q.algebra.blocks == p.algebra.blocks
+        assert q.algebra.labels == p.algebra.labels and q.name == p.name
+        assert np.array_equal(q.algebra.mul, p.algebra.mul)
+        assert np.array_equal(q.algebra.unit, p.algebra.unit)
+        assert np.array_equal(q.functional, p.functional)
+    assert [b for _, b in p.algebra.blocks] == [3]  # the corrupted bulk

@@ -23,7 +23,8 @@ from lgcardy.moduli import (
     structure_tensor,
     wdvv_check,
 )
-from lgcardy.polycore import ToleranceConfig
+from lgcardy.moduli import _third_derivative_basis, _weighted_exponents
+from lgcardy.polycore import ToleranceConfig, poly_mod, poly_mul
 
 
 def test_canonical_chart_frozen():
@@ -136,6 +137,106 @@ def test_structure_tensor_against_root_sum():
         expect = np.einsum("r,ir,jr,kr->ijk", closed.mu, vals, vals, vals)
         c = structure_tensor(chart=chart)
         assert np.max(np.abs(c - expect)) < 1e-9
+
+
+def _pairing_formula(chart):
+    """c_ijk as l(((T_i T_j) mod p') T_k mod p') over the monomial functional
+    values, one poly_mod per product, filled from i <= j <= k."""
+    n = chart.n
+    values = chart.closed.functional_values
+    dp = chart.p.derivative_coeffs()
+
+    def pair(u, v):
+        w = poly_mod(poly_mul(u, v), dp)
+        return complex(np.dot(w, values[: len(w)]))
+
+    c = np.zeros((n, n, n), dtype=complex)
+    for i in range(n):
+        for j in range(i, n):
+            prod = poly_mod(poly_mul(chart.tangents[i], chart.tangents[j]), dp)
+            for k in range(j, n):
+                c[i, j, k] = pair(prod, chart.tangents[k])
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                c[i, j, k] = c[tuple(sorted((i, j, k)))]
+    return c
+
+
+def test_structure_tensor_matches_pairing_formula():
+    rng = np.random.default_rng(2005)
+    for scale in (0.8, 1e3):
+        for n in range(1, 9):
+            for _ in range(3):
+                a = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+                chart = flat_chart(n=n, a=a)
+                c = structure_tensor(chart)
+                want = _pairing_formula(chart)
+                assert np.max(np.abs(c - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+                for perm in ((1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)):
+                    assert np.array_equal(c, c.transpose(perm))
+
+
+def _monomial_third_derivatives(exps, t):
+    """d_i d_j d_k t^exps by lowering one exponent at a time."""
+    n = len(exps)
+    out = np.zeros((n, n, n), dtype=complex)
+    exps = np.array(exps)
+    for i in range(n):
+        if exps[i] == 0:
+            continue
+        ei = exps.copy()
+        fi = ei[i]
+        ei[i] -= 1
+        for j in range(n):
+            if ei[j] == 0:
+                continue
+            ej = ei.copy()
+            fj = ej[j]
+            ej[j] -= 1
+            for k in range(n):
+                if ej[k] == 0:
+                    continue
+                ek = ej.copy()
+                fk = ek[k]
+                ek[k] -= 1
+                out[i, j, k] += fi * fj * fk * np.prod(t**ek)
+    return out
+
+
+def test_third_derivative_basis_matches_monomial_loop():
+    rng = np.random.default_rng(8)
+    for n in range(1, 7):
+        exponents = _weighted_exponents(n, 2 * n + 4) + [(0,) * n, (1,) + (0,) * (n - 1)]
+        points = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+        basis = _third_derivative_basis(exponents, points)
+        assert basis.shape == (4, len(exponents), n, n, n)
+        for p, t in enumerate(points):
+            for m, exps in enumerate(exponents):
+                want = _monomial_third_derivatives(exps, t)
+                assert np.max(np.abs(basis[p, m] - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+def test_wdvv_check_matches_pointwise_formula():
+    """The batched check against the per-point residuals, clean and bumped."""
+    F, _ = reconstruct_potential(3, sample_count=40)
+    bumped = potential_from_dict(potential_to_dict(F))
+    bumped.terms[(0, 4, 0)] = bumped.terms.get((0, 4, 0), 0.0) + 0.1
+    points = np.random.default_rng(9).uniform(-0.8, 0.8, size=(12, 3))
+    flip = np.fliplr(np.eye(3))
+    for pot in (F, bumped):
+        assoc = norm = 0.0
+        for t in points:
+            d3 = sum(coeff * _monomial_third_derivatives(exps, t)
+                     for exps, coeff in pot.terms.items())
+            left = np.einsum("ijq,qr,klr->ijkl", d3, flip, d3)
+            assoc = max(assoc, np.max(np.abs(left - left.transpose(2, 1, 0, 3))))
+            norm = max(norm, np.max(np.abs(d3[:, :, 0] - flip)))
+        rep = wdvv_check(pot, points)
+        for name, want in (("associativity", assoc), ("normalization", norm)):
+            assert abs(rep.residuals[name] - want) <= 1e-12 * max(1.0, want)
+    assert rep.residuals["associativity"] > 1e-3
+    assert wdvv_check(F, []).residuals["associativity"] == 0.0
 
 
 def test_structure_gradient_symmetry():
