@@ -38,6 +38,7 @@ from .frobenius import (
     FiniteAlgebra,
     FrobeniusPair,
     VerificationReport,
+    complex_to_json,
     quaternion_pair,
     verify_frobenius,
 )
@@ -89,6 +90,10 @@ PREDICTED_CONDITION = {
 }
 
 _QUATERNION_SIGNS = np.array([2.0, -2.0, -2.0, -2.0])
+
+# tolerance on the drift of the boundary pairing along the
+# form-preserving frame, whose drift is zero up to rounding
+FRAME_DRIFT_TOL = 1e-8
 
 
 @dataclass
@@ -446,7 +451,13 @@ def _pointwise_facts(cardy_rep, a_associativity, b_associativity):
 
 @dataclass
 class BundleReport:
-    """Two-route verdict for one model."""
+    """Two-route verdict for one model.
+
+    ``conditions`` holds the seven series conditions, ``pointwise`` the
+    pointwise algebra facts and ``frame`` the frame pairing drift (empty
+    under ``paper_scale``, whose drift is documented, not judged).  The
+    model passes when all three reports pass and the routes agree.
+    """
 
     n: int
     a: tuple
@@ -455,9 +466,7 @@ class BundleReport:
     paper_scale: bool
     conditions: object
     pointwise: object
-    pointwise_cardy: object
-    pointwise_bulk: object
-    pointwise_boundary: object
+    frame: object
     frame_drift: float
     frame_scale_spread: float
     frame_scales: tuple
@@ -469,16 +478,21 @@ class BundleReport:
 
     @property
     def pointwise_passed(self):
-        return (
-            self.pointwise.passed
-            and self.pointwise_cardy.passed
-            and self.pointwise_bulk.passed
-            and self.pointwise_boundary.passed
-        )
+        return self.pointwise.passed
 
     @property
     def passed(self):
-        return self.series_passed and self.pointwise_passed and self.routes_agree
+        return (self.series_passed and self.pointwise_passed and self.frame.passed
+                and self.routes_agree)
+
+    def entries(self):
+        """Residual rows and margin rows of the three reports, in turn."""
+        residuals, margins = [], []
+        for rep in (self.conditions, self.pointwise, self.frame):
+            rows, margin_rows = rep.entries()
+            residuals += rows
+            margins += margin_rows
+        return residuals, margins
 
     def summary(self):
         lines = [
@@ -499,7 +513,7 @@ class BundleReport:
     def to_dict(self):
         return {
             "n": self.n,
-            "a": [[z.real, z.imag] for z in map(complex, self.a)],
+            "a": complex_to_json(self.a),
             "t_degree": self.t_degree,
             "corruption": self.corruption,
             "paper_scale": self.paper_scale,
@@ -508,12 +522,10 @@ class BundleReport:
             "pointwise_passed": self.pointwise_passed,
             "frame_drift": self.frame_drift,
             "frame_scale_spread": self.frame_scale_spread,
-            "frame_scales": [[z.real, z.imag] for z in map(complex, self.frame_scales)],
+            "frame_scales": complex_to_json(self.frame_scales),
             "conditions": self.conditions.to_dict(),
             "pointwise": self.pointwise.to_dict(),
-            "pointwise_cardy": self.pointwise_cardy.to_dict(),
-            "pointwise_bulk": self.pointwise_bulk.to_dict(),
-            "pointwise_boundary": self.pointwise_boundary.to_dict(),
+            "frame": self.frame.to_dict(),
         }
 
 
@@ -528,9 +540,12 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
     centrality, homomorphism, transfer identity) on the base-point Cardy
     data and again on freshly built models at ``sample_points`` random
     flat displacements of the given distance, keeping the worst residual
-    of each fact.  Both routes see the same corrupted primitives, the
+    of each fact.  The unit and form symmetry residuals of the bulk and
+    boundary pairs join them as two more facts, checked at the base
+    point.  Both routes see the same corrupted primitives, the
     corruption being reapplied at every sample point.  The same sweep
-    records the frame pairing drift and the frame scale spread.
+    records the frame pairing drift, judged at FRAME_DRIFT_TOL unless
+    ``paper_scale`` is set, and the frame scale spread.
     """
     tol = tol or ToleranceConfig()
     cf = model.cf if corruption is None else corrupt_model(model, corruption, eps=eps)
@@ -541,12 +556,11 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
         series.add_term((0, 0, 1), (), eps)
         series.add_term((0, 1, 0), (), -eps)
     conditions = ext_wdvv_check(series, tol=tol)
-    cardy_rep = verify_cardy_frobenius(cf, tol=tol)
-    bulk_rep = verify_frobenius(cf.a, tol=tol, commutative=True)
+    bulk_rep = verify_frobenius(cf.a, tol=tol)
     boundary_rep = verify_frobenius(cf.b, tol=tol)
 
     facts, margins = _pointwise_facts(
-        cardy_rep,
+        verify_cardy_frobenius(cf, tol=tol),
         bulk_rep.residuals["associativity"],
         boundary_rep.residuals["associativity"],
     )
@@ -560,10 +574,11 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
         t = np.asarray(chart.t, dtype=complex) + sample_distance * step
         a_q = coefficients_from_flat(model.n, t, a0=model.p.a, tol=tol)
         frame = flat_s_frame(model, a_q, tol=tol, paper_scale=paper_scale)
-        if frame.drift >= drift:
+        # the worst drift wins, and a NaN drift, once seen, stays
+        if drift == drift and not frame.drift < drift:
             drift = frame.drift
             scales = tuple(frame.scales)
-        spread = max(spread, float(np.max(np.abs(frame.scales - 1.0))))
+        spread = _keep_nan(max, spread, float(np.max(np.abs(frame.scales - 1.0))))
         cf_q = _quaternion_model(frame.closed, model.branch).cf
         if corruption is not None:
             cf_q = _corrupt_cf(cf_q, model.n, corruption, eps)
@@ -576,17 +591,17 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
             facts[name] = _keep_nan(max, facts[name], facts_q[name])
         for name in margins:
             margins[name] = _keep_nan(min, margins[name], margins_q[name])
+    # unit and form symmetry are checked at the base point only; their
+    # form_nondegeneracy margins are nondegeneracy_A and _B again
+    for name in ("unit", "form_symmetry"):
+        facts[name] = _keep_nan(max, bulk_rep.residuals[name], boundary_rep.residuals[name])
     pointwise = VerificationReport(
         "pointwise axioms (%d sample points)" % sample_points,
         tol.eq_tol, facts, margins,
     )
-
-    series_ok = conditions.passed
-    pointwise_ok = (
-        pointwise.passed
-        and cardy_rep.passed
-        and bulk_rep.passed
-        and boundary_rep.passed
+    frame_rep = VerificationReport(
+        "frame pairing drift", FRAME_DRIFT_TOL,
+        {} if paper_scale else {"frame_drift": drift},
     )
     return BundleReport(
         n=model.n,
@@ -596,11 +611,9 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
         paper_scale=paper_scale,
         conditions=conditions,
         pointwise=pointwise,
-        pointwise_cardy=cardy_rep,
-        pointwise_bulk=bulk_rep,
-        pointwise_boundary=boundary_rep,
+        frame=frame_rep,
         frame_drift=drift,
         frame_scale_spread=spread,
         frame_scales=scales,
-        routes_agree=(series_ok == pointwise_ok),
+        routes_agree=(conditions.passed == pointwise.passed),
     )

@@ -71,9 +71,6 @@ class CardyFrobeniusAlgebra:
             self.b.algebra.dim, self.a.algebra.dim
         )
 
-    def phi_apply(self, x):
-        return self.phi @ np.asarray(x, dtype=complex)
-
 
 def phi_star(cf, tol=None):
     """Adjoint of phi with respect to the two bilinear forms.

@@ -11,12 +11,18 @@ wdvv       associativity residuals of the reconstructed potential
 ext-wdvv   the seven-condition check on a stored or assembled series
 bundle     two-route verification of the boundary bundle at one model
 
-Reports are a single JSON document with a "residuals" array of
-{name, value, tol, pass} entries; margins are listed separately and
-pass by staying above the tolerance.  Suites that do not apply are
-never dropped silently: they appear under "skipped" with a reason.
-Exit codes: 0 when every suite passes, 1 when a residual fails,
-2 for unusable arguments or input files, 3 for a degenerate model.
+Reports are a single JSON document whose "residuals" and "margins"
+arrays hold {name, value, tol, pass} rows: the rows of the library
+reports behind the command, each report's rows sorted by name, exactly
+as VerificationReport.entries() and to_dict() give them.  A residual
+passes at or below its tolerance, a margin above it, a NaN never.
+bundle lists the series conditions (condition_*), the pointwise facts
+(a_associativity, b_associativity, centrality, homomorphism, cardy,
+unit, form_symmetry) and, unless --paper-scale is given, frame_drift.
+Suites that do not apply are never dropped silently: they appear
+under "skipped" with a reason.  Exit codes: 0 when the report passes,
+1 when it fails, 2 for unusable arguments or input files, 3 for a
+degenerate model.
 With the same arguments and seed the report is byte identical except
 for the timestamp field.
 
@@ -30,12 +36,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .polycore import DegenerateModelError, ToleranceConfig
+from .frobenius import VerificationReport, complex_to_json
 from .cardy import verify_cardy_frobenius
 from .landau_ginzburg import build_quaternion_model, model_from_dict, model_to_dict
 from .moduli import (
@@ -67,15 +74,15 @@ class RunConfig:
     seed: int = 42
     samples: int = None
     t_degree: int = 4
-    tol_value: float = None
+    tol: float = None
     branch: tuple = None
     paper_scale: bool = False
     index_reversal: bool = False
 
     def tolerances(self):
-        if self.tol_value is None:
+        if self.tol is None:
             return ToleranceConfig()
-        return ToleranceConfig(eq_tol=float(self.tol_value))
+        return ToleranceConfig(eq_tol=float(self.tol))
 
 
 def parse_complex(text):
@@ -120,46 +127,22 @@ def _load_json(path):
         raise CLIError("%s is not valid JSON: %s" % (path, exc))
 
 
-def _entry(name, value, tol):
-    value = float(abs(value))
-    return {"name": name, "value": value, "tol": float(tol), "pass": bool(value <= tol)}
-
-
-def _margin(name, value, tol):
-    value = float(value)
-    return {"name": name, "value": value, "tol": float(tol), "pass": bool(value > tol)}
-
-
-def _cjson(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def _config_echo(c):
-    return {
-        "command": c.command,
-        "n": c.n,
-        "a": None if c.a is None else [_cjson(z) for z in c.a],
-        "input": c.input,
-        "output": c.output,
-        "seed": c.seed,
-        "samples": c.samples,
-        "t_degree": c.t_degree,
-        "tol": c.tol_value,
-        "branch": None if c.branch is None else list(c.branch),
-        "paper_scale": c.paper_scale,
-        "index_reversal": c.index_reversal,
-    }
+    """The run configuration, one key per RunConfig field."""
+    echo = {f.name: getattr(c, f.name) for f in fields(c)}
+    echo["a"] = None if c.a is None else complex_to_json(c.a)
+    echo["branch"] = None if c.branch is None else list(c.branch)
+    return echo
 
 
-def _report(config, residuals, margins=None, data=None, skipped=None, extra_ok=True):
-    residuals = list(residuals)
-    margins = list(margins or [])
-    passed = (
-        all(e["pass"] for e in residuals)
-        and all(m["pass"] for m in margins)
-        and bool(extra_ok)
-    )
+def _report(config, reports, data=None, skipped=None):
+    """The JSON report of a command: the rows of its library reports,
+    concatenated, and their verdict."""
+    residuals, margins = [], []
+    for rep in reports:
+        rows, margin_rows = rep.entries()
+        residuals += rows
+        margins += margin_rows
     return {
         "command": config.command,
         "config": _config_echo(config),
@@ -167,7 +150,7 @@ def _report(config, residuals, margins=None, data=None, skipped=None, extra_ok=T
         "margins": margins,
         "skipped": list(skipped or []),
         "data": dict(data or {}),
-        "passed": passed,
+        "passed": all(rep.passed for rep in reports),
     }
 
 
@@ -199,16 +182,10 @@ def _idempotent_residuals(closed):
 
 def cmd_build(c):
     model = _model_from_config(c)
-    tol = c.tolerances().eq_tol
     idem, unit = _idempotent_residuals(model.closed)
-    entries = [
-        _entry("idempotent_products", idem, tol),
-        _entry("unit_sum", unit, tol),
-    ]
-    data = {
-        "mu": [_cjson(z) for z in model.closed.mu],
-        "rho": [_cjson(z) for z in model.rho],
-    }
+    rep = VerificationReport("idempotents", c.tolerances().eq_tol,
+                             {"idempotent_products": idem, "unit_sum": unit})
+    data = {"mu": complex_to_json(model.closed.mu), "rho": complex_to_json(model.rho)}
     if c.output:
         with open(c.output, "w") as fh:
             json.dump(model_to_dict(model), fh, indent=2)
@@ -216,20 +193,14 @@ def cmd_build(c):
         data["model_written_to"] = c.output
     else:
         data["model"] = model_to_dict(model)
-    return _report(c, entries, data=data)
+    return _report(c, [rep], data=data)
 
 
 def cmd_verify_cf(c):
     model = _model_from_config(c)
-    tol = c.tolerances()
-    rep = verify_cardy_frobenius(model.cf, tol=tol)
-    entries = [_entry(k, rep.residuals[k], rep.tol) for k in sorted(rep.residuals)]
-    margins = [_margin(k, rep.margins[k], rep.tol) for k in sorted(rep.margins)]
-    data = {
-        "mu": [_cjson(z) for z in model.closed.mu],
-        "rho": [_cjson(z) for z in model.rho],
-    }
-    return _report(c, entries, margins=margins, data=data)
+    rep = verify_cardy_frobenius(model.cf, tol=c.tolerances())
+    data = {"mu": complex_to_json(model.closed.mu), "rho": complex_to_json(model.rho)}
+    return _report(c, [rep], data=data)
 
 
 def cmd_chart(c):
@@ -238,18 +209,18 @@ def cmd_chart(c):
     tol = c.tolerances()
     chart = flat_chart(n=c.n, a=c.a, tol=tol, index_reversal=c.index_reversal)
     euler = euler_check(chart)
-    entries = [
-        _entry("metric_constancy", chart.metric_residual, tol.eq_tol),
-        _entry("grading_of_p", euler["p_identity"], tol.eq_tol),
-        _entry("grading_of_flat_coordinates", euler["flat_scaling"], tol.eq_tol),
-        _entry("grading_of_raw_coordinates", euler["raw_scaling"], tol.eq_tol),
-    ]
+    rep = VerificationReport("chart", tol.eq_tol, {
+        "metric_constancy": chart.metric_residual,
+        "grading_of_p": euler["p_identity"],
+        "grading_of_flat_coordinates": euler["flat_scaling"],
+        "grading_of_raw_coordinates": euler["raw_scaling"],
+    })
     data = {
-        "ttilde": [_cjson(z) for z in chart.ttilde],
-        "t": [_cjson(z) for z in chart.t],
-        "tangents": [[_cjson(z) for z in tan] for tan in chart.tangents],
+        "ttilde": complex_to_json(chart.ttilde),
+        "t": complex_to_json(chart.t),
+        "tangents": [complex_to_json(tan) for tan in chart.tangents],
     }
-    return _report(c, entries, data=data)
+    return _report(c, [rep], data=data)
 
 
 def cmd_potential(c):
@@ -260,18 +231,18 @@ def cmd_potential(c):
     pot, fit = reconstruct_potential(
         c.n, sample_count=count, tol=tol, seed=c.seed, index_reversal=c.index_reversal
     )
-    entries = [
-        _entry("fit_residual", fit, tol.eq_tol),
-        _entry("quasi_homogeneity", pot.quasi_homogeneity_residual(), tol.eq_tol),
-    ]
+    rep = VerificationReport("potential", tol.eq_tol, {
+        "fit_residual": fit,
+        "quasi_homogeneity": pot.quasi_homogeneity_residual(),
+    })
     data = {"potential": potential_to_dict(pot)}
     quartic_slot = 0 if c.index_reversal else c.n - 1
     exps = tuple(4 if i == quartic_slot else 0 for i in range(c.n))
     if exps in pot.terms:
         quartic = pot.terms[exps]
-        data["quartic_coefficient"] = _cjson(quartic)
-        data["quartic_ratio_to_one_over_24"] = _cjson(quartic * 24.0)
-    return _report(c, entries, data=data)
+        data["quartic_coefficient"] = complex_to_json(quartic)
+        data["quartic_ratio_to_one_over_24"] = complex_to_json(quartic * 24.0)
+    return _report(c, [rep], data=data)
 
 
 def cmd_wdvv(c):
@@ -293,11 +264,11 @@ def cmd_wdvv(c):
     count = c.samples if c.samples is not None else 20
     rng = np.random.default_rng(c.seed)
     points = rng.uniform(-0.8, 0.8, size=(count, c.n))
-    rep = wdvv_check(pot, points, tol=tol)
-    wtol = c.tol_value if c.tol_value is not None else 1e-7
-    entries = [_entry("fit_residual", fit, wtol)]
-    entries += [_entry(k, rep.residuals[k], wtol) for k in sorted(rep.residuals)]
-    return _report(c, entries, data={"check_points": int(count)})
+    # the fit and the equations are judged at 1e-7 unless --tol is given
+    wdvv_tol = ToleranceConfig(eq_tol=c.tol if c.tol is not None else 1e-7)
+    rep = wdvv_check(pot, points, tol=wdvv_tol)
+    rep.residuals["fit_residual"] = fit
+    return _report(c, [rep], data={"check_points": int(count)})
 
 
 def cmd_ext_wdvv(c):
@@ -313,52 +284,29 @@ def cmd_ext_wdvv(c):
         model = _model_from_config(c)
         series = assemble_potential(model, t_degree=c.t_degree, tol=tol)
         source = {"assembled_from": _config_echo(c)["a"], "t_degree": c.t_degree}
-    rep = ext_wdvv_check(series, tol=tol)
-    entries = [_entry(k, rep.residuals[k], rep.tol) for k in sorted(rep.residuals)]
-    margins = [_margin(k, rep.margins[k], rep.tol) for k in sorted(rep.margins)]
-    return _report(c, entries, margins=margins, data=source)
+    return _report(c, [ext_wdvv_check(series, tol=tol)], data=source)
 
 
 def cmd_bundle(c):
     model = _model_from_config(c)
-    tol = c.tolerances()
     points = c.samples if c.samples is not None else 10
     rep = verify_bundle(
         model,
         t_degree=c.t_degree,
         sample_points=points,
-        tol=tol,
+        tol=c.tolerances(),
         paper_scale=c.paper_scale,
         seed=c.seed,
     )
-    entries = [
-        _entry(k, rep.conditions.residuals[k], rep.conditions.tol)
-        for k in sorted(rep.conditions.residuals)
-    ]
-    entries += [
-        _entry(k, rep.pointwise.residuals[k], rep.pointwise.tol)
-        for k in sorted(rep.pointwise.residuals)
-    ]
-    margins = [
-        _margin(k, v, rep.conditions.tol) for k, v in sorted(rep.conditions.margins.items())
-    ]
-    margins += [
-        _margin(k, v, rep.pointwise.tol) for k, v in sorted(rep.pointwise.margins.items())
-    ]
+    # under --paper-scale the drift is documented behaviour: data, not a row
     data = {
         "routes_agree": bool(rep.routes_agree),
         "frame_scale_spread": rep.frame_scale_spread,
-        "frame_scales": [_cjson(z) for z in rep.frame_scales],
+        "frame_scales": complex_to_json(rep.frame_scales),
         "sample_points": int(points),
+        "frame_drift": rep.frame_drift,
     }
-    if c.paper_scale:
-        # nonzero drift is the documented behavior of the literal scale,
-        # reported but not judged
-        data["frame_drift"] = rep.frame_drift
-    else:
-        entries.append(_entry("frame_drift", rep.frame_drift, 1e-8))
-        data["frame_drift"] = rep.frame_drift
-    return _report(c, entries, margins=margins, data=data, extra_ok=rep.routes_agree)
+    return _report(c, [rep], data=data)
 
 
 COMMANDS = {
@@ -404,21 +352,17 @@ def _build_parser():
     return parser
 
 
+_PARSERS = {"a": parse_complex_list, "branch": parse_branch}
+
+
 def _config_from_args(args):
-    return RunConfig(
-        command=args.command,
-        n=args.n,
-        a=None if args.a is None else parse_complex_list(args.a),
-        input=args.input,
-        output=args.output,
-        seed=args.seed,
-        samples=args.samples,
-        t_degree=args.t_degree,
-        tol_value=args.tol,
-        branch=None if args.branch is None else parse_branch(args.branch),
-        paper_scale=args.paper_scale,
-        index_reversal=args.index_reversal,
-    )
+    """RunConfig from parsed arguments: each field is the option of the
+    same name, with coefficient lists and branch signs parsed."""
+    values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    for name, parse in _PARSERS.items():
+        if values[name] is not None:
+            values[name] = parse(values[name])
+    return RunConfig(**values)
 
 
 def _refuse_unsupported(c):

@@ -20,7 +20,6 @@ __all__ = [
     "FiniteAlgebra",
     "FrobeniusPair",
     "VerificationReport",
-    "QuaternionElement",
     "number_pair",
     "zero_pair",
     "matrix_pair",
@@ -162,39 +161,46 @@ class FrobeniusPair:
 
 @dataclass
 class VerificationReport:
-    """Outcome of an axiom check: named residuals compared against a
-    tolerance, plus named margins that must stay above it."""
+    """Outcome of an axiom check: named residuals that must stay at or
+    below a tolerance, plus named margins that must stay above it."""
 
     subject: str
     tol: float
     residuals: dict = field(default_factory=dict)
     margins: dict = field(default_factory=dict)
 
+    def entries(self):
+        """``(residual rows, margin rows)``, each sorted by name, as
+        ``{name, value, tol, pass}``.  This is the one pass rule: a
+        residual passes at or below ``tol``, a margin above it, and a
+        NaN fails both comparisons."""
+        tol = float(self.tol)
+
+        def rows(values, ok):
+            return [{"name": k, "value": float(values[k]), "tol": tol,
+                     "pass": bool(ok(float(values[k])))} for k in sorted(values)]
+
+        return rows(self.residuals, lambda v: v <= tol), rows(self.margins, lambda v: v > tol)
+
     @property
     def passed(self):
-        ok = all(r <= self.tol for r in self.residuals.values())
-        return ok and all(m > self.tol for m in self.margins.values())
-
-    def worst(self):
-        worst_r = max(self.residuals.values(), default=0.0)
-        worst_m = min(self.margins.values(), default=np.inf)
-        return worst_r, worst_m
+        return all(row["pass"] for rows in self.entries() for row in rows)
 
     def summary(self):
+        residuals, margins = self.entries()
         lines = ["%s: %s (tol %.1e)" % (self.subject, "pass" if self.passed else "FAIL", self.tol)]
-        for k in sorted(self.residuals):
-            lines.append("  residual %-28s %.3e" % (k, self.residuals[k]))
-        for k in sorted(self.margins):
-            lines.append("  margin   %-28s %.3e" % (k, self.margins[k]))
+        lines += ["  residual %-28s %.3e" % (r["name"], r["value"]) for r in residuals]
+        lines += ["  margin   %-28s %.3e" % (r["name"], r["value"]) for r in margins]
         return "\n".join(lines)
 
     def to_dict(self):
+        residuals, margins = self.entries()
         return {
             "subject": self.subject,
             "tol": self.tol,
-            "passed": bool(self.passed),
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "margins": {k: float(v) for k, v in self.margins.items()},
+            "passed": self.passed,
+            "residuals": residuals,
+            "margins": margins,
         }
 
 
@@ -307,39 +313,6 @@ def quaternion_pair(rho, name=None):
         functional,
         name=name or "quaternion",
     )
-
-
-class QuaternionElement:
-    """Convenience wrapper for a quaternion with complex components
-    (w, x, y, z) meaning w + xI + yJ + zK."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, w=0.0, x=0.0, y=0.0, z=0.0):
-        self.v = np.array([w, x, y, z], dtype=complex)
-
-    @classmethod
-    def from_vector(cls, v):
-        q = cls()
-        q.v = np.asarray(v, dtype=complex).copy()
-        return q
-
-    def __add__(self, other):
-        return QuaternionElement.from_vector(self.v + other.v)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return QuaternionElement.from_vector(self.v * other)
-        out = np.einsum("i,j,ijk->k", self.v, other.v, _quaternion_table())
-        return QuaternionElement.from_vector(out)
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        return QuaternionElement.from_vector(self.v * np.array([1, -1, -1, -1]))
-
-    def __repr__(self):
-        return "QuaternionElement(%r, %r, %r, %r)" % tuple(self.v)
 
 
 def orthogonal_sum(p1, p2, name=None):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import csv
 import numpy as np
 
 from .polycore import (
@@ -52,8 +51,6 @@ __all__ = [
     "wdvv_check",
     "potential_to_dict",
     "potential_from_dict",
-    "export_samples_csv",
-    "export_samples_json",
 ]
 
 
@@ -542,62 +539,6 @@ def potential_from_dict(data):
         coeff = row["coeff"]
         terms[tuple(row["exponents"])] = complex(coeff[0], coeff[1])
     return PotentialPoly(n, terms, euler)
-
-
-def sample_structure_rows(n, count, seed=42, tol=None):
-    """Sampled (a, t, c) triples ready for export."""
-    charts = sample_charts(n, count, seed=seed, tol=tol)
-    rows = []
-    for chart in charts:
-        c = structure_tensor(chart)
-        rows.append(
-            {
-                "a": np.asarray(chart.p.a, dtype=complex),
-                "t": chart.t,
-                "c": c.reshape(-1),
-            }
-        )
-    return rows
-
-
-def export_samples_csv(path, rows):
-    """Write sampled structure data as a flat CSV with re/im columns."""
-    if not rows:
-        raise ValueError("nothing to export")
-    n = len(rows[0]["a"])
-    header = []
-    for j in range(1, n + 1):
-        header += ["a%d_re" % j, "a%d_im" % j]
-    for j in range(1, n + 1):
-        header += ["t%d_re" % j, "t%d_im" % j]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                header += ["c_%d%d%d_re" % (i + 1, j + 1, k + 1), "c_%d%d%d_im" % (i + 1, j + 1, k + 1)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            flat = []
-            for key in ("a", "t", "c"):
-                for v in row[key]:
-                    flat += [repr(float(v.real)), repr(float(v.imag))]
-            writer.writerow(flat)
-
-
-def export_samples_json(path, rows):
-    import json
-
-    payload = [
-        {
-            "a": complex_to_json(row["a"]),
-            "t": complex_to_json(row["t"]),
-            "c": complex_to_json(row["c"]),
-        }
-        for row in rows
-    ]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
 
 
 def structure_gradient_residual(chart, tol=None):

@@ -27,7 +27,6 @@ __all__ = [
     "poly_trim",
     "poly_add",
     "poly_mul",
-    "poly_scale",
     "poly_mod",
     "poly_derivative",
     "poly_eval",
@@ -79,10 +78,6 @@ def poly_add(a, b):
     out = a.copy()
     out[: len(b)] += b
     return poly_trim(out)
-
-
-def poly_scale(a, s):
-    return np.asarray(a, dtype=complex) * complex(s)
 
 
 def poly_mul(a, b):
@@ -159,9 +154,6 @@ class LGPolynomial:
 
     def eval(self, z):
         return poly_eval(self.coeffs(), z)
-
-    def eval_derivative(self, z):
-        return poly_eval(self.derivative_coeffs(), z)
 
 
 def critical_points(p, tol=None):

@@ -15,6 +15,7 @@ from lgcardy.bundle import (
     flat_s_frame,
     verify_bundle,
 )
+from lgcardy.cli import main
 from lgcardy.frobenius import quaternion_pair
 from lgcardy.landau_ginzburg import build_quaternion_model
 from lgcardy.moduli import canonical_chart, flat_chart
@@ -258,7 +259,7 @@ def test_report_round_trips_to_json(model):
     blob = json.dumps(rep.to_dict())
     data = json.loads(blob)
     assert data["routes_agree"] is True
-    assert "condition_7" in data["conditions"]["residuals"]
+    assert "condition_7" in {row["name"] for row in data["conditions"]["residuals"]}
     assert len(data["frame_scales"]) == 2
 
 
@@ -284,3 +285,29 @@ def test_nan_at_one_sample_point_fails_pointwise_route(model, monkeypatch):
     assert not rep.pointwise.passed and not rep.pointwise_passed
     assert rep.series_passed and not rep.routes_agree
     assert not rep.passed
+
+
+def test_nan_frame_at_one_sample_point_fails_the_frame(model, monkeypatch, capsys):
+    # the second of three sample frames has a NaN drift and NaN scales,
+    # after a finite first frame that the builtin max would keep
+    calls = []
+    exact = bd.flat_s_frame
+
+    def nan_at_second_sample(*args, **kwargs):
+        frame = exact(*args, **kwargs)
+        calls.append(frame)
+        if len(calls) % 3 == 2:
+            frame.drift = float("nan")
+            frame.scales = frame.scales * np.nan
+        return frame
+
+    monkeypatch.setattr(bd, "flat_s_frame", nan_at_second_sample)
+    rep = verify_bundle(model, sample_points=3)
+    assert len(calls) == 3
+    assert np.isnan(rep.frame_drift) and np.isnan(rep.frame_scale_spread)
+    assert np.isnan(rep.frame.residuals["frame_drift"])
+    assert not rep.frame.passed and not rep.passed
+    assert rep.series_passed and rep.pointwise_passed and rep.routes_agree
+    assert main(["bundle", "--n", "2", "--a", "-3,0 0,0", "--samples", "3"]) == 1
+    assert len(calls) == 6
+    capsys.readouterr()

@@ -6,9 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from lgcardy.bundle import assemble_potential, corrupt_model
+from lgcardy import cli
+from lgcardy.bundle import assemble_potential, corrupt_model, verify_bundle
 from lgcardy.cli import main, parse_branch, parse_complex_list
 from lgcardy.landau_ginzburg import build_quaternion_model
+from lgcardy.moduli import wdvv_check
 from lgcardy.tensor_series import series_to_dict
 
 FROZEN = ["--n", "2", "--a", "-3,0 0,0"]
@@ -100,7 +102,7 @@ def test_ext_wdvv_from_model_and_bundle(capsys):
     assert report["data"]["routes_agree"] is True
     byname = {e["name"]: e for e in report["residuals"]}
     assert byname["frame_drift"]["value"] < 1e-8
-    assert "cardy" in byname
+    assert {"cardy", "unit", "form_symmetry"} <= set(byname)
 
 
 def test_bundle_paper_scale_reports_drift_as_data(capsys):
@@ -208,3 +210,74 @@ def test_potential_matches_reference_potentials(capsys, n):
     assert got.keys() == want.keys()
     scale = max(1.0, max(abs(c) for c in want.values()))
     assert max(abs(got[e] - want[e]) for e in want) <= 1e-12 * scale
+
+
+# a 1e3-scale n=8 model whose chart fails (the known absolute-tolerance defect)
+LARGE_N8 = ["--n", "8", "--a=125.73,-703.735 -132.105,-1265.42 640.423,-623.274 104.9,41.326 "
+            "-535.669,-2325.03 361.595,-218.792 1304,-1245.91 947.081,-732.267"]
+
+VERDICT_CASES = {
+    "build": [FROZEN, ["--n", "3", "--a=0.3,0.1 -0.7,0.2 0.5,-0.4", "--tol", "1e-17"]],
+    "verify-cf": [FROZEN, FROZEN + ["--tol", "1e-30"]],
+    "chart": [FROZEN, LARGE_N8],
+    "potential": [["--n", "2", "--samples", "8"], ["--n", "2", "--samples", "8", "--tol", "1e-30"]],
+    "wdvv": [["--n", "2", "--samples", "3"], ["--n", "2", "--samples", "3", "--tol", "1e-30"]],
+    "ext-wdvv": [FROZEN, FROZEN + ["--t-degree", "5"]],
+    "bundle": [FROZEN + ["--samples", "2"], FROZEN + ["--samples", "2", "--t-degree", "5"],
+               FROZEN + ["--samples", "2", "--paper-scale"]],
+}
+
+
+def _report_index(command, name):
+    """Which library report a row comes from: bundle concatenates the
+    series conditions, the pointwise facts and the frame drift."""
+    if command != "bundle" or name.startswith("condition_"):
+        return 0
+    return 2 if name == "frame_drift" else 1
+
+
+@pytest.mark.parametrize("command", sorted(VERDICT_CASES))
+def test_exit_code_and_passed_follow_the_rows(capsys, command):
+    for args in VERDICT_CASES[command]:
+        code, out = _run(capsys, [command] + args)
+        report = json.loads(out)
+        rows = report["residuals"] + report["margins"]
+        assert rows
+        assert report["passed"] == all(row["pass"] for row in rows)
+        assert code == (0 if report["passed"] else 1)
+        for kind in ("residuals", "margins"):
+            keys = [(_report_index(command, r["name"]), r["name"]) for r in report[kind]]
+            assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("extra", [["--t-degree", "4"], ["--t-degree", "5"], ["--paper-scale"]])
+def test_bundle_exit_code_is_the_library_verdict(capsys, extra):
+    code, out = _run(capsys, ["bundle"] + FROZEN + ["--samples", "2"] + extra)
+    rep = verify_bundle(
+        build_quaternion_model(n=2, a=(-3.0, 0.0)),
+        t_degree=5 if "5" in extra else 4,
+        sample_points=2,
+        paper_scale="--paper-scale" in extra,
+        seed=42,
+    )
+    assert code == int(not rep.passed)
+    residuals, margins = rep.entries()
+    report = json.loads(out)
+    assert report["residuals"] == residuals and report["margins"] == margins
+
+
+def test_wdvv_tol_reaches_the_library_report(capsys, monkeypatch):
+    reports = []
+
+    def recording_wdvv_check(*args, **kwargs):
+        reports.append(wdvv_check(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "wdvv_check", recording_wdvv_check)
+    code, out = _run(capsys, ["wdvv", "--n", "2", "--samples", "3", "--tol", "1e-3"])
+    assert code == 0
+    report = json.loads(out)
+    [rep] = reports
+    assert rep.tol == 1e-3 and "fit_residual" in rep.residuals
+    assert {e["name"] for e in report["residuals"]} == set(rep.residuals)
+    assert all(e["tol"] == 1e-3 for e in report["residuals"])

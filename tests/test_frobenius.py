@@ -6,7 +6,7 @@ import pytest
 from lgcardy.frobenius import (
     FiniteAlgebra,
     FrobeniusPair,
-    QuaternionElement,
+    VerificationReport,
     complex_to_json,
     json_to_complex,
     m2_quaternion_isomorphism,
@@ -20,6 +20,26 @@ from lgcardy.frobenius import (
     verify_frobenius,
     zero_pair,
 )
+
+
+def test_entries_are_the_one_pass_rule():
+    rep = VerificationReport("rule", 1e-9, {"b": 1e-9, "a": 2e-9}, {"m": 1e-9, "k": 0.5})
+    residuals, margins = rep.entries()
+    assert [(r["name"], r["pass"]) for r in residuals] == [("a", False), ("b", True)]
+    assert [(r["name"], r["pass"]) for r in margins] == [("k", True), ("m", False)]
+    assert all(r["tol"] == 1e-9 for r in residuals + margins)
+    assert not rep.passed
+    assert rep.to_dict()["residuals"] == residuals and rep.to_dict()["margins"] == margins
+    assert VerificationReport("empty", 1e-9).passed
+
+
+def test_entries_fail_nan_residual_and_margin():
+    nan = float("nan")
+    for rep in (VerificationReport("r", 1e-9, {"x": nan}),
+                VerificationReport("m", 1e-9, {}, {"x": nan})):
+        residuals, margins = rep.entries()
+        assert [r["pass"] for r in residuals + margins] == [False]
+        assert not rep.passed and rep.to_dict()["passed"] is False
 
 
 def test_number_pair():
@@ -86,16 +106,6 @@ def test_quaternion_gram():
     g = p.gram()
     assert np.allclose(g, np.diag([2, -2, -2, -2]) * rho)
     assert p.apply(p.algebra.unit) == pytest.approx(2 * rho)
-
-
-def test_quaternion_element_wrapper():
-    q1 = QuaternionElement(1.0, 2.0, 0.0, 0.0)
-    q2 = QuaternionElement(0.0, 0.0, 1.0, 0.0)
-    prod = q1 * q2
-    # (1 + 2I) J = J + 2K
-    assert np.allclose(prod.v, [0, 0, 1, 2])
-    norm = q1 * q1.conjugate()
-    assert np.allclose(norm.v, [5, 0, 0, 0])
 
 
 def test_orthogonal_sum():

@@ -1,7 +1,5 @@
 """Tests for charts, grading, structure tensors and potentials."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -11,14 +9,11 @@ from lgcardy.moduli import (
     canonical_chart,
     coefficients_from_flat,
     euler_check,
-    export_samples_csv,
-    export_samples_json,
     flat_chart,
     potential_from_dict,
     potential_to_dict,
     reconstruct_potential,
     sample_charts,
-    sample_structure_rows,
     structure_gradient_residual,
     structure_tensor,
     wdvv_check,
@@ -316,20 +311,3 @@ def test_potential_json_round_trip():
     t = np.array([0.3, -0.7])
     assert back.eval(t) == pytest.approx(F.eval(t))
     assert np.allclose(back.third_derivatives(t), F.third_derivatives(t))
-
-
-def test_sample_export(tmp_path):
-    rows = sample_structure_rows(2, 4, seed=9)
-    csv_path = tmp_path / "samples.csv"
-    json_path = tmp_path / "samples.json"
-    export_samples_csv(csv_path, rows)
-    export_samples_json(json_path, rows)
-    lines = csv_path.read_text().strip().splitlines()
-    assert len(lines) == 5
-    header = lines[0].split(",")
-    assert header[0] == "a1_re" and "c_222_im" in header
-    payload = json.loads(json_path.read_text())
-    assert len(payload) == 4
-    assert len(payload[0]["c"]) == 8
-    with pytest.raises(ValueError):
-        export_samples_csv(csv_path, [])
