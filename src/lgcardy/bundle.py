@@ -9,15 +9,17 @@ scale lambda_i = rho_base / rho (enabled with ``paper_scale``) makes the
 transfer tensor a gradient in the flat directions instead, at the price
 of a drifting pairing.
 
-From the frame the module assembles a truncated two-alphabet potential
-series: bulk structure constants in flat coordinates, the constant
-pairings as quadratic terms, the bulk-boundary transfer as the mixed
-block, and the boundary triple pairing as the cubic boundary block.
+From the base-point Cardy data the module assembles a truncated
+two-alphabet potential series: bulk structure constants in flat
+coordinates, the constant pairings as quadratic terms, the bulk-boundary
+transfer as the mixed block, and the boundary triple pairing as the
+cubic boundary block, read one declared boundary block at a time.
 ``verify_bundle`` then checks the same model along two independent
 routes: the seven formal conditions on the series, and the pointwise
-algebra axioms at the base point, and reports whether the verdicts
-agree.  Controlled corruptions of single axioms are provided to confirm
-that each failure surfaces in the predicted condition.
+algebra axioms at the base point and at nearby sample points, and
+reports whether the verdicts agree.  Controlled corruptions of single
+axioms are provided to confirm that each failure surfaces in the
+predicted condition.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from math import comb
 import numpy as np
 
 from .polycore import (
-    DegenerateModelError,
     LGPolynomial,
     ToleranceConfig,
     poly_eval,
@@ -39,6 +40,7 @@ from .frobenius import (
     FrobeniusPair,
     VerificationReport,
     complex_to_json,
+    orthogonal_sum_list,
     quaternion_pair,
     verify_frobenius,
 )
@@ -89,8 +91,6 @@ PREDICTED_CONDITION = {
     "cardy": "condition_7",
 }
 
-_QUATERNION_SIGNS = np.array([2.0, -2.0, -2.0, -2.0])
-
 # tolerance on the drift of the boundary pairing along the
 # form-preserving frame, whose drift is zero up to rounding
 FRAME_DRIFT_TOL = 1e-8
@@ -101,7 +101,9 @@ class FrameData:
     """Continued boundary frame at one nearby polynomial.
 
     ``closed`` is the closed algebra of that polynomial, in its own root
-    order; ``roots`` and ``mu`` are matched to the base point.
+    order; ``roots`` and ``mu`` are matched to the base point.  ``drift``
+    is the largest entry, in absolute value, of the frame's boundary
+    Gram matrix minus the base one.
     """
 
     closed: LGClosedAlgebra
@@ -109,19 +111,7 @@ class FrameData:
     mu: np.ndarray
     rho: np.ndarray
     scales: np.ndarray
-    b_gram: np.ndarray
     drift: float
-    paper_scale: bool
-
-
-def _block_gram(rho, scales):
-    n = len(rho)
-    g = np.zeros((4 * n, 4 * n), dtype=complex)
-    for i in range(n):
-        g[4 * i : 4 * i + 4, 4 * i : 4 * i + 4] = np.diag(
-            scales[i] ** 2 * rho[i] * _QUATERNION_SIGNS
-        )
-    return g
 
 
 def flat_s_frame(model, q, tol=None, paper_scale=False):
@@ -147,10 +137,9 @@ def flat_s_frame(model, q, tol=None, paper_scale=False):
         scales = model.rho / rho
     else:
         scales = np.sqrt((model.rho / rho).astype(complex))
-    gram = _block_gram(rho, scales)
-    base = _block_gram(model.rho, np.ones(n))
-    drift = float(np.max(np.abs(gram - base)))
-    return FrameData(closed_q, roots, mu, rho, scales, gram, drift, paper_scale)
+    # block i of the Gram matrix is s_i^2 rho_i diag(2, -2, -2, -2)
+    drift = np.max([abs(2.0 * (s ** 2 * r - r0)) for s, r, r0 in zip(scales, rho, model.rho)])
+    return FrameData(closed_q, roots, mu, rho, scales, float(drift))
 
 
 @dataclass
@@ -168,10 +157,16 @@ class BundleTensors:
     cAB: np.ndarray
 
 
-def _quaternion_cubic(rho):
-    pair = quaternion_pair(rho)
-    mul = pair.algebra.mul
-    return np.einsum("uvq,qwr,r->uvw", mul, mul, pair.functional)
+def _cubic_blocks(pair):
+    """The triple pairing l((f_u f_v) f_w) of a pair as one (offset,
+    cube) per declared block.  It vanishes off the blocks, since a
+    product of two basis vectors of one block stays in that block."""
+    mul, l = pair.algebra.mul, pair.functional
+    out = []
+    for off, d in pair.algebra.blocks:
+        b = mul[off:off + d, off:off + d, off:off + d]
+        out.append((off, np.einsum("uvq,qwr,r->uvw", b, b, l[off:off + d])))
+    return out
 
 
 def bundle_tensors(model, q=None, frame=None, tol=None):
@@ -186,80 +181,14 @@ def bundle_tensors(model, q=None, frame=None, tol=None):
     if frame is None:
         frame = flat_s_frame(model, model.p.a if q is None else q, tol=tol)
     m = 4 * n
+    boundary = orthogonal_sum_list([quaternion_pair(r) for r in frame.rho])
     cb = np.zeros((m, m, m), dtype=complex)
-    for i in range(n):
-        block = frame.scales[i] ** 3 * _quaternion_cubic(frame.rho[i])
-        sl = slice(4 * i, 4 * i + 4)
-        cb[sl, sl, sl] = block
-    cab = _frame_transfer(frame)
+    for (off, cube), lam in zip(_cubic_blocks(boundary), frame.scales):
+        cb[off:off + 4, off:off + 4, off:off + 4] = lam ** 3 * cube
+    values = np.array([poly_eval(t, frame.roots) for t in _chart_on(frame.closed).tangents])
+    cab = np.zeros((n, m), dtype=complex)
+    cab[:, ::4] = values * (frame.scales * 2.0 * frame.rho)
     return BundleTensors(cB=cb, cAB=cab)
-
-
-def _tensors_from_cf(model, chart, cf):
-    """Constant tensors of the series at the base point, from Cardy data.
-
-    Returns the boundary pairing, the boundary triple pairing
-    l((f_u f_v) f_w) with this fixed association order, and the transfer
-    matrix pairing each flat tangent direction against the boundary
-    basis.  All three are derived from the Cardy data, so a corrupted
-    copy flows into the assembled series.
-    """
-    n = model.n
-    mulb = cf.b.algebra.mul
-    lb = cf.b.functional
-    gram = cf.b.gram()
-    cubic = np.einsum("uvq,qwr,r->uvw", mulb, mulb, lb)
-    tangent_values = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for i in range(n):
-            tangent_values[k, i] = poly_eval(chart.tangents[k], model.closed.roots[i])
-    transfer = np.zeros((n, 4 * n), dtype=complex)
-    for k in range(n):
-        image = cf.phi @ tangent_values[k]
-        transfer[k] = np.einsum("p,puq,q->u", image, mulb, lb)
-    return {"b_gram": gram, "boundary_cubic": cubic, "transfer": transfer}
-
-
-def _frame_transfer(frame):
-    """Transfer matrix at a continued frame away from the base point."""
-    n = len(frame.mu)
-    chart_q = _chart_on(frame.closed)
-    cab = np.zeros((n, 4 * n), dtype=complex)
-    for k in range(n):
-        for i in range(n):
-            u = poly_eval(chart_q.tangents[k], frame.roots[i])
-            cab[k, 4 * i] = frame.scales[i] * 2.0 * frame.rho[i] * u
-    return cab
-
-
-def _transfer_at_shift(model, chart, l, h, tol, paper_scale):
-    t = np.asarray(chart.t, dtype=complex).copy()
-    t[l] += h
-    a_q = coefficients_from_flat(model.n, t, a0=model.p.a, tol=tol)
-    frame = flat_s_frame(model, a_q, tol=tol, paper_scale=paper_scale)
-    return _frame_transfer(frame)
-
-
-def _transfer_derivative(model, chart, tol, paper_scale):
-    """First transfer derivative along each flat direction.
-
-    Symmetric divided differences at steps h and h/2 combined by
-    Richardson extrapolation, which cancels the leading h^2 error term.
-    """
-    n = model.n
-    h = tol.fd_step
-    dcab = np.zeros((n, n, 4 * n), dtype=complex)
-    for l in range(n):
-        coarse = (
-            _transfer_at_shift(model, chart, l, h, tol, paper_scale)
-            - _transfer_at_shift(model, chart, l, -h, tol, paper_scale)
-        ) / (2.0 * h)
-        fine = (
-            _transfer_at_shift(model, chart, l, h / 2.0, tol, paper_scale)
-            - _transfer_at_shift(model, chart, l, -h / 2.0, tol, paper_scale)
-        ) / h
-        dcab[l] = (4.0 * fine - coarse) / 3.0
-    return dcab
 
 
 _POTENTIAL_CACHE = {}
@@ -284,38 +213,28 @@ def _shift_terms(terms, center):
     return out
 
 
-def assemble_potential(model, t_degree=4, tol=None, mixed_taylor_order=0,
-                       paper_scale=False, cf=None):
+def assemble_potential(model, t_degree=4, tol=None, cf=None):
     """Truncated potential series of a model at its own base point.
 
     The degree-two part is the constant pairing data by convention; the
     bulk cubic block is the structure tensor in flat coordinates (for a
     truncation above 4 the recentred global bulk potential supplies all
-    bulk orders).  The mixed block integrates the transfer tensor with
-    zero constant term; by default only its value at the base point is
-    used (a linear mixed polynomial), which is the order every model
-    supports.  ``mixed_taylor_order=1`` appends the first transfer
-    derivative after checking that the mixed partial derivatives
-    commute (path independence of the integration); the form-preserving
-    frame scale fails that check, so the closed scale (``paper_scale``)
-    is required, and a violation raises DegenerateModelError
-    ("transition tensor not closed").
+    bulk orders).  The boundary pairing, the boundary triple pairing
+    l((f_u f_v) f_w) and the transfer are read off the Cardy data ``cf``
+    (default: the model's own), one declared boundary block at a time,
+    so a corrupted copy flows into the series.  The mixed block is the
+    transfer at the base point, a linear mixed polynomial; the boundary
+    blocks stay frozen at the base point at every truncation.
     """
-    return _assemble(
-        model, _chart_on(model.closed), model.cf if cf is None else cf,
-        t_degree, tol or ToleranceConfig(), mixed_taylor_order, paper_scale,
-    )
+    return _assemble(model, _chart_on(model.closed), model.cf if cf is None else cf,
+                     t_degree, tol or ToleranceConfig())
 
 
-def _assemble(model, chart, cf, t_degree, tol, mixed_taylor_order, paper_scale):
+def _assemble(model, chart, cf, t_degree, tol):
     """assemble_potential on the flat chart of the base point."""
     if t_degree < 3:
         raise ValueError("t-degree must be at least 3")
-    if mixed_taylor_order not in (0, 1):
-        raise ValueError("mixed taylor order above 1 not supported")
-    n = model.n
-    m = 4 * n
-    tensors = _tensors_from_cf(model, chart, cf)
+    n, m = model.n, cf.b.algebra.dim
     series = TensorSeries(n, m, t_degree)
 
     if t_degree <= 4:
@@ -330,37 +249,20 @@ def _assemble(model, chart, cf, t_degree, tol, mixed_taylor_order, paper_scale):
         higher = {e: c for e, c in shifted.items() if 3 <= sum(e) <= t_degree}
         series = series + encode_symmetric(higher, n, m, t_degree)
 
-    flip = np.fliplr(np.eye(n))
     for i in range(n):
-        for j in range(n):
-            if flip[i, j]:
-                series.add_term((i, j), (), 0.5 * flip[i, j])
-    gram = tensors["b_gram"]
-    cubic = tensors["boundary_cubic"]
-    transfer = tensors["transfer"]
-    for u in range(m):
-        for v in range(m):
-            if gram[u, v] != 0.0:
-                series.add_term((), (u, v), gram[u, v])
-            for w in range(m):
-                if cubic[u, v, w] != 0.0:
-                    series.add_term((), (u, v, w), cubic[u, v, w] / 3.0)
-    for k in range(n):
-        for u in range(m):
-            if transfer[k, u] != 0.0:
-                series.add_term((k,), (u,), transfer[k, u])
-
-    if mixed_taylor_order == 1:
-        dcab = _transfer_derivative(model, chart, tol, paper_scale)
-        curl = float(np.max(np.abs(dcab - dcab.transpose(1, 0, 2))))
-        if curl > 100.0 * tol.fd_step:
-            raise DegenerateModelError("transition tensor not closed")
-        sym = 0.5 * (dcab + dcab.transpose(1, 0, 2))
-        for k in range(n):
-            for l in range(n):
-                for u in range(m):
-                    if sym[k, l, u] != 0.0:
-                        series.add_term((k, l), (u,), 0.5 * sym[k, l, u])
+        series.add_term((i, n - 1 - i), (), 0.5)
+    # np.nonzero gives numpy integers, but series_to_dict JSON-encodes
+    # the letters, so they are converted to Python ints
+    gram = cf.b.gram()
+    for u, v in zip(*np.nonzero(gram)):
+        series.add_term((), (int(u), int(v)), gram[u, v])
+    for off, cube in _cubic_blocks(cf.b):
+        for u, v, w in zip(*np.nonzero(cube)):
+            series.add_term((), (off + int(u), off + int(v), off + int(w)), cube[u, v, w] / 3.0)
+    values = np.array([poly_eval(t, model.closed.roots) for t in chart.tangents])
+    transfer = values @ cf.phi.T @ gram
+    for k, u in zip(*np.nonzero(transfer)):
+        series.add_term((int(k),), (int(u),), transfer[k, u])
     return series
 
 
@@ -545,13 +447,13 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
     point.  Both routes see the same corrupted primitives, the
     corruption being reapplied at every sample point.  The same sweep
     records the frame pairing drift, judged at FRAME_DRIFT_TOL unless
-    ``paper_scale`` is set, and the frame scale spread.
+    ``paper_scale`` is set, and the frame scale spread max|lambda - 1|
+    together with the scales of the sample point where it is largest.
     """
     tol = tol or ToleranceConfig()
     cf = model.cf if corruption is None else corrupt_model(model, corruption, eps=eps)
     chart = _chart_on(model.closed)
-    series = _assemble(model, chart, cf, t_degree, tol, mixed_taylor_order=0,
-                       paper_scale=paper_scale)
+    series = _assemble(model, chart, cf, t_degree, tol)
     if corruption == "t_symmetry":
         series.add_term((0, 0, 1), (), eps)
         series.add_term((0, 1, 0), (), -eps)
@@ -574,11 +476,12 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
         t = np.asarray(chart.t, dtype=complex) + sample_distance * step
         a_q = coefficients_from_flat(model.n, t, a0=model.p.a, tol=tol)
         frame = flat_s_frame(model, a_q, tol=tol, paper_scale=paper_scale)
-        # the worst drift wins, and a NaN drift, once seen, stays
-        if drift == drift and not frame.drift < drift:
-            drift = frame.drift
-            scales = tuple(frame.scales)
-        spread = _keep_nan(max, spread, float(np.max(np.abs(frame.scales - 1.0))))
+        drift = _keep_nan(max, drift, frame.drift)
+        # the scales of the largest departure from 1 are reported, and a
+        # NaN departure, once seen, stays
+        spread_q = float(np.max(np.abs(frame.scales - 1.0)))
+        if spread == spread and not spread_q < spread:
+            spread, scales = spread_q, tuple(frame.scales)
         cf_q = _quaternion_model(frame.closed, model.branch).cf
         if corruption is not None:
             cf_q = _corrupt_cf(cf_q, model.n, corruption, eps)

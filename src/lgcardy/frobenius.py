@@ -316,36 +316,30 @@ def quaternion_pair(rho, name=None):
 
 
 def orthogonal_sum(p1, p2, name=None):
-    """Direct sum of two Frobenius pairs: block diagonal multiplication,
-    unit and functional concatenated.  Either summand may have dimension
-    zero, in which case the other comes back unchanged apart from block
-    bookkeeping.  Existing block lists are merged flat, so folding the
-    sum over a list keeps one block per original summand."""
-    d1, d2 = p1.algebra.dim, p2.algebra.dim
-    total = d1 + d2
-    mul = np.zeros((total, total, total), dtype=complex)
-    mul[:d1, :d1, :d1] = p1.algebra.mul
-    mul[d1:, d1:, d1:] = p2.algebra.mul
-    unit = np.concatenate([p1.algebra.unit, p2.algebra.unit])
-    functional = np.concatenate([p1.functional, p2.functional])
-    labels = list(p1.algebra.labels) + list(p2.algebra.labels)
-    blocks = list(p1.algebra.blocks) + [(off + d1, d) for off, d in p2.algebra.blocks]
-    return FrobeniusPair(
-        FiniteAlgebra(mul, unit, labels=labels, blocks=blocks),
-        functional,
-        name=name or ("%s+%s" % (p1.name, p2.name)),
-    )
+    """Direct sum of two Frobenius pairs; see orthogonal_sum_list."""
+    return orthogonal_sum_list([p1, p2], name=name or "%s+%s" % (p1.name, p2.name))
 
 
 def orthogonal_sum_list(pairs, name="sum"):
-    """Fold orthogonal_sum over a nonempty list of pairs."""
+    """Direct sum of a nonempty list of Frobenius pairs, built in one
+    allocation: block diagonal multiplication, units, functionals and
+    labels concatenated.  A summand may have dimension zero.  Block
+    lists are merged flat, so the sum keeps one block per block of a
+    summand.  The summands are copied, never modified."""
     if not pairs:
         raise ValueError("need at least one summand")
-    out = pairs[0]
-    for p in pairs[1:]:
-        out = orthogonal_sum(out, p)
-    out.name = name
-    return out
+    total = sum(p.algebra.dim for p in pairs)
+    mul = np.zeros((total, total, total), dtype=complex)
+    labels, blocks, off = [], [], 0
+    for p in pairs:
+        d = p.algebra.dim
+        mul[off:off + d, off:off + d, off:off + d] = p.algebra.mul
+        labels += p.algebra.labels
+        blocks += [(o + off, bd) for o, bd in p.algebra.blocks]
+        off += d
+    unit = np.concatenate([p.algebra.unit for p in pairs])
+    functional = np.concatenate([p.functional for p in pairs])
+    return FrobeniusPair(FiniteAlgebra(mul, unit, labels, blocks), functional, name=name)
 
 
 def m2_quaternion_isomorphism():

@@ -54,6 +54,13 @@ class ToleranceConfig:
     fd_step: float = 1e-6
 
 
+# Bound on the relative defect of a refined critical point and on the
+# disagreement of the two residue routes.  It judges whether the model
+# is computable at all, so it does not move with the residual tolerance
+# (1e3 times the default eq_tol).
+DEGENERACY_TOL = 1e-6
+
+
 class DegenerateModelError(ValueError):
     """Raised when a polynomial leaves the Morse regime (colliding critical
     points, vanishing second derivative) or an operation needs data the
@@ -175,7 +182,7 @@ def critical_points(p, tol=None):
         step = np.where(safe, val / np.where(safe, slope, 1.0), 0.0)
         roots = roots - step
     scale = np.maximum(1.0, np.abs(roots) ** p.n)
-    if np.any(np.abs(poly_eval(dp, roots)) > 1e3 * tol.eq_tol * scale):
+    if np.any(np.abs(poly_eval(dp, roots)) > DEGENERACY_TOL * scale):
         raise DegenerateModelError("critical point refinement did not converge")
     order = np.lexsort((roots.imag, roots.real))
     roots = roots[order]
@@ -215,7 +222,7 @@ def _residues(rows, p, roots, tol):
     n, width = p.n, rows.shape[1]
     b = _laurent_inverse(p.derivative_coeffs(), max(0, width - n))
     val_lr = rows[:, n - 1 :] @ b[: max(0, width - n + 1)]
-    bad = np.abs(val_pf - val_lr) > 1e3 * tol.eq_tol * np.maximum(1.0, np.abs(val_pf))
+    bad = np.abs(val_pf - val_lr) > DEGENERACY_TOL * np.maximum(1.0, np.abs(val_pf))
     if np.any(bad):
         k = int(np.argmax(bad))
         raise DegenerateModelError("residue routes disagree: %r vs %r" % (val_pf[k], val_lr[k]))

@@ -100,12 +100,6 @@ class TensorSeries:
             out.add_term(tw, sw, c)
         return out
 
-    def scale(self, factor):
-        return TensorSeries(
-            self.n, self.m, self.truncation,
-            {k: v * factor for k, v in self.terms.items()},
-        )
-
 
 def d_t(series, i):
     """Delete one occurrence of t^i from every monomial, in every way."""

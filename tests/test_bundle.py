@@ -16,7 +16,7 @@ from lgcardy.bundle import (
     verify_bundle,
 )
 from lgcardy.cli import main
-from lgcardy.frobenius import quaternion_pair
+from lgcardy.frobenius import FiniteAlgebra, quaternion_pair
 from lgcardy.landau_ginzburg import build_quaternion_model
 from lgcardy.moduli import canonical_chart, flat_chart
 from lgcardy.polycore import DegenerateModelError, ToleranceConfig, poly_eval
@@ -195,29 +195,74 @@ def test_single_block_model_passes():
     assert max(rep.conditions.residuals.values()) < 1e-9
 
 
-def test_mixed_taylor_order_needs_closed_scale(model):
-    with pytest.raises(DegenerateModelError, match="transition tensor not closed"):
-        assemble_potential(model, mixed_taylor_order=1)
-    series = assemble_potential(model, mixed_taylor_order=1, paper_scale=True)
-    mixed2 = {k: v for k, v in series.terms.items() if len(k[0]) == 2 and len(k[1]) == 1}
-    assert len(mixed2) > 0
-    for (tword, sword), coeff in mixed2.items():
-        flipped = ((tword[1], tword[0]), sword)
-        assert np.isclose(coeff, series.terms.get(flipped, coeff))
+def _seeded_model(n, seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        a = tuple(0.8 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        try:
+            return build_quaternion_model(n=n, a=a)
+        except DegenerateModelError:
+            continue
 
 
-def test_transfer_remainder_scales_quadratically(model):
-    tol = bd.ToleranceConfig()
-    chart = flat_chart(p=model.p, tol=tol)
-    base = bd._frame_transfer(flat_s_frame(model, model.p.a, tol=tol))
-    dcab = bd._transfer_derivative(model, chart, tol, paper_scale=False)
-    # direction 0 leaves the critical data of this model untouched, so
-    # probe the direction that actually moves the frame
-    h = 1e-3
-    r1 = bd._transfer_at_shift(model, chart, 1, h, tol, False) - base - h * dcab[1]
-    r2 = bd._transfer_at_shift(model, chart, 1, h / 2, tol, False) - base - (h / 2) * dcab[1]
-    ratio = np.max(np.abs(r1)) / np.max(np.abs(r2))
-    assert 3.0 < ratio < 5.0
+def _corrupted_cfs(model):
+    yield None, model.cf
+    for corruption in CORRUPTIONS + ("phi_swap",):
+        try:
+            yield corruption, corrupt_model(model, corruption)
+        except ValueError:  # this corruption needs n >= 2
+            continue
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_boundary_blocks_of_series_match_dense_formulas(n):
+    # the dense formulas, written out over the whole 4n-dimensional
+    # boundary algebra, against the per-block reader of the series
+    model = _seeded_model(n, 40 + n)
+    chart = flat_chart(p=model.p)
+    values = np.array([[poly_eval(tan, r) for r in model.closed.roots]
+                       for tan in chart.tangents])
+    for corruption, cf in _corrupted_cfs(model):
+        mulb, lb = cf.b.algebra.mul, cf.b.functional
+        gram = np.einsum("uvq,q->uv", mulb, lb)
+        cubic = np.einsum("uvq,qwr,r->uvw", mulb, mulb, lb)
+        transfer = np.array([np.einsum("p,puq,q->u", cf.phi @ values[k], mulb, lb)
+                             for k in range(n)])
+        series = assemble_potential(model, cf=cf)
+        boundary = {key: c for key, c in series.terms.items() if key[1]}
+        want = {}
+        for idx in zip(*np.nonzero(gram)):
+            want[((), tuple(int(x) for x in idx))] = gram[idx]
+        for idx in zip(*np.nonzero(cubic)):
+            want[((), tuple(int(x) for x in idx))] = cubic[idx] / 3.0
+        for k, u in zip(*np.nonzero(transfer)):
+            want[((int(k),), (int(u),))] = transfer[k, u]
+        assert set(boundary) == set(want), corruption
+        for key, v in want.items():
+            assert abs(boundary[key] - v) <= 1e-12 * max(1.0, abs(v)), (corruption, key)
+            assert all(type(x) is int for x in key[0] + key[1])
+
+
+def test_undeclared_cross_block_write_is_refused(model):
+    # the per-block reader skips entries between blocks, so an algebra
+    # carrying one must be refused at construction, never read
+    alg = model.cf.b.algebra
+    mul = alg.mul.copy()
+    mul[0, 4, 4] = 0.05
+    with pytest.raises(ValueError, match="do not split"):
+        FiniteAlgebra(mul, alg.unit, alg.labels, alg.blocks)
+    merged = FiniteAlgebra(mul, alg.unit, alg.labels, [(0, 8)])
+    assert merged.blocks == [(0, 8)]
+
+
+def test_frame_scales_are_taken_at_the_largest_departure():
+    models = (build_quaternion_model(n=2, a=(-3.0, 0.0)), _seeded_model(2, 0),
+              _seeded_model(3, 1))
+    for model in models:
+        for paper_scale in (False, True):
+            rep = verify_bundle(model, sample_points=4, paper_scale=paper_scale)
+            departure = float(np.max(np.abs(np.array(rep.frame_scales) - 1.0)))
+            assert rep.frame_scale_spread == departure > 0.0
 
 
 def test_quaternion_action_commutes_with_transfer(model):

@@ -170,6 +170,23 @@ def test_exit_code_three_for_degenerate_model(capsys):
     capsys.readouterr()
 
 
+SEEDED3 = ["--n", "3", "--a=0.3,0.1 -0.7,0.2 0.5,-0.4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["build"] + SEEDED3, ["verify-cf"] + SEEDED3, ["chart"] + SEEDED3,
+    ["bundle", "--samples", "2"] + SEEDED3, ["ext-wdvv"] + SEEDED3,
+    ["bundle", "--samples", "2"] + FROZEN,
+    ["potential", "--n", "2"], ["wdvv", "--n", "2"],
+])
+def test_tight_tol_fails_rows_instead_of_refusing_the_model(capsys, argv):
+    # a healthy model under a residual tolerance below rounding gets
+    # failing rows (exit 1), not a degeneracy (exit 3): the refinement
+    # and residue guards do not move with --tol
+    assert main(argv + ["--tol", "1e-30"]) == 1
+    capsys.readouterr()
+
+
 def test_reports_deterministic_modulo_timestamp(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     argv = ["bundle"] + FROZEN + ["--samples", "2", "--output", str(out_file)]

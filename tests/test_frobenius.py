@@ -137,6 +137,45 @@ def test_orthogonal_sum_with_zero_dim():
     assert np.allclose(q.gram(), np.diag([2.0, -2, -2, -2]))
 
 
+def _pairwise_fold(pairs):
+    """Reference sum: fold two-summand block-diagonal sums over the list."""
+    out = pairs[0]
+    for p in pairs[1:]:
+        d1, d2 = out.algebra.dim, p.algebra.dim
+        mul = np.zeros((d1 + d2,) * 3, dtype=complex)
+        mul[:d1, :d1, :d1] = out.algebra.mul
+        mul[d1:, d1:, d1:] = p.algebra.mul
+        blocks = out.algebra.blocks + [(off + d1, d) for off, d in p.algebra.blocks]
+        alg = FiniteAlgebra(mul, np.concatenate([out.algebra.unit, p.algebra.unit]),
+                            out.algebra.labels + p.algebra.labels, blocks)
+        out = FrobeniusPair(alg, np.concatenate([out.functional, p.functional]), name="sum")
+    return out
+
+
+def test_orthogonal_sum_list_equals_pairwise_fold():
+    rng = np.random.default_rng(7)
+    for n in range(1, 9):
+        weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for pairs in (
+            [number_pair(w) for w in weights],
+            [quaternion_pair(np.sqrt(w)) for w in weights],
+            [zero_pair()] + [quaternion_pair(w) for w in weights] + [zero_pair()],
+        ):
+            want = _pairwise_fold(pairs)
+            want.name = "sum"
+            assert pair_to_dict(orthogonal_sum_list(pairs)) == pair_to_dict(want)
+
+
+def test_orthogonal_sum_list_leaves_a_single_summand_untouched():
+    p = quaternion_pair(0.5, name="only")
+    before = pair_to_dict(p)
+    q = orthogonal_sum_list([p], name="renamed")
+    assert q is not p and q.name == "renamed"
+    assert pair_to_dict(p) == before
+    q.algebra.mul[0, 0, 0] = 7.0
+    assert p.algebra.mul[0, 0, 0] == 1.0
+
+
 def test_degenerate_form_detected():
     # zero functional on a 1-dim algebra: Gram is singular
     mul = np.ones((1, 1, 1), dtype=complex)
