@@ -36,9 +36,9 @@ from .polycore import (
     poly_eval,
 )
 from .frobenius import (
-    FiniteAlgebra,
     FrobeniusPair,
     VerificationReport,
+    _dense,
     complex_to_json,
     orthogonal_sum_list,
     quaternion_pair,
@@ -158,15 +158,12 @@ class BundleTensors:
 
 
 def _cubic_blocks(pair):
-    """The triple pairing l((f_u f_v) f_w) of a pair as one (offset,
-    cube) per declared block.  It vanishes off the blocks, since a
-    product of two basis vectors of one block stays in that block."""
-    mul, l = pair.algebra.mul, pair.functional
-    out = []
-    for off, d in pair.algebra.blocks:
-        b = mul[off:off + d, off:off + d, off:off + d]
-        out.append((off, np.einsum("uvq,qwr,r->uvw", b, b, l[off:off + d])))
-    return out
+    """The triple pairing l((f_u f_v) f_w) of a pair as one (index,
+    cubes) per stack of blocks, ``cubes[g]`` on the basis indices
+    ``index[g]``.  It vanishes off the blocks, since a product of two
+    basis vectors of one block stays in that block."""
+    return [(index, np.einsum("guvq,gqwr,gr->guvw", c, c, pair.functional[index]))
+            for index, c in pair.algebra.stacks]
 
 
 def bundle_tensors(model, q=None, frame=None, tol=None):
@@ -182,9 +179,9 @@ def bundle_tensors(model, q=None, frame=None, tol=None):
         frame = flat_s_frame(model, model.p.a if q is None else q, tol=tol)
     m = 4 * n
     boundary = orthogonal_sum_list([quaternion_pair(r) for r in frame.rho])
-    cb = np.zeros((m, m, m), dtype=complex)
-    for (off, cube), lam in zip(_cubic_blocks(boundary), frame.scales):
-        cb[off:off + 4, off:off + 4, off:off + 4] = lam ** 3 * cube
+    # the n quaternion blocks form one stack, in root order
+    (index, cubic), = _cubic_blocks(boundary)
+    cb = _dense([(index, frame.scales[:, None, None, None] ** 3 * cubic)], m)
     values = np.array([poly_eval(t, frame.roots) for t in _chart_on(frame.closed).tangents])
     cab = np.zeros((n, m), dtype=complex)
     cab[:, ::4] = values * (frame.scales * 2.0 * frame.rho)
@@ -256,9 +253,10 @@ def _assemble(model, chart, cf, t_degree, tol):
     gram = cf.b.gram()
     for u, v in zip(*np.nonzero(gram)):
         series.add_term((), (int(u), int(v)), gram[u, v])
-    for off, cube in _cubic_blocks(cf.b):
-        for u, v, w in zip(*np.nonzero(cube)):
-            series.add_term((), (off + int(u), off + int(v), off + int(w)), cube[u, v, w] / 3.0)
+    for index, cubic in _cubic_blocks(cf.b):
+        for g, u, v, w in zip(*np.nonzero(cubic)):
+            ix = index[g]
+            series.add_term((), (int(ix[u]), int(ix[v]), int(ix[w])), cubic[g, u, v, w] / 3.0)
     values = np.array([poly_eval(t, model.closed.roots) for t in chart.tangents])
     transfer = values @ cf.phi.T @ gram
     for k, u in zip(*np.nonzero(transfer)):
@@ -267,17 +265,21 @@ def _assemble(model, chart, cf, t_degree, tol):
 
 
 def _corrupt_cf(cf, n, corruption, eps):
-    mula = cf.a.algebra.mul.copy()
+    # t_symmetry writes across two bulk blocks, so the corrupted bulk is
+    # declared as the one merged block; every other corruption stays
+    # inside a block and edits a copy of its cubes
+    alg_a = cf.a.algebra.merged() if corruption == "t_symmetry" else cf.a.algebra.copy()
+    alg_b = cf.b.algebra.copy()
     la = cf.a.functional.copy()
-    mulb = cf.b.algebra.mul.copy()
     lb = cf.b.functional.copy()
     phi = cf.phi.copy()
     if corruption == "t_symmetry":
         if n < 2:
             raise ValueError("t_symmetry corruption needs at least two bulk directions")
-        mula[0, 1, 0] += eps
+        alg_a.stacks[0][1][0, 0, 1, 0] += eps
     elif corruption == "b_associativity":
-        mulb[1, 2, 2] += eps
+        # the block at offset 0 is the first of the boundary's one stack
+        alg_b.stacks[0][1][0, 1, 2, 2] += eps
     elif corruption == "centrality":
         phi[:, 0] = 0.0
         phi[0, 0] = 0.5
@@ -294,19 +296,9 @@ def _corrupt_cf(cf, n, corruption, eps):
         lb[:4] *= 1.0 + eps
     else:
         raise ValueError("unknown corruption %r" % (corruption,))
-    alga = cf.a.algebra
-    algb = cf.b.algebra
-    # t_symmetry writes across two bulk blocks, so the corrupted bulk is
-    # declared as one block; every corruption stays inside a boundary block
-    a_pair = FrobeniusPair(
-        FiniteAlgebra(mula, alga.unit.copy(), alga.labels),
-        la, name=cf.a.name,
-    )
-    b_pair = FrobeniusPair(
-        FiniteAlgebra(mulb, algb.unit.copy(), algb.labels, algb.blocks),
-        lb, name=cf.b.name,
-    )
-    return CardyFrobeniusAlgebra(a_pair, b_pair, phi, name=cf.name + "+" + corruption)
+    return CardyFrobeniusAlgebra(FrobeniusPair(alg_a, la, name=cf.a.name),
+                                 FrobeniusPair(alg_b, lb, name=cf.b.name),
+                                 phi, name=cf.name + "+" + corruption)
 
 
 def corrupt_model(model, corruption, eps=0.05):

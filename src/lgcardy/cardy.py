@@ -10,6 +10,13 @@ identity is checked twice, once as a literal operator trace and once
 through the dual-basis coordinate identity, and the two routes have to
 agree.
 
+Both algebras are read as stacks of block cubes (see
+:mod:`lgcardy.frobenius`), and phi on a stack of boundary blocks as the
+slab of its rows there.  The multiplicativity, centrality and trace
+contractions vanish between blocks, so each runs as one batched einsum
+per block size; the Gram matrices and the dim B x dim B left-hand
+sides stay dense.
+
 The module also splits a commutative semisimple pair into its
 one dimensional blocks by diagonalising multiplication by a random
 element.
@@ -21,11 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polycore import ToleranceConfig
+from .polycore import DEGENERACY_TOL, ToleranceConfig
 from .frobenius import (
     FiniteAlgebra,
     FrobeniusPair,
     VerificationReport,
+    _max_abs,
     complex_to_json,
     json_to_complex,
     matrix_pair,
@@ -72,6 +80,18 @@ class CardyFrobeniusAlgebra:
         )
 
 
+def _refuse_degenerate(margin_a, tol):
+    if margin_a <= tol.eq_tol:
+        raise ValueError("degenerate A-form")
+
+
+def _checked_a_gram(cf, tol):
+    """The bulk Gram matrix, refused when too close to singular."""
+    ga = cf.a.gram()
+    _refuse_degenerate(nondegeneracy_margin(ga), tol or ToleranceConfig())
+    return ga
+
+
 def phi_star(cf, tol=None):
     """Adjoint of phi with respect to the two bilinear forms.
 
@@ -79,26 +99,40 @@ def phi_star(cf, tol=None):
     Raises ValueError("degenerate A-form") when the bulk Gram matrix is
     too close to singular to invert.
     """
-    tol = tol or ToleranceConfig()
-    ga = cf.a.gram()
-    if nondegeneracy_margin(ga) <= tol.eq_tol:
-        raise ValueError("degenerate A-form")
-    return np.linalg.solve(ga, cf.phi.T @ cf.b.gram())
+    return np.linalg.solve(_checked_a_gram(cf, tol), cf.phi.T @ cf.b.gram())
 
 
-def _triple_traces(cf):
-    """tr of b -> f_k b f_l for all boundary basis pairs (k, l)."""
-    mul = cf.b.algebra.mul
-    return np.einsum("kmi,ilm->kl", mul, mul)
+def _trace_route(cf, ga, gb):
+    """Worst defect of (phi* f_k, phi* f_l)_A = tr(b -> f_k b f_l), given
+    both Gram matrices.  The traces vanish unless f_k and f_l lie in one
+    block, and each stack gives its blocks' traces in one einsum."""
+    ps = np.linalg.solve(ga, cf.phi.T @ gb)
+    lhs = ps.T @ ga @ ps
+    alg = cf.b.algebra
+    traces = alg.block_matrix([np.einsum("gkmi,gilm->gkl", c, c) for _, c in alg.stacks])
+    return float(np.max(np.abs(lhs - traces)))
 
 
 def cardy_residual_trace(cf, tol=None):
     """Worst defect of (phi* f_k, phi* f_l)_A = tr(b -> f_k b f_l)."""
     if cf.b.algebra.dim == 0:
         return 0.0
-    ps = phi_star(cf, tol=tol)
-    lhs = ps.T @ cf.a.gram() @ ps
-    return float(np.max(np.abs(lhs - _triple_traces(cf))))
+    return _trace_route(cf, _checked_a_gram(cf, tol), cf.b.gram())
+
+
+def _coordinate_route(cf, ga, gb):
+    """The dual-basis form of the transfer identity, given both Gram
+    matrices; see cardy_residual_coordinates."""
+    alg = cf.b.algebra
+    # m1[i, k] = l_B(phi(a_i) f_k)
+    m1 = cf.phi.T @ gb
+    lhs = m1.T @ np.linalg.inv(ga) @ m1
+    x = gb @ np.linalg.inv(gb)
+    rhs = []
+    for index, c in alg.stacks:
+        y = np.einsum("gcld,gds->gcls", c, x[index[:, :, None], index[:, None, :]])
+        rhs.append(np.einsum("gksc,gcls->gkl", c, y))
+    return float(np.max(np.abs(lhs - alg.block_matrix(rhs))))
 
 
 def cardy_residual_coordinates(cf, tol=None):
@@ -108,30 +142,18 @@ def cardy_residual_coordinates(cf, tol=None):
     sum_ij (G_A^-1)[i,j] l_B(phi(a_i) x) l_B(phi(a_j) y) against
     sum_sr (G_B^-1)[r,s] l_B(x f_s y f_r).
 
-    With m = dim B, the right side is contracted in O(m^4) time and
-    O(m^3) memory: first lm[d, r] = l_B(f_d f_r) = mul[d, r, :] . l_B and
-    x = lm G_B^-1, then y[c, l, s] = sum_d mul[c, l, d] x[d, s], and
-    finally rhs[k, l] = sum_sc mul[k, s, c] y[c, l, s].  The product
-    lm G_B^-1 is formed numerically, not cancelled to the identity, so
-    the route still sees the boundary functional and both Gram factors.
-    The left side uses m1 = phi^T lm.
+    The right side vanishes unless f_k and f_l lie in one block, and a
+    block of dimension d is contracted in O(d^4) time, one einsum per
+    stack of blocks: with the Gram matrix lm[d, r] = l_B(f_d f_r) and
+    x = lm G_B^-1, first y[c, l, s] = sum_d mul[c, l, d] x[d, s], then
+    rhs[k, l] = sum_sc mul[k, s, c] y[c, l, s], all indices in the
+    block.  The product lm G_B^-1 is formed numerically, not cancelled
+    to the identity, so the route still sees the boundary functional and
+    both Gram factors.  The left side uses m1 = phi^T lm.
     """
-    tol = tol or ToleranceConfig()
     if cf.b.algebra.dim == 0:
         return 0.0
-    ga = cf.a.gram()
-    if nondegeneracy_margin(ga) <= tol.eq_tol:
-        raise ValueError("degenerate A-form")
-    ga_inv = np.linalg.inv(ga)
-    gb_inv = cf.b.gram_inverse()
-    mulb = cf.b.algebra.mul
-    lm = mulb @ cf.b.functional
-    # m1[i, k] = l_B(phi(a_i) f_k)
-    m1 = cf.phi.T @ lm
-    lhs = m1.T @ ga_inv @ m1
-    y = np.tensordot(mulb, lm @ gb_inv, axes=(2, 0))
-    rhs = np.tensordot(mulb, y, axes=([1, 2], [2, 0]))
-    return float(np.max(np.abs(lhs - rhs)))
+    return _coordinate_route(cf, _checked_a_gram(cf, tol), cf.b.gram())
 
 
 def verify_cardy_frobenius(cf, tol=None):
@@ -140,27 +162,45 @@ def verify_cardy_frobenius(cf, tol=None):
     Residuals: commutativity of the bulk, phi being multiplicative and
     unit preserving, centrality of the image, and the transfer identity
     through both routes.  Margins: nondegeneracy of both Gram matrices.
+    Each Gram matrix and its margin are computed once.  The structure
+    constants are read one stack of blocks at a time, phi as the (g, d,
+    dim A) slab of its rows on the stacked blocks; the (dim A, dim A,
+    dim B) homomorphism tensors and the Gram matrices stay dense.
     """
     tol = tol or ToleranceConfig()
     rep = VerificationReport(subject=cf.name, tol=tol.eq_tol)
     alg_a = cf.a.algebra
     alg_b = cf.b.algebra
+    phi = cf.phi
     rep.residuals["commutativity"] = alg_a.commutator_residual()
-    rep.margins["nondegeneracy_A"] = nondegeneracy_margin(cf.a.gram())
+    ga = cf.a.gram()
+    margin_a = nondegeneracy_margin(ga)
+    rep.margins["nondegeneracy_A"] = margin_a
     if alg_b.dim == 0:
         return rep
-    hom_images = np.einsum("ijc,bc->ijb", alg_a.mul, cf.phi)
-    hom_products = np.einsum("bi,cj,bcd->ijd", cf.phi, cf.phi, alg_b.mul)
-    rep.residuals["homomorphism"] = float(np.max(np.abs(hom_images - hom_products)))
+    # images[i, j] = phi(a_i a_j), products[i, j] = phi(a_i) phi(a_j)
+    images = np.zeros((alg_a.dim, alg_a.dim, alg_b.dim), dtype=complex)
+    for index, c in alg_a.stacks:
+        images[index[:, :, None], index[:, None, :]] = np.einsum(
+            "gijc,bgc->gijb", c, phi[:, index])
+    products = np.zeros_like(images)
+    central = []
+    for index, c in alg_b.stacks:
+        slab = phi[index]
+        left = np.einsum("gbi,gbcd->gicd", slab, c)
+        products[:, :, index] = np.einsum("gcj,gicd->ijgd", slab, left)
+        # phi(a_i) f_k - f_k phi(a_i) on the block of f_k
+        central.append(np.einsum("gbi,gbkc->gikc", slab, c - c.transpose(0, 2, 1, 3)))
+    rep.residuals["homomorphism"] = float(np.max(np.abs(images - products)))
     rep.residuals["unit_preservation"] = float(
-        np.max(np.abs(cf.phi @ alg_a.unit - alg_b.unit))
+        np.max(np.abs(phi @ alg_a.unit - alg_b.unit))
     )
-    left = np.einsum("bi,bkc->ikc", cf.phi, alg_b.mul)
-    right = np.einsum("bi,kbc->ikc", cf.phi, alg_b.mul)
-    rep.residuals["centrality"] = float(np.max(np.abs(left - right)))
-    rep.residuals["cardy_trace"] = cardy_residual_trace(cf, tol=tol)
-    rep.residuals["cardy_coordinate"] = cardy_residual_coordinates(cf, tol=tol)
-    rep.margins["nondegeneracy_B"] = nondegeneracy_margin(cf.b.gram())
+    rep.residuals["centrality"] = _max_abs(central)
+    _refuse_degenerate(margin_a, tol)
+    gb = cf.b.gram()
+    rep.residuals["cardy_trace"] = _trace_route(cf, ga, gb)
+    rep.residuals["cardy_coordinate"] = _coordinate_route(cf, ga, gb)
+    rep.margins["nondegeneracy_B"] = nondegeneracy_margin(gb)
     return rep
 
 
@@ -210,9 +250,9 @@ def decompose_commutative(pair, tol=None, seed=0, attempts=3):
             e = v / c
             defect = max(defect, float(np.max(np.abs(alg.multiply(e, e) - e))))
             idempotents.append(e)
-        if defect <= 1e3 * tol.eq_tol:
+        if defect <= DEGENERACY_TOL:
             total = np.sum(idempotents, axis=0)
-            if float(np.max(np.abs(total - alg.unit))) > 1e3 * tol.eq_tol:
+            if float(np.max(np.abs(total - alg.unit))) > DEGENERACY_TOL:
                 last_defect = defect
                 continue
             weights = np.array([pair.apply(e) for e in idempotents])

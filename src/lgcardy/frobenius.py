@@ -2,10 +2,17 @@
 
 A Frobenius pair is a finite dimensional associative unital algebra
 together with a linear functional whose induced bilinear form
-``(x, y) = l(x * y)`` is symmetric and nondegenerate.  The module stores
-algebras through their structure tensors, builds the canonical families
-(one dimensional, full matrix, quaternion), glues pairs into orthogonal
-sums, and verifies the axioms numerically with explicit residuals.
+``(x, y) = l(x * y)`` is symmetric and nondegenerate.  The module builds
+the canonical families (one dimensional, full matrix, quaternion), glues
+pairs into orthogonal sums, and verifies the axioms numerically with
+explicit residuals.
+
+An algebra is stored as the cubes of its structure tensor on its
+declared blocks, stacked by block size into (g, d, d, d) arrays; the
+entries between blocks are zero and never stored.  Every residual, Gram
+matrix and action matrix is contracted one stack at a time, with one
+batched einsum per block size.  The dense tensor ``FiniteAlgebra.mul``
+is a read-only view built on demand, for tests and small-n debugging.
 """
 
 from __future__ import annotations
@@ -62,74 +69,174 @@ def _block_slices(blocks, dim):
     return blocks
 
 
+def _stack(blocks, cubes):
+    """Cubes listed in the order of ``blocks``, grouped by block dimension
+    into (index, stack) pairs: ``stack`` is (g, d, d, d) and ``index[k]``
+    holds the basis indices of the k-th block of that dimension.  A size
+    with a single block keeps a view of its cube."""
+    groups = {}
+    for (off, d), cube in zip(blocks, cubes):
+        groups.setdefault(d, []).append((off, cube))
+    stacks = []
+    for d, members in groups.items():
+        offsets = np.array([off for off, _ in members])
+        stack = members[0][1][None] if len(members) == 1 else np.stack([c for _, c in members])
+        stacks.append((offsets[:, None] + np.arange(d), stack))
+    return stacks
+
+
+def _dense(stacks, dim):
+    """The (dim, dim, dim) structure tensor the stacks stand for."""
+    out = np.zeros((dim, dim, dim), dtype=complex)
+    for index, cubes in stacks:
+        out[index[:, :, None, None], index[:, None, :, None], index[:, None, None, :]] = cubes
+    return out
+
+
+def _max_abs(arrays):
+    """Largest absolute entry over a list of arrays, 0 when they hold
+    none; a NaN anywhere makes it NaN."""
+    return float(np.max([0.0] + [np.max(np.abs(a)) for a in arrays if a.size]))
+
+
 class FiniteAlgebra:
     """Associative unital algebra given by its structure tensor.
 
-    ``mul[i, j, :]`` holds the coordinates of ``e_i * e_j`` in the basis,
-    ``unit`` the coordinates of the identity.  ``blocks`` lists disjoint
-    (offset, dim) slices of the basis that split the algebra: every
-    entry of ``mul`` outside the cubes of the blocks is exactly zero,
-    which the constructor checks.  Without declared blocks the whole
-    algebra is the one block (0, dim).
+    The structure tensor ``mul[i, j, :]`` holds the coordinates of
+    ``e_i * e_j`` in the basis, ``unit`` the coordinates of the identity.
+    ``blocks`` lists disjoint (offset, dim) slices of the basis that split
+    the algebra: every entry of the structure tensor outside the cubes of
+    the blocks is zero.  Without declared blocks the whole algebra is the
+    one block (0, dim).
+
+    Only the cubes are stored, grouped by block dimension: ``stacks``
+    holds one ``(index, cubes)`` pair per dimension d, with ``cubes`` a
+    (g, d, d, d) array and ``index`` the (g, d) basis indices of its
+    blocks.  Every routine contracts one stack at a time, so g blocks of
+    one size cost one batched einsum.  ``mul`` is a read-only dense view
+    built on demand for tests and small-n debugging; no routine of the
+    library reads it.
+
+    The constructor takes a dense tensor, refuses one with a nonzero
+    entry (NaN included) outside the declared cubes, and keeps only the
+    cubes; a one-block tensor is kept as it is, without a copy.
     """
 
     def __init__(self, mul, unit, labels=None, blocks=None):
-        self.mul = np.asarray(mul, dtype=complex)
-        if self.mul.ndim != 3 or len({*self.mul.shape}) != 1:
+        mul = np.asarray(mul, dtype=complex)
+        if mul.ndim != 3 or len({*mul.shape}) != 1:
             raise ValueError("structure tensor must be d x d x d")
-        self.dim = self.mul.shape[0]
-        self.unit = np.asarray(unit, dtype=complex)
-        if self.unit.shape != (self.dim,):
-            raise ValueError("unit has wrong length")
-        self.labels = list(labels) if labels is not None else ["e%d" % i for i in range(self.dim)]
+        dim = mul.shape[0]
         if blocks is None:
-            blocks = [(0, self.dim)] if self.dim else []
-        self.blocks = _block_slices(blocks, self.dim)
-        inside = sum(
-            np.count_nonzero(self.mul[off:off + d, off:off + d, off:off + d])
-            for off, d in self.blocks
-        )
-        # disjoint blocks hold every nonzero entry exactly when the counts
-        # agree; NaN counts as nonzero, so it is refused outside the blocks
-        if np.count_nonzero(self.mul) != inside:
-            raise ValueError("blocks do not split the structure tensor")
+            blocks = [(0, dim)] if dim else []
+        blocks = _block_slices(blocks, dim)
+        if blocks == [(0, dim)]:
+            stacks = [(np.arange(dim)[None], mul[None])]
+        else:
+            cubes = [mul[off:off + d, off:off + d, off:off + d] for off, d in blocks]
+            # disjoint blocks hold every nonzero entry exactly when the
+            # counts agree; NaN counts as nonzero, so it is refused outside
+            # the blocks
+            if np.count_nonzero(mul) != sum(map(np.count_nonzero, cubes)):
+                raise ValueError("blocks do not split the structure tensor")
+            stacks = _stack(blocks, cubes)
+        self._init(dim, blocks, stacks, unit, labels)
+
+    @classmethod
+    def _from_stacks(cls, stacks, unit, labels, blocks):
+        """Algebra on stacks built from checked blocks, listed in
+        ``blocks`` in their declared order; the dimension is the length
+        of ``unit``."""
+        alg = cls.__new__(cls)
+        alg._init(len(unit), blocks, stacks, unit, labels)
+        return alg
+
+    def _init(self, dim, blocks, stacks, unit, labels):
+        self.dim = dim
+        self.unit = np.asarray(unit, dtype=complex)
+        if self.unit.shape != (dim,):
+            raise ValueError("unit has wrong length")
+        self.blocks = blocks
+        self.stacks = stacks
+        self.labels = list(labels) if labels is not None else ["e%d" % i for i in range(dim)]
+
+    @property
+    def mul(self):
+        """Dense structure tensor, built on each access and read-only."""
+        out = _dense(self.stacks, self.dim)
+        out.flags.writeable = False
+        return out
+
+    def cubes(self):
+        """(offset, cube) for every block, in the order of ``blocks``."""
+        found = {}
+        for index, stack in self.stacks:
+            found.update(zip(index[:, 0].tolist(), stack))
+        return [(off, found[off]) for off, _ in self.blocks]
+
+    def copy(self):
+        """Copy with its own cubes, to be edited inside the blocks."""
+        return FiniteAlgebra._from_stacks([(index, cubes.copy()) for index, cubes in self.stacks],
+                                          self.unit.copy(), self.labels, self.blocks)
+
+    def merged(self):
+        """Copy declared as the one block (0, dim), for edits that write
+        across blocks."""
+        return FiniteAlgebra(_dense(self.stacks, self.dim), self.unit.copy(), self.labels)
+
+    def block_matrix(self, parts):
+        """(dim, dim) matrix that is zero off the blocks and holds, on the
+        blocks of the s-th stack, the (g, d, d) array ``parts[s]``."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for (index, _), part in zip(self.stacks, parts):
+            out[index[:, :, None], index[:, None, :]] = part
+        return out
 
     def multiply(self, x, y):
         x = np.asarray(x, dtype=complex)
         y = np.asarray(y, dtype=complex)
-        return np.einsum("i,j,ijk->k", x, y, self.mul)
+        out = np.zeros(self.dim, dtype=complex)
+        for index, cubes in self.stacks:
+            out[index] = np.einsum("gi,gj,gijk->gk", x[index], y[index], cubes)
+        return out
 
     def left_action_matrix(self, x):
         """Matrix of left multiplication by x in the basis."""
-        return np.einsum("i,ijk->kj", np.asarray(x, dtype=complex), self.mul)
+        x = np.asarray(x, dtype=complex)
+        return self.block_matrix([
+            np.einsum("gi,gijk->gkj", x[index], cubes) for index, cubes in self.stacks])
 
     def right_action_matrix(self, y):
         """Matrix of right multiplication by y in the basis."""
-        return np.einsum("j,ijk->ki", np.asarray(y, dtype=complex), self.mul)
+        y = np.asarray(y, dtype=complex)
+        return self.block_matrix([
+            np.einsum("gj,gijk->gki", y[index], cubes) for index, cubes in self.stacks])
 
     def associator_residual(self):
         """Max norm of (e_i e_j) e_k - e_i (e_j e_k) over all basis triples.
 
         The blocks split the structure tensor, so both sides vanish
-        exactly on a triple that spans two blocks, and each block is
-        checked on its own.  A NaN in any block makes the result NaN.
+        exactly on a triple that spans two blocks, and each stack of
+        blocks is checked on its own.  A NaN in any block makes the
+        result NaN.
         """
-        worst = [0.0]
-        for off, d in self.blocks:
-            m = self.mul[off:off + d, off:off + d, off:off + d]
-            left = np.einsum("ijm,mkl->ijkl", m, m)
-            right = np.einsum("jkm,iml->ijkl", m, m)
-            worst.append(np.max(np.abs(left - right)))
-        return float(np.max(worst))
+        return _max_abs([
+            np.einsum("gijm,gmkl->gijkl", c, c) - np.einsum("gjkm,giml->gijkl", c, c)
+            for _, c in self.stacks])
 
     def unit_residual(self):
-        e = self.unit
-        left = np.einsum("i,ijk->jk", e, self.mul) - np.eye(self.dim)
-        right = np.einsum("j,ijk->ik", e, self.mul) - np.eye(self.dim)
-        return float(max(np.max(np.abs(left)), np.max(np.abs(right))))
+        """Worst defect of e x = x e = x over the basis.  A basis vector
+        outside every block multiplies to zero, a defect of 1."""
+        worst = [np.ones(1)] if sum(d for _, d in self.blocks) < self.dim else []
+        for index, cubes in self.stacks:
+            e = self.unit[index]
+            eye = np.eye(cubes.shape[1])
+            worst.append(np.einsum("gi,gijk->gjk", e, cubes) - eye)
+            worst.append(np.einsum("gj,gijk->gik", e, cubes) - eye)
+        return _max_abs(worst)
 
     def commutator_residual(self):
-        return float(np.max(np.abs(self.mul - self.mul.transpose(1, 0, 2))))
+        return _max_abs([c - c.transpose(0, 2, 1, 3) for _, c in self.stacks])
 
 
 @dataclass
@@ -149,8 +256,11 @@ class FrobeniusPair:
         return complex(np.dot(self.functional, np.asarray(x, dtype=complex)))
 
     def gram(self):
-        """Matrix of the bilinear form (e_i, e_j) = l(e_i e_j)."""
-        return np.einsum("ijk,k->ij", self.algebra.mul, self.functional)
+        """Matrix of the bilinear form (e_i, e_j) = l(e_i e_j), zero off
+        the blocks."""
+        alg = self.algebra
+        return alg.block_matrix([np.einsum("gijk,gk->gij", cubes, self.functional[index])
+                                 for index, cubes in alg.stacks])
 
     def gram_inverse(self):
         return np.linalg.inv(self.gram())
@@ -321,25 +431,27 @@ def orthogonal_sum(p1, p2, name=None):
 
 
 def orthogonal_sum_list(pairs, name="sum"):
-    """Direct sum of a nonempty list of Frobenius pairs, built in one
-    allocation: block diagonal multiplication, units, functionals and
-    labels concatenated.  A summand may have dimension zero.  Block
-    lists are merged flat, so the sum keeps one block per block of a
-    summand.  The summands are copied, never modified."""
+    """Direct sum of a nonempty list of Frobenius pairs: the stacks of
+    cubes of each block size, units, functionals and labels
+    concatenated, with no dense tensor formed.  A summand may have
+    dimension zero.  Block lists are merged flat, so the sum keeps one
+    block per block of a summand.  The summands are copied, never
+    modified."""
     if not pairs:
         raise ValueError("need at least one summand")
-    total = sum(p.algebra.dim for p in pairs)
-    mul = np.zeros((total, total, total), dtype=complex)
-    labels, blocks, off = [], [], 0
+    groups, labels, blocks, off = {}, [], [], 0
     for p in pairs:
-        d = p.algebra.dim
-        mul[off:off + d, off:off + d, off:off + d] = p.algebra.mul
+        for index, cubes in p.algebra.stacks:
+            groups.setdefault(cubes.shape[1], []).append((index + off, cubes))
         labels += p.algebra.labels
-        blocks += [(o + off, bd) for o, bd in p.algebra.blocks]
-        off += d
+        blocks += [(o + off, d) for o, d in p.algebra.blocks]
+        off += p.algebra.dim
+    stacks = [(np.concatenate([index for index, _ in group]),
+               np.concatenate([cubes for _, cubes in group])) for group in groups.values()]
     unit = np.concatenate([p.algebra.unit for p in pairs])
     functional = np.concatenate([p.functional for p in pairs])
-    return FrobeniusPair(FiniteAlgebra(mul, unit, labels, blocks), functional, name=name)
+    return FrobeniusPair(FiniteAlgebra._from_stacks(stacks, unit, labels, blocks), functional,
+                         name=name)
 
 
 def m2_quaternion_isomorphism():
@@ -392,10 +504,7 @@ def pair_to_dict(pair):
         "dim": alg.dim,
         "labels": alg.labels,
         "blocks": [list(b) for b in alg.blocks],
-        "structure": [
-            complex_to_json(alg.mul[off:off + d, off:off + d, off:off + d].reshape(-1))
-            for off, d in alg.blocks
-        ],
+        "structure": [complex_to_json(cube.reshape(-1)) for _, cube in alg.cubes()],
         "unit": complex_to_json(alg.unit),
         "functional": complex_to_json(pair.functional),
     }
@@ -409,14 +518,16 @@ def pair_from_dict(data):
     cubes = data["structure"]
     if len(cubes) != len(blocks):
         raise ValueError("structure must hold one array per block")
-    mul = np.zeros((d, d, d), dtype=complex)
-    for (off, bd), cube in zip(blocks, cubes):
+    arrays = []
+    for (_, bd), cube in zip(blocks, cubes):
         cube = json_to_complex(cube)
         if cube.shape != (bd**3,):
             raise ValueError("structure array of a block of dimension %d needs %d entries"
                              % (bd, bd**3))
-        mul[off:off + bd, off:off + bd, off:off + bd] = cube.reshape(bd, bd, bd)
+        arrays.append(cube.reshape(bd, bd, bd))
     unit = json_to_complex(data["unit"]) if d else np.zeros(0, dtype=complex)
     functional = json_to_complex(data["functional"]) if d else np.zeros(0, dtype=complex)
-    alg = FiniteAlgebra(mul, unit, labels=data.get("labels"), blocks=blocks)
+    if unit.shape != (d,):
+        raise ValueError("unit has wrong length")
+    alg = FiniteAlgebra._from_stacks(_stack(blocks, arrays), unit, data.get("labels"), blocks)
     return FrobeniusPair(alg, functional, name=data.get("name", "pair"))

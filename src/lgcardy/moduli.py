@@ -333,7 +333,8 @@ def structure_tensor(chart):
     pair = chart.closed.pair
     tangents = chart.tangents
     # products[i, j] holds the coordinates of T_i T_j
-    products = tangents @ (tangents @ pair.algebra.mul.reshape(n, n * n)).reshape(n, n, n)
+    (_, mul), = pair.algebra.cubes()  # the closed algebra is one block
+    products = tangents @ (tangents @ mul.reshape(n, n * n)).reshape(n, n, n)
     c = products @ (tangents @ pair.gram()).T
     i, j, k = np.indices((n, n, n))
     low = np.minimum(np.minimum(i, j), k)

@@ -1,5 +1,6 @@
 """Tests for bulk-boundary pairs and commutative decomposition."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -22,13 +23,17 @@ from lgcardy.cardy import (
 from lgcardy.frobenius import (
     FiniteAlgebra,
     FrobeniusPair,
+    VerificationReport,
+    complex_to_json,
+    nondegeneracy_margin,
     number_pair,
+    pair_to_dict,
     quaternion_pair,
     verify_frobenius,
     zero_pair,
 )
-from lgcardy.landau_ginzburg import build_quaternion_model
-from lgcardy.polycore import DegenerateModelError
+from lgcardy.landau_ginzburg import build_closed, build_quaternion_model
+from lgcardy.polycore import DegenerateModelError, ToleranceConfig
 
 
 def _seeded_model(n, seed=0):
@@ -258,3 +263,141 @@ def test_cf_json_round_trip():
     assert np.allclose(back.a.gram(), cf.a.gram())
     assert np.allclose(back.b.algebra.mul, cf.b.algebra.mul)
     assert verify_cardy_frobenius(back).passed
+
+
+def test_decompose_commutative_does_not_depend_on_eq_tol():
+    # the idempotent and unit-sum guards judge computability, not the
+    # residual tolerance: a healthy closed algebra splits at any eq_tol
+    closed = build_closed(n=3, a=(0.3 + 0.1j, -0.7 + 0.2j, 0.5 - 0.4j))
+    assert [b for _, b in closed.pair.algebra.blocks] == [3]
+    want = np.array(sorted(closed.mu, key=lambda w: (w.real, w.imag)))
+    for eq_tol in (1e-30, 1e-9, 1e-3):
+        idems, weights = decompose_commutative(closed.pair, tol=ToleranceConfig(eq_tol=eq_tol))
+        assert np.allclose(weights, want, rtol=0, atol=1e-12), eq_tol
+        assert len(idems) == 3
+
+
+def _dense_frobenius(pair, commutative):
+    """The residuals and margin of verify_frobenius, written out on the
+    dense structure tensor over every basis triple."""
+    mul, dim = pair.algebra.mul, pair.algebra.dim
+    left = np.einsum("ijm,mkl->ijkl", mul, mul, optimize=True)
+    right = np.einsum("jkm,iml->ijkl", mul, mul, optimize=True)
+    e = pair.algebra.unit
+    unit_left = np.einsum("i,ijk->jk", e, mul) - np.eye(dim)
+    unit_right = np.einsum("j,ijk->ik", e, mul) - np.eye(dim)
+    g = np.einsum("ijk,k->ij", mul, pair.functional)
+    residuals = {
+        "associativity": float(np.max(np.abs(left - right))),
+        "unit": float(max(np.max(np.abs(unit_left)), np.max(np.abs(unit_right)))),
+        "form_symmetry": float(np.max(np.abs(g - g.T))),
+    }
+    if commutative:
+        residuals["commutativity"] = float(np.max(np.abs(mul - mul.transpose(1, 0, 2))))
+    return residuals, {"form_nondegeneracy": nondegeneracy_margin(g)}
+
+
+def _dense_cardy(cf):
+    """The residuals and margins of verify_cardy_frobenius, written out on
+    the dense structure tensors (the formulas the block route replaced)."""
+    mula, mulb, phi = cf.a.algebra.mul, cf.b.algebra.mul, cf.phi
+    ga = np.einsum("ijk,k->ij", mula, cf.a.functional)
+    gb = np.einsum("ijk,k->ij", mulb, cf.b.functional)
+    images = np.einsum("ijc,bc->ijb", mula, phi)
+    products = np.einsum("bi,cj,bcd->ijd", phi, phi, mulb, optimize=True)
+    left = np.einsum("bi,bkc->ikc", phi, mulb)
+    right = np.einsum("bi,kbc->ikc", phi, mulb)
+    ps = np.linalg.solve(ga, phi.T @ gb)
+    traces = np.einsum("kmi,ilm->kl", mulb, mulb)
+    residuals = {
+        "commutativity": float(np.max(np.abs(mula - mula.transpose(1, 0, 2)))),
+        "homomorphism": float(np.max(np.abs(images - products))),
+        "unit_preservation": float(np.max(np.abs(phi @ cf.a.algebra.unit - cf.b.algebra.unit))),
+        "centrality": float(np.max(np.abs(left - right))),
+        "cardy_trace": float(np.max(np.abs(ps.T @ ga @ ps - traces))),
+        "cardy_coordinate": _three_einsum_coordinates(cf),
+    }
+    margins = {"nondegeneracy_A": nondegeneracy_margin(ga),
+               "nondegeneracy_B": nondegeneracy_margin(gb)}
+    return residuals, margins
+
+
+def _assert_matches(rep, dense, label):
+    residuals, margins = dense
+    want = VerificationReport(rep.subject, rep.tol, residuals, margins)
+    assert rep.residuals.keys() == residuals.keys() and rep.margins.keys() == margins.keys()
+    for got, ref in ((rep.residuals, residuals), (rep.margins, margins)):
+        for name, v in ref.items():
+            assert abs(got[name] - v) <= 1e-12 * max(1.0, abs(v)), (label, name, got[name], v)
+    flags = [[[row["pass"] for row in rows] for rows in r.entries()] for r in (rep, want)]
+    assert flags[0] == flags[1], label
+
+
+def _all_cfs(model):
+    yield None, model.cf
+    for corruption in CORRUPTIONS + ("phi_swap",):
+        try:
+            yield corruption, corrupt_model(model, corruption)
+        except ValueError:  # this corruption needs n >= 2
+            continue
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_block_routes_match_dense_formulas(n):
+    for corruption, cf in _all_cfs(_seeded_model(n, seed=1)):
+        label = (n, corruption)
+        _assert_matches(verify_cardy_frobenius(cf), _dense_cardy(cf), label)
+        _assert_matches(verify_frobenius(cf.a, commutative=True),
+                        _dense_frobenius(cf.a, True), label)
+        _assert_matches(verify_frobenius(cf.b), _dense_frobenius(cf.b, False), label)
+
+
+def test_block_routes_match_dense_formulas_off_the_quaternion_layout():
+    # blocks of mixed sizes, and a basis vector outside every block
+    mixed = orthogonal_sum_cf(orthogonal_sum_cf(quaternionic_cf(0.5), matrix_cf(3, 0.2 + 1j)),
+                              matrix_cf(2, -0.7))
+    assert sorted({d for _, d in mixed.b.algebra.blocks}) == [4, 9]
+    _assert_matches(verify_cardy_frobenius(mixed), _dense_cardy(mixed), "mixed")
+    # the last bulk unit goes to E11 of the last block: not central there
+    phi = mixed.phi.copy()
+    phi[-4:, -1] = [1.0, 0.0, 0.0, 0.0]
+    skew = CardyFrobeniusAlgebra(mixed.a, mixed.b, phi)
+    assert verify_cardy_frobenius(skew).residuals["centrality"] > 0.5
+    _assert_matches(verify_cardy_frobenius(skew), _dense_cardy(skew), "skew")
+    _assert_matches(verify_frobenius(mixed.b), _dense_frobenius(mixed.b, False), "mixed")
+    mul = np.zeros((2, 2, 2), dtype=complex)
+    mul[0, 0, 0] = 1.0
+    gapped = FrobeniusPair(FiniteAlgebra(mul, [1.0, 0.0], blocks=[(0, 1)]), [1.0, 1.0])
+    assert gapped.algebra.unit_residual() == 1.0
+    _assert_matches(verify_frobenius(gapped, commutative=True),
+                    _dense_frobenius(gapped, True), "gapped")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_payloads_match_dense_cube_formula(n):
+    # the payload of every pair is the cube of the dense tensor on each
+    # declared block, as the writer read it before blocks were stored
+    model = _seeded_model(n)
+    for pair in (model.closed.pair, model.cf.a, model.cf.b):
+        mul = pair.algebra.mul
+        want = [complex_to_json(mul[o:o + d, o:o + d, o:o + d].reshape(-1))
+                for o, d in pair.algebra.blocks]
+        assert json.dumps(pair_to_dict(pair)["structure"]) == json.dumps(want)
+
+
+def test_block_checks_memory_at_n8():
+    a = _seeded_model(8).p.a
+    cf = build_quaternion_model(n=8, a=a).cf
+    verify_cardy_frobenius(cf)
+    verify_frobenius(cf.b)
+    tracemalloc.start()
+    try:
+        cf = build_quaternion_model(n=8, a=a).cf
+        verify_cardy_frobenius(cf)
+        verify_frobenius(cf.b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense (4n)^3 boundary tensor is 0.5 MB at n = 8; the dense build
+    # and checks peaked at about 0.54 MB and 1.4 MB
+    assert peak < 5e5, peak

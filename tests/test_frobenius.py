@@ -172,8 +172,11 @@ def test_orthogonal_sum_list_leaves_a_single_summand_untouched():
     q = orthogonal_sum_list([p], name="renamed")
     assert q is not p and q.name == "renamed"
     assert pair_to_dict(p) == before
-    q.algebra.mul[0, 0, 0] = 7.0
-    assert p.algebra.mul[0, 0, 0] == 1.0
+    # the dense view is read-only; the sum must not share the summand's cubes
+    with pytest.raises(ValueError, match="read-only"):
+        q.algebra.mul[0, 0, 0] = 7.0
+    q.algebra.stacks[0][1][0, 0, 0, 0] = 7.0
+    assert p.algebra.mul[0, 0, 0] == 1.0 and pair_to_dict(p) == before
 
 
 def test_degenerate_form_detected():
