@@ -17,8 +17,10 @@ most 200) and runs the fixed reference computation of
 ``perfbench/calibration.py`` after every call.  The JSON records, per cell,
 the call count and the median and minimum wall times, and the median
 rescaled to the reference machine speed the way perfbench rescales its job
-times.  It also records the machine, Python and numpy versions.  This script
-is not part of the test suite.
+times.  BLAS threads are capped, and the machine (CPU, Python, numpy, BLAS
+and its threads, commit and source hash) is recorded, with the helpers of
+``perfbench/run.py``; models are drawn and CLI coefficients formatted by
+``perfbench/workloads.py``.  This script is not part of the test suite.
 """
 
 import argparse
@@ -26,7 +28,6 @@ import contextlib
 import io
 import json
 import os
-import platform
 import statistics
 import sys
 import time
@@ -37,14 +38,18 @@ ROOT = os.path.dirname(HERE)
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import run as perfbench_run  # noqa: E402  (perfbench/run.py; imports no numpy)
+
+perfbench_run.cap_blas_threads()  # before numpy is imported
+
 import numpy as np  # noqa: E402
 
 import calibration  # noqa: E402
+import workloads  # noqa: E402
 import lgcardy as lib  # noqa: E402
 from lgcardy import cli  # noqa: E402
 from lgcardy.cardy import cardy_residual_coordinates, cardy_residual_trace  # noqa: E402
 from lgcardy.moduli import _chart_on  # noqa: E402
-from lgcardy.polycore import DegenerateModelError  # noqa: E402
 
 SIZES = (2, 3, 4, 6, 8)
 BUDGET_S = 0.3
@@ -53,17 +58,11 @@ MAX_CALLS = 200
 BUNDLE_SAMPLE_POINTS = 10
 
 
-def seeded_model(n, seed=0, scale=0.8):
-    """A model with i.i.d. complex normal coefficients at the scale of
-    ``moduli.sample_charts``; draws with colliding critical points are
-    redrawn."""
+def seeded_model(n, seed=0):
+    """A model drawn as the perfbench workloads draw theirs."""
     rng = np.random.default_rng(1000 + 10 * n + seed)
-    while True:
-        a = tuple(scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
-        try:
-            return lib.build_quaternion_model(n=n, a=a)
-        except DegenerateModelError:
-            continue
+    a = workloads.draw_coefficients(rng, n, workloads.SCALE)
+    return lib.build_quaternion_model(n=n, a=a)
 
 
 def time_call(fn):
@@ -109,9 +108,8 @@ def layers(model):
 
 def cli_argvs(model):
     """One argv per CLI subcommand on the model's coefficients."""
-    a = " ".join("%r,%r" % (float(z.real), float(z.imag))
-                 for z in np.asarray(model.p.a, dtype=complex))
-    on_model = ["--n", str(model.n), "--a=" + a]
+    a = tuple(complex(z) for z in np.asarray(model.p.a, dtype=complex))
+    on_model = ["--n", str(model.n), workloads._format_a(a)]
     return {
         "build": ["build"] + on_model,
         "verify-cf": ["verify-cf"] + on_model,
@@ -130,18 +128,6 @@ def run_cli(argv):
         raise RuntimeError("lgcardy %s exited %s" % (" ".join(argv), code))
 
 
-def machine():
-    return {
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "processor": platform.processor(),
-        "cpu_count": os.cpu_count(),
-        "usable_cpus": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
@@ -150,7 +136,7 @@ def main(argv=None):
     result = {
         "label": args.label,
         "created": datetime.now(timezone.utc).isoformat(),
-        "machine": machine(),
+        "machine": perfbench_run.environment(),
         "reference_s": calibration.REFERENCE_S,
         "bundle_sample_points": BUNDLE_SAMPLE_POINTS,
         "layers": {},

@@ -36,6 +36,7 @@ from .polycore import (
     poly_eval,
 )
 from .frobenius import (
+    FiniteAlgebra,
     FrobeniusPair,
     VerificationReport,
     _dense,
@@ -265,21 +266,17 @@ def _assemble(model, chart, cf, t_degree, tol):
 
 
 def _corrupt_cf(cf, n, corruption, eps):
-    # t_symmetry writes across two bulk blocks, so the corrupted bulk is
-    # declared as the one merged block; every other corruption stays
-    # inside a block and edits a copy of its cubes
-    alg_a = cf.a.algebra.merged() if corruption == "t_symmetry" else cf.a.algebra.copy()
-    alg_b = cf.b.algebra.copy()
+    mula = _dense(cf.a.algebra.stacks, cf.a.algebra.dim)
     la = cf.a.functional.copy()
+    mulb = _dense(cf.b.algebra.stacks, cf.b.algebra.dim)
     lb = cf.b.functional.copy()
     phi = cf.phi.copy()
     if corruption == "t_symmetry":
         if n < 2:
             raise ValueError("t_symmetry corruption needs at least two bulk directions")
-        alg_a.stacks[0][1][0, 0, 1, 0] += eps
+        mula[0, 1, 0] += eps
     elif corruption == "b_associativity":
-        # the block at offset 0 is the first of the boundary's one stack
-        alg_b.stacks[0][1][0, 1, 2, 2] += eps
+        mulb[1, 2, 2] += eps
     elif corruption == "centrality":
         phi[:, 0] = 0.0
         phi[0, 0] = 0.5
@@ -296,9 +293,21 @@ def _corrupt_cf(cf, n, corruption, eps):
         lb[:4] *= 1.0 + eps
     else:
         raise ValueError("unknown corruption %r" % (corruption,))
-    return CardyFrobeniusAlgebra(FrobeniusPair(alg_a, la, name=cf.a.name),
-                                 FrobeniusPair(alg_b, lb, name=cf.b.name),
-                                 phi, name=cf.name + "+" + corruption)
+    alga = cf.a.algebra
+    algb = cf.b.algebra
+    # t_symmetry writes across two bulk blocks, so the corrupted bulk is
+    # declared as the one merged block; every other corruption stays inside
+    # the declared blocks, which the constructor checks again
+    a_pair = FrobeniusPair(
+        FiniteAlgebra(mula, alga.unit.copy(), alga.labels,
+                      None if corruption == "t_symmetry" else alga.blocks),
+        la, name=cf.a.name,
+    )
+    b_pair = FrobeniusPair(
+        FiniteAlgebra(mulb, algb.unit.copy(), algb.labels, algb.blocks),
+        lb, name=cf.b.name,
+    )
+    return CardyFrobeniusAlgebra(a_pair, b_pair, phi, name=cf.name + "+" + corruption)
 
 
 def corrupt_model(model, corruption, eps=0.05):

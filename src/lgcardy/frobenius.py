@@ -130,17 +130,12 @@ class FiniteAlgebra:
         if blocks is None:
             blocks = [(0, dim)] if dim else []
         blocks = _block_slices(blocks, dim)
-        if blocks == [(0, dim)]:
-            stacks = [(np.arange(dim)[None], mul[None])]
-        else:
-            cubes = [mul[off:off + d, off:off + d, off:off + d] for off, d in blocks]
-            # disjoint blocks hold every nonzero entry exactly when the
-            # counts agree; NaN counts as nonzero, so it is refused outside
-            # the blocks
-            if np.count_nonzero(mul) != sum(map(np.count_nonzero, cubes)):
-                raise ValueError("blocks do not split the structure tensor")
-            stacks = _stack(blocks, cubes)
-        self._init(dim, blocks, stacks, unit, labels)
+        cubes = [mul[off:off + d, off:off + d, off:off + d] for off, d in blocks]
+        # disjoint blocks hold every nonzero entry exactly when the counts
+        # agree; NaN counts as nonzero, so it is refused outside the blocks
+        if np.count_nonzero(mul) != sum(map(np.count_nonzero, cubes)):
+            raise ValueError("blocks do not split the structure tensor")
+        self._init(dim, blocks, _stack(blocks, cubes), unit, labels)
 
     @classmethod
     def _from_stacks(cls, stacks, unit, labels, blocks):
@@ -173,16 +168,6 @@ class FiniteAlgebra:
         for index, stack in self.stacks:
             found.update(zip(index[:, 0].tolist(), stack))
         return [(off, found[off]) for off, _ in self.blocks]
-
-    def copy(self):
-        """Copy with its own cubes, to be edited inside the blocks."""
-        return FiniteAlgebra._from_stacks([(index, cubes.copy()) for index, cubes in self.stacks],
-                                          self.unit.copy(), self.labels, self.blocks)
-
-    def merged(self):
-        """Copy declared as the one block (0, dim), for edits that write
-        across blocks."""
-        return FiniteAlgebra(_dense(self.stacks, self.dim), self.unit.copy(), self.labels)
 
     def block_matrix(self, parts):
         """(dim, dim) matrix that is zero off the blocks and holds, on the
