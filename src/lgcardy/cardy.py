@@ -99,14 +99,19 @@ def phi_star(cf, tol=None):
     Raises ValueError("degenerate A-form") when the bulk Gram matrix is
     too close to singular to invert.
     """
-    return np.linalg.solve(_checked_a_gram(cf, tol), cf.phi.T @ cf.b.gram())
+    return _adjoint(cf, _checked_a_gram(cf, tol), cf.b.gram())
+
+
+def _adjoint(cf, ga, gb):
+    """phi_star from both Gram matrices: solves ga X = phi^T gb."""
+    return np.linalg.solve(ga, cf.phi.T @ gb)
 
 
 def _trace_route(cf, ga, gb):
     """Worst defect of (phi* f_k, phi* f_l)_A = tr(b -> f_k b f_l), given
     both Gram matrices.  The traces vanish unless f_k and f_l lie in one
     block, and each stack gives its blocks' traces in one einsum."""
-    ps = np.linalg.solve(ga, cf.phi.T @ gb)
+    ps = _adjoint(cf, ga, gb)
     lhs = ps.T @ ga @ ps
     alg = cf.b.algebra
     traces = alg.block_matrix([np.einsum("gkmi,gilm->gkl", c, c) for _, c in alg.stacks])

@@ -352,6 +352,8 @@ def _build_parser():
     return parser
 
 
+_ARGPARSER = _build_parser()
+
 _PARSERS = {"a": parse_complex_list, "branch": parse_branch}
 
 
@@ -408,8 +410,7 @@ def _emit(report, config):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _ARGPARSER.parse_args(argv)
     try:
         config = _config_from_args(args)
         report, code = run(config)

@@ -247,9 +247,6 @@ class FrobeniusPair:
         return alg.block_matrix([np.einsum("gijk,gk->gij", cubes, self.functional[index])
                                  for index, cubes in alg.stacks])
 
-    def gram_inverse(self):
-        return np.linalg.inv(self.gram())
-
     def pairing(self, x, y):
         return self.apply(self.algebra.multiply(x, y))
 

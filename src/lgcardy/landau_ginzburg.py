@@ -22,7 +22,6 @@ from .polycore import (
     _lagrange_rows,
     _residues,
     critical_points,
-    poly_mod,
 )
 from .frobenius import (
     FiniteAlgebra,
@@ -49,10 +48,13 @@ class LGClosedAlgebra:
     """Closed sector of a polynomial model in the monomial basis.
 
     ``functional_values[k]`` is the residue functional on z^k for
-    k = 0 .. 2n-2, enough to pair any two basis monomials.  ``mu`` holds
-    the idempotent weights in root order, computed from the residue
-    functional; ``mu_product`` is the same quantity from the product
-    formula 1/((n+1) prod_{j!=i} (alpha_i - alpha_j)).
+    k = 0 .. 2n-2, enough to pair any two basis monomials: the pairing
+    is the Hankel matrix H[a, b] = functional_values[a + b].  The
+    product is the gather z^i z^j = r[i + j] of the 2n-1 reductions
+    r[k] = z^k mod p'.  ``mu`` holds the idempotent weights in root
+    order, computed from the residue functional; ``mu_product`` is the
+    same quantity from the product formula
+    1/((n+1) prod_{j!=i} (alpha_i - alpha_j)).
 
     It is the per-model context: charts, frames and the CLI read the
     roots, weights and functional values from here instead of
@@ -78,7 +80,8 @@ def build_closed(n=None, a=None, p=None, tol=None):
     Pass either an LGPolynomial via ``p`` or the degree data ``n`` and
     coefficient tuple ``a``.  The critical points are found once and the
     residue functional on z^0 .. z^(2n-2) is evaluated over them in one
-    pass, each value along both residue routes.  Raises
+    pass, each value along both residue routes.  The reductions
+    z^k mod p' for the same k give the structure tensor.  Raises
     DegenerateModelError when critical points collide or the routes
     disagree.
     """
@@ -90,13 +93,12 @@ def build_closed(n=None, a=None, p=None, tol=None):
     roots = critical_points(p, tol=tol)
     values = _residues(np.eye(2 * n - 1, dtype=complex), p, roots, tol)
 
-    mul = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            prod = np.zeros(i + j + 1, dtype=complex)
-            prod[i + j] = 1.0
-            rem = poly_mod(prod, dp)
-            mul[i, j, : len(rem)] = rem
+    # r[k] = z^k mod p': r[k-1] shifted up, its z^n term traded for p'
+    r = np.eye(2 * n - 1, n, dtype=complex)
+    for k in range(n, 2 * n - 1):
+        r[k, 1:] = r[k - 1, :-1]
+        r[k] -= (r[k - 1, -1] / dp[n]) * dp[:n]
+    mul = r[np.add.outer(np.arange(n), np.arange(n))]
     unit = np.zeros(n, dtype=complex)
     unit[0] = 1.0
     pair = FrobeniusPair(

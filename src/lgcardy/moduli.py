@@ -27,10 +27,7 @@ from .polycore import (
     LGPolynomial,
     ToleranceConfig,
     critical_points,
-    poly_mod,
-    poly_mul,
     reversion_polynomials,
-    revert_series,
 )
 from .frobenius import VerificationReport, complex_to_json
 from .landau_ginzburg import LGClosedAlgebra, build_closed
@@ -192,19 +189,14 @@ class FlatChart:
         return self.closed.n
 
 
+def _ttilde(n, a):
+    """The raw inversion coefficients t~ at a, from the reversion polynomials."""
+    return np.array([q.eval(a) for q in reversion_polynomials(n)])
+
+
 def _ttilde_jacobian(n, a):
-    polys = reversion_polynomials(n)
-    a = np.asarray(a, dtype=complex)
-    jac = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for k in range(n):
-            jac[i, k] = polys[i].diff(k).eval(a)
-    return jac
-
-
-def _pair_polys(u, v, dp, values):
-    w = poly_mod(poly_mul(u, v), dp)
-    return complex(np.dot(w, values[: len(w)]))
+    """dt~/da at a: entry [i, k] differentiates t~^(i+1) along a_(k+1)."""
+    return np.array([[q.diff(k).eval(a) for k in range(n)] for q in reversion_polynomials(n)])
 
 
 def flat_chart(p=None, n=None, a=None, tol=None, index_reversal=False):
@@ -217,11 +209,16 @@ def flat_chart(p=None, n=None, a=None, tol=None, index_reversal=False):
 
 
 def _chart_on(closed, index_reversal=False):
-    """The flat chart at the polynomial of an already built closed algebra."""
+    """The flat chart at the polynomial of an already built closed algebra.
+
+    t~ is read from the cached reversion polynomials, and both metrics
+    are T H T^T, H[a, b] = l(z^(a+b)) the Hankel matrix of the closed
+    functional values: the pairing of tangents needs no reduction mod p'.
+    """
     p = closed.p
     n = p.n
     avals = np.asarray(p.a, dtype=complex)
-    ttilde = revert_series(p)
+    ttilde = _ttilde(n, avals)
     L = _flat_mixing_matrix(n)
     t = L @ ttilde
     jac_tta = _ttilde_jacobian(n, avals)  # dttilde/da
@@ -229,18 +226,11 @@ def _chart_on(closed, index_reversal=False):
 
     # dp/dt^k = sum_j (da_j/dt^k) z^{n-j}
     tangents = jac_at.T[:, ::-1].copy()
-    raw_tangents = np.linalg.inv(jac_tta).T[:, ::-1].copy()
-    values = closed.functional_values
-    dp = p.derivative_coeffs()
+    raw_tangents = np.linalg.inv(jac_tta).T[:, ::-1]
+    hankel = closed.functional_values[np.add.outer(np.arange(n), np.arange(n))]
     flip = np.fliplr(np.eye(n))
-    g = np.zeros((n, n), dtype=complex)
-    g_raw = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = _pair_polys(tangents[i], tangents[j], dp, values)
-            g_raw[i, j] = g_raw[j, i] = _pair_polys(
-                raw_tangents[i], raw_tangents[j], dp, values
-            )
+    g = tangents @ hankel @ tangents.T
+    g_raw = raw_tangents @ hankel @ raw_tangents.T
     metric_residual = float(np.max(np.abs(g - flip)))
     metric_residual_raw = float(np.max(np.abs(g_raw - (n + 1) * flip)))
 
@@ -349,9 +339,7 @@ def coefficients_from_flat(n, t_target, a0=None, tol=None, max_iter=60):
     a = np.zeros(n, dtype=complex) if a0 is None else np.asarray(a0, dtype=complex).copy()
     L = _flat_mixing_matrix(n)
     for _ in range(max_iter):
-        polys = reversion_polynomials(n)
-        ttilde = np.array([q.eval(a) for q in polys])
-        res = t_target - L @ ttilde
+        res = t_target - L @ _ttilde(n, a)
         if float(np.max(np.abs(res))) < 1e-13 * max(1.0, float(np.max(np.abs(t_target)))):
             return a
         jac = L @ _ttilde_jacobian(n, a)

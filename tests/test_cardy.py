@@ -52,7 +52,7 @@ def _three_einsum_coordinates(cf):
     (the contraction the O(m^4) order replaced), kept as the reference.
     The path search only reorders the sums of each einsum."""
     ga_inv = np.linalg.inv(cf.a.gram())
-    gb_inv = cf.b.gram_inverse()
+    gb_inv = np.linalg.inv(cf.b.gram())
     mulb = cf.b.algebra.mul
     lb = cf.b.functional
     m1 = np.einsum("bi,bkc,c->ik", cf.phi, mulb, lb, optimize=True)

@@ -298,3 +298,18 @@ def test_wdvv_tol_reaches_the_library_report(capsys, monkeypatch):
     assert rep.tol == 1e-3 and "fit_residual" in rep.residuals
     assert {e["name"] for e in report["residuals"]} == set(rep.residuals)
     assert all(e["tol"] == 1e-3 for e in report["residuals"])
+
+
+def test_parser_carries_nothing_from_one_call_to_the_next(capsys, monkeypatch):
+    argv = ["chart"] + FROZEN
+    first_code, first_out = _run(capsys, argv + ["--paper-scale", "--index-reversal", "--tol", "1e-3"])
+    first = json.loads(first_out)["config"]
+    assert first["paper_scale"] and first["index_reversal"] and first["tol"] == 1e-3
+    code, out = _run(capsys, argv)
+    monkeypatch.setattr(cli, "_ARGPARSER", cli._build_parser())
+    fresh_code, fresh_out = _run(capsys, argv)
+    second, fresh = json.loads(out), json.loads(fresh_out)
+    del second["timestamp"], fresh["timestamp"]
+    assert code == fresh_code and second == fresh
+    assert not second["config"]["paper_scale"] and not second["config"]["index_reversal"]
+    assert second["config"]["tol"] is None

@@ -13,11 +13,15 @@ import pytest
 from lgcardy import bundle, cli, landau_ginzburg, moduli, polycore
 from lgcardy.bundle import verify_bundle
 from lgcardy.landau_ginzburg import build_closed, build_quaternion_model
+from lgcardy.moduli import _chart_on, _ttilde_jacobian, flat_chart
 from lgcardy.polycore import (
     DegenerateModelError,
     LGPolynomial,
     lagrange_basis,
+    poly_mod,
+    poly_mul,
     residue_functional,
+    revert_series,
 )
 
 
@@ -26,7 +30,7 @@ def _draws():
     for scale in (0.8, 1e3):
         for n in range(1, 9):
             for _ in range(3):
-                yield n, tuple(scale * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+                yield scale, n, tuple(scale * (rng.normal(size=n) + 1j * rng.normal(size=n)))
 
 
 def _relative(got, want):
@@ -34,7 +38,7 @@ def _relative(got, want):
 
 
 def test_one_pass_matches_per_monomial_reference():
-    for n, a in _draws():
+    for _, n, a in _draws():
         p = LGPolynomial(n, a)
         values = np.array([
             residue_functional(np.eye(1, k + 1, k, dtype=complex)[0], p)
@@ -98,4 +102,73 @@ def test_chart_command_builds_one_chart(monkeypatch, capsys):
     a = "--a=0.3,0.1 -1,0 0.2,0 0.8,0 0.1,0.2 -0.5,0 0.3,0.3 0.1,0"
     assert cli.main(["chart", "--n", "8", a]) == 0
     capsys.readouterr()
-    assert counts == {name: 1 for name in names}
+    # t~ is read from the reversion polynomials: no revert_series call
+    assert counts == {"build_closed": 1, "flat_chart": 1, "critical_points": 1}
+
+
+def _assert_agree(got, want, scale):
+    """Entrywise within 1e-12 max(1, |want|) at scale 0.8; at scale 1e3,
+    where entries span many orders, within 1e-12 of the largest entry."""
+    got, want = np.asarray(got), np.asarray(want)
+    if scale < 1:
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _products_by_poly_mod(closed):
+    """The structure tensor as one poly_mod per product z^(i+j)."""
+    n = closed.n
+    dp = closed.p.derivative_coeffs()
+    mul = np.zeros((n, n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            rem = poly_mod(np.eye(1, i + j + 1, i + j, dtype=complex)[0], dp)
+            mul[i, j, : len(rem)] = rem
+    return mul
+
+
+def _pairing_by_poly_mod(rows, closed):
+    """Residue pairing of polynomial rows: l(u v mod p') from the values."""
+    dp = closed.p.derivative_coeffs()
+    values = closed.functional_values
+    g = np.zeros((len(rows), len(rows)), dtype=complex)
+    for i, u in enumerate(rows):
+        for j, v in enumerate(rows):
+            w = poly_mod(poly_mul(u, v), dp)
+            g[i, j] = np.dot(w, values[: len(w)])
+    return g
+
+
+def test_products_are_the_poly_mod_reductions():
+    for scale, n, a in _draws():
+        closed = build_closed(n=n, a=a)
+        _assert_agree(closed.pair.algebra.mul, _products_by_poly_mod(closed), scale)
+
+
+def test_ttilde_matches_revert_series():
+    for scale, n, a in _draws():
+        chart = _chart_on(build_closed(n=n, a=a))
+        _assert_agree(chart.ttilde, revert_series(chart.p), scale)
+
+
+def test_chart_metrics_match_the_poly_mod_pairing():
+    # at scale 1e3 both metric residuals are rounding noise of the
+    # ill-conditioned tangents, so only scale 0.8 is compared
+    for scale, n, a in _draws():
+        if scale > 1:
+            continue
+        chart = _chart_on(build_closed(n=n, a=a))
+        flip = np.fliplr(np.eye(n))
+        g = _pairing_by_poly_mod(chart.tangents, chart.closed)
+        raw = np.linalg.inv(_ttilde_jacobian(n, np.asarray(a))).T[:, ::-1]
+        g_raw = _pairing_by_poly_mod(raw, chart.closed)
+        _assert_agree(chart.metric_residual, np.max(np.abs(g - flip)), scale)
+        _assert_agree(chart.metric_residual_raw, np.max(np.abs(g_raw - (n + 1) * flip)), scale)
+
+
+def test_closed_algebra_and_chart_reduce_no_polynomial(monkeypatch):
+    counts = _count_calls(monkeypatch, ("poly_mod", "revert_series"))
+    flat_chart(n=8, a=(0.3 + 0.1j, -1, 0.2, 0.8, 0.1 + 0.2j, -0.5, 0.3 + 0.3j, 0.1))
+    # the products gather the 2n-1 reductions, the pairing is a Hankel form
+    assert counts == {}
