@@ -302,7 +302,7 @@ def test_wdvv_tol_reaches_the_library_report(capsys, monkeypatch):
 
 def test_parser_carries_nothing_from_one_call_to_the_next(capsys, monkeypatch):
     argv = ["chart"] + FROZEN
-    first_code, first_out = _run(capsys, argv + ["--paper-scale", "--index-reversal", "--tol", "1e-3"])
+    _, first_out = _run(capsys, argv + ["--paper-scale", "--index-reversal", "--tol", "1e-3"])
     first = json.loads(first_out)["config"]
     assert first["paper_scale"] and first["index_reversal"] and first["tol"] == 1e-3
     code, out = _run(capsys, argv)
