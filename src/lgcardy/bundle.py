@@ -17,9 +17,13 @@ cubic boundary block, read one declared boundary block at a time.
 ``verify_bundle`` then checks the same model along two independent
 routes: the seven formal conditions on the series, and the pointwise
 algebra axioms at the base point and at nearby sample points, and
-reports whether the verdicts agree.  Controlled corruptions of single
-axioms are provided to confirm that each failure surfaces in the
-predicted condition.
+reports whether the verdicts agree.  The sample points are swept as one
+stack: their flat targets are inverted in one Newton loop, their
+critical data, frames and quaternion models are built in one pass each,
+and their axioms are checked in one batched call, every guard still
+judging each point on its own.  Controlled corruptions of single axioms
+are provided to confirm that each failure surfaces in the predicted
+condition.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import numpy as np
 from .polycore import (
     LGPolynomial,
     ToleranceConfig,
+    _Failures,
     poly_eval,
 )
 from .frobenius import (
@@ -45,12 +50,12 @@ from .frobenius import (
     quaternion_pair,
     verify_frobenius,
 )
-from .cardy import CardyFrobeniusAlgebra, verify_cardy_frobenius
-from .landau_ginzburg import LGClosedAlgebra, _quaternion_model, build_closed
+from .cardy import CardyFrobeniusAlgebra, _cardy_checks, verify_cardy_frobenius
+from .landau_ginzburg import LGClosedAlgebra, _critical_data, _quaternion_cf, build_closed
 from .moduli import (
     _chart_on,
-    _match_roots,
-    coefficients_from_flat,
+    _invert_flat,
+    _match_stack,
     reconstruct_potential,
     structure_tensor,
 )
@@ -125,12 +130,25 @@ def flat_s_frame(model, q, tol=None, paper_scale=False):
     closest to the base values.
     """
     tol = tol or ToleranceConfig()
-    n = model.n
-    p = q if isinstance(q, LGPolynomial) else LGPolynomial(n, tuple(q))
+    p = q if isinstance(q, LGPolynomial) else LGPolynomial(model.n, tuple(q))
     closed_q = build_closed(p=p, tol=tol)
-    perm = _match_roots(closed_q.roots, model.closed.roots, tol.root_sep_tol)
-    roots = closed_q.roots[perm]
-    mu = closed_q.mu[perm]
+    failures = _Failures(1)
+    frames = _continue_frames(model, closed_q.roots[None], closed_q.mu[None], tol, paper_scale,
+                              failures)
+    failures.raise_first()
+    roots, mu, rho, scales, drift = (x[0] for x in frames)
+    return FrameData(closed_q, roots, mu, rho, scales, float(drift))
+
+
+def _continue_frames(model, roots, mu, tol, paper_scale, failures):
+    """flat_s_frame from the critical points and weights of a stack of
+    nearby polynomials, each row in its own root order.  Returns the
+    matched roots, weights, rho, scales and the drift, each with a
+    leading (S,) axis; a row whose match is ambiguous is flagged in
+    ``failures``."""
+    perm = _match_stack(roots, model.closed.roots, tol.root_sep_tol, failures)
+    roots = np.take_along_axis(roots, perm, axis=1)
+    mu = np.take_along_axis(mu, perm, axis=1)
     rho = np.sqrt(mu.astype(complex))
     flip = np.abs(rho - model.rho) > np.abs(-rho - model.rho)
     rho = np.where(flip, -rho, rho)
@@ -139,8 +157,8 @@ def flat_s_frame(model, q, tol=None, paper_scale=False):
     else:
         scales = np.sqrt((model.rho / rho).astype(complex))
     # block i of the Gram matrix is s_i^2 rho_i diag(2, -2, -2, -2)
-    drift = np.max([abs(2.0 * (s ** 2 * r - r0)) for s, r, r0 in zip(scales, rho, model.rho)])
-    return FrameData(closed_q, roots, mu, rho, scales, float(drift))
+    drift = np.max(np.abs(2.0 * (scales ** 2 * rho - model.rho)), axis=1)
+    return roots, mu, rho, scales, drift
 
 
 @dataclass
@@ -290,7 +308,7 @@ def _corrupt_cf(cf, n, corruption, eps):
             raise ValueError("phi_swap corruption needs at least two blocks")
         phi[:, [0, 1]] = phi[:, [1, 0]]
     elif corruption == "cardy":
-        lb[:4] *= 1.0 + eps
+        lb[..., :4] *= 1.0 + eps
     else:
         raise ValueError("unknown corruption %r" % (corruption,))
     alga = cf.a.algebra
@@ -331,25 +349,65 @@ def corrupt_model(model, corruption, eps=0.05):
     return _corrupt_cf(model.cf, model.n, corruption, eps)
 
 
-def _keep_nan(reduce, a, b):
-    """``reduce(a, b)``, or NaN when a or b is NaN: the builtin max and
-    min drop a NaN that comes second."""
-    return np.nan if a != a or b != b else reduce(a, b)
-
-
-def _pointwise_facts(cardy_rep, a_associativity, b_associativity):
+def _pointwise_facts(residuals, a_associativity, b_associativity):
     """The five pointwise algebra facts checked at every sample point,
-    read off a Cardy report and the associator residuals of both pairs.
-    A NaN residual makes its fact NaN."""
-    r = cardy_rep.residuals
-    facts = {
-        "a_associativity": _keep_nan(max, a_associativity, r["commutativity"]),
+    read off the Cardy residuals and the associator residuals of both
+    pairs, per point of a stack where those are arrays.  A NaN residual
+    makes its fact NaN."""
+    r = residuals
+    return {
+        "a_associativity": np.maximum(a_associativity, r["commutativity"]),
         "b_associativity": b_associativity,
         "centrality": r["centrality"],
-        "homomorphism": _keep_nan(max, r["homomorphism"], r["unit_preservation"]),
-        "cardy": _keep_nan(max, r["cardy_trace"], r["cardy_coordinate"]),
+        "homomorphism": np.maximum(r["homomorphism"], r["unit_preservation"]),
+        "cardy": np.maximum(r["cardy_trace"], r["cardy_coordinate"]),
     }
-    return facts, dict(cardy_rep.margins)
+
+
+def _worst_point(values, worst):
+    """Index of the worst of the per-point ``values`` under ``worst``
+    (np.argmax or np.argmin): the first NaN, else the first extreme."""
+    nan = np.isnan(values)
+    return int(np.argmax(nan) if nan.any() else worst(values))
+
+
+def _sample_sweep(model, chart, corruption, eps, sample_points, sample_distance, tol,
+                  paper_scale, seed):
+    """The pointwise route at the sample points, as one stack.
+
+    The steps are drawn first, all S at once (the same numbers as S
+    draws of n), and every stage then runs on the whole stack: the flat
+    inversion, the critical data, the frame continuation, the quaternion
+    models with the corruption reapplied, and the axiom checks.  Each
+    guard flags the points it refuses; a flagged point is carried on
+    with the base point's data and, at the end, the error of the first
+    flagged point is raised, the one a loop over the points would have
+    met first.  Returns the Cardy residuals and margins and the
+    associator residuals of the stack (the structure-only ones as
+    scalars shared by every point), and the frame drift and scales of
+    every point.
+    """
+    n = model.n
+    rng = np.random.default_rng(seed)
+    steps = rng.standard_normal((sample_points, n))
+    steps /= np.linalg.norm(steps, axis=1, keepdims=True)
+    targets = np.asarray(chart.t, dtype=complex) + sample_distance * steps
+    failures = _Failures(sample_points)
+    a = _invert_flat(n, targets, model.p.a, failures)
+    a[~failures.ok] = model.p.a
+    _, roots, _, _, mu = _critical_data(a, tol, failures)
+    bad = ~failures.ok
+    roots[bad], mu[bad] = model.closed.roots, model.closed.mu
+    _, _, _, scales, drift = _continue_frames(model, roots, mu, tol, paper_scale, failures)
+    # the models are built in each point's own root order
+    _, _, cf = _quaternion_cf(mu, model.branch, failures)
+    if corruption is not None:
+        cf = _corrupt_cf(cf, n, corruption, eps)
+    residuals, margins, degenerate = _cardy_checks(cf, tol)
+    failures.flag(degenerate, lambda s: ValueError("degenerate A-form"))
+    failures.raise_first()
+    associators = (cf.a.algebra.associator_residual(), cf.b.algebra.associator_residual())
+    return residuals, margins, associators, scales, drift
 
 
 @dataclass
@@ -360,6 +418,9 @@ class BundleReport:
     pointwise algebra facts and ``frame`` the frame pairing drift (empty
     under ``paper_scale``, whose drift is documented, not judged).  The
     model passes when all three reports pass and the routes agree.
+    ``worst_sample`` maps each pointwise fact and margin to the point
+    that gave its worst value: 0 is the base point, k the k-th sample
+    point; a NaN counts as worst and a tie goes to the first point.
     """
 
     n: int
@@ -374,6 +435,7 @@ class BundleReport:
     frame_scale_spread: float
     frame_scales: tuple
     routes_agree: bool
+    worst_sample: dict
 
     @property
     def series_passed(self):
@@ -429,6 +491,7 @@ class BundleReport:
             "conditions": self.conditions.to_dict(),
             "pointwise": self.pointwise.to_dict(),
             "frame": self.frame.to_dict(),
+            "worst_sample": dict(self.worst_sample),
         }
 
 
@@ -441,17 +504,22 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
     point and evaluates the seven conditions.  The pointwise route runs
     five algebra facts (bulk associativity, boundary associativity,
     centrality, homomorphism, transfer identity) on the base-point Cardy
-    data and again on freshly built models at ``sample_points`` random
-    flat displacements of the given distance, keeping the worst residual
-    of each fact.  The unit and form symmetry residuals of the bulk and
-    boundary pairs join them as two more facts, checked at the base
-    point.  Both routes see the same corrupted primitives, the
-    corruption being reapplied at every sample point.  The same sweep
-    records the frame pairing drift, judged at FRAME_DRIFT_TOL unless
-    ``paper_scale`` is set, and the frame scale spread max|lambda - 1|
-    together with the scales of the sample point where it is largest.
+    data and on freshly built models at ``sample_points`` random flat
+    displacements of the given distance, keeping the worst value of each
+    fact and the point where it occurred.  The sample points are one
+    stack, inverted, built and checked in batched passes (see
+    ``_sample_sweep``); a point that fails a guard raises the error a
+    loop over the points would have raised first.  The unit and form
+    symmetry residuals of the bulk and boundary pairs join them as two
+    more facts, checked at the base point.  Both routes see the same
+    corrupted primitives, the corruption being reapplied at every sample
+    point.  The same sweep records the frame pairing drift, judged at
+    FRAME_DRIFT_TOL unless ``paper_scale`` is set, and the frame scale
+    spread max|lambda - 1| together with the scales of the sample point
+    where it is largest.
     """
     tol = tol or ToleranceConfig()
+    n = model.n
     cf = model.cf if corruption is None else corrupt_model(model, corruption, eps=eps)
     chart = _chart_on(model.closed)
     series = _assemble(model, chart, cf, t_degree, tol)
@@ -461,44 +529,37 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
     conditions = ext_wdvv_check(series, tol=tol)
     bulk_rep = verify_frobenius(cf.a, tol=tol)
     boundary_rep = verify_frobenius(cf.b, tol=tol)
+    base = verify_cardy_frobenius(cf, tol=tol)
 
-    facts, margins = _pointwise_facts(
-        verify_cardy_frobenius(cf, tol=tol),
-        bulk_rep.residuals["associativity"],
-        boundary_rep.residuals["associativity"],
-    )
-    rng = np.random.default_rng(seed)
-    drift = 0.0
-    spread = 0.0
-    scales = tuple(np.ones(model.n, dtype=complex))
-    for _ in range(sample_points):
-        step = rng.standard_normal(model.n)
-        step /= np.linalg.norm(step)
-        t = np.asarray(chart.t, dtype=complex) + sample_distance * step
-        a_q = coefficients_from_flat(model.n, t, a0=model.p.a, tol=tol)
-        frame = flat_s_frame(model, a_q, tol=tol, paper_scale=paper_scale)
-        drift = _keep_nan(max, drift, frame.drift)
-        # the scales of the largest departure from 1 are reported, and a
-        # NaN departure, once seen, stays
-        spread_q = float(np.max(np.abs(frame.scales - 1.0)))
-        if spread == spread and not spread_q < spread:
-            spread, scales = spread_q, tuple(frame.scales)
-        cf_q = _quaternion_model(frame.closed, model.branch).cf
-        if corruption is not None:
-            cf_q = _corrupt_cf(cf_q, model.n, corruption, eps)
-        facts_q, margins_q = _pointwise_facts(
-            verify_cardy_frobenius(cf_q, tol=tol),
-            cf_q.a.algebra.associator_residual(),
-            cf_q.b.algebra.associator_residual(),
-        )
-        for name in facts:
-            facts[name] = _keep_nan(max, facts[name], facts_q[name])
-        for name in margins:
-            margins[name] = _keep_nan(min, margins[name], margins_q[name])
+    residuals, margins, associators, scales, drifts = _sample_sweep(
+        model, chart, corruption, eps, sample_points, sample_distance, tol, paper_scale, seed)
+    # every value per point, the base point first
+    base_facts = _pointwise_facts(base.residuals, bulk_rep.residuals["associativity"],
+                                  boundary_rep.residuals["associativity"])
+    sample_facts = _pointwise_facts(residuals, *associators)
+    facts = {name: np.append(value, np.broadcast_to(sample_facts[name], sample_points))
+             for name, value in base_facts.items()}
+    margins = {name: np.append(value, margins[name]) for name, value in base.margins.items()}
+    worst_sample = {name: _worst_point(v, np.argmax) for name, v in facts.items()}
+    worst_sample.update({name: _worst_point(v, np.argmin) for name, v in margins.items()})
+    facts = {name: float(np.max(v)) for name, v in facts.items()}
+    margins = {name: float(np.min(v)) for name, v in margins.items()}
     # unit and form symmetry are checked at the base point only; their
     # form_nondegeneracy margins are nondegeneracy_A and _B again
     for name in ("unit", "form_symmetry"):
-        facts[name] = _keep_nan(max, bulk_rep.residuals[name], boundary_rep.residuals[name])
+        facts[name] = float(np.max([bulk_rep.residuals[name], boundary_rep.residuals[name]]))
+        worst_sample[name] = 0
+
+    drift = float(np.max(drifts, initial=0.0))
+    # the scales of the largest departure from 1 are reported (the last
+    # point reaching it), and a NaN departure, the first one seen
+    spreads = np.max(np.abs(scales - 1.0), axis=1, initial=0.0)
+    if not sample_points:
+        spread, frame_scales = 0.0, tuple(np.ones(n, dtype=complex))
+    else:
+        nan = np.isnan(spreads)
+        k = int(np.argmax(nan)) if nan.any() else sample_points - 1 - int(np.argmax(spreads[::-1]))
+        spread, frame_scales = float(spreads[k]), tuple(scales[k])
     pointwise = VerificationReport(
         "pointwise axioms (%d sample points)" % sample_points,
         tol.eq_tol, facts, margins,
@@ -508,7 +569,7 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
         {} if paper_scale else {"frame_drift": drift},
     )
     return BundleReport(
-        n=model.n,
+        n=n,
         a=model.p.a,
         t_degree=t_degree,
         corruption=corruption,
@@ -518,6 +579,7 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
         frame=frame_rep,
         frame_drift=drift,
         frame_scale_spread=spread,
-        frame_scales=scales,
+        frame_scales=frame_scales,
         routes_agree=(conditions.passed == pointwise.passed),
+        worst_sample=worst_sample,
     )

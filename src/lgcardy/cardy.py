@@ -15,7 +15,11 @@ Both algebras are read as stacks of block cubes (see
 slab of its rows there.  The multiplicativity, centrality and trace
 contractions vanish between blocks, so each runs as one batched einsum
 per block size; the Gram matrices and the dim B x dim B left-hand
-sides stay dense.
+sides stay dense.  A pair whose two functionals carry a leading sample
+axis stands for a stack of pairs on one algebra and one phi: the
+structure residuals are computed once for the stack, and the Gram
+matrices, both transfer routes and the margins once per sample, in
+batched calls.
 
 The module also splits a commutative semisimple pair into its
 one dimensional blocks by diagonalising multiplication by a random
@@ -107,37 +111,43 @@ def _adjoint(cf, ga, gb):
     return np.linalg.solve(ga, cf.phi.T @ gb)
 
 
+def _worst(defect):
+    """Largest absolute entry of each (.., d, d) matrix of a stack."""
+    return np.max(np.abs(defect), axis=(-2, -1))
+
+
 def _trace_route(cf, ga, gb):
     """Worst defect of (phi* f_k, phi* f_l)_A = tr(b -> f_k b f_l), given
-    both Gram matrices.  The traces vanish unless f_k and f_l lie in one
-    block, and each stack gives its blocks' traces in one einsum."""
+    both Gram matrices (or stacks of them).  The traces vanish unless f_k
+    and f_l lie in one block, and each stack of blocks gives its blocks'
+    traces in one einsum."""
     ps = _adjoint(cf, ga, gb)
-    lhs = ps.T @ ga @ ps
+    lhs = ps.swapaxes(-1, -2) @ ga @ ps
     alg = cf.b.algebra
     traces = alg.block_matrix([np.einsum("gkmi,gilm->gkl", c, c) for _, c in alg.stacks])
-    return float(np.max(np.abs(lhs - traces)))
+    return _worst(lhs - traces)
 
 
 def cardy_residual_trace(cf, tol=None):
     """Worst defect of (phi* f_k, phi* f_l)_A = tr(b -> f_k b f_l)."""
     if cf.b.algebra.dim == 0:
         return 0.0
-    return _trace_route(cf, _checked_a_gram(cf, tol), cf.b.gram())
+    return float(_trace_route(cf, _checked_a_gram(cf, tol), cf.b.gram()))
 
 
 def _coordinate_route(cf, ga, gb):
     """The dual-basis form of the transfer identity, given both Gram
-    matrices; see cardy_residual_coordinates."""
+    matrices (or stacks of them); see cardy_residual_coordinates."""
     alg = cf.b.algebra
     # m1[i, k] = l_B(phi(a_i) f_k)
     m1 = cf.phi.T @ gb
-    lhs = m1.T @ np.linalg.inv(ga) @ m1
+    lhs = m1.swapaxes(-1, -2) @ np.linalg.inv(ga) @ m1
     x = gb @ np.linalg.inv(gb)
     rhs = []
     for index, c in alg.stacks:
-        y = np.einsum("gcld,gds->gcls", c, x[index[:, :, None], index[:, None, :]])
-        rhs.append(np.einsum("gksc,gcls->gkl", c, y))
-    return float(np.max(np.abs(lhs - alg.block_matrix(rhs))))
+        y = np.einsum("gcld,...gds->...gcls", c, x[..., index[:, :, None], index[:, None, :]])
+        rhs.append(np.einsum("gksc,...gcls->...gkl", c, y))
+    return _worst(lhs - alg.block_matrix(rhs))
 
 
 def cardy_residual_coordinates(cf, tol=None):
@@ -158,7 +168,7 @@ def cardy_residual_coordinates(cf, tol=None):
     """
     if cf.b.algebra.dim == 0:
         return 0.0
-    return _coordinate_route(cf, _checked_a_gram(cf, tol), cf.b.gram())
+    return float(_coordinate_route(cf, _checked_a_gram(cf, tol), cf.b.gram()))
 
 
 def verify_cardy_frobenius(cf, tol=None):
@@ -167,22 +177,43 @@ def verify_cardy_frobenius(cf, tol=None):
     Residuals: commutativity of the bulk, phi being multiplicative and
     unit preserving, centrality of the image, and the transfer identity
     through both routes.  Margins: nondegeneracy of both Gram matrices.
-    Each Gram matrix and its margin are computed once.  The structure
-    constants are read one stack of blocks at a time, phi as the (g, d,
-    dim A) slab of its rows on the stacked blocks; the (dim A, dim A,
-    dim B) homomorphism tensors and the Gram matrices stay dense.
+    This is the one-pair case of the stacked check ``_cardy_checks``.
+    Raises ValueError("degenerate A-form") when the bulk Gram matrix is
+    too close to singular for the transfer identity.
     """
     tol = tol or ToleranceConfig()
-    rep = VerificationReport(subject=cf.name, tol=tol.eq_tol)
+    residuals, margins, degenerate = _cardy_checks(cf, tol)
+    if degenerate:
+        raise ValueError("degenerate A-form")
+    return VerificationReport(cf.name, tol.eq_tol, {k: float(v) for k, v in residuals.items()},
+                              {k: float(v) for k, v in margins.items()})
+
+
+def _cardy_checks(cf, tol):
+    """Residuals and margins of verify_cardy_frobenius for one pair or a
+    stack of pairs, and whether the bulk form is too degenerate for the
+    transfer identity (margin at or below eq_tol).
+
+    The structure constants are read one stack of blocks at a time, phi
+    as the (g, d, dim A) slab of its rows on the stacked blocks; the
+    (dim A, dim A, dim B) homomorphism tensors stay dense.  The residuals
+    that do not read a functional are computed once; the Gram matrices,
+    their margins and both transfer routes once per functional, as
+    (S,) arrays for a stack.  A degenerate bulk form, or a pair of forms
+    with a non-finite entry, is replaced by the identity before the
+    routes, so that the other samples of a stack still get theirs: the
+    routes of a non-finite pair are NaN, those of a degenerate one are
+    meaningless and refused by the caller.
+    """
     alg_a = cf.a.algebra
     alg_b = cf.b.algebra
     phi = cf.phi
-    rep.residuals["commutativity"] = alg_a.commutator_residual()
+    residuals = {"commutativity": alg_a.commutator_residual()}
     ga = cf.a.gram()
     margin_a = nondegeneracy_margin(ga)
-    rep.margins["nondegeneracy_A"] = margin_a
+    margins = {"nondegeneracy_A": margin_a}
     if alg_b.dim == 0:
-        return rep
+        return residuals, margins, np.zeros(np.shape(margin_a), dtype=bool)
     # images[i, j] = phi(a_i a_j), products[i, j] = phi(a_i) phi(a_j)
     images = np.zeros((alg_a.dim, alg_a.dim, alg_b.dim), dtype=complex)
     for index, c in alg_a.stacks:
@@ -196,17 +227,24 @@ def verify_cardy_frobenius(cf, tol=None):
         products[:, :, index] = np.einsum("gcj,gicd->ijgd", slab, left)
         # phi(a_i) f_k - f_k phi(a_i) on the block of f_k
         central.append(np.einsum("gbi,gbkc->gikc", slab, c - c.transpose(0, 2, 1, 3)))
-    rep.residuals["homomorphism"] = float(np.max(np.abs(images - products)))
-    rep.residuals["unit_preservation"] = float(
-        np.max(np.abs(phi @ alg_a.unit - alg_b.unit))
-    )
-    rep.residuals["centrality"] = _max_abs(central)
-    _refuse_degenerate(margin_a, tol)
+    residuals["homomorphism"] = float(np.max(np.abs(images - products)))
+    residuals["unit_preservation"] = float(np.max(np.abs(phi @ alg_a.unit - alg_b.unit)))
+    residuals["centrality"] = _max_abs(central)
     gb = cf.b.gram()
-    rep.residuals["cardy_trace"] = _trace_route(cf, ga, gb)
-    rep.residuals["cardy_coordinate"] = _coordinate_route(cf, ga, gb)
-    rep.margins["nondegeneracy_B"] = nondegeneracy_margin(gb)
-    return rep
+    margins["nondegeneracy_B"] = nondegeneracy_margin(gb)
+    degenerate = np.asarray(margin_a <= tol.eq_tol)
+    # NaN where either form has a non-finite entry
+    unknown = np.isnan(margin_a + margins["nondegeneracy_B"])
+    skip = unknown | degenerate
+    if skip.any():
+        skip = skip[..., None, None]
+        ga, gb = np.where(skip, np.eye(alg_a.dim), ga), np.where(skip, np.eye(alg_b.dim), gb)
+    residuals["cardy_trace"] = _trace_route(cf, ga, gb)
+    residuals["cardy_coordinate"] = _coordinate_route(cf, ga, gb)
+    if unknown.any():
+        for name in ("cardy_trace", "cardy_coordinate"):
+            residuals[name] = np.where(unknown, np.nan, residuals[name])
+    return residuals, margins, degenerate
 
 
 def orthogonal_sum_cf(c1, c2, name=None):

@@ -18,7 +18,9 @@ as VerificationReport.entries() and to_dict() give them.  A residual
 passes at or below its tolerance, a margin above it, a NaN never.
 bundle lists the series conditions (condition_*), the pointwise facts
 (a_associativity, b_associativity, centrality, homomorphism, cardy,
-unit, form_symmetry) and, unless --paper-scale is given, frame_drift.
+unit, form_symmetry) and, unless --paper-scale is given, frame_drift;
+its data gives, for each pointwise fact and margin, the point where the
+worst value occurred (worst_sample: 0 the base point, k the k-th sample).
 Suites that do not apply are never dropped silently: they appear
 under "skipped" with a reason.  Exit codes: 0 when the report passes,
 1 when it fails, 2 for unusable arguments or input files, 3 for a
@@ -305,6 +307,7 @@ def cmd_bundle(c):
         "frame_scales": complex_to_json(rep.frame_scales),
         "sample_points": int(points),
         "frame_drift": rep.frame_drift,
+        "worst_sample": dict(rep.worst_sample),
     }
     return _report(c, [rep], data=data)
 

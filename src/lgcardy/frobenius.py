@@ -13,6 +13,11 @@ entries between blocks are zero and never stored.  Every residual, Gram
 matrix and action matrix is contracted one stack at a time, with one
 batched einsum per block size.  The dense tensor ``FiniteAlgebra.mul``
 is a read-only view built on demand, for tests and small-n debugging.
+
+A pair may carry a stack of functionals on one algebra, ``functional``
+of shape (S, dim): its Gram matrices and their margins then come as
+(S, dim, dim) and (S,) arrays from the same batched calls, one entry per
+functional.
 """
 
 from __future__ import annotations
@@ -171,10 +176,12 @@ class FiniteAlgebra:
 
     def block_matrix(self, parts):
         """(dim, dim) matrix that is zero off the blocks and holds, on the
-        blocks of the s-th stack, the (g, d, d) array ``parts[s]``."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        blocks of the s-th stack, the (g, d, d) array ``parts[s]``.  Parts
+        with leading sample axes give one such matrix per sample."""
+        batch = parts[0].shape[:-3] if parts else ()
+        out = np.zeros(batch + (self.dim, self.dim), dtype=complex)
         for (index, _), part in zip(self.stacks, parts):
-            out[index[:, :, None], index[:, None, :]] = part
+            out[..., index[:, :, None], index[:, None, :]] = part
         return out
 
     def multiply(self, x, y):
@@ -226,7 +233,8 @@ class FiniteAlgebra:
 
 @dataclass
 class FrobeniusPair:
-    """Algebra plus trace functional; ``functional[i] = l(e_i)``."""
+    """Algebra plus trace functional; ``functional[i] = l(e_i)``, or
+    ``functional[s, i]`` for a stack of functionals on the one algebra."""
 
     algebra: FiniteAlgebra
     functional: np.ndarray
@@ -234,7 +242,7 @@ class FrobeniusPair:
 
     def __post_init__(self):
         self.functional = np.asarray(self.functional, dtype=complex)
-        if self.functional.shape != (self.algebra.dim,):
+        if self.functional.shape[-1:] != (self.algebra.dim,):
             raise ValueError("functional has wrong length")
 
     def apply(self, x):
@@ -242,9 +250,9 @@ class FrobeniusPair:
 
     def gram(self):
         """Matrix of the bilinear form (e_i, e_j) = l(e_i e_j), zero off
-        the blocks."""
+        the blocks; one per functional of a stack."""
         alg = self.algebra
-        return alg.block_matrix([np.einsum("gijk,gk->gij", cubes, self.functional[index])
+        return alg.block_matrix([np.einsum("gijk,...gk->...gij", cubes, self.functional[..., index])
                                  for index, cubes in alg.stacks])
 
     def pairing(self, x, y):
@@ -296,19 +304,28 @@ class VerificationReport:
         }
 
 
+_TINY = np.finfo(float).tiny
+
+
 def nondegeneracy_margin(matrix):
     """Smallest over largest singular value; 0 for a singular matrix,
     inf for an empty one (a zero dimensional form is vacuously fine) and
-    NaN for one with a non-finite entry, which fails every margin test."""
+    NaN for one with a non-finite entry, which fails every margin test.
+    A (S, d, d) stack gives the S margins from one batched SVD."""
     m = np.asarray(matrix, dtype=complex)
-    if m.size == 0:
-        return float(np.inf)
-    if not np.all(np.isfinite(m)):
-        return float("nan")
-    svals = np.linalg.svd(m, compute_uv=False)
-    if svals[0] == 0:
-        return 0.0
-    return float(svals[-1] / svals[0])
+    if m.shape[-1] == 0:
+        margin = np.full(m.shape[:-2], np.inf)
+    else:
+        finite = np.isfinite(m).all(axis=(-2, -1))
+        clean = finite.all()
+        if not clean:
+            m = np.where(finite[..., None, None], m, 0.0)
+        svals = np.linalg.svd(m, compute_uv=False)
+        # a zero largest value makes the smallest zero too, and the margin 0
+        margin = svals[..., -1] / np.maximum(svals[..., 0], _TINY)
+        if not clean:
+            margin = np.where(finite, margin, np.nan)
+    return float(margin) if margin.ndim == 0 else margin
 
 
 def verify_frobenius(pair, tol=None, commutative=False):

@@ -8,6 +8,11 @@ block of scale rho_i = sqrt(mu_i) to every critical point, together
 with the transfer map sending the i-th idempotent to the i-th block
 unit.  This produces a bulk-boundary pair that passes every axiom in
 :mod:`lgcardy.cardy`.
+
+The critical data and the quaternion models are built for a stack of
+polynomials of one degree at once (``_critical_data``,
+``_quaternion_cf``); ``build_closed`` and ``build_quaternion_model`` are
+their one-polynomial case.
 """
 
 from __future__ import annotations
@@ -19,17 +24,16 @@ import numpy as np
 from .polycore import (
     LGPolynomial,
     ToleranceConfig,
+    _critical_stack,
+    _Failures,
     _lagrange_rows,
     _residues,
-    critical_points,
 )
 from .frobenius import (
     FiniteAlgebra,
     FrobeniusPair,
+    _quaternion_table,
     complex_to_json,
-    orthogonal_sum_list,
-    quaternion_pair,
-    number_pair,
 )
 from .cardy import CardyFrobeniusAlgebra, cf_to_dict, pair_to_dict
 
@@ -88,11 +92,15 @@ def build_closed(n=None, a=None, p=None, tol=None):
     tol = tol or ToleranceConfig()
     if p is None:
         p = LGPolynomial(int(n), tuple(a))
-    n = p.n
-    dp = p.derivative_coeffs()
-    roots = critical_points(p, tol=tol)
-    values = _residues(np.eye(2 * n - 1, dtype=complex), p, roots, tol)
+    failures = _Failures(1)
+    data = _critical_data(np.array([p.a]), tol, failures)
+    failures.raise_first()
+    return _closed_algebra(p, *(x[0] for x in data))
 
+
+def _closed_algebra(p, dp, roots, values, idem, mu):
+    """The closed algebra of p from its row of ``_critical_data``."""
+    n = p.n
     # r[k] = z^k mod p': r[k-1] shifted up, its z^n term traded for p'
     r = np.eye(2 * n - 1, n, dtype=complex)
     for k in range(n, 2 * n - 1):
@@ -107,11 +115,36 @@ def build_closed(n=None, a=None, p=None, tol=None):
         name="closed_n%d" % n,
     )
 
-    idem = _lagrange_rows(roots)
-    mu = idem @ values[:n]
     diffs = roots[:, None] - roots[None, :] + np.eye(n)
     mu_product = 1.0 / ((n + 1) * np.prod(diffs, axis=1))
     return LGClosedAlgebra(p, pair, roots, idem, mu, mu_product, values)
+
+
+def _critical_data(a, tol, failures):
+    """Critical data of a stack of polynomials of one degree n, the row
+    a[s] holding the coefficients (a_1, ..., a_n) of the s-th.
+
+    Returns the rows of p', the sorted critical points, the residue
+    functional on z^0 .. z^(2n-2) (both routes), the Lagrange idempotents
+    and the weights mu = l(idempotent), each with a leading (S,) axis.
+    Every guard of critical_points and of the residue routes flags its
+    polynomials in ``failures``; the idempotents of a flagged polynomial
+    are left zero.
+    """
+    n = a.shape[1]
+    coeffs = np.zeros((len(a), n + 2), dtype=complex)
+    coeffs[:, :n] = a[:, ::-1]
+    coeffs[:, n + 1] = 1.0
+    dp = coeffs[:, 1:] * np.arange(1, n + 2)
+    roots = _critical_stack(dp, tol, failures)
+    values = _residues(np.eye(2 * n - 1, dtype=complex), dp, roots, tol, failures)
+    # one _lagrange_rows per polynomial: its np.convolve products round
+    # differently from a vectorised product, and a model's idempotents and
+    # weights stay bit for bit what they were
+    idem = np.array([np.zeros((n, n)) if e else _lagrange_rows(r)
+                     for r, e in zip(roots, failures.errors)], dtype=complex).reshape(len(a), n, n)
+    mu = (idem @ values[:, :n, None])[..., 0]
+    return dp, roots, values, idem, mu
 
 
 @dataclass
@@ -146,27 +179,48 @@ def build_quaternion_model(n=None, a=None, p=None, branch=None, tol=None):
 
 def _quaternion_model(closed, branch):
     """Quaternion model on an already built closed algebra."""
-    n = closed.n
+    failures = _Failures(1)
+    branch, rho, cf = _quaternion_cf(closed.mu, branch, failures)
+    failures.raise_first()
+    return QuaternionLGModel(closed, rho, branch, cf)
+
+
+def _quaternion_cf(mu, branch, failures):
+    """Quaternion models of the weight rows ``mu``, (n,) for one model or
+    (S, n) for a stack, all with the one ``branch``: returns (branch, rho,
+    cf), rho shaped as mu and cf one Cardy pair or a stack of them.
+
+    The bulk is n one-dimensional blocks, the boundary n quaternion
+    blocks, each built as one stack of cubes shared by every model;
+    only the functionals, mu and 2 rho on the block units, carry the
+    (S,) axis.  A zero weight (a degenerate functional) is flagged in
+    ``failures``.
+    """
+    n = mu.shape[-1]
     if branch is None:
         branch = (1,) * n
     branch = tuple(int(b) for b in branch)
     if len(branch) != n or any(b not in (-1, 1) for b in branch):
         raise ValueError("branch must give +1 or -1 per critical point")
-    rho = np.array([b * np.sqrt(m) for b, m in zip(branch, closed.mu)])
-
-    bulk = orthogonal_sum_list(
-        [number_pair(m, name="point%d" % i) for i, m in enumerate(closed.mu)],
-        name="bulk_n%d" % n,
-    )
-    boundary = orthogonal_sum_list(
-        [quaternion_pair(r, name="block%d" % i) for i, r in enumerate(rho)],
-        name="boundary_n%d" % n,
-    )
+    failures.flag(np.any(mu == 0, axis=-1), lambda s: ValueError("degenerate functional"))
+    rho = np.array(branch) * np.sqrt(mu)
+    points = np.arange(n)
+    bulk = FiniteAlgebra._from_stacks(
+        [(points[:, None], np.ones((n, 1, 1, 1), dtype=complex))], np.ones(n, dtype=complex),
+        ["1"] * n, [(i, 1) for i in range(n)])
+    boundary = FiniteAlgebra._from_stacks(
+        [(4 * points[:, None] + np.arange(4), np.repeat(_quaternion_table()[None], n, axis=0))],
+        np.tile(np.eye(1, 4, dtype=complex)[0], n), ["1", "I", "J", "K"] * n,
+        [(4 * i, 4) for i in range(n)])
+    lb = np.zeros(mu.shape[:-1] + (4 * n,), dtype=complex)
+    lb[..., ::4] = 2.0 * rho
     phi = np.zeros((4 * n, n), dtype=complex)
-    for i in range(n):
-        phi[4 * i, i] = 1.0
-    cf = CardyFrobeniusAlgebra(bulk, boundary, phi, name="lg_n%d" % n)
-    return QuaternionLGModel(closed, rho, branch, cf)
+    phi[4 * points, points] = 1.0
+    cf = CardyFrobeniusAlgebra(
+        FrobeniusPair(bulk, np.array(mu, dtype=complex), name="bulk_n%d" % n),
+        FrobeniusPair(boundary, lb, name="boundary_n%d" % n),
+        phi, name="lg_n%d" % n)
+    return branch, rho, cf
 
 
 def model_to_dict(model):

@@ -26,11 +26,13 @@ from .polycore import (
     DegenerateModelError,
     LGPolynomial,
     ToleranceConfig,
+    _Failures,
+    _degenerate,
+    _reversion_table,
     critical_points,
-    reversion_polynomials,
 )
 from .frobenius import VerificationReport, complex_to_json
-from .landau_ginzburg import LGClosedAlgebra, build_closed
+from .landau_ginzburg import LGClosedAlgebra, _closed_algebra, _critical_data, build_closed
 
 __all__ = [
     "CanonicalChart",
@@ -59,18 +61,25 @@ def _match_roots(roots, ref, sep_tol):
     raise DegenerateModelError, which signals that the perturbation
     jumped between branches.
     """
-    perm = np.zeros(len(ref), dtype=int)
-    taken = set()
-    for i, r in enumerate(ref):
-        dist = np.abs(roots - r)
-        order = np.argsort(dist)
-        j = int(order[0])
-        if len(dist) > 1 and dist[order[1]] - dist[order[0]] < sep_tol:
-            raise DegenerateModelError("frame continuation failed")
-        if j in taken:
-            raise DegenerateModelError("frame continuation failed")
-        taken.add(j)
-        perm[i] = j
+    failures = _Failures(1)
+    perm = _match_stack(roots[None], ref, sep_tol, failures)
+    failures.raise_first()
+    return perm[0]
+
+
+def _match_stack(roots, ref, sep_tol, failures):
+    """_match_roots for each row of ``roots`` (S, n) against the one
+    reference ``ref``; an ambiguous or non-bijective row is flagged in
+    ``failures``."""
+    n = roots.shape[1]
+    dist = np.abs(roots[:, None, :] - ref[None, :, None])
+    order = np.argsort(dist, axis=-1)
+    perm = order[..., 0]
+    bad = np.any(np.sort(perm, axis=1) != np.arange(n), axis=1)
+    if n > 1:
+        near = np.take_along_axis(dist, order[..., :2], axis=-1)
+        bad |= np.any(near[..., 1] - near[..., 0] < sep_tol, axis=1)
+    failures.flag(bad, _degenerate("frame continuation failed"))
     return perm
 
 
@@ -189,14 +198,22 @@ class FlatChart:
         return self.closed.n
 
 
-def _ttilde(n, a):
-    """The raw inversion coefficients t~ at a, from the reversion polynomials."""
-    return np.array([q.eval(a) for q in reversion_polynomials(n)])
+def _reversion_values(n, a):
+    """The raw inversion coefficients t~ and their jacobian dt~/da at a,
+    or at each row of a stack of points a (S, n): one product of the
+    monomials of a with the cached table of the reversion polynomials and
+    their derivatives.  Entry [i, k] of the jacobian differentiates
+    t~^(i+1) along a_(k+1)."""
+    exponents, coeffs = _reversion_table(n)
+    a = np.asarray(a, dtype=complex)
+    powers = a[..., :, None] ** np.arange(exponents.max(initial=0) + 1)
+    values = np.prod(powers[..., np.arange(n), exponents], axis=-1) @ coeffs
+    return values[..., :n], values[..., n:].reshape(a.shape[:-1] + (n, n))
 
 
 def _ttilde_jacobian(n, a):
     """dt~/da at a: entry [i, k] differentiates t~^(i+1) along a_(k+1)."""
-    return np.array([[q.diff(k).eval(a) for k in range(n)] for q in reversion_polynomials(n)])
+    return _reversion_values(n, a)[1]
 
 
 def flat_chart(p=None, n=None, a=None, tol=None, index_reversal=False):
@@ -217,11 +234,9 @@ def _chart_on(closed, index_reversal=False):
     """
     p = closed.p
     n = p.n
-    avals = np.asarray(p.a, dtype=complex)
-    ttilde = _ttilde(n, avals)
+    ttilde, jac_tta = _reversion_values(n, p.a)  # t~ and dt~/da
     L = _flat_mixing_matrix(n)
     t = L @ ttilde
-    jac_tta = _ttilde_jacobian(n, avals)  # dttilde/da
     jac_at = np.linalg.inv(L @ jac_tta)
 
     # dp/dt^k = sum_j (da_j/dt^k) z^{n-j}
@@ -334,17 +349,34 @@ def structure_tensor(chart):
 
 def coefficients_from_flat(n, t_target, a0=None, tol=None, max_iter=60):
     """Invert the flat coordinate map by Newton iteration."""
-    tol = tol or ToleranceConfig()
-    t_target = np.asarray(t_target, dtype=complex)
-    a = np.zeros(n, dtype=complex) if a0 is None else np.asarray(a0, dtype=complex).copy()
+    failures = _Failures(1)
+    a = _invert_flat(n, np.asarray(t_target, dtype=complex)[None], a0, failures, max_iter)
+    failures.raise_first()
+    return a[0]
+
+
+def _invert_flat(n, targets, a0, failures, max_iter=60):
+    """coefficients_from_flat for each row of ``targets`` (S, n), every row
+    starting from ``a0`` (default 0).  A row runs its own Newton iterates
+    until its residual falls below 1e-13 max(1, |t|) and is then left
+    alone; a row still moving after ``max_iter`` steps is flagged in
+    ``failures``."""
     L = _flat_mixing_matrix(n)
+    a = np.zeros(targets.shape, dtype=complex)
+    a[:] = 0.0 if a0 is None else np.asarray(a0, dtype=complex)
+    bound = 1e-13 * np.maximum(1.0, np.max(np.abs(targets), axis=1))
+    moving = np.arange(len(targets))
     for _ in range(max_iter):
-        res = t_target - L @ _ttilde(n, a)
-        if float(np.max(np.abs(res))) < 1e-13 * max(1.0, float(np.max(np.abs(t_target)))):
+        ttilde, jac = _reversion_values(n, a[moving])
+        res = targets[moving] - (L @ ttilde[..., None])[..., 0]
+        going = ~(np.max(np.abs(res), axis=1) < bound[moving])
+        moving, res, jac = moving[going], res[going], jac[going]
+        if not len(moving):
             return a
-        jac = L @ _ttilde_jacobian(n, a)
-        a = a + np.linalg.solve(jac, res)
-    raise DegenerateModelError("flat coordinate inversion did not converge")
+        a[moving] += np.linalg.solve(L @ jac, res[..., None])[..., 0]
+    failures.flag(np.isin(np.arange(len(targets)), moving),
+                  _degenerate("flat coordinate inversion did not converge"))
+    return a
 
 
 def sample_charts(n, count, seed=42, tol=None, scale=0.8, index_reversal=False):
@@ -352,24 +384,29 @@ def sample_charts(n, count, seed=42, tol=None, scale=0.8, index_reversal=False):
 
     Rejects coefficient draws whose critical points collide or whose
     weights leave the window [1e-3, 1e3], so downstream linear algebra
-    stays well conditioned.
+    stays well conditioned.  The draws still missing are made and their
+    critical data computed as one stack, which draws the same numbers
+    and keeps the same charts as one draw at a time.
     """
+    tol = tol or ToleranceConfig()
     rng = np.random.default_rng(seed)
     out = []
-    guard = 0
+    draws = 0
     while len(out) < count:
-        guard += 1
-        if guard > 200 * count:
+        k = min(count - len(out), 200 * count - draws)
+        if k <= 0:
             raise DegenerateModelError("sampling kept hitting degenerate models")
-        a = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        try:
-            closed = build_closed(n=n, a=a, tol=tol)
-        except DegenerateModelError:
-            continue
-        mu = closed.mu_product
-        if np.min(np.abs(mu)) < 1e-3 or np.max(np.abs(mu)) > 1e3:
-            continue
-        out.append(_chart_on(closed, index_reversal))
+        draws += k
+        z = rng.normal(size=(k, 2, n))
+        a = scale * (z[:, 0] + 1j * z[:, 1])
+        failures = _Failures(k)
+        data = _critical_data(a, tol, failures)
+        for s in np.flatnonzero(failures.ok):
+            closed = _closed_algebra(LGPolynomial(n, tuple(a[s])), *(x[s] for x in data))
+            mu = closed.mu_product
+            if np.min(np.abs(mu)) < 1e-3 or np.max(np.abs(mu)) > 1e3:
+                continue
+            out.append(_chart_on(closed, index_reversal))
     return out
 
 

@@ -9,6 +9,8 @@ coefficient of ``z**k``.  The module provides
 * critical point extraction with a Newton polish and degeneracy guards,
 * the residue-at-infinity functional computed along two independent
   routes that cross-check each other,
+  both for one polynomial or for a stack of polynomials of one degree,
+  whose guards then judge each polynomial on its own (``_Failures``),
 * small multivariate polynomials over exponent dictionaries, and
 * Laurent series reversion, numeric and symbolic, used by the flat chart.
 """
@@ -163,6 +165,41 @@ class LGPolynomial:
         return poly_eval(self.coeffs(), z)
 
 
+class _Failures:
+    """The first error met at each point of a stacked computation.
+
+    A guard flags the points it refuses; a point keeps the first error
+    flagged on it, which is the error a loop over the points would have
+    raised there, and ``raise_first`` raises the one of the lowest point.
+    A one-point computation raises through the same record.
+    """
+
+    def __init__(self, count):
+        self.errors = [None] * count
+
+    def flag(self, bad, error):
+        """Record ``error(s)`` on every point s where ``bad`` is set."""
+        if not bad.any():
+            return
+        for s in np.flatnonzero(bad):
+            if self.errors[s] is None:
+                self.errors[s] = error(s)
+
+    @property
+    def ok(self):
+        return np.array([e is None for e in self.errors], dtype=bool)
+
+    def raise_first(self):
+        for e in self.errors:
+            if e is not None:
+                raise e
+
+
+def _degenerate(message):
+    """The error of ``_Failures.flag`` for a point refused as degenerate."""
+    return lambda s: DegenerateModelError(message)
+
+
 def critical_points(p, tol=None):
     """Sorted critical points of an LGPolynomial (roots of p').
 
@@ -171,61 +208,97 @@ def critical_points(p, tol=None):
     deterministic function of the model.  Raises DegenerateModelError when
     two critical points come closer than ``root_sep_tol``.
     """
-    tol = tol or ToleranceConfig()
-    dp = p.derivative_coeffs()
-    ddp = poly_derivative(dp)
-    roots = np.roots(dp[::-1])
+    failures = _Failures(1)
+    roots = _critical_stack(p.derivative_coeffs()[None], tol or ToleranceConfig(), failures)
+    failures.raise_first()
+    return roots[0]
+
+
+def _eval_rows(c, x):
+    """Row s of ``c`` (ascending coefficients) at the points ``x[s]``, by
+    the Horner steps of numpy's polyval, so that one row gives polyval's
+    values bit for bit."""
+    acc = c[:, -1:] + x * 0
+    for k in range(2, c.shape[1] + 1):
+        acc = c[:, -k:1 - k or None] + acc * x
+    return acc
+
+
+def _critical_stack(dp, tol, failures):
+    """critical_points for a stack of derivatives p', one per row of ``dp``
+    (ascending, leading coefficient n + 1).  The companion eigenvalues of
+    the stack are one batched call, and each guard flags its rows in
+    ``failures``.  Trailing zero coefficients are split off as exact zero
+    roots, as numpy.roots does."""
+    n = dp.shape[-1] - 1
+    ddp = dp[:, 1:] * np.arange(1, n + 1)
+    roots = np.zeros(dp.shape[:1] + (n,), dtype=complex)
+    # zeros[s]: trailing zero coefficients of p'_s, each an exact root 0
+    zeros = np.argmax(dp != 0, axis=1)
+    for z in set(zeros.tolist()):
+        rows = zeros == z
+        k = n - z
+        if k == 0:
+            continue
+        companion = np.zeros((rows.sum(), k, k), dtype=complex)
+        companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        companion[:, 0, :] = -dp[rows, n - 1:z - 1 if z else None:-1] / dp[rows, n, None]
+        roots[rows, :k] = np.linalg.eigvals(companion)
     for _ in range(3):
-        val = poly_eval(dp, roots)
-        slope = poly_eval(ddp, roots)
+        val = _eval_rows(dp, roots)
+        slope = _eval_rows(ddp, roots)
         safe = np.abs(slope) > 1e-300
-        step = np.where(safe, val / np.where(safe, slope, 1.0), 0.0)
-        roots = roots - step
-    scale = np.maximum(1.0, np.abs(roots) ** p.n)
-    if np.any(np.abs(poly_eval(dp, roots)) > DEGENERACY_TOL * scale):
-        raise DegenerateModelError("critical point refinement did not converge")
-    order = np.lexsort((roots.imag, roots.real))
-    roots = roots[order]
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) < tol.root_sep_tol:
-                raise DegenerateModelError("degenerate critical points")
+        if safe.all():
+            roots = roots - val / slope
+        else:
+            roots = roots - np.where(safe, val / np.where(safe, slope, 1.0), 0.0)
+    scale = np.maximum(1.0, np.abs(roots) ** n)
+    failures.flag((np.abs(_eval_rows(dp, roots)) > DEGENERACY_TOL * scale).any(axis=1),
+                  _degenerate("critical point refinement did not converge"))
+    roots = roots[np.arange(len(roots))[:, None], np.lexsort((roots.imag, roots.real), axis=1)]
+    gaps = np.abs(roots[:, :, None] - roots[:, None, :])
+    gaps[:, np.arange(n), np.arange(n)] = np.inf
+    failures.flag((gaps < tol.root_sep_tol).any(axis=(1, 2)),
+                  _degenerate("degenerate critical points"))
     return roots
 
 
 def _laurent_inverse(c, depth):
     """Coefficients b_0..b_depth of the expansion 1/P = sum_j b_j z**(-d-j)
-    at infinity, for P with ascending coefficients ``c`` of exact degree d."""
-    c = poly_trim(np.asarray(c, dtype=complex))
+    at infinity, for P with ascending coefficients ``c`` of exact degree d.
+    ``c`` may hold a stack of polynomials of one degree along its trailing
+    axes; b is indexed the same way, b[j] the j-th coefficient."""
+    c = np.asarray(c, dtype=complex)
     d = len(c) - 1
     lead = c[d]
-    b = np.zeros(depth + 1, dtype=complex)
+    b = np.zeros((depth + 1,) + c.shape[1:], dtype=complex)
     b[0] = 1.0 / lead
     for t in range(1, depth + 1):
-        acc = 0.0 + 0.0j
-        for k in range(1, min(t, d) + 1):
-            acc += c[d - k] * b[t - k]
-        b[t] = -acc / lead
+        m = min(t, d)
+        b[t] = -(c[d - m:d] * b[t - m:t]).sum(axis=0) / lead
     return b
 
 
-def _residues(rows, p, roots, tol):
+def _residues(rows, dp, roots, tol, failures):
     """residue_functional on each row of ``rows`` (ascending coefficients
-    of equal length) at the critical points ``roots`` of p: both routes,
-    for all rows in one vectorised pass."""
-    ddp = poly_derivative(p.derivative_coeffs())
-    curv = poly_eval(ddp, roots)
-    if np.any(np.abs(curv) < tol.root_sep_tol):
-        raise DegenerateModelError("vanishing second derivative at a critical point")
-    val_pf = np.sum(np.polynomial.polynomial.polyval(roots, rows.T) / curv, axis=-1)
+    of equal length) for a stack of polynomials: ``dp[s]`` holds p_s' and
+    ``roots[s]`` its critical points.  Both routes run for all rows and
+    all polynomials in one vectorised pass; each guard flags its
+    polynomials in ``failures``.  Returns the (S, rows) values."""
+    n, width = dp.shape[-1] - 1, rows.shape[1]
+    curv = _eval_rows(dp[:, 1:] * np.arange(1, n + 1), roots)
+    flat = (np.abs(curv) < tol.root_sep_tol).any(axis=1)
+    if flat.any():
+        failures.flag(flat, _degenerate("vanishing second derivative at a critical point"))
+        curv[flat] = 1.0
+    val_pf = np.sum(np.polynomial.polynomial.polyval(roots, rows.T) / curv, axis=-1).T
 
-    n, width = p.n, rows.shape[1]
-    b = _laurent_inverse(p.derivative_coeffs(), max(0, width - n))
-    val_lr = rows[:, n - 1 :] @ b[: max(0, width - n + 1)]
+    b = _laurent_inverse(dp.T, max(0, width - n))
+    val_lr = b[: max(0, width - n + 1)].T @ rows[:, n - 1 :].T
     bad = np.abs(val_pf - val_lr) > DEGENERACY_TOL * np.maximum(1.0, np.abs(val_pf))
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise DegenerateModelError("residue routes disagree: %r vs %r" % (val_pf[k], val_lr[k]))
+    first = np.argmax(bad, axis=1)
+    failures.flag(bad.any(axis=1), lambda s: DegenerateModelError(
+        "residue routes disagree: %r vs %r" % (val_pf[s, first[s]], val_lr[s, first[s]])))
     return val_pf
 
 
@@ -240,7 +313,11 @@ def residue_functional(q, p, tol=None):
     """
     tol = tol or ToleranceConfig()
     q = poly_trim(np.asarray(q, dtype=complex))
-    return complex(_residues(q[None, :], p, critical_points(p, tol), tol)[0])
+    failures = _Failures(1)
+    value = _residues(q[None, :], p.derivative_coeffs()[None], critical_points(p, tol)[None],
+                      tol, failures)
+    failures.raise_first()
+    return complex(value[0, 0])
 
 
 def _lagrange_rows(roots):
@@ -496,3 +573,22 @@ def reversion_polynomials(n, order=None):
     avals = [MultiPoly.variable(n, i) for i in range(n)]
     one = MultiPoly.constant(n, 1.0)
     return tuple(_revert_engine(avals, n, order, one))
+
+
+@functools.lru_cache(maxsize=None)
+def _reversion_table(n):
+    """The n reversion polynomials of order n and their n^2 first
+    derivatives as one linear map on monomials: ``exponents[m]`` is the
+    m-th monomial of a_1..a_n and ``coeffs[m, j]`` its coefficient in the
+    j-th polynomial, j < n the polynomial t~^(j+1) and j = n + n i + k
+    the derivative of t~^(i+1) along a_(k+1).  Cached per n, so the
+    derivatives are formed once."""
+    polys = reversion_polynomials(n)
+    columns = list(polys) + [q.diff(k) for q in polys for k in range(n)]
+    exponents = sorted({e for q in columns for e in q.terms})
+    row = {e: m for m, e in enumerate(exponents)}
+    coeffs = np.zeros((len(exponents), len(columns)), dtype=complex)
+    for j, q in enumerate(columns):
+        for e, c in q.terms.items():
+            coeffs[row[e], j] = c
+    return np.array(exponents, dtype=int).reshape(len(exponents), n), coeffs

@@ -309,50 +309,53 @@ def test_report_round_trips_to_json(model):
 
 
 def test_nan_at_one_sample_point_fails_pointwise_route(model, monkeypatch):
-    # the NaN comes after finite values of the same facts, where the
-    # builtin max and min would drop it
+    # the NaN sits in the second of three samples of the batch, after
+    # finite values of the same facts, where the builtin max and min
+    # would drop it
     calls = []
-    exact = bd.verify_cardy_frobenius
+    exact = bd._quaternion_cf
 
-    def nan_at_second_sample(cf, tol=None):
-        rep = exact(cf, tol=tol)
+    def nan_at_second_sample(mu, branch, failures):
+        branch, rho, cf = exact(mu, branch, failures)
         calls.append(cf)
-        if len(calls) == 3:
-            rep.residuals["cardy_trace"] = float("nan")
-            rep.margins = {name: float("nan") for name in rep.margins}
-        return rep
+        cf.a.functional[1] = np.nan
+        cf.b.functional[1] = np.nan
+        return branch, rho, cf
 
-    monkeypatch.setattr(bd, "verify_cardy_frobenius", nan_at_second_sample)
+    monkeypatch.setattr(bd, "_quaternion_cf", nan_at_second_sample)
     rep = verify_bundle(model, sample_points=3)
-    assert len(calls) == 4  # the base point and three sample points
+    # one stack holding the three sample points
+    assert len(calls) == 1 and calls[0].a.functional.shape == (3, 2)
     assert np.isnan(rep.pointwise.residuals["cardy"])
     assert rep.pointwise.margins and all(np.isnan(v) for v in rep.pointwise.margins.values())
     assert not rep.pointwise.passed and not rep.pointwise_passed
     assert rep.series_passed and not rep.routes_agree
     assert not rep.passed
+    # the base point is 0, so the second sample point is 2
+    assert rep.worst_sample["cardy"] == 2
+    assert all(rep.worst_sample[name] == 2 for name in rep.pointwise.margins)
 
 
 def test_nan_frame_at_one_sample_point_fails_the_frame(model, monkeypatch, capsys):
-    # the second of three sample frames has a NaN drift and NaN scales,
-    # after a finite first frame that the builtin max would keep
+    # the second of three sample frames of the batch has a NaN drift and
+    # NaN scales, after a finite first frame that the builtin max would keep
     calls = []
-    exact = bd.flat_s_frame
+    exact = bd._continue_frames
 
     def nan_at_second_sample(*args, **kwargs):
-        frame = exact(*args, **kwargs)
-        calls.append(frame)
-        if len(calls) % 3 == 2:
-            frame.drift = float("nan")
-            frame.scales = frame.scales * np.nan
-        return frame
+        roots, mu, rho, scales, drift = exact(*args, **kwargs)
+        calls.append(len(drift))
+        drift[1] = np.nan
+        scales[1] = np.nan
+        return roots, mu, rho, scales, drift
 
-    monkeypatch.setattr(bd, "flat_s_frame", nan_at_second_sample)
+    monkeypatch.setattr(bd, "_continue_frames", nan_at_second_sample)
     rep = verify_bundle(model, sample_points=3)
-    assert len(calls) == 3
+    assert calls == [3]  # one stack of three frames
     assert np.isnan(rep.frame_drift) and np.isnan(rep.frame_scale_spread)
     assert np.isnan(rep.frame.residuals["frame_drift"])
     assert not rep.frame.passed and not rep.passed
     assert rep.series_passed and rep.pointwise_passed and rep.routes_agree
     assert main(["bundle", "--n", "2", "--a", "-3,0 0,0", "--samples", "3"]) == 1
-    assert len(calls) == 6
+    assert calls == [3, 3]
     capsys.readouterr()

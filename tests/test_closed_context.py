@@ -89,21 +89,30 @@ def _count_calls(monkeypatch, names):
 
 
 def test_bundle_builds_each_closed_algebra_once(monkeypatch):
-    counts = _count_calls(monkeypatch, ("build_closed", "critical_points"))
+    counts = _count_calls(monkeypatch, ("build_closed",))
+    rows = []
+    exact = landau_ginzburg._critical_stack
+
+    def recording(dp, tol, failures):
+        rows.append(len(dp))
+        return exact(dp, tol, failures)
+
+    monkeypatch.setattr(landau_ginzburg, "_critical_stack", recording)
     model = build_quaternion_model(n=2, a=(-3.0, 0.0))
     verify_bundle(model, sample_points=10)
-    # the base model, then one per sample point
-    assert counts == {"build_closed": 11, "critical_points": 11}
+    # the base model, then the ten sample points as one stack
+    assert counts == {"build_closed": 1}
+    assert rows == [1, 10]
 
 
 def test_chart_command_builds_one_chart(monkeypatch, capsys):
-    names = ("build_closed", "flat_chart", "revert_series", "critical_points")
+    names = ("build_closed", "flat_chart", "revert_series", "_critical_stack")
     counts = _count_calls(monkeypatch, names)
     a = "--a=0.3,0.1 -1,0 0.2,0 0.8,0 0.1,0.2 -0.5,0 0.3,0.3 0.1,0"
     assert cli.main(["chart", "--n", "8", a]) == 0
     capsys.readouterr()
     # t~ is read from the reversion polynomials: no revert_series call
-    assert counts == {"build_closed": 1, "flat_chart": 1, "critical_points": 1}
+    assert counts == {"build_closed": 1, "flat_chart": 1, "_critical_stack": 1}
 
 
 def _assert_agree(got, want, scale):
