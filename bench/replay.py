@@ -1,0 +1,202 @@
+"""Replay a fixed grid of models through lgcardy, and compare two replays.
+
+    python bench/replay.py dump OUT.jsonl
+    python bench/replay.py diff A.jsonl B.jsonl
+
+``dump`` imports the package from the ``src/`` of the checkout the script
+sits in and runs a fixed, seeded grid: for n = 1..8 and the coefficient
+scales 0.8 and 1e3 it draws one model the way the perfbench workloads draw
+theirs (``perfbench/workloads.draw_coefficients``), runs every CLI
+subcommand on it in process, and runs ``verify_bundle`` at t_degree 4
+clean and with every corruption (``CORRUPTIONS`` and ``phi_swap``).
+``potential`` and ``wdvv`` take no model; they run once per n, under both
+index conventions.  It writes one canonical JSON line per report: the
+case, the exit code (CLI) or the raised error, ``passed``,
+``routes_agree`` where the report has it, and every residual and margin
+row as [name, value, tol, pass].  The first line records the machine and
+the source, with the helpers of ``perfbench/run.py``.
+
+``diff`` reads two dumps and prints every verdict flip, row flip,
+exit-code change and change of raised error type, then the largest
+relative value gap |a - b| / max(1, |a|) per row name, and the raised
+messages that changed.  It exits 1 when anything flipped, else 0.
+This script is not part of the test suite.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import run as perfbench_run  # noqa: E402  (perfbench/run.py; imports no numpy)
+
+perfbench_run.cap_blas_threads()  # before numpy is imported
+
+import numpy as np  # noqa: E402
+
+import workloads  # noqa: E402
+import lgcardy as lib  # noqa: E402
+from lgcardy import cli  # noqa: E402
+
+SIZES = range(1, 9)
+SCALES = (workloads.SCALE, workloads.LARGE_SCALE)
+MODEL_COMMANDS = ("build", "verify-cf", "chart", "ext-wdvv", "bundle")
+BUNDLE_CORRUPTIONS = (None,) + tuple(lib.CORRUPTIONS) + ("phi_swap",)
+
+
+def draw_model(n, scale):
+    rng = np.random.default_rng([2005, n, int(scale * 10)])
+    return workloads.draw_coefficients(rng, n, scale)
+
+
+def _rows(residuals, margins):
+    return [[r["name"], r["value"], r["tol"], r["pass"]] for r in residuals + margins]
+
+
+def _error(exc):
+    return {"type": type(exc).__name__, "message": str(exc)}
+
+
+def cli_record(case, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    record = {"case": case, "argv": argv, "exit": code}
+    if code in (0, 1):
+        report = json.loads(out.getvalue())
+        record["passed"] = report["passed"]
+        record["routes_agree"] = report["data"].get("routes_agree")
+        record["rows"] = _rows(report["residuals"], report["margins"])
+    else:
+        record["stderr"] = err.getvalue().strip()
+    return record
+
+
+def bundle_record(case, a, corruption):
+    record = {"case": case, "corruption": corruption}
+    try:
+        model = lib.build_quaternion_model(n=len(a), a=a)
+        rep = lib.verify_bundle(model, t_degree=4, corruption=corruption)
+    except Exception as exc:  # the raise itself is part of the record
+        record["raised"] = _error(exc)
+        return record
+    record["passed"] = rep.passed
+    record["routes_agree"] = rep.routes_agree
+    record["rows"] = _rows(*rep.entries())
+    return record
+
+
+def grid():
+    """A thunk per report of the replay grid, in a fixed order."""
+    for n in SIZES:
+        for command in ("potential", "wdvv"):
+            for extra in ([], ["--index-reversal"]):
+                argv = [command, "--n", str(n)] + extra
+                yield lambda argv=argv: cli_record(" ".join(argv), argv)
+        for scale in SCALES:
+            a = draw_model(n, scale)
+            where = "n=%d scale=%g" % (n, scale)
+            for command in MODEL_COMMANDS:
+                argv = [command, "--n", str(n), workloads._format_a(a)]
+                case = "%s %s" % (command, where)
+                yield lambda case=case, argv=argv: cli_record(case, argv)
+            for corruption in BUNDLE_CORRUPTIONS:
+                case = "verify_bundle %s corruption=%s" % (where, corruption)
+                yield lambda case=case, corruption=corruption, a=a: bundle_record(
+                    case, a, corruption)
+
+
+def dump(path):
+    with open(path, "w") as fh:
+        header = {"case": None, "machine": perfbench_run.environment()}
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        count = 0
+        for thunk in grid():
+            fh.write(json.dumps(thunk(), sort_keys=True) + "\n")
+            count += 1
+    print("wrote %d reports to %s" % (count, path))
+    return 0
+
+
+def _load(path):
+    with open(path) as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    return {r["case"]: r for r in records if r["case"] is not None}
+
+
+def _gap(a, b):
+    if a is None or b is None:
+        return 0.0 if a == b else math.inf
+    if math.isnan(a) or math.isnan(b):
+        return 0.0 if math.isnan(a) and math.isnan(b) else math.inf
+    if a == b:
+        return 0.0
+    return abs(a - b) / max(1.0, abs(a))
+
+
+def diff(path_a, path_b):
+    a, b = _load(path_a), _load(path_b)
+    flips, messages = [], []
+    gaps = {}  # row name -> (gap, case)
+    for case in sorted(set(a) | set(b)):
+        if case not in a or case not in b:
+            flips.append("%s: only in %s" % (case, path_a if case in a else path_b))
+            continue
+        ra, rb = a[case], b[case]
+        for key in ("exit", "passed", "routes_agree"):
+            if ra.get(key) != rb.get(key):
+                flips.append("%s: %s %r -> %r" % (case, key, ra.get(key), rb.get(key)))
+        ea, eb = ra.get("raised"), rb.get("raised")
+        if (ea or {}).get("type") != (eb or {}).get("type"):
+            flips.append("%s: raised %r -> %r" % (case, ea, eb))
+        elif ea != eb or ra.get("stderr") != rb.get("stderr"):
+            messages.append("%s: %r -> %r" % (case, ea or ra.get("stderr"), eb or rb.get("stderr")))
+        rows_a = {row[0]: row for row in ra.get("rows", [])}
+        rows_b = {row[0]: row for row in rb.get("rows", [])}
+        if rows_a.keys() != rows_b.keys():
+            flips.append("%s: rows %s -> %s" % (case, sorted(rows_a), sorted(rows_b)))
+        for name in sorted(rows_a.keys() & rows_b.keys()):
+            (_, va, ta, pa), (_, vb, tb, pb) = rows_a[name], rows_b[name]
+            if pa != pb or ta != tb:
+                flips.append("%s: row %s pass %r -> %r (value %r -> %r, tol %r -> %r)"
+                             % (case, name, pa, pb, va, vb, ta, tb))
+            gap = _gap(va, vb)
+            if name not in gaps or gap > gaps[name][0]:
+                gaps[name] = (gap, case)
+    print("%d cases in %s, %d in %s" % (len(a), path_a, len(b), path_b))
+    print("flips: %d" % len(flips))
+    for line in flips:
+        print("  FLIP " + line)
+    print("largest relative gap |a - b| / max(1, |a|) per row:")
+    for name in sorted(gaps):
+        gap, case = gaps[name]
+        print("  %-34s %.3e  (%s)" % (name, gap, case))
+    print("changed raise messages: %d" % len(messages))
+    for line in messages:
+        print("  " + line)
+    return 1 if flips else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="action", required=True)
+    sub.add_parser("dump").add_argument("out")
+    both = sub.add_parser("diff")
+    both.add_argument("a")
+    both.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.action == "dump":
+        return dump(args.out)
+    return diff(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,7 +14,6 @@ from .polycore import (
     MultiPoly,
     ToleranceConfig,
     critical_points,
-    lagrange_basis,
     residue_functional,
     revert_series,
     reversion_polynomials,
@@ -89,7 +88,6 @@ __all__ = [
     "MultiPoly",
     "ToleranceConfig",
     "critical_points",
-    "lagrange_basis",
     "residue_functional",
     "revert_series",
     "reversion_polynomials",

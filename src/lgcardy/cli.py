@@ -48,6 +48,7 @@ from .frobenius import VerificationReport, complex_to_json
 from .cardy import verify_cardy_frobenius
 from .landau_ginzburg import build_quaternion_model, model_from_dict, model_to_dict
 from .moduli import (
+    UnderdeterminedFitError,
     euler_check,
     flat_chart,
     potential_to_dict,
@@ -417,7 +418,7 @@ def main(argv=None):
     try:
         config = _config_from_args(args)
         report, code = run(config)
-    except CLIError as exc:
+    except (CLIError, UnderdeterminedFitError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except DegenerateModelError as exc:

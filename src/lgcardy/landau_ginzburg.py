@@ -84,10 +84,9 @@ def build_closed(n=None, a=None, p=None, tol=None):
     Pass either an LGPolynomial via ``p`` or the degree data ``n`` and
     coefficient tuple ``a``.  The critical points are found once and the
     residue functional on z^0 .. z^(2n-2) is evaluated over them in one
-    pass, each value along both residue routes.  The reductions
-    z^k mod p' for the same k give the structure tensor.  Raises
-    DegenerateModelError when critical points collide or the routes
-    disagree.
+    pass, each value along both residue routes; the reductions z^k mod p'
+    give the structure tensor.  Raises DegenerateModelError when critical
+    points collide or the routes disagree.
     """
     tol = tol or ToleranceConfig()
     if p is None:
@@ -98,53 +97,56 @@ def build_closed(n=None, a=None, p=None, tol=None):
     return _closed_algebra(p, *(x[0] for x in data))
 
 
-def _closed_algebra(p, dp, roots, values, idem, mu):
+def _closed_algebra(p, r, roots, values, idem, mu):
     """The closed algebra of p from its row of ``_critical_data``."""
     n = p.n
-    # r[k] = z^k mod p': r[k-1] shifted up, its z^n term traded for p'
-    r = np.eye(2 * n - 1, n, dtype=complex)
-    for k in range(n, 2 * n - 1):
-        r[k, 1:] = r[k - 1, :-1]
-        r[k] -= (r[k - 1, -1] / dp[n]) * dp[:n]
     mul = r[np.add.outer(np.arange(n), np.arange(n))]
-    unit = np.zeros(n, dtype=complex)
-    unit[0] = 1.0
     pair = FrobeniusPair(
-        FiniteAlgebra(mul, unit, labels=["z^%d" % k for k in range(n)]),
+        FiniteAlgebra(mul, np.eye(1, n, dtype=complex)[0], labels=["z^%d" % k for k in range(n)]),
         values[:n],
         name="closed_n%d" % n,
     )
+    return LGClosedAlgebra(p, pair, roots, idem, mu, _mu_product(roots), values)
 
-    diffs = roots[:, None] - roots[None, :] + np.eye(n)
-    mu_product = 1.0 / ((n + 1) * np.prod(diffs, axis=1))
-    return LGClosedAlgebra(p, pair, roots, idem, mu, mu_product, values)
+
+def _mu_product(roots):
+    """1/((n+1) prod_{j!=i} (alpha_i - alpha_j)) along the last axis."""
+    n = roots.shape[-1]
+    diffs = roots[..., :, None] - roots[..., None, :] + np.eye(n)
+    return 1.0 / ((n + 1) * np.prod(diffs, axis=-1))
 
 
 def _critical_data(a, tol, failures):
     """Critical data of a stack of polynomials of one degree n, the row
     a[s] holding the coefficients (a_1, ..., a_n) of the s-th.
 
-    Returns the rows of p', the sorted critical points, the residue
-    functional on z^0 .. z^(2n-2) (both routes), the Lagrange idempotents
-    and the weights mu = l(idempotent), each with a leading (S,) axis.
-    Every guard of critical_points and of the residue routes flags its
-    polynomials in ``failures``; the idempotents of a flagged polynomial
-    are left zero.
+    Returns the reductions r[s, k] = z^k mod p' and the residue functional
+    on z^k (both routes), k = 0 .. 2n-2, the sorted critical points, the
+    Lagrange idempotents and the weights mu = l(idempotent), each with a
+    leading (S,) axis.  Every guard of critical_points and of the residue
+    routes flags its polynomials in ``failures``; the idempotents of a
+    flagged polynomial are left zero.
     """
-    n = a.shape[1]
-    coeffs = np.zeros((len(a), n + 2), dtype=complex)
+    count, n = a.shape
+    coeffs = np.zeros((count, n + 2), dtype=complex)
     coeffs[:, :n] = a[:, ::-1]
     coeffs[:, n + 1] = 1.0
     dp = coeffs[:, 1:] * np.arange(1, n + 2)
     roots = _critical_stack(dp, tol, failures)
     values = _residues(np.eye(2 * n - 1, dtype=complex), dp, roots, tol, failures)
-    # one _lagrange_rows per polynomial: its np.convolve products round
-    # differently from a vectorised product, and a model's idempotents and
-    # weights stay bit for bit what they were
-    idem = np.array([np.zeros((n, n)) if e else _lagrange_rows(r)
-                     for r, e in zip(roots, failures.errors)], dtype=complex).reshape(len(a), n, n)
+    # r[:, k]: r[:, k-1] shifted up, its z^n term traded for p'
+    r = np.zeros((count, 2 * n - 1, n), dtype=complex)
+    r[:, :n] = np.eye(n)
+    for k in range(n, 2 * n - 1):
+        r[:, k, 1:] = r[:, k - 1, :-1]
+        r[:, k] -= (r[:, k - 1, -1] / dp[:, n])[:, None] * dp[:, :n]
+    # the stacked product rounds differently from one np.convolve per
+    # factor: idempotents move by ~1e-15 relative, mu by at most as much
+    ok = failures.ok
+    idem = np.zeros((count, n, n), dtype=complex)
+    idem[ok] = _lagrange_rows(roots[ok])
     mu = (idem @ values[:, :n, None])[..., 0]
-    return dp, roots, values, idem, mu
+    return r, roots, values, idem, mu
 
 
 @dataclass

@@ -18,6 +18,7 @@ coordinate systems on that space and the objects living in them:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,13 @@ from .polycore import (
     critical_points,
 )
 from .frobenius import VerificationReport, complex_to_json
-from .landau_ginzburg import LGClosedAlgebra, _closed_algebra, _critical_data, build_closed
+from .landau_ginzburg import (
+    LGClosedAlgebra,
+    _closed_algebra,
+    _critical_data,
+    _mu_product,
+    build_closed,
+)
 
 __all__ = [
     "CanonicalChart",
@@ -43,7 +50,6 @@ __all__ = [
     "flat_chart",
     "euler_check",
     "structure_tensor",
-    "structure_gradient_residual",
     "coefficients_from_flat",
     "sample_charts",
     "reconstruct_potential",
@@ -53,24 +59,15 @@ __all__ = [
 ]
 
 
-def _match_roots(roots, ref, sep_tol):
-    """Index of the root nearest each reference root, demanded bijective.
+def _match_stack(roots, ref, sep_tol, failures):
+    """Index of the root nearest each reference root, demanded bijective,
+    for each row of ``roots`` (S, n) against the one reference ``ref``.
 
     Two candidate roots at the same distance (within sep_tol) make the
-    continuation ambiguous, as does any non-bijective assignment; both
-    raise DegenerateModelError, which signals that the perturbation
-    jumped between branches.
+    continuation ambiguous, as does any non-bijective assignment; such a
+    row is flagged in ``failures`` as degenerate, a sign that the
+    perturbation jumped between branches.
     """
-    failures = _Failures(1)
-    perm = _match_stack(roots[None], ref, sep_tol, failures)
-    failures.raise_first()
-    return perm[0]
-
-
-def _match_stack(roots, ref, sep_tol, failures):
-    """_match_roots for each row of ``roots`` (S, n) against the one
-    reference ``ref``; an ambiguous or non-bijective row is flagged in
-    ``failures``."""
     n = roots.shape[1]
     dist = np.abs(roots[:, None, :] - ref[None, :, None])
     order = np.argsort(dist, axis=-1)
@@ -130,7 +127,10 @@ def canonical_chart(p=None, n=None, a=None, tol=None):
         for _ in range(8):
             q = LGPolynomial(n, tuple(a_new))
             r_new = critical_points(q, tol=tol)
-            r_new = r_new[_match_roots(r_new, ref, tol.root_sep_tol)]
+            failures = _Failures(1)
+            perm = _match_stack(r_new[None], ref, tol.root_sep_tol, failures)
+            failures.raise_first()
+            r_new = r_new[perm[0]]
             x_new = np.array([q.eval(r) for r in r_new])
             delta = target - x_new
             if float(np.max(np.abs(delta))) < 1e-14:
@@ -150,6 +150,7 @@ def canonical_chart(p=None, n=None, a=None, tol=None):
     return CanonicalChart(p, roots, x, closed.mu, jac, fd_residual, form_residual)
 
 
+@functools.lru_cache(maxsize=None)
 def _flat_mixing_matrix(n):
     """Matrix L with t = L tt, tt the raw inversion coefficients.
 
@@ -211,11 +212,6 @@ def _reversion_values(n, a):
     return values[..., :n], values[..., n:].reshape(a.shape[:-1] + (n, n))
 
 
-def _ttilde_jacobian(n, a):
-    """dt~/da at a: entry [i, k] differentiates t~^(i+1) along a_(k+1)."""
-    return _reversion_values(n, a)[1]
-
-
 def flat_chart(p=None, n=None, a=None, tol=None, index_reversal=False):
     """Flat coordinates, their tangent polynomials and metric residuals.
 
@@ -226,37 +222,45 @@ def flat_chart(p=None, n=None, a=None, tol=None, index_reversal=False):
 
 
 def _chart_on(closed, index_reversal=False):
-    """The flat chart at the polynomial of an already built closed algebra.
+    """The flat chart at the polynomial of an already built closed algebra."""
+    return _charts(closed.n, [closed], np.array([closed.p.a]), closed.functional_values[None],
+                   index_reversal)[0]
+
+
+def _charts(n, closeds, a, values, index_reversal):
+    """The FlatCharts of ``_chart_stack``, one per closed algebra."""
+    rows = zip(*_chart_stack(n, a, values, index_reversal))
+    return [FlatChart(closed, ttilde, t, jac_at, tangents, float(metric), float(metric_raw),
+                      index_reversal=index_reversal)
+            for closed, (ttilde, t, jac_at, tangents, metric, metric_raw) in zip(closeds, rows)]
+
+
+def _chart_stack(n, a, values, index_reversal):
+    """t~, t, da/dt, the tangents and both metric residuals at each row of
+    a (S, n), ``values`` (S, 2n-1) the closed functional values there.
 
     t~ is read from the cached reversion polynomials, and both metrics
     are T H T^T, H[a, b] = l(z^(a+b)) the Hankel matrix of the closed
     functional values: the pairing of tangents needs no reduction mod p'.
     """
-    p = closed.p
-    n = p.n
-    ttilde, jac_tta = _reversion_values(n, p.a)  # t~ and dt~/da
+    ttilde, jac_tta = _reversion_values(n, a)  # t~ and dt~/da
     L = _flat_mixing_matrix(n)
-    t = L @ ttilde
+    t = ttilde @ L.T
     jac_at = np.linalg.inv(L @ jac_tta)
 
     # dp/dt^k = sum_j (da_j/dt^k) z^{n-j}
-    tangents = jac_at.T[:, ::-1].copy()
-    raw_tangents = np.linalg.inv(jac_tta).T[:, ::-1]
-    hankel = closed.functional_values[np.add.outer(np.arange(n), np.arange(n))]
+    tangents = jac_at.swapaxes(1, 2)[..., ::-1]
+    raw_tangents = np.linalg.inv(jac_tta).swapaxes(1, 2)[..., ::-1]
+    hankel = values[:, np.add.outer(np.arange(n), np.arange(n))]
     flip = np.fliplr(np.eye(n))
-    g = tangents @ hankel @ tangents.T
-    g_raw = raw_tangents @ hankel @ raw_tangents.T
-    metric_residual = float(np.max(np.abs(g - flip)))
-    metric_residual_raw = float(np.max(np.abs(g_raw - (n + 1) * flip)))
+    g = tangents @ hankel @ tangents.swapaxes(1, 2)
+    g_raw = raw_tangents @ hankel @ raw_tangents.swapaxes(1, 2)
+    metric = np.abs(g - flip).max(axis=(1, 2))
+    metric_raw = np.abs(g_raw - (n + 1) * flip).max(axis=(1, 2))
 
     if index_reversal:
-        t = t[::-1].copy()
-        jac_at = jac_at[:, ::-1].copy()
-        tangents = tangents[::-1].copy()
-    return FlatChart(
-        closed, ttilde, t, jac_at, tangents, metric_residual, metric_residual_raw,
-        index_reversal=index_reversal,
-    )
+        t, jac_at, tangents = t[:, ::-1], jac_at[..., ::-1], tangents[:, ::-1]
+    return ttilde, t, jac_at, tangents, metric, metric_raw
 
 
 @dataclass
@@ -315,7 +319,7 @@ def euler_check(chart):
     flat_scaling = float(np.max(np.abs(lhs - d * chart.t[order])))
 
     raw_degrees = np.array([(i + 1.0) / (n + 1.0) for i in range(1, n + 1)])
-    lhs_raw = _ttilde_jacobian(n, avals) @ e_vec
+    lhs_raw = _reversion_values(n, avals)[1] @ e_vec
     raw_scaling = float(np.max(np.abs(lhs_raw - raw_degrees * chart.ttilde)))
     return {
         "p_identity": p_identity,
@@ -325,26 +329,26 @@ def euler_check(chart):
 
 
 def structure_tensor(chart):
-    """c_ijk = residue pairing of three flat tangent directions.
-
-    One contraction of the tangents T with the triple form
-    l((z^a z^b) z^d) of the closed pair, from its structure tensor and
-    functional: the products T_i T_j are formed in the algebra first and
-    then paired with T_k, the order of the residue pairing
-    l((T_i T_j) T_k).  Every entry is read from its sorted index, so c
-    is exactly totally symmetric.
-    """
-    n = chart.n
+    """c_ijk = residue pairing of three flat tangent directions (see
+    ``_structure_stack``), every entry read from its sorted index, so that
+    c is exactly totally symmetric."""
     pair = chart.closed.pair
-    tangents = chart.tangents
-    # products[i, j] holds the coordinates of T_i T_j
     (_, mul), = pair.algebra.cubes()  # the closed algebra is one block
-    products = tangents @ (tangents @ mul.reshape(n, n * n)).reshape(n, n, n)
-    c = products @ (tangents @ pair.gram()).T
-    i, j, k = np.indices((n, n, n))
-    low = np.minimum(np.minimum(i, j), k)
-    high = np.maximum(np.maximum(i, j), k)
-    return c[low, i + j + k - low - high, high]
+    c = _structure_stack(chart.tangents[None], mul[None], pair.functional[None])[0]
+    return c[_sorted_triples(chart.n)[1]]
+
+
+def _structure_stack(tangents, mul, functional):
+    """structure_tensor at the sorted triples, as [chart, triple], from the
+    ``tangents`` (S, n, n), closed products (S, n, n, n) and functionals
+    (S, n) of a stack of charts.  The products T_i T_j are formed in the
+    algebra first and then paired with T_k, as in l((T_i T_j) T_k)."""
+    count, n = tangents.shape[:2]
+    # products[s, i, j] holds the coordinates of T_i T_j
+    products = tangents[:, None] @ (tangents @ mul.reshape(count, n, n * n)).reshape(mul.shape)
+    gram = (mul @ functional[:, None, :, None])[..., 0]
+    c = products @ (tangents @ gram).swapaxes(1, 2)[:, None]
+    return c[(slice(None),) + tuple(_sorted_triples(n)[0].T)]
 
 
 def coefficients_from_flat(n, t_target, a0=None, tol=None, max_iter=60):
@@ -384,30 +388,38 @@ def sample_charts(n, count, seed=42, tol=None, scale=0.8, index_reversal=False):
 
     Rejects coefficient draws whose critical points collide or whose
     weights leave the window [1e-3, 1e3], so downstream linear algebra
-    stays well conditioned.  The draws still missing are made and their
-    critical data computed as one stack, which draws the same numbers
-    and keeps the same charts as one draw at a time.
+    stays well conditioned.  The draws are made, judged and charted as
+    one stack, which draws the same numbers and keeps the same charts as
+    one draw at a time; each chart is then given its closed algebra.
     """
+    a, *data = _sample_stack(n, count, seed, tol, scale)
+    closeds = [_closed_algebra(LGPolynomial(n, tuple(a[s])), *(x[s] for x in data))
+               for s in range(len(a))]
+    return _charts(n, closeds, a, data[2], index_reversal)
+
+
+def _sample_stack(n, count, seed, tol, scale):
+    """The coefficients of the first ``count`` admissible draws and their
+    rows of ``_critical_data``, each with a leading (count,) axis.  The
+    draws still missing are made and judged as one batch at a time."""
     tol = tol or ToleranceConfig()
     rng = np.random.default_rng(seed)
-    out = []
-    draws = 0
-    while len(out) < count:
-        k = min(count - len(out), 200 * count - draws)
-        if k <= 0:
+    batches, found, draws = [], 0, 0
+    while found < count or not batches:
+        k = min(count - found, 200 * count - draws)
+        if found < count and k <= 0:
             raise DegenerateModelError("sampling kept hitting degenerate models")
         draws += k
         z = rng.normal(size=(k, 2, n))
         a = scale * (z[:, 0] + 1j * z[:, 1])
         failures = _Failures(k)
-        data = _critical_data(a, tol, failures)
-        for s in np.flatnonzero(failures.ok):
-            closed = _closed_algebra(LGPolynomial(n, tuple(a[s])), *(x[s] for x in data))
-            mu = closed.mu_product
-            if np.min(np.abs(mu)) < 1e-3 or np.max(np.abs(mu)) > 1e3:
-                continue
-            out.append(_chart_on(closed, index_reversal))
-    return out
+        data = (a,) + _critical_data(a, tol, failures)
+        ok = np.flatnonzero(failures.ok)
+        mu = np.abs(_mu_product(data[2][ok]))
+        keep = ok[(mu.min(axis=1) >= 1e-3) & (mu.max(axis=1) <= 1e3)]
+        batches.append([x[keep] for x in data])
+        found += len(keep)
+    return [np.concatenate(x) for x in zip(*batches)]
 
 
 def _weighted_exponents(n, total):
@@ -427,28 +439,41 @@ def _weighted_exponents(n, total):
     return rec(0, total)
 
 
-def _third_derivative_basis(exponents, points):
-    """d_i d_j d_k t^e for each exponent tuple e at each point.
+@functools.lru_cache(maxsize=None)
+def _sorted_triples(n):
+    """The triples i <= j <= k in lexicographic order, (T, 3), and the
+    (n, n, n) array of the position there of every sorted (i, j, k)."""
+    i, j, k = np.indices((n, n, n))
+    is_sorted = (i <= j) & (j <= k)
+    rank = np.cumsum(is_sorted).reshape(n, n, n) - 1
+    low = np.minimum(np.minimum(i, j), k)
+    high = np.maximum(np.maximum(i, j), k)
+    return np.argwhere(is_sorted), rank[low, i + j + k - low - high, high]
 
-    Returns an array indexed [point, monomial, i, j, k].  The
-    falling-factorial factor and the lowered exponents depend only on e
-    and on how often each coordinate occurs in (i, j, k); the powers of
-    each coordinate are taken once per point and gathered.
+
+def _third_derivative_basis(exponents, points):
+    """d_i d_j d_k t^e for each exponent tuple e at each point and each
+    sorted triple of ``_sorted_triples``, as [point, monomial, triple].
+
+    The falling-factorial factor and the lowered exponents depend only on
+    e and on how often each coordinate occurs in (i, j, k); the powers of
+    each coordinate are taken once per point and gathered where the
+    factor is not zero.
     """
     t = np.asarray(points, dtype=complex)
     count, n = t.shape
     e = np.asarray(exponents, dtype=int).reshape(len(exponents), n)
-    # hits[q, l]: how often coordinate l occurs in the q-th triple (i, j, k)
-    hits = (np.indices((n, n, n)).reshape(3, -1, 1) == np.arange(n)).sum(axis=0)
-    factor = np.ones((len(e), n**3), dtype=int)
+    # hits[q, l]: how often coordinate l occurs in the q-th triple
+    hits = (_sorted_triples(n)[0][:, :, None] == np.arange(n)).sum(axis=1)
+    factor = np.ones((len(e), len(hits)), dtype=int)
     for s in range(3):
         factor *= np.prod(np.where(hits > s, e[:, None, :] - s, 1), axis=2)
-    lowered = np.maximum(e[:, None, :] - hits, 0)
+    m, q = np.nonzero(factor)
+    lowered = e[m] - hits[q]
     powers = t[:, :, None] ** np.arange(lowered.max(initial=0) + 1)
-    out = np.ones((count, len(e), n**3), dtype=complex)
-    for l in range(n):
-        out = out * powers[:, l, lowered[:, :, l]]
-    return (factor * out).reshape(count, len(e), n, n, n)
+    out = np.zeros((count, len(e), len(hits)), dtype=complex)
+    out[:, m, q] = factor[m, q] * np.prod(powers[:, np.arange(n), lowered], axis=-1)
+    return out
 
 
 @dataclass
@@ -475,11 +500,12 @@ class PotentialPoly:
         return self._third_derivatives_at([t])[0]
 
     def _third_derivatives_at(self, points):
-        """Third derivative tensors at each point, as [point, i, j, k]."""
+        """Third derivative tensors at each point, as [point, i, j, k],
+        gathered from the sorted triples; each sum runs in monomial order."""
         points = np.asarray(points, dtype=complex).reshape(-1, self.n)
         basis = _third_derivative_basis(list(self.terms), points)
         coeffs = np.array(list(self.terms.values()), dtype=complex)
-        return np.tensordot(coeffs, basis, axes=(0, 1))
+        return np.sum(coeffs[:, None] * basis, axis=1)[:, _sorted_triples(self.n)[1]]
 
     def quasi_homogeneity_residual(self):
         """Worst weighted-degree defect over cubic-and-higher monomials."""
@@ -494,27 +520,37 @@ class PotentialPoly:
         return worst
 
 
+class UnderdeterminedFitError(ValueError):
+    """The sampled structure tensors leave the potential undetermined."""
+
+
 def reconstruct_potential(n, sample_count=60, tol=None, seed=42, index_reversal=False):
     """Fit the potential whose third derivatives are the structure tensor.
 
     The ansatz contains every monomial of weighted degree 2n + 4 in the
     integer weights n + 1, n, ..., 2 (equivalently, Euler degree
-    upsilon + 3).  Returns (potential, fit_residual) where the residual
-    is the worst defect of the fitted third derivatives against the
-    sampled tensor entries.
+    upsilon + 3).  The draws of ``sample_charts`` are charted and their
+    structure tensors contracted as one stack, which feeds the design
+    matrix.  Returns (potential, fit_residual) where the residual is the
+    worst defect of the fitted third derivatives against the sampled
+    tensor entries.  Raises UnderdeterminedFitError when the design
+    matrix has lower rank than the ansatz has monomials.
     """
     euler = EulerData(n, index_reversal=index_reversal)
     exponents = _weighted_exponents(n, 2 * n + 4)
     if index_reversal:
         exponents = [tuple(reversed(e)) for e in exponents]
-    charts = sample_charts(n, sample_count, seed=seed, tol=tol, index_reversal=index_reversal)
+    a, r, _, values, _, _ = _sample_stack(n, sample_count, seed, tol, 0.8)
+    _, t, _, tangents, _, _ = _chart_stack(n, a, values, index_reversal)
+    mul = r[:, np.add.outer(np.arange(n), np.arange(n))]
     # one row per chart and sorted triple i <= j <= k, chart-major
-    i, j, k = np.array([(i, j, k) for i in range(n) for j in range(i, n)
-                        for k in range(j, n)]).T
-    basis = _third_derivative_basis(exponents, [chart.t for chart in charts])
-    design = basis[:, :, i, j, k].transpose(0, 2, 1).reshape(-1, len(exponents))
-    rhs = np.concatenate([structure_tensor(chart)[i, j, k] for chart in charts])
-    beta, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    design = _third_derivative_basis(exponents, t).transpose(0, 2, 1).reshape(-1, len(exponents))
+    rhs = _structure_stack(tangents, mul, values[:, :n]).reshape(-1)
+    beta, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
+    if rank < len(exponents):
+        raise UnderdeterminedFitError(
+            "underdetermined fit: rank %d of %d monomials at n=%d from %d sample charts;"
+            " more samples are needed" % (rank, len(exponents), n, sample_count))
     fit_residual = float(np.max(np.abs(design @ beta - rhs)))
     terms = {exps: complex(b) for exps, b in zip(exponents, beta)}
     return PotentialPoly(n, terms, euler), fit_residual
@@ -565,29 +601,3 @@ def potential_from_dict(data):
         coeff = row["coeff"]
         terms[tuple(row["exponents"])] = complex(coeff[0], coeff[1])
     return PotentialPoly(n, terms, euler)
-
-
-def structure_gradient_residual(chart, tol=None):
-    """Symmetry defect of the flat gradient of the structure tensor.
-
-    Central differences of c_ijk along t^l are compared against the
-    derivative along t^i of c_ljk: total symmetry of the four-index
-    array is what makes a potential exist locally.
-    """
-    tol = tol or ToleranceConfig()
-    n = chart.n
-    step = tol.fd_step
-    a0 = np.asarray(chart.p.a, dtype=complex)
-    grad = np.zeros((n, n, n, n), dtype=complex)
-    for l in range(n):
-        shift = np.zeros(n, dtype=complex)
-        shift[l] = step
-        a_plus = coefficients_from_flat(n, chart.t + shift, a0=a0, tol=tol)
-        a_minus = coefficients_from_flat(n, chart.t - shift, a0=a0, tol=tol)
-        c_plus = structure_tensor(flat_chart(n=n, a=a_plus, tol=tol))
-        c_minus = structure_tensor(flat_chart(n=n, a=a_minus, tol=tol))
-        grad[l] = (c_plus - c_minus) / (2 * step)
-    residual = 0.0
-    for perm in ((1, 0, 2, 3), (2, 1, 0, 3), (3, 1, 2, 0)):
-        residual = max(residual, float(np.max(np.abs(grad - grad.transpose(perm)))))
-    return residual

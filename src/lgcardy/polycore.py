@@ -34,7 +34,6 @@ __all__ = [
     "poly_eval",
     "critical_points",
     "residue_functional",
-    "lagrange_basis",
     "MultiPoly",
     "LaurentSeries",
     "revert_series",
@@ -321,30 +320,19 @@ def residue_functional(q, p, tol=None):
 
 
 def _lagrange_rows(roots):
-    """The basis of lagrange_basis as the rows of an array."""
-    n = len(roots)
-    basis = np.zeros((n, n), dtype=complex)
-    for i, ai in enumerate(roots):
-        num = np.array([1.0 + 0.0j])
-        denom = 1.0 + 0.0j
-        for j, aj in enumerate(roots):
-            if j == i:
-                continue
-            num = poly_mul(num, np.array([-aj, 1.0], dtype=complex))
-            denom *= ai - aj
-        basis[i] = num / denom
-    return basis
-
-
-def lagrange_basis(p, tol=None):
-    """Lagrange interpolation basis at the critical points of p.
-
-    Returns (roots, basis) where basis[i] is the ascending coefficient
-    array of the degree n-1 polynomial with value 1 at roots[i] and 0 at
-    the others.  These represent the idempotents of the quotient algebra.
-    """
-    roots = critical_points(p, tol or ToleranceConfig())
-    return roots, list(_lagrange_rows(roots))
+    """Lagrange basis at each row of ``roots`` (S, n): [s, i] holds the
+    ascending coefficients of the polynomial that is 1 at roots[s, i] and
+    0 at the other roots of the row.  One running product over the other
+    roots, in ascending order, builds every row of the stack at once."""
+    count, n = roots.shape
+    # others[s, i]: the roots of row s but the i-th, in ascending order
+    others = roots[:, np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])]
+    # num[..., 1:] holds the coefficients, num[..., :-1] the same shifted up
+    num = np.zeros((count, n, n + 1), dtype=complex)
+    num[..., 1] = 1.0
+    for j in range(n - 1):
+        num[..., 1:] = num[..., :-1] - others[..., j, None] * num[..., 1:]
+    return num[..., 1:] / np.prod(roots[..., None] - others, axis=-1)[..., None]
 
 
 class MultiPoly:

@@ -14,11 +14,10 @@ from lgcardy.moduli import (
     potential_to_dict,
     reconstruct_potential,
     sample_charts,
-    structure_gradient_residual,
     structure_tensor,
     wdvv_check,
 )
-from lgcardy.moduli import _third_derivative_basis, _weighted_exponents
+from lgcardy.moduli import _sorted_triples, _third_derivative_basis, _weighted_exponents
 from lgcardy.polycore import ToleranceConfig, poly_mod, poly_mul
 
 
@@ -205,11 +204,14 @@ def test_third_derivative_basis_matches_monomial_loop():
         exponents = _weighted_exponents(n, 2 * n + 4) + [(0,) * n, (1,) + (0,) * (n - 1)]
         points = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
         basis = _third_derivative_basis(exponents, points)
-        assert basis.shape == (4, len(exponents), n, n, n)
+        triples, position = _sorted_triples(n)
+        assert basis.shape == (4, len(exponents), len(triples))
+        assert len(triples) == n * (n + 1) * (n + 2) // 6
         for p, t in enumerate(points):
             for m, exps in enumerate(exponents):
                 want = _monomial_third_derivatives(exps, t)
-                assert np.max(np.abs(basis[p, m] - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+                got = basis[p, m][position]
+                assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
 
 def test_wdvv_check_matches_pointwise_formula():
@@ -232,6 +234,32 @@ def test_wdvv_check_matches_pointwise_formula():
             assert abs(rep.residuals[name] - want) <= 1e-12 * max(1.0, want)
     assert rep.residuals["associativity"] > 1e-3
     assert wdvv_check(F, []).residuals["associativity"] == 0.0
+
+
+def structure_gradient_residual(chart, tol=None):
+    """Symmetry defect of the flat gradient of the structure tensor.
+
+    Central differences of c_ijk along t^l are compared against the
+    derivative along t^i of c_ljk: total symmetry of the four-index
+    array is what makes a potential exist locally.
+    """
+    tol = tol or ToleranceConfig()
+    n = chart.n
+    step = tol.fd_step
+    a0 = np.asarray(chart.p.a, dtype=complex)
+    grad = np.zeros((n, n, n, n), dtype=complex)
+    for l in range(n):
+        shift = np.zeros(n, dtype=complex)
+        shift[l] = step
+        a_plus = coefficients_from_flat(n, chart.t + shift, a0=a0, tol=tol)
+        a_minus = coefficients_from_flat(n, chart.t - shift, a0=a0, tol=tol)
+        c_plus = structure_tensor(flat_chart(n=n, a=a_plus, tol=tol))
+        c_minus = structure_tensor(flat_chart(n=n, a=a_minus, tol=tol))
+        grad[l] = (c_plus - c_minus) / (2 * step)
+    residual = 0.0
+    for perm in ((1, 0, 2, 3), (2, 1, 0, 3), (3, 1, 2, 0)):
+        residual = max(residual, float(np.max(np.abs(grad - grad.transpose(perm)))))
+    return residual
 
 
 def test_structure_gradient_symmetry():

@@ -8,8 +8,8 @@ from lgcardy.polycore import (
     LGPolynomial,
     MultiPoly,
     ToleranceConfig,
+    _lagrange_rows,
     critical_points,
-    lagrange_basis,
     poly_add,
     poly_derivative,
     poly_eval,
@@ -115,7 +115,8 @@ def test_residue_dual_route_random():
 
 def test_lagrange_basis_properties():
     p = LGPolynomial(2, (-3, 0))
-    roots, basis = lagrange_basis(p)
+    roots = critical_points(p)
+    basis = _lagrange_rows(roots[None])[0]
     assert np.allclose(basis[0], [0.5, -0.5])
     assert np.allclose(basis[1], [0.5, 0.5])
     dp = p.derivative_coeffs()
