@@ -7,7 +7,9 @@
 sits in and runs a fixed, seeded grid: for n = 1..8 and the coefficient
 scales 0.8 and 1e3 it draws one model the way the perfbench workloads draw
 theirs (``perfbench/workloads.draw_coefficients``), runs every CLI
-subcommand on it in process, and runs ``verify_bundle`` at t_degree 4
+subcommand on it in process, with ``chart --index-reversal`` and
+``bundle --paper-scale`` besides, ``bundle`` and ``ext-wdvv`` at
+``--t-degree 5`` for n <= 4, and runs ``verify_bundle`` at t_degree 4
 clean and with every corruption (``CORRUPTIONS`` and ``phi_swap``).
 ``potential`` and ``wdvv`` take no model; they run once per n, under both
 index conventions.  It writes one canonical JSON line per report: the
@@ -48,7 +50,15 @@ from lgcardy import cli  # noqa: E402
 
 SIZES = range(1, 9)
 SCALES = (workloads.SCALE, workloads.LARGE_SCALE)
-MODEL_COMMANDS = ("build", "verify-cf", "chart", "ext-wdvv", "bundle")
+# (subcommand, extra options, largest n) of each CLI run on a model; a
+# truncation-5 bundle takes 0.3 s at n=4 and 2.4 s at n=6
+MODEL_RUNS = tuple((command, [], 8) for command in
+                   ("build", "verify-cf", "chart", "ext-wdvv", "bundle")) + (
+    ("chart", ["--index-reversal"], 8),
+    ("bundle", ["--paper-scale"], 8),
+    ("bundle", ["--t-degree", "5"], 4),
+    ("ext-wdvv", ["--t-degree", "5"], 4),
+)
 BUNDLE_CORRUPTIONS = (None,) + tuple(lib.CORRUPTIONS) + ("phi_swap",)
 
 
@@ -104,9 +114,11 @@ def grid():
         for scale in SCALES:
             a = draw_model(n, scale)
             where = "n=%d scale=%g" % (n, scale)
-            for command in MODEL_COMMANDS:
-                argv = [command, "--n", str(n), workloads._format_a(a)]
-                case = "%s %s" % (command, where)
+            for command, extra, largest in MODEL_RUNS:
+                if n > largest:
+                    continue
+                argv = [command, "--n", str(n), workloads._format_a(a)] + extra
+                case = " ".join([command] + extra + [where])
                 yield lambda case=case, argv=argv: cli_record(case, argv)
             for corruption in BUNDLE_CORRUPTIONS:
                 case = "verify_bundle %s corruption=%s" % (where, corruption)

@@ -15,7 +15,6 @@ from .polycore import (
     ToleranceConfig,
     critical_points,
     residue_functional,
-    revert_series,
     reversion_polynomials,
 )
 from .frobenius import (
@@ -47,7 +46,6 @@ from .landau_ginzburg import (
 from .moduli import (
     FlatChart,
     PotentialPoly,
-    canonical_chart,
     coefficients_from_flat,
     euler_check,
     flat_chart,
@@ -89,7 +87,6 @@ __all__ = [
     "ToleranceConfig",
     "critical_points",
     "residue_functional",
-    "revert_series",
     "reversion_polynomials",
     "FiniteAlgebra",
     "FrobeniusPair",
@@ -113,7 +110,6 @@ __all__ = [
     "model_to_dict",
     "FlatChart",
     "PotentialPoly",
-    "canonical_chart",
     "coefficients_from_flat",
     "euler_check",
     "flat_chart",

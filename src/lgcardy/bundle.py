@@ -28,6 +28,7 @@ condition.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 from math import comb
@@ -207,13 +208,11 @@ def bundle_tensors(model, q=None, frame=None, tol=None):
     return BundleTensors(cB=cb, cAB=cab)
 
 
-_POTENTIAL_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _cached_potential(n, tol):
-    if n not in _POTENTIAL_CACHE:
-        _POTENTIAL_CACHE[n] = reconstruct_potential(n, tol=tol)[0]
-    return _POTENTIAL_CACHE[n]
+    """The global bulk potential of truncations above 4, fitted once per
+    (n, tolerances)."""
+    return reconstruct_potential(n, tol=tol)[0]
 
 
 def _shift_terms(terms, center):

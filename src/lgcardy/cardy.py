@@ -51,7 +51,6 @@ from .frobenius import (
 
 __all__ = [
     "CardyFrobeniusAlgebra",
-    "phi_star",
     "cardy_residual_trace",
     "cardy_residual_coordinates",
     "verify_cardy_frobenius",
@@ -96,18 +95,10 @@ def _checked_a_gram(cf, tol):
     return ga
 
 
-def phi_star(cf, tol=None):
-    """Adjoint of phi with respect to the two bilinear forms.
-
-    Returns the (dim A, dim B) matrix X with (a, X b)_A = (phi a, b)_B.
-    Raises ValueError("degenerate A-form") when the bulk Gram matrix is
-    too close to singular to invert.
-    """
-    return _adjoint(cf, _checked_a_gram(cf, tol), cf.b.gram())
-
-
 def _adjoint(cf, ga, gb):
-    """phi_star from both Gram matrices: solves ga X = phi^T gb."""
+    """The adjoint phi* of phi with respect to the two bilinear forms, the
+    (dim A, dim B) matrix X with (a, X b)_A = (phi a, b)_B: solves
+    ga X = phi^T gb."""
     return np.linalg.solve(ga, cf.phi.T @ gb)
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "FrobeniusPair",
     "VerificationReport",
     "number_pair",
-    "zero_pair",
     "matrix_pair",
     "quaternion_pair",
     "orthogonal_sum",
@@ -255,9 +254,6 @@ class FrobeniusPair:
         return alg.block_matrix([np.einsum("gijk,...gk->...gij", cubes, self.functional[..., index])
                                  for index, cubes in alg.stacks])
 
-    def pairing(self, x, y):
-        return self.apply(self.algebra.multiply(x, y))
-
 
 @dataclass
 class VerificationReport:
@@ -357,13 +353,6 @@ def number_pair(lam, name="number"):
         raise ValueError("degenerate functional")
     mul = np.ones((1, 1, 1), dtype=complex)
     return FrobeniusPair(FiniteAlgebra(mul, [1.0], labels=["1"]), [lam], name=name)
-
-
-def zero_pair(name="zero"):
-    """The zero dimensional pair, useful as a trivial boundary part."""
-    mul = np.zeros((0, 0, 0), dtype=complex)
-    alg = FiniteAlgebra(mul, np.zeros(0), labels=[], blocks=[])
-    return FrobeniusPair(alg, np.zeros(0), name=name)
 
 
 def matrix_pair(m, mu, name=None):

@@ -1,14 +1,12 @@
 """Charts and potentials on the space of polynomial models.
 
 The coefficient tuple a = (a_1, ..., a_n) of a depressed monic
-polynomial is a base point; this module builds two distinguished
-coordinate systems on that space and the objects living in them:
+polynomial is a base point; this module builds a distinguished
+coordinate system on that space and the objects living in it:
 
-* canonical coordinates x_i = p(alpha_i), the critical values, in which
-  the residue pairing is diagonal with weights mu_i;
-* flat coordinates t^1, ..., t^n obtained from the series inversion of
-  w^{n+1} = p(z), in which the pairing is the constant antidiagonal
-  identity;
+* flat coordinates t^1, ..., t^n read from the reversion coefficients
+  of w^{n+1} = p(z) at infinity, in which the pairing is the constant
+  antidiagonal identity;
 * the Euler field, which rescales each coordinate by a fixed charge;
 * the structure tensor c_ijk and a polynomial potential F with
   dF^3 = c, reconstructed by least squares from a weighted-degree
@@ -30,7 +28,7 @@ from .polycore import (
     _Failures,
     _degenerate,
     _reversion_table,
-    critical_points,
+    _weighted_exponents,
 )
 from .frobenius import VerificationReport, complex_to_json
 from .landau_ginzburg import (
@@ -42,11 +40,9 @@ from .landau_ginzburg import (
 )
 
 __all__ = [
-    "CanonicalChart",
     "FlatChart",
     "EulerData",
     "PotentialPoly",
-    "canonical_chart",
     "flat_chart",
     "euler_check",
     "structure_tensor",
@@ -78,76 +74,6 @@ def _match_stack(roots, ref, sep_tol, failures):
         bad |= np.any(near[..., 1] - near[..., 0] < sep_tol, axis=1)
     failures.flag(bad, _degenerate("frame continuation failed"))
     return perm
-
-
-@dataclass
-class CanonicalChart:
-    """Critical values and weights at a base point.
-
-    ``jacobian[i, j] = alpha_i^{n-1-j}`` is dx_i/da_{j+1}; the finite
-    difference residual measures how far the numerically transported
-    coordinate directions are from the interpolation idempotents, and
-    the form residual how far sum_i mu_i dx^i is from da_1/(n+1).
-    """
-
-    p: LGPolynomial
-    roots: np.ndarray
-    x: np.ndarray
-    mu: np.ndarray
-    jacobian: np.ndarray
-    fd_residual: float
-    form_residual: float
-
-
-def _canonical_jacobian(roots, n):
-    return np.vander(np.asarray(roots), N=n, increasing=False)
-
-
-def canonical_chart(p=None, n=None, a=None, tol=None):
-    """Canonical coordinates x_i = p(alpha_i) with consistency checks."""
-    tol = tol or ToleranceConfig()
-    if p is None:
-        p = LGPolynomial(int(n), tuple(a))
-    n = p.n
-    closed = build_closed(p=p, tol=tol)
-    roots = closed.roots
-    x = np.array([p.eval(r) for r in roots])
-    jac = _canonical_jacobian(roots, n)
-
-    # finite differences: move one critical value, pull the coefficient
-    # point back by Newton, and compare dp/dx_i with the idempotent
-    step = tol.fd_step
-    fd_residual = 0.0
-    base_coeffs = p.coeffs()
-    for i in range(n):
-        target = x.copy()
-        target[i] += step
-        a_new = np.asarray(p.a, dtype=complex).copy()
-        ref = roots
-        for _ in range(8):
-            q = LGPolynomial(n, tuple(a_new))
-            r_new = critical_points(q, tol=tol)
-            failures = _Failures(1)
-            perm = _match_stack(r_new[None], ref, tol.root_sep_tol, failures)
-            failures.raise_first()
-            r_new = r_new[perm[0]]
-            x_new = np.array([q.eval(r) for r in r_new])
-            delta = target - x_new
-            if float(np.max(np.abs(delta))) < 1e-14:
-                break
-            a_new = a_new + np.linalg.solve(_canonical_jacobian(r_new, n), delta)
-            ref = r_new
-        dp = (LGPolynomial(n, tuple(a_new)).coeffs() - base_coeffs) / step
-        diff = dp[:n].copy()
-        diff -= np.pad(closed.idempotents[i], (0, n - closed.idempotents.shape[1]))
-        fd_residual = max(fd_residual, float(np.max(np.abs(diff))), float(np.max(np.abs(dp[n:]))))
-
-    # sum_i mu_i dx^i/da_j must be 1/(n+1) for j = 1 and 0 otherwise
-    pairing = closed.mu @ jac
-    expect = np.zeros(n, dtype=complex)
-    expect[0] = 1.0 / (n + 1)
-    form_residual = float(np.max(np.abs(pairing - expect)))
-    return CanonicalChart(p, roots, x, closed.mu, jac, fd_residual, form_residual)
 
 
 @functools.lru_cache(maxsize=None)
@@ -422,23 +348,6 @@ def _sample_stack(n, count, seed, tol, scale):
     return [np.concatenate(x) for x in zip(*batches)]
 
 
-def _weighted_exponents(n, total):
-    """Exponent tuples m with sum m_i (n + 2 - i) = total."""
-    weights = [n + 2 - i for i in range(1, n + 1)]
-
-    def rec(pos, remaining):
-        if pos == n:
-            return [()] if remaining == 0 else []
-        w = weights[pos]
-        out = []
-        for m in range(remaining // w + 1):
-            for rest in rec(pos + 1, remaining - m * w):
-                out.append((m,) + rest)
-        return out
-
-    return rec(0, total)
-
-
 @functools.lru_cache(maxsize=None)
 def _sorted_triples(n):
     """The triples i <= j <= k in lexicographic order, (T, 3), and the
@@ -537,7 +446,7 @@ def reconstruct_potential(n, sample_count=60, tol=None, seed=42, index_reversal=
     matrix has lower rank than the ansatz has monomials.
     """
     euler = EulerData(n, index_reversal=index_reversal)
-    exponents = _weighted_exponents(n, 2 * n + 4)
+    exponents = _weighted_exponents(tuple(range(n + 1, 1, -1)), 2 * n + 4)
     if index_reversal:
         exponents = [tuple(reversed(e)) for e in exponents]
     a, r, _, values, _, _ = _sample_stack(n, sample_count, seed, tol, 0.8)

@@ -12,13 +12,17 @@ coefficient of ``z**k``.  The module provides
   both for one polynomial or for a stack of polynomials of one degree,
   whose guards then judge each polynomial on its own (``_Failures``),
 * small multivariate polynomials over exponent dictionaries, and
-* Laurent series reversion, numeric and symbolic, used by the flat chart.
+* the reversion coefficients of w**(n+1) = p(z) at infinity as
+  polynomials in the coefficients, read from the Lagrange inversion
+  formula, from which the flat chart reads its coordinates.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -35,8 +39,6 @@ __all__ = [
     "critical_points",
     "residue_functional",
     "MultiPoly",
-    "LaurentSeries",
-    "revert_series",
     "reversion_polynomials",
 ]
 
@@ -47,12 +49,10 @@ class ToleranceConfig:
 
     eq_tol:       generic equality threshold for residuals.
     root_sep_tol: minimal allowed distance between critical points.
-    fd_step:      step used by finite-difference cross-checks.
     """
 
     eq_tol: float = 1e-9
     root_sep_tol: float = 1e-8
-    fd_step: float = 1e-6
 
 
 # Bound on the relative defect of a refined critical point and on the
@@ -458,109 +458,47 @@ class MultiPoly:
         return "MultiPoly(" + " + ".join(bits) + ")"
 
 
-def _is_zero_coeff(c):
-    if isinstance(c, MultiPoly):
-        return not c.terms
-    return c == 0
-
-
-class LaurentSeries:
-    """Finite Laurent polynomial in one symbol with coefficients in either
-    the complex numbers or MultiPoly.  ``floor`` marks the lowest exponent
-    kept; anything produced below it is discarded, which is the truncation
-    the series reversion relies on."""
-
-    __slots__ = ("terms", "floor")
-
-    def __init__(self, terms, floor):
-        self.floor = floor
-        self.terms = {e: c for e, c in terms.items() if e >= floor and not _is_zero_coeff(c)}
-
-    def mul(self, other, floor):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                if e < floor:
-                    continue
-                if e in out:
-                    out[e] = out[e] + c1 * c2
-                else:
-                    out[e] = c1 * c2
-        return LaurentSeries(out, floor)
-
-    def add_const(self, c):
-        out = dict(self.terms)
-        if 0 in out:
-            out[0] = out[0] + c
-        else:
-            out[0] = c
-        return LaurentSeries(out, self.floor)
-
-    def coeff(self, e, zero):
-        return self.terms.get(e, zero)
-
-
-def _revert_engine(avals, n, order, one):
-    """Shared reversion core.
-
-    ``avals`` holds the deformation coefficients a_1..a_n as ring elements
-    (complex numbers or MultiPoly), ``one`` is the ring unit.  Returns the
-    list of reversion coefficients tt[0..order-1], where the inverse branch
-    is z = w + sum_k tt[k-1] * w**(-k) and w**(n+1) = p(z).
-    """
-    zero = one * 0
-    z_terms = {1: one}
-    tt = []
-    scale = -1.0 / (n + 1)
-    for k in range(1, order + 1):
-        # The target coefficient sits at exponent n - k.  Terms may dip and
-        # rise again during the Horner loop (each factor of z raises
-        # exponents by at most one, and there are n + 1 factors), so keep
-        # everything from n - k - (n + 1) = -(k + 1) upward.
-        floor = -(k + 1)
-        z = LaurentSeries(dict(z_terms), floor)
-        # Horner over descending coefficients [1, 0, a_1, ..., a_n]
-        acc = LaurentSeries({0: one}, 0)
-        descending = [zero] + list(avals)
-        for c in descending:
-            acc = acc.mul(z, floor)
-            if not _is_zero_coeff(c):
-                acc = acc.add_const(c)
-        ck = acc.coeff(n - k, zero)
-        tk = ck * scale
-        tt.append(tk)
-        if not _is_zero_coeff(tk):
-            z_terms[-k] = tk
-    return tt
-
-
-def revert_series(p, order=None):
-    """Numeric reversion coefficients of ``w**(n+1) = p(z)`` at infinity.
-
-    Returns a complex array tt with tt[k-1] the coefficient of w**(-k) in
-    the inverse branch z(w).  Defaults to ``order = n`` terms, which is
-    what the flat chart consumes.
-    """
-    n = p.n
-    if order is None:
-        order = n
-    tt = _revert_engine(list(p.a), n, order, 1.0 + 0.0j)
-    return np.array(tt, dtype=complex)
+def _weighted_exponents(weights, total):
+    """Exponent tuples m with sum_i m_i weights[i] = total, the first
+    exponent varying slowest."""
+    if not weights:
+        return [()] if total == 0 else []
+    return [(m,) + rest for m in range(total // weights[0] + 1)
+            for rest in _weighted_exponents(weights[1:], total - m * weights[0])]
 
 
 @functools.lru_cache(maxsize=None)
 def reversion_polynomials(n, order=None):
-    """Symbolic reversion coefficients as polynomials in a_1..a_n.
+    """Reversion coefficients of ``w**(n+1) = p(z)`` at infinity as
+    polynomials in a_1..a_n.
 
-    Entry k-1 is a MultiPoly in n variables giving tt[k] as a polynomial in
-    the deformation coefficients.  Cached per (n, order).
+    Entry k-1 is a MultiPoly in n variables giving tt_k, the coefficient
+    of w**(-k) in the inverse branch z(w) = w + sum_k tt_k w**(-k).
+    Defaults to ``order = n`` terms, which is what the flat chart
+    consumes.  Cached per (n, order).
+
+    By the Lagrange inversion formula tt_k = -(1/k) [z**-1] p**(k/(n+1))
+    (Dubrovin, hep-th/9407018, Lecture 4).  The binomial series of
+    p**alpha = z**k (1 + sum_j a_j z**-(j+1))**alpha gives the monomial
+    prod_j a_j**m_j, sum_j (j+1) m_j = k+1, the coefficient
+    -(1/k) (alpha)_|m| / prod_j m_j!, with (alpha)_r the falling
+    factorial.  Each coefficient is summed exactly and rounded once.
     """
     if order is None:
         order = n
-    avals = [MultiPoly.variable(n, i) for i in range(n)]
-    one = MultiPoly.constant(n, 1.0)
-    return tuple(_revert_engine(avals, n, order, one))
+    polys = []
+    for k in range(1, order + 1):
+        alpha = Fraction(k, n + 1)
+        terms = {}
+        for m in _weighted_exponents(tuple(range(2, n + 2)), k + 1):
+            c = Fraction(-1, k)
+            for r in range(sum(m)):
+                c *= alpha - r
+            for mj in m:
+                c /= math.factorial(mj)
+            terms[m] = float(c)
+        polys.append(MultiPoly(n, terms))
+    return tuple(polys)
 
 
 @functools.lru_cache(maxsize=None)

@@ -217,8 +217,10 @@ def _condition_one(series):
         words = set(permutations(tkey))
         lookup = dict(entries)
         values = np.array([lookup.get(w, 0.0) for w in words], dtype=complex)
-        mean = values.mean()
-        worst = max(worst, float(np.max(np.abs(values - mean))))
+        # offsets from one entry are exact where entries are equal, so an
+        # exactly symmetric group reads 0 at any magnitude of its entries
+        offsets = values - values[0]
+        worst = max(worst, float(np.max(np.abs(offsets - offsets.mean()))))
     return worst
 
 

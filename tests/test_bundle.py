@@ -18,7 +18,7 @@ from lgcardy.bundle import (
 from lgcardy.cli import main
 from lgcardy.frobenius import FiniteAlgebra, quaternion_pair
 from lgcardy.landau_ginzburg import build_quaternion_model
-from lgcardy.moduli import canonical_chart, flat_chart
+from lgcardy.moduli import flat_chart
 from lgcardy.polycore import DegenerateModelError, ToleranceConfig, poly_eval
 from lgcardy.tensor_series import d_sss, quadratic_s_block
 
@@ -55,15 +55,6 @@ def test_frame_continuation_ambiguous_raises(model):
     # base critical points +-1
     with pytest.raises(DegenerateModelError, match="frame continuation failed"):
         flat_s_frame(model, (3.0, 0.0))
-
-
-def test_canonical_chart_ambiguous_continuation_raises():
-    # critical points +-i/sqrt(3), 1.15 apart; a unit step in one critical
-    # value moves them 0.24, so each reference root's nearest and
-    # second-nearest candidates differ by 0.99, within root_sep_tol = 1
-    tol = ToleranceConfig(fd_step=1.0, root_sep_tol=1.0)
-    with pytest.raises(DegenerateModelError, match="frame continuation failed"):
-        canonical_chart(n=2, a=(1.0, 0.5), tol=tol)
 
 
 def test_bundle_tensors_frozen_values(model):
@@ -161,6 +152,14 @@ def test_truncation_five_residuals_pinned(model):
         for name, value in residuals.items():
             want = pinned.get(name, 0.0)
             assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (corruption, name)
+
+
+def test_bulk_potential_is_fitted_under_the_given_tolerances(model):
+    assemble_potential(model, t_degree=5)
+    # no draw keeps its critical points 1e3 apart, so a fit under these
+    # tolerances must sample afresh and fail
+    with pytest.raises(DegenerateModelError, match="sampling kept hitting degenerate models"):
+        assemble_potential(model, t_degree=5, tol=ToleranceConfig(root_sep_tol=1e3))
 
 
 def test_cardy_corruption_is_isolated(model):

@@ -16,7 +16,6 @@ from lgcardy.cardy import (
     decompose_commutative,
     matrix_cf,
     orthogonal_sum_cf,
-    phi_star,
     quaternionic_cf,
     verify_cardy_frobenius,
 )
@@ -30,10 +29,20 @@ from lgcardy.frobenius import (
     pair_to_dict,
     quaternion_pair,
     verify_frobenius,
-    zero_pair,
 )
 from lgcardy.landau_ginzburg import build_closed, build_quaternion_model
 from lgcardy.polycore import DegenerateModelError, ToleranceConfig
+
+
+def _zero_pair():
+    """The zero dimensional pair, a trivial boundary part."""
+    alg = FiniteAlgebra(np.zeros((0, 0, 0)), np.zeros(0), labels=[], blocks=[])
+    return FrobeniusPair(alg, np.zeros(0), name="zero")
+
+
+def _phi_star(cf):
+    """The adjoint of phi for the two forms: solves G_A X = phi^T G_B."""
+    return np.linalg.solve(cf.a.gram(), cf.phi.T @ cf.b.gram())
 
 
 def _seeded_model(n, seed=0):
@@ -68,7 +77,7 @@ def test_quaternionic_block_passes():
     rep = verify_cardy_frobenius(cf)
     assert rep.passed, rep.summary()
     # transfer of the boundary unit is 2/rho times the bulk unit
-    ps = phi_star(cf)
+    ps = _phi_star(cf)
     assert ps.shape == (1, 4)
     assert ps[0, 0] == pytest.approx(2.0 / 0.7)
     assert np.allclose(ps[0, 1:], 0.0)
@@ -83,7 +92,7 @@ def test_quaternionic_block_trace_values():
     tr = np.trace(alg.left_action_matrix(one) @ alg.right_action_matrix(one))
     assert tr == pytest.approx(4.0)
     # and the bulk side gives the same: rho^2 (2/rho)^2 = 4
-    ps = phi_star(cf)
+    ps = _phi_star(cf)
     lhs = (ps.T @ cf.a.gram() @ ps)[0, 0]
     assert lhs == pytest.approx(4.0)
     # mixed pair (I, 1): both sides vanish
@@ -183,7 +192,7 @@ def test_noncentral_image_detected():
 
 
 def test_zero_dim_boundary_is_vacuous():
-    cf = CardyFrobeniusAlgebra(number_pair(3.0), zero_pair(), np.zeros((0, 1)))
+    cf = CardyFrobeniusAlgebra(number_pair(3.0), _zero_pair(), np.zeros((0, 1)))
     rep = verify_cardy_frobenius(cf)
     assert rep.passed
     assert "cardy_trace" not in rep.residuals
@@ -197,7 +206,7 @@ def test_orthogonal_sum_cf():
     rep = verify_cardy_frobenius(cf)
     assert rep.passed, rep.summary()
     # adding a trivial block with no boundary keeps everything valid
-    trivial = CardyFrobeniusAlgebra(number_pair(2.5), zero_pair(), np.zeros((0, 1)))
+    trivial = CardyFrobeniusAlgebra(number_pair(2.5), _zero_pair(), np.zeros((0, 1)))
     bigger = orthogonal_sum_cf(cf, trivial)
     assert bigger.a.algebra.dim == 3
     assert bigger.b.algebra.dim == 8

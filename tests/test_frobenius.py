@@ -18,8 +18,13 @@ from lgcardy.frobenius import (
     pair_to_dict,
     quaternion_pair,
     verify_frobenius,
-    zero_pair,
 )
+
+
+def _zero_pair():
+    """The zero dimensional pair, a trivial boundary part."""
+    alg = FiniteAlgebra(np.zeros((0, 0, 0)), np.zeros(0), labels=[], blocks=[])
+    return FrobeniusPair(alg, np.zeros(0), name="zero")
 
 
 def test_entries_are_the_one_pass_rule():
@@ -126,7 +131,7 @@ def test_orthogonal_sum():
 
 
 def test_orthogonal_sum_with_zero_dim():
-    z = zero_pair()
+    z = _zero_pair()
     assert verify_frobenius(z).passed
     p = orthogonal_sum(number_pair(2.0), z)
     assert p.algebra.dim == 1
@@ -159,7 +164,7 @@ def test_orthogonal_sum_list_equals_pairwise_fold():
         for pairs in (
             [number_pair(w) for w in weights],
             [quaternion_pair(np.sqrt(w)) for w in weights],
-            [zero_pair()] + [quaternion_pair(w) for w in weights] + [zero_pair()],
+            [_zero_pair()] + [quaternion_pair(w) for w in weights] + [_zero_pair()],
         ):
             want = _pairwise_fold(pairs)
             want.name = "sum"
@@ -307,7 +312,7 @@ def _block_layout_pairs():
     from lgcardy.landau_ginzburg import build_quaternion_model
 
     yield orthogonal_sum(number_pair(2.0 - 1j), quaternion_pair(0.5 + 0.25j), name="1+4")
-    yield zero_pair()
+    yield _zero_pair()
     yield matrix_pair(2, 0.3 - 0.8j)
     # the t_symmetry bump spans bulk blocks 0 and 1, so the corrupted bulk
     # is declared as one block

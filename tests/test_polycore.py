@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import sympy
 
 from lgcardy.polycore import (
     DegenerateModelError,
@@ -9,6 +10,7 @@ from lgcardy.polycore import (
     MultiPoly,
     ToleranceConfig,
     _lagrange_rows,
+    _weighted_exponents,
     critical_points,
     poly_add,
     poly_derivative,
@@ -17,9 +19,47 @@ from lgcardy.polycore import (
     poly_mul,
     poly_trim,
     residue_functional,
-    revert_series,
     reversion_polynomials,
 )
+
+
+def _tt(a, order=None):
+    """The reversion coefficients at the point a."""
+    return np.array([q.eval(a) for q in reversion_polynomials(len(a), order)])
+
+
+def _power_series_reversion(a):
+    """tt_k = -(1/k) [u**(k+1)] (1 + sum_j a_j u**(j+1))**(k/(n+1)) for
+    k = 1..n at the complex point a, each power series raised by J. C. P.
+    Miller's recurrence g_i = (1/i) sum_j ((alpha + 1) j - i) f_j g_(i-j)."""
+    n = len(a)
+    f = np.concatenate(([1.0, 0.0], a))
+    tt = []
+    for k in range(1, n + 1):
+        alpha = k / (n + 1)
+        g = np.zeros(k + 2, dtype=complex)
+        g[0] = 1.0
+        for i in range(1, k + 2):
+            j = np.arange(1, i + 1)
+            g[i] = np.sum(((alpha + 1) * j - i) * f[j] * g[i - j]) / i
+        tt.append(-g[k + 1] / k)
+    return np.array(tt)
+
+
+def _sympy_reversion(n, order):
+    """The reversion coefficients by undetermined coefficients: with
+    z = (1 + sum_k c_k u**(k+1)) / u and w = 1/u, u**(n+1) p(z) = 1 fixes
+    c_k from the coefficient of u**(k+1), one order at a time."""
+    a = sympy.symbols("a1:%d" % (n + 1))
+    u, ck = sympy.symbols("u c")
+    known = []
+    for k in range(1, order + 1):
+        s = sum(c * u ** (j + 1) for j, c in enumerate(known + [ck], start=1))
+        scaled = (1 + s) ** (n + 1) + sum(a[j - 1] * u ** (j + 1) * (1 + s) ** (n - j)
+                                          for j in range(1, n + 1))
+        coeff = sympy.expand(scaled).coeff(u, k + 1)
+        known.append(sympy.expand(sympy.solve(coeff, ck)[0]))
+    return [sympy.Poly(c, *a).as_dict() for c in known]
 
 
 def test_lgpolynomial_coeff_layout():
@@ -132,12 +172,10 @@ def test_lagrange_basis_properties():
 
 def test_revert_series_frozen():
     # z^3 - 3z: reversion starts (1, 0)
-    p = LGPolynomial(2, (-3, 0))
-    tt = revert_series(p)
+    tt = _tt((-3, 0))
     assert np.allclose(tt, [1.0, 0.0], atol=1e-14)
     # leading terms are linear in the deformation coefficients
-    p = LGPolynomial(2, (2.5, -0.75))
-    tt = revert_series(p)
+    tt = _tt((2.5, -0.75))
     assert tt[0] == pytest.approx(-2.5 / 3.0, abs=1e-14)
     assert tt[1] == pytest.approx(0.75 / 3.0, abs=1e-14)
 
@@ -154,23 +192,39 @@ def test_reversion_polynomials_frozen_n3():
 def test_reversion_symbolic_matches_numeric():
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 4, 5):
-        polys = reversion_polynomials(n)
         for _ in range(4):
             a = rng.normal(size=n) + 1j * rng.normal(size=n)
-            p = LGPolynomial(n, tuple(a))
-            tt = revert_series(p)
-            sym = np.array([q.eval(a) for q in polys])
-            assert np.allclose(tt, sym, atol=1e-12)
+            assert np.allclose(_tt(a), _power_series_reversion(a), atol=1e-12)
+
+
+def test_reversion_coefficients_match_sympy():
+    # each coefficient is rounded once from its exact value
+    for n in range(1, 5):
+        want = _sympy_reversion(n, n)
+        for order in range(1, n + 1):
+            for q, exact in zip(reversion_polynomials(n, order), want):
+                assert q.terms == {e: complex(float(c)) for e, c in exact.items()}
 
 
 def test_reversion_defines_branch():
     # substituting the truncated branch back into p should reproduce
     # w**(n+1) up to the truncation order
-    p = LGPolynomial(3, (0.3, -1.2, 0.7))
-    tt = revert_series(p, order=12)
-    w = 6.0  # large enough that the tail is negligible
-    z = w + sum(tt[k - 1] * w ** (-k) for k in range(1, 13))
-    assert abs(p.eval(z) - w ** 4) < 1e-9 * w ** 4
+    rng = np.random.default_rng(12)
+    for n in range(1, 9):
+        a = 0.6 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        p = LGPolynomial(n, tuple(a))
+        tt = _tt(a, order=12)
+        w = 6.0  # large enough that the tail is negligible
+        z = w + sum(tt[k - 1] * w ** (-k) for k in range(1, 13))
+        assert abs(p.eval(z) - w ** (n + 1)) < 1e-9 * w ** (n + 1)
+
+
+def test_weighted_exponents_order():
+    # the first exponent varies slowest: this is the column order of the
+    # potential ansatz
+    assert _weighted_exponents((3, 2), 8) == [(0, 4), (2, 1)]
+    assert _weighted_exponents((2, 3), 6) == [(0, 2), (3, 0)]
+    assert _weighted_exponents((), 0) == [()]
 
 
 def test_multipoly_algebra():

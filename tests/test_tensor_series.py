@@ -6,6 +6,7 @@ import pytest
 from lgcardy.frobenius import quaternion_pair
 from lgcardy.tensor_series import (
     TensorSeries,
+    _condition_one,
     class_basis,
     class_tensors,
     d_s,
@@ -189,6 +190,12 @@ def test_condition_one_measures_asymmetry():
     f.add_term((1, 0, 0), (), 0.2)
     rep = ext_wdvv_check(f)
     assert rep.residuals["condition_1"] == pytest.approx(0.2, abs=1e-12)
+    # three equal entries whose floating-point mean is not their value:
+    # an exactly symmetric group reads 0 however large its entries
+    g = TensorSeries(2, 0, 4)
+    for word in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+        g.add_term(word, (), 123456789.123)
+    assert _condition_one(g) == 0.0
 
 
 def test_singular_block_raises():
