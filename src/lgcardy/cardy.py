@@ -43,7 +43,6 @@ from .frobenius import (
     matrix_pair,
     nondegeneracy_margin,
     number_pair,
-    orthogonal_sum,
     pair_from_dict,
     pair_to_dict,
     quaternion_pair,
@@ -54,7 +53,6 @@ __all__ = [
     "cardy_residual_trace",
     "cardy_residual_coordinates",
     "verify_cardy_frobenius",
-    "orthogonal_sum_cf",
     "decompose_commutative",
     "quaternionic_cf",
     "matrix_cf",
@@ -236,17 +234,6 @@ def _cardy_checks(cf, tol):
         for name in ("cardy_trace", "cardy_coordinate"):
             residuals[name] = np.where(unknown, np.nan, residuals[name])
     return residuals, margins, degenerate
-
-
-def orthogonal_sum_cf(c1, c2, name=None):
-    """Blockwise direct sum of two Cardy pairs."""
-    a = orthogonal_sum(c1.a, c2.a)
-    b = orthogonal_sum(c1.b, c2.b)
-    phi = np.zeros((b.algebra.dim, a.algebra.dim), dtype=complex)
-    d_b1, d_a1 = c1.phi.shape
-    phi[:d_b1, :d_a1] = c1.phi
-    phi[d_b1:, d_a1:] = c2.phi
-    return CardyFrobeniusAlgebra(a, b, phi, name=name or ("%s+%s" % (c1.name, c2.name)))
 
 
 def decompose_commutative(pair, tol=None, seed=0, attempts=3):

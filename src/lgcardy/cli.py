@@ -171,16 +171,10 @@ def _model_from_config(c):
 
 
 def _idempotent_residuals(closed):
-    alg = closed.pair.algebra
-    n = closed.n
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            prod = alg.multiply(closed.idempotents[i], closed.idempotents[j])
-            target = closed.idempotents[i] if i == j else np.zeros(n, dtype=complex)
-            worst = max(worst, float(np.max(np.abs(prod - target))))
-    unit_res = float(np.max(np.abs(closed.idempotents.sum(axis=0) - alg.unit)))
-    return worst, unit_res
+    alg, e = closed.pair.algebra, closed.idempotents
+    prods = np.array([[alg.multiply(x, y) for y in e] for x in e])
+    worst = float(np.max(np.abs(prods - np.eye(closed.n)[:, :, None] * e[None, :, :])))
+    return worst, float(np.max(np.abs(e.sum(axis=0) - alg.unit)))
 
 
 def cmd_build(c):
@@ -345,7 +339,7 @@ def _build_parser():
     common.add_argument("--paper-scale", dest="paper_scale", action="store_true",
                         help="use the literal rho_p/rho_q frame scale")
     common.add_argument("--index-reversal", dest="index_reversal", action="store_true",
-                        help="reverse the flat index convention")
+                        help="reverse the flat index convention (chart, potential, wdvv)")
     parser = argparse.ArgumentParser(
         prog="lgcardy",
         description="build and verify quaternion models of polynomial superpotentials",
@@ -388,6 +382,8 @@ def _refuse_unsupported(c):
     # a model or series file fixes its own branch
     if c.branch is not None and c.input:
         raise CLIError("--branch cannot be combined with --input")
+    if c.index_reversal and c.command not in ("chart", "potential", "wdvv"):
+        raise CLIError("%s does not support --index-reversal" % c.command)
 
 
 def run(config):

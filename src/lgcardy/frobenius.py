@@ -100,7 +100,7 @@ def _dense(stacks, dim):
 def _max_abs(arrays):
     """Largest absolute entry over a list of arrays, 0 when they hold
     none; a NaN anywhere makes it NaN."""
-    return float(np.max([0.0] + [np.max(np.abs(a)) for a in arrays if a.size]))
+    return float(np.array([np.abs(a).max(initial=0.0) for a in arrays]).max(initial=0.0))
 
 
 class FiniteAlgebra:
@@ -196,12 +196,6 @@ class FiniteAlgebra:
         x = np.asarray(x, dtype=complex)
         return self.block_matrix([
             np.einsum("gi,gijk->gkj", x[index], cubes) for index, cubes in self.stacks])
-
-    def right_action_matrix(self, y):
-        """Matrix of right multiplication by y in the basis."""
-        y = np.asarray(y, dtype=complex)
-        return self.block_matrix([
-            np.einsum("gj,gijk->gki", y[index], cubes) for index, cubes in self.stacks])
 
     def associator_residual(self):
         """Max norm of (e_i e_j) e_k - e_i (e_j e_k) over all basis triples.

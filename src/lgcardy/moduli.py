@@ -398,16 +398,6 @@ class PotentialPoly:
     terms: dict
     euler: EulerData
 
-    def eval(self, t):
-        t = np.asarray(t, dtype=complex)
-        total = 0.0 + 0.0j
-        for exps, coeff in self.terms.items():
-            total += coeff * np.prod(t ** np.array(exps))
-        return total
-
-    def third_derivatives(self, t):
-        return self._third_derivatives_at([t])[0]
-
     def _third_derivatives_at(self, points):
         """Third derivative tensors at each point, as [point, i, j, k],
         gathered from the sorted triples; each sum runs in monomial order."""

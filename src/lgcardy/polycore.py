@@ -31,8 +31,6 @@ __all__ = [
     "DegenerateModelError",
     "LGPolynomial",
     "poly_trim",
-    "poly_add",
-    "poly_mul",
     "poly_mod",
     "poly_derivative",
     "poly_eval",
@@ -76,22 +74,6 @@ def poly_trim(c, tol=0.0):
     while n > 1 and abs(c[n - 1]) <= tol:
         n -= 1
     return c[:n].copy()
-
-
-def poly_add(a, b):
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if len(a) < len(b):
-        a, b = b, a
-    out = a.copy()
-    out[: len(b)] += b
-    return poly_trim(out)
-
-
-def poly_mul(a, b):
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return np.convolve(a, b)
 
 
 def poly_derivative(a):

@@ -3,14 +3,10 @@
 A series lives in the tensor algebra on letters t^0 .. t^{n-1} and
 s^0 .. s^{m-1}; a monomial is an ordered t-word followed by an ordered
 s-word, and the series is truncated at a fixed total word length.
-Derivatives delete letters: d_t and d_s remove a single occurrence,
-while the cyclic third derivative d_sss removes an ordered triple
-(i, j, r) from every cyclic rotation of the s-word that starts at an
-occurrence of i.  Two monomials are equivalent when their words agree
-as multisets; projecting onto equivalence classes is multiplicative,
-with the multiset union of words as the class product, so the seven
-quadratic conditions on a potential series are evaluated in the class
-algebra.
+Derivatives delete letters (d_t, d_s, and the cyclic d_sss).  Two
+monomials are equivalent when their words agree as multisets; the
+projection onto classes is multiplicative, with the multiset union as
+the class product, so the seven conditions are evaluated on classes.
 
 Conditions, stated on the class projections with Fa and Fb the inverse
 quadratic blocks:
@@ -31,26 +27,22 @@ mixed second derivative.  Each condition is asserted on classes whose
 degree is at most the window, truncation - 4, the largest degree the
 truncated data determines exactly.
 
-A class-valued tensor is a dense array whose trailing axis runs over
-the class basis: the (sorted t-word, sorted s-word) pairs of degree at
-most the window.  The class product is a precomputed pair list that
-sends each pair of basis classes to their multiset union and drops the
-pairs whose union leaves the window.  T3, S3 and M2 are built in one
-pass over the series terms, and conditions 3-7 are the einsums above
-with the class product folded in over the pair list.  At window 0 the
-basis is the single empty class and the conditions are plain tensor
-contractions.
+The s-letters that share an s-word form an s-block (one quaternion block
+per critical point of an assembled series; Moore-Segal, hep-th/0609042).
+S3 and the boundary Gram vanish between blocks, so both are kept per
+block, stacked by block size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, permutations
+from math import comb
 
 import numpy as np
 
 from .polycore import ToleranceConfig
-from .frobenius import VerificationReport, nondegeneracy_margin
+from .frobenius import VerificationReport, _max_abs, nondegeneracy_margin
 
 __all__ = [
     "TensorSeries",
@@ -132,8 +124,6 @@ def d_sss(series, i, j, r):
     out = TensorSeries(series.n, series.m, series.truncation)
     for (tw, sw), c in series.terms.items():
         ell = len(sw)
-        if ell < 3:
-            continue
         for start in range(ell):
             rot = sw[start:] + sw[:start]
             if rot[0] != i:
@@ -150,10 +140,8 @@ def d_sss(series, i, j, r):
 
 
 def project(series):
-    """Sum coefficients over monomials with equal word multisets.
-
-    The result holds one sorted (t-word, s-word) pair per class.
-    """
+    """Sum coefficients over monomials with equal word multisets, into
+    one sorted (t-word, s-word) pair per class."""
     out = TensorSeries(series.n, series.m, series.truncation)
     for (tw, sw), c in series.terms.items():
         out.add_term(tuple(sorted(tw)), tuple(sorted(sw)), c)
@@ -169,9 +157,7 @@ def encode_symmetric(exponent_terms, n, m, truncation):
     """
     out = TensorSeries(n, m, truncation)
     for exps, coeff in exponent_terms.items():
-        word = []
-        for letter, mult in enumerate(exps):
-            word.extend([letter] * mult)
+        word = [letter for letter, mult in enumerate(exps) for _ in range(mult)]
         if len(word) > truncation:
             continue
         distinct = set(permutations(word))
@@ -181,28 +167,36 @@ def encode_symmetric(exponent_terms, n, m, truncation):
     return out
 
 
-def _quadratic_block(series, size, side):
-    """F_xy + F_yx at (x, y), read off in one pass over the degree-2 terms
-    whose two letters both sit in word ``side`` (0: t-word, 1: s-word)."""
+def _by_shape(series):
+    """The terms by word-length shape (t-length, s-length): the array of
+    the words t-word + s-word, one row per term, and the coefficients."""
+    groups = {}
+    for (tw, sw), c in series.terms.items():
+        words, coeffs = groups.setdefault((len(tw), len(sw)), ([], []))
+        words.append(tw + sw)
+        coeffs.append(c)
+    return {shape: (np.array(w, dtype=np.intp).reshape(len(w), sum(shape)), np.array(c, complex))
+            for shape, (w, c) in groups.items()}
+
+
+def _quadratic_block(shapes, size, shape):
+    """F_xy + F_yx at (x, y) over the terms of shape (2, 0) or (0, 2)."""
     out = np.zeros((size, size), dtype=complex)
-    for words, c in series.terms.items():
-        if len(words[side]) == 2 and not words[1 - side]:
-            x, y = words[side]
-            out[x, y] += c
-            out[y, x] += c
+    if shape in shapes:
+        (x, y), c = shapes[shape][0].T, shapes[shape][1]
+        np.add.at(out, (x, y), c)
+        np.add.at(out, (y, x), c)
     return out
 
 
 def quadratic_t_block(series):
-    """Matrix of second t-derivatives of the constant part,
-    F[(i, j), ()] + F[(j, i), ()]."""
-    return _quadratic_block(series, series.n, 0)
+    """Second t-derivatives of the constant part, F[(i, j), ()] + F[(j, i), ()]."""
+    return _quadratic_block(_by_shape(series), series.n, (2, 0))
 
 
 def quadratic_s_block(series):
-    """Half the matrix of second s-derivatives of the constant part,
-    (F[(), (u, v)] + F[(), (v, u)]) / 2."""
-    return 0.5 * _quadratic_block(series, series.m, 1)
+    """Half the second s-derivatives of the constant part, (F[(), (u, v)] + F[(), (v, u)]) / 2."""
+    return 0.5 * _quadratic_block(_by_shape(series), series.m, (0, 2))
 
 
 def _condition_one(series):
@@ -212,7 +206,7 @@ def _condition_one(series):
         if len(tw) < 2:
             continue
         groups.setdefault((tuple(sorted(tw)), sw), []).append((tw, c))
-    worst = 0.0
+    worst = [0.0]
     for (tkey, sw), entries in groups.items():
         words = set(permutations(tkey))
         lookup = dict(entries)
@@ -220,13 +214,9 @@ def _condition_one(series):
         # offsets from one entry are exact where entries are equal, so an
         # exactly symmetric group reads 0 at any magnitude of its entries
         offsets = values - values[0]
-        worst = max(worst, float(np.max(np.abs(offsets - offsets.mean()))))
-    return worst
-
-
-def _without(word, positions):
-    """Sorted letters of ``word`` outside ``positions``."""
-    return tuple(sorted(w for q, w in enumerate(word) if q not in positions))
+        worst.append(np.max(np.abs(offsets - offsets.mean())))
+    # np.max, unlike max, keeps a NaN wherever it comes
+    return float(np.max(worst))
 
 
 def class_basis(n, m, window):
@@ -235,146 +225,207 @@ def class_basis(n, m, window):
     Returns ``(index, pairs)``.  ``index`` maps each class, a pair of
     sorted t- and s-words, to its position on the class axis;
     ``pairs[c]`` lists the position pairs (a, b) whose multiset union
-    is class c.  A product that leaves the window is in no list.
+    is class c.  A product that leaves the window is in no list.  The
+    classes run in the colex order of their words (see _colex).
     """
-    classes = [
-        (tkey, skey)
-        for degree in range(window + 1)
-        for k in range(degree + 1)
-        for tkey in combinations_with_replacement(range(n), k)
-        for skey in combinations_with_replacement(range(m), degree - k)
-    ]
-    index = {cls: c for c, cls in enumerate(classes)}
-    pairs = [[] for _ in classes]
-    for a, (ta, sa) in enumerate(classes):
-        for b, (tb, sb) in enumerate(classes):
-            c = index.get((tuple(sorted(ta + tb)), tuple(sorted(sa + sb))))
-            if c is not None:
-                pairs[c].append((a, b))
+    words = sorted(combinations_with_replacement(range(n + m + 1), window), key=lambda w: w[::-1])
+    index = {(tuple(x for x in w if x < n), tuple(x - n for x in w if n <= x < n + m)): c
+             for c, w in enumerate(words)}
+    words = np.array(words, dtype=np.intp).reshape(len(words), window)
+    degree = (words < n + m).sum(axis=1)
+    a, b = np.nonzero(degree[:, None] + degree <= window)
+    union = np.sort(np.concatenate([words[a], words[b]], axis=1), axis=1)[:, :window]
+    pairs = [[] for _ in index]
+    for x, y, c in zip(a.tolist(), b.tolist(), _colex(union, n + m + 1).tolist()):
+        pairs[c].append((x, y))
     return index, pairs
 
 
+def _colex(words, letters):
+    """Colex rank sum_i C(x_i + i, i + 1) of each sorted word, over
+    ``letters`` letters, on the last axis.  A class of degree at most the
+    window, as the sorted word of its t-letters, its s-letters + n and the
+    pad n + m up to the window length, sits at this rank in class_basis."""
+    window = words.shape[-1]
+    binom = np.array([[comb(x + i, i + 1) for i in range(window)] for x in range(letters)],
+                     dtype=np.intp).reshape(letters, window)
+    return binom[words, np.arange(window)].sum(axis=-1)
+
+
+def _s_blocks(shapes, m):
+    """The s-blocks: connected components of the s-letters that share an
+    s-word, as one (g, d) letter array per block size d."""
+    edges = [(np.repeat(w[:, lt], ls - 1), w[:, lt + 1:].ravel())
+             for (lt, ls), (w, _) in shapes.items() if ls > 1]
+    u, v = (np.concatenate([e[k] for e in edges] + [e[1 - k] for e in edges] + [np.zeros(0, int)])
+            for k in (0, 1))
+    label = np.arange(m)
+    while True:  # every letter takes the least label along its words
+        low = label.copy()
+        np.minimum.at(low, u, label[v])
+        if (low[low] == label).all():
+            break
+        label = low[low]
+    size, order = np.bincount(label)[label], np.argsort(label, kind="stable")
+    return [order[size[order] == d].reshape(-1, d) for d in dict.fromkeys(size[order].tolist())]
+
+
+def _picked(words, coeffs, kt, picks, position):
+    """Letters at each pick of positions in each word, the class of the
+    letters left over (kt of them t-letters) and the coefficient, one row
+    per (word, pick)."""
+    picks = np.array(list(picks), dtype=np.intp)
+    rest = np.array([[x for x in range(words.shape[1]) if x not in p] for p in picks.tolist()],
+                    dtype=np.intp).reshape(len(picks), -1)
+    left = words[:, rest]
+    cls = position(np.sort(left[..., :kt], axis=-1), np.sort(left[..., kt:], axis=-1))
+    letters = words[:, picks].reshape(-1, picks.shape[1]).T
+    return letters, cls.ravel(), np.repeat(coeffs, len(picks))
+
+
 def class_tensors(series, index):
-    """T3, S3 and M2 with a trailing class axis, in one pass over the terms.
+    """T3, S3 and M2 with a leading class axis, in one pass over the terms.
 
-    T3[i, j, p] is the class projection of d_t(d_t(d_t(F, p), j), i),
-    S3[i, j, r] that of d_sss(F, i, j, r) and M2[k, p] that of
-    d_t(d_s(F, p), k), each kept on the classes of ``index``.  Every
-    derivative deletes letters at distinct positions, and S3 runs over
-    the cyclic rotations of the s-word as d_sss does.
+    T3[:, i, j, p] is the class projection of d_t(d_t(d_t(F, p), j), i),
+    S3[:, i, j, r] that of d_sss(F, i, j, r) and M2[:, k, p] that of
+    d_t(d_s(F, p), k), on the classes of an ``index`` from class_basis.
+    S3 vanishes unless i, j and r share an s-block, so it is a list of
+    (letters, cubes), one per block size as in FiniteAlgebra.stacks, with
+    cubes (classes, g, d, d, d) on the (g, d) letters.
     """
-    n, m, size = series.n, series.m, len(index)
-    t3 = np.zeros((n, n, n, size), dtype=complex)
-    s3 = np.zeros((m, m, m, size), dtype=complex)
-    m2 = np.zeros((n, m, size), dtype=complex)
-    for (tw, sw), coeff in series.terms.items():
-        tkey, skey = tuple(sorted(tw)), tuple(sorted(sw))
-        for picked in combinations(range(len(tw)), 3):
-            c = index.get((_without(tw, picked), skey))
-            if c is not None:
-                for i, j, p in permutations([tw[q] for q in picked]):
-                    t3[i, j, p, c] += coeff
-        for x in range(len(tw)):
-            for y in range(len(sw)):
-                c = index.get((_without(tw, (x,)), _without(sw, (y,))))
-                if c is not None:
-                    m2[tw[x], sw[y], c] += coeff
-        ell = len(sw)
-        for start in range(ell):
-            for p, q in combinations(range(1, ell), 2):
-                picked = [(start + d) % ell for d in (0, p, q)]
-                c = index.get((tkey, _without(sw, picked)))
-                if c is not None:
-                    i, j, r = (sw[x] for x in picked)
-                    s3[i, j, r, c] += coeff
-    return t3, s3, m2
+    return _class_tensors(_by_shape(series), series.n, series.m, index)
 
 
-def _class_product(spec, x, y, pairs):
-    """einsum(spec) of two class-valued tensors, one output class at a time."""
-    for ab in pairs:
-        yield sum(np.einsum(spec, x[..., a], y[..., b]) for a, b in ab)
+def _class_tensors(shapes, n, m, index):
+    """class_tensors on the terms grouped by shape, one vectorised pick
+    of letter positions per shape and derivative, one scatter in all."""
+    size = len(index)
+    window = max((len(t) + len(s) for t, s in index), default=-1)
+
+    def position(t, s):
+        pad = np.full(t.shape[:-1] + (window - t.shape[-1] - s.shape[-1],), n + m)
+        return _colex(np.concatenate([t, s + n, pad], axis=-1), n + m + 1)
+    blocks = _s_blocks(shapes, m)
+    # one flat array holds T3, M2 and the S3 stacks in turn; per s-letter:
+    # the flat start of its block's cube, the class stride of its stack,
+    # its place in the block and the block size
+    start, stride, place, dim = (np.zeros(m, dtype=np.intp) for _ in range(4))
+    total = size * (n**3 + n * m)
+    for letters in blocks:
+        g, d = letters.shape
+        start[letters], stride[letters] = total + d**3 * np.arange(g)[:, None], g * d**3
+        place[letters], dim[letters] = np.arange(d), d
+        total += size * g * d**3
+    parts = []
+    for (lt, ls), (words, coeffs) in shapes.items():
+        if lt >= 3 and lt + ls - 3 <= window:
+            (i, j, p), c, v = _picked(words, coeffs, lt - 3, permutations(range(lt), 3), position)
+            parts.append((((c * n + i) * n + j) * n + p, v))
+        if lt and ls and lt + ls - 2 <= window:
+            (k, p), c, v = _picked(words, coeffs, lt - 1,
+                                   [(x, lt + y) for x in range(lt) for y in range(ls)], position)
+            parts.append((size * n**3 + (c * n + k) * m + p, v))
+        if ls >= 3 and lt + ls - 3 <= window:
+            # the cyclic rotations of the s-word, as d_sss reads them
+            picks = [tuple(lt + (first + d) % ls for d in (0, p, q))
+                     for first in range(ls) for p, q in combinations(range(1, ls), 2)]
+            (i, j, r), c, v = _picked(words, coeffs, lt, picks, position)
+            d = dim[i]
+            parts.append((start[i] + c * stride[i] + (place[i] * d + place[j]) * d + place[r], v))
+    at, values = (np.concatenate([p[k] for p in parts] + [np.zeros(0, int)]) for k in (0, 1))
+    flat = np.empty(total, dtype=complex)
+    flat.real, flat.imag = (np.bincount(at, part, total) for part in (values.real, values.imag))
+    cubes = [(letters, flat[start[letters[0, 0]]:][:size * stride[letters[0, 0]]]
+              .reshape((size,) + letters.shape + letters.shape[1:] * 2)) for letters in blocks]
+    return (flat[:size * n**3].reshape(size, n, n, n), cubes,
+            flat[size * n**3:size * (n**3 + n * m)].reshape(size, n, m))
 
 
-def _worst(defects):
-    """Largest modulus over per-class defect arrays, which may be empty."""
-    return max(float(np.max(np.abs(d), initial=0.0)) for d in defects)
+def _alive(z):
+    """Per class slice of z (class axis first): 0 where it is all exact
+    zeros, NaN where it holds a NaN or inf, else 1."""
+    total = np.abs(z).reshape(len(z), -1).sum(axis=1)
+    return (total != 0) + (total - total)
 
 
-def ext_wdvv_check(series, n=None, m=None, tol=None):
+def _class_sum(spec, x, live_x, y, live_y, pairs):
+    """Class product of two class-valued arrays, class axis first, with
+    their _alive flags: one einsum ``spec`` over the class pairs (a, b, c),
+    pair axis first, each summed into its class c.  Pairs whose flags
+    multiply to 0, an all-zero slice against a finite one, only add exact
+    zeros and are skipped."""
+    a, b, c = pairs[:, live_x[pairs[0]] * live_y[pairs[1]] != 0]
+    terms = np.einsum(spec, x[a], y[b])
+    out = np.zeros((len(x),) + terms.shape[1:], dtype=complex)
+    for k, cls in enumerate(c.tolist()):
+        out[cls] += terms[k]
+    return out
+
+
+def ext_wdvv_check(series, tol=None):
     """Evaluate the seven conditions on a truncated potential series.
 
     Residuals condition_1 and condition_3 .. condition_7 are worst
     class-coefficient defects on the exactly determined window (classes
-    of degree at most truncation - 4); margins condition_2_t and
-    condition_2_s are the singular value ratios of the quadratic blocks.
-    T3, S3 and M2 are class-valued arrays over the class basis of the
-    window, conditions 3-7 are the einsums of the module docstring with
-    the class product taken over the pair list, and each defect is
-    reduced one output class at a time.  At window 0 the basis is the
-    single empty class.  A truncation of 3 leaves an empty window, so
-    conditions 3-7 hold vacuously and only condition 1 and the margins
-    carry content.  Raises ValueError("no inverse Gram") when a
-    quadratic block cannot be inverted.
+    of degree at most truncation - 4; none at truncation 3); margins
+    condition_2_t and condition_2_s are the singular value ratios of the
+    quadratic blocks.  Conditions 4 and 5, Fb and the boundary factors of
+    6 and 7 run per s-block; the right sides of 6 and 7 are scattered into
+    their dense places, where they meet the left sides over all letters.
+    Raises ValueError("no inverse Gram") when a quadratic block cannot
+    be inverted.
     """
     tol = tol or ToleranceConfig()
-    if n is not None and n != series.n:
-        raise ValueError("series has %d t-letters, expected %d" % (series.n, n))
-    if m is not None and m != series.m:
-        raise ValueError("series has %d s-letters, expected %d" % (series.m, m))
     n, m = series.n, series.m
     window = series.truncation - 4
+    shapes = _by_shape(series)
 
     rep = VerificationReport(subject="ext_wdvv", tol=tol.eq_tol)
     rep.residuals["condition_1"] = _condition_one(series)
 
-    ga = quadratic_t_block(series)
-    margin_t = nondegeneracy_margin(ga)
-    rep.margins["condition_2_t"] = margin_t
-    if margin_t <= tol.eq_tol:
-        raise ValueError("no inverse Gram")
-    fa = np.linalg.inv(ga)
-    fb = np.zeros((0, 0))
-    if m > 0:
-        gb = quadratic_s_block(series)
-        margin_s = nondegeneracy_margin(gb)
-        rep.margins["condition_2_s"] = margin_s
-        if margin_s <= tol.eq_tol:
+    ga, gb = _quadratic_block(shapes, n, (2, 0)), 0.5 * _quadratic_block(shapes, m, (0, 2))
+    for name, gram in (("condition_2_t", ga), ("condition_2_s", gb))[:1 + (m > 0)]:
+        rep.margins[name] = nondegeneracy_margin(gram)
+        if rep.margins[name] <= tol.eq_tol:
             raise ValueError("no inverse Gram")
-        fb = np.linalg.inv(gb)
+    fa = np.linalg.inv(ga)
 
     if window < 0:
-        for key in ("condition_3", "condition_4", "condition_5",
-                    "condition_6", "condition_7"):
-            rep.residuals[key] = 0.0
+        rep.residuals.update(("condition_%d" % k, 0.0) for k in range(3, 8))
         return rep
 
     index, pairs = class_basis(n, m, window)
-    t3, s3, m2 = class_tensors(series, index)
-    m2fa = np.einsum("pka,pq->kqa", m2, fa)
-    m2fb = np.einsum("kpa,pq->kqa", m2, fb)
-
-    lhs3 = _class_product(
-        "ijq,qkl->ijkl", np.einsum("ijpa,pq->ijqa", t3, fa), t3, pairs
-    )
-    rep.residuals["condition_3"] = _worst(v - np.einsum("kjil->ijkl", v) for v in lhs3)
-    lhs4 = _class_product(
-        "ijq,qkl->ijkl", np.einsum("ijpa,pq->ijqa", s3, fb), s3, pairs
-    )
-    rep.residuals["condition_4"] = _worst(v - np.einsum("lijk->ijkl", v) for v in lhs4)
-    lhs5 = _class_product("kq,qij->kij", m2fb, s3, pairs)
-    rep.residuals["condition_5"] = _worst(v - np.einsum("kji->kij", v) for v in lhs5)
-    # the inner factor M2 Fb S3 of condition 6, formed once
-    inner = np.stack(list(_class_product("iq,qkr->ikr", m2fb, s3, pairs)), axis=-1)
-    lhs6 = _class_product("kq,qij->kij", m2fa, t3, pairs)
-    rhs6 = _class_product(
-        "ikr,jr->kij", inner, np.einsum("rl,jla->jra", fb, m2), pairs
-    )
-    rep.residuals["condition_6"] = _worst(l - r for l, r in zip(lhs6, rhs6))
-    s3fbfb = np.einsum("upla,pq->ulqa", np.einsum("upra,rl->upla", s3, fb), fb)
-    lhs7 = _class_product("uq,qv->uv", m2fa, m2, pairs)
-    rhs7 = _class_product("ulq,lvq->uv", s3fbfb, s3, pairs)
-    rep.residuals["condition_7"] = _worst(l - r for l, r in zip(lhs7, rhs7))
+    pairs = np.array([(a, b, c) for c, ab in enumerate(pairs) for a, b in ab]).reshape(-1, 3).T
+    t3, s3, m2 = _class_tensors(shapes, n, m, index)
+    live_t, live_m = _alive(t3), _alive(m2)
+    # a NaN or inf in an inverse Gram reaches every slice it multiplies
+    finite_a = 1.0 if np.isfinite(fa).all() else np.nan
+    m2fa = np.einsum("apk,pq->akq", m2, fa)
+    lhs3 = _class_sum("aijq,aqkl->aijkl", np.einsum("aijp,pq->aijq", t3, fa), live_t * finite_a,
+                      t3, live_t, pairs)
+    defects = {3: [lhs3 - np.einsum("akjil->aijkl", lhs3)], 4: [], 5: []}
+    rhs6 = np.zeros((len(index), m, n, n), dtype=complex)
+    rhs7 = np.zeros((len(index), m, m), dtype=complex)
+    for letters, s3b in s3:
+        fb = np.linalg.inv(gb[letters[:, :, None], letters[:, None, :]])
+        finite_b = 1.0 if np.isfinite(fb).all() else np.nan
+        m2b = m2[:, :, letters]
+        live_s, live_mb = _alive(s3b), _alive(m2b) * finite_b
+        lhs4 = _class_sum("agijq,agqkl->agijkl", np.einsum("agijp,gpq->agijq", s3b, fb),
+                          live_s * finite_b, s3b, live_s, pairs)
+        defects[4].append(lhs4 - np.einsum("aglijk->agijkl", lhs4))
+        # M2 Fb S3: the left side of condition 5 and the inner factor of 6
+        inner = _class_sum("agiq,agqkr->agikr", np.einsum("akgp,gpq->agkq", m2b, fb), live_mb,
+                           s3b, live_s, pairs)
+        defects[5].append(inner - inner.swapaxes(3, 4))
+        rhs6[:, letters] = _class_sum("agikr,agjr->agkij", inner, _alive(inner),
+                                      np.einsum("grl,ajgl->agjr", fb, m2b), live_mb, pairs)
+        s3fbfb = np.einsum("agupl,gpq->agulq", np.einsum("agupr,grl->agupl", s3b, fb), fb)
+        rhs7[:, letters[:, :, None], letters[:, None, :]] = _class_sum(
+            "agulq,aglvq->aguv", s3fbfb, live_s * finite_b, s3b, live_s, pairs)
+    defects[6] = [_class_sum("akq,aqij->akij", m2fa, live_m * finite_a, t3, live_t, pairs) - rhs6]
+    defects[7] = [_class_sum("auq,aqv->auv", m2fa, live_m * finite_a, m2, live_m, pairs) - rhs7]
+    rep.residuals.update(("condition_%d" % k, _max_abs(d)) for k, d in defects.items())
     return rep
 
 

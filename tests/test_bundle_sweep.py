@@ -196,9 +196,9 @@ def test_ten_sample_points_keep_memory_small():
         sweep = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the series route peaks near 43 MB at n = 8; the stack of ten sample
-    # points holds (10, 4n, 4n) Gram stacks, about 1.1 MB
-    assert whole < 50e6
+    # the block-stacked series route stays under 1 MB at n = 8; the stack
+    # of ten sample points holds (10, 4n, 4n) Gram stacks, about 1.1 MB
+    assert whole < 5e6
     assert sweep < 2.5e6
 
 

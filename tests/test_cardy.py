@@ -15,7 +15,6 @@ from lgcardy.cardy import (
     cf_to_dict,
     decompose_commutative,
     matrix_cf,
-    orthogonal_sum_cf,
     quaternionic_cf,
     verify_cardy_frobenius,
 )
@@ -26,6 +25,7 @@ from lgcardy.frobenius import (
     complex_to_json,
     nondegeneracy_margin,
     number_pair,
+    orthogonal_sum,
     pair_to_dict,
     quaternion_pair,
     verify_frobenius,
@@ -38,6 +38,22 @@ def _zero_pair():
     """The zero dimensional pair, a trivial boundary part."""
     alg = FiniteAlgebra(np.zeros((0, 0, 0)), np.zeros(0), labels=[], blocks=[])
     return FrobeniusPair(alg, np.zeros(0), name="zero")
+
+
+def orthogonal_sum_cf(c1, c2, name=None):
+    """Blockwise direct sum of two Cardy pairs."""
+    a = orthogonal_sum(c1.a, c2.a)
+    b = orthogonal_sum(c1.b, c2.b)
+    phi = np.zeros((b.algebra.dim, a.algebra.dim), dtype=complex)
+    d_b1, d_a1 = c1.phi.shape
+    phi[:d_b1, :d_a1] = c1.phi
+    phi[d_b1:, d_a1:] = c2.phi
+    return CardyFrobeniusAlgebra(a, b, phi, name=name or ("%s+%s" % (c1.name, c2.name)))
+
+
+def _right_action_matrix(alg, y):
+    """Matrix of right multiplication by y in the basis."""
+    return np.einsum("j,ijk->ki", y, alg.mul)
 
 
 def _phi_star(cf):
@@ -89,7 +105,7 @@ def test_quaternionic_block_trace_values():
     alg = cf.b.algebra
     # trace of b -> 1 b 1 is the dimension, 4
     one = alg.unit
-    tr = np.trace(alg.left_action_matrix(one) @ alg.right_action_matrix(one))
+    tr = np.trace(alg.left_action_matrix(one) @ _right_action_matrix(alg, one))
     assert tr == pytest.approx(4.0)
     # and the bulk side gives the same: rho^2 (2/rho)^2 = 4
     ps = _phi_star(cf)
@@ -97,7 +113,7 @@ def test_quaternionic_block_trace_values():
     assert lhs == pytest.approx(4.0)
     # mixed pair (I, 1): both sides vanish
     I = np.array([0, 1, 0, 0], dtype=complex)
-    tr_i = np.trace(alg.left_action_matrix(I) @ alg.right_action_matrix(one))
+    tr_i = np.trace(alg.left_action_matrix(I) @ _right_action_matrix(alg, one))
     assert abs(tr_i) < 1e-14
 
 

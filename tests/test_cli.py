@@ -162,6 +162,11 @@ def test_exit_code_two_for_bad_arguments(tmp_path, capsys):
     assert main(["build"] + FROZEN + ["--output", str(model_file)]) == 0
     assert main(["verify-cf", "--input", str(model_file)]) == 0
     assert main(["verify-cf", "--input", str(model_file), "--branch", "+,-"]) == 2
+    # only chart, potential and wdvv read the index convention
+    for command in ("build", "verify-cf", "bundle", "ext-wdvv"):
+        assert main([command] + FROZEN + ["--index-reversal"]) == 2
+    assert main(["verify-cf", "--input", str(model_file), "--index-reversal"]) == 2
+    assert main(["chart"] + FROZEN + ["--index-reversal"]) == 0
     capsys.readouterr()
 
 

@@ -19,7 +19,6 @@ from lgcardy.polycore import (
     LGPolynomial,
     critical_points,
     poly_mod,
-    poly_mul,
     residue_functional,
     reversion_polynomials,
 )
@@ -157,7 +156,7 @@ def _pairing_by_poly_mod(rows, closed):
     g = np.zeros((len(rows), len(rows)), dtype=complex)
     for i, u in enumerate(rows):
         for j, v in enumerate(rows):
-            w = poly_mod(poly_mul(u, v), dp)
+            w = poly_mod(np.convolve(u, v), dp)
             g[i, j] = np.dot(w, values[: len(w)])
     return g
 

@@ -17,7 +17,7 @@ from lgcardy.moduli import (
     wdvv_check,
 )
 from lgcardy.moduli import _sorted_triples, _third_derivative_basis
-from lgcardy.polycore import ToleranceConfig, _weighted_exponents, poly_mod, poly_mul
+from lgcardy.polycore import ToleranceConfig, _weighted_exponents, poly_mod
 
 # step of the central differences in structure_gradient_residual
 FD_STEP = 1e-6
@@ -126,13 +126,13 @@ def _pairing_formula(chart):
     dp = chart.p.derivative_coeffs()
 
     def pair(u, v):
-        w = poly_mod(poly_mul(u, v), dp)
+        w = poly_mod(np.convolve(u, v), dp)
         return complex(np.dot(w, values[: len(w)]))
 
     c = np.zeros((n, n, n), dtype=complex)
     for i in range(n):
         for j in range(i, n):
-            prod = poly_mod(poly_mul(chart.tangents[i], chart.tangents[j]), dp)
+            prod = poly_mod(np.convolve(chart.tangents[i], chart.tangents[j]), dp)
             for k in range(j, n):
                 c[i, j, k] = pair(prod, chart.tangents[k])
     for i in range(n):
@@ -283,7 +283,7 @@ def test_reconstruction_matches_fresh_samples():
     F, _ = reconstruct_potential(2, sample_count=40, seed=42)
     for chart in sample_charts(2, 50, seed=4242):
         c = structure_tensor(chart=chart)
-        d3 = F.third_derivatives(chart.t)
+        d3 = F._third_derivatives_at([chart.t])[0]
         assert np.max(np.abs(d3 - c)) < 1e-7
 
 
@@ -323,5 +323,8 @@ def test_potential_json_round_trip():
     back = potential_from_dict(data)
     assert back.terms.keys() == F.terms.keys()
     t = np.array([0.3, -0.7])
-    assert back.eval(t) == pytest.approx(F.eval(t))
-    assert np.allclose(back.third_derivatives(t), F.third_derivatives(t))
+    def value(pot):
+        return sum(c * np.prod(t ** np.array(e)) for e, c in pot.terms.items())
+
+    assert value(back) == pytest.approx(value(F))
+    assert np.allclose(back._third_derivatives_at([t]), F._third_derivatives_at([t]))

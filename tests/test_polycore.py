@@ -12,11 +12,9 @@ from lgcardy.polycore import (
     _lagrange_rows,
     _weighted_exponents,
     critical_points,
-    poly_add,
     poly_derivative,
     poly_eval,
     poly_mod,
-    poly_mul,
     poly_trim,
     residue_functional,
     reversion_polynomials,
@@ -98,7 +96,7 @@ def test_poly_mod_reconstruction():
         assert len(r) <= dm
         # check a - r is divisible by m at the roots of m
         roots = np.roots(m[::-1])
-        diff = poly_add(a, -r)
+        diff = np.polynomial.polynomial.polysub(a, r)
         assert np.allclose(poly_eval(diff, roots), 0.0, atol=1e-8)
 
 
@@ -165,7 +163,7 @@ def test_lagrange_basis_properties():
         expect = np.zeros(len(roots))
         expect[i] = 1.0
         assert np.allclose(vals, expect, atol=1e-10)
-        sq = poly_mod(poly_mul(ei, ei), dp)
+        sq = poly_mod(np.convolve(ei, ei), dp)
         sq = np.pad(sq, (0, max(0, len(ei) - len(sq))))
         assert np.allclose(sq[: len(ei)], ei, atol=1e-10)
 

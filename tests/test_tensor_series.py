@@ -233,19 +233,23 @@ def test_one_pass_tensors_match_derivatives():
     for window in (0, 1, 2):
         f = _random_series(n, m, window + 4, 120, seed=window)
         index, _ = class_basis(n, m, window)
-        t3, s3, m2 = class_tensors(f, index)
+        t3, stacks, m2 = class_tensors(f, index)
+        s3 = np.zeros((len(index), m, m, m), dtype=complex)
+        for letters, cubes in stacks:
+            s3[:, letters[:, :, None, None], letters[:, None, :, None],
+               letters[:, None, None, :]] = cubes
         reference = []
         for i in range(n):
             for j in range(n):
                 for p in range(n):
-                    reference.append((t3[i, j, p], project(d_t(d_t(d_t(f, p), j), i))))
+                    reference.append((t3[:, i, j, p], project(d_t(d_t(d_t(f, p), j), i))))
         for i in range(m):
             for j in range(m):
                 for r in range(m):
-                    reference.append((s3[i, j, r], project(d_sss(f, i, j, r))))
+                    reference.append((s3[:, i, j, r], project(d_sss(f, i, j, r))))
         for k in range(n):
             for p in range(m):
-                reference.append((m2[k, p], project(d_t(d_s(f, p), k))))
+                reference.append((m2[:, k, p], project(d_t(d_s(f, p), k))))
         nonzero = 0
         for dense, cls in reference:
             want = np.array([cls.terms.get(key, 0.0) for key in index])
