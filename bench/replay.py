@@ -14,19 +14,23 @@ clean and with every corruption (``CORRUPTIONS`` and ``phi_swap``).
 ``potential`` and ``wdvv`` take no model; they run once per n, under both
 index conventions.  It writes one canonical JSON line per report: the
 case, the exit code (CLI) or the raised error, ``passed``,
-``routes_agree`` where the report has it, and every residual and margin
-row as [name, value, tol, pass].  The first line records the machine and
-the source, with the helpers of ``perfbench/run.py``.
+``routes_agree`` where the report has it, every residual and margin
+row as [name, value, tol, pass], and for a CLI report the sha256 of its
+text with the ``"timestamp"`` line removed.  The first line records the
+machine and the source, with the helpers of ``perfbench/run.py``.
 
 ``diff`` reads two dumps and prints every verdict flip, row flip,
 exit-code change and change of raised error type, then the largest
-relative value gap |a - b| / max(1, |a|) per row name, and the raised
-messages that changed.  It exits 1 when anything flipped, else 0.
+relative value gap |a - b| / max(1, |a|) per row name, the raised
+messages that changed, and the CLI report texts that changed (counted
+over the cases whose records in both dumps carry a digest).  It exits 1
+when anything flipped, else 0; a changed text alone is not a flip.
 This script is not part of the test suite.
 """
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -85,6 +89,8 @@ def cli_record(case, argv):
         record["passed"] = report["passed"]
         record["routes_agree"] = report["data"].get("routes_agree")
         record["rows"] = _rows(report["residuals"], report["margins"])
+        text = "".join(ln for ln in out.getvalue().splitlines(True) if '"timestamp"' not in ln)
+        record["sha256"] = hashlib.sha256(text.encode()).hexdigest()
     else:
         record["stderr"] = err.getvalue().strip()
     return record
@@ -156,7 +162,8 @@ def _gap(a, b):
 
 def diff(path_a, path_b):
     a, b = _load(path_a), _load(path_b)
-    flips, messages = [], []
+    flips, messages, texts = [], [], []
+    digests = 0  # cases whose records in both dumps carry a text digest
     gaps = {}  # row name -> (gap, case)
     for case in sorted(set(a) | set(b)):
         if case not in a or case not in b:
@@ -171,6 +178,10 @@ def diff(path_a, path_b):
             flips.append("%s: raised %r -> %r" % (case, ea, eb))
         elif ea != eb or ra.get("stderr") != rb.get("stderr"):
             messages.append("%s: %r -> %r" % (case, ea or ra.get("stderr"), eb or rb.get("stderr")))
+        if "sha256" in ra and "sha256" in rb:
+            digests += 1
+            if ra["sha256"] != rb["sha256"]:
+                texts.append(case)
         rows_a = {row[0]: row for row in ra.get("rows", [])}
         rows_b = {row[0]: row for row in rb.get("rows", [])}
         if rows_a.keys() != rows_b.keys():
@@ -194,6 +205,9 @@ def diff(path_a, path_b):
     print("changed raise messages: %d" % len(messages))
     for line in messages:
         print("  " + line)
+    print("changed report texts: %d of %d" % (len(texts), digests))
+    for case in texts:
+        print("  " + case)
     return 1 if flips else 0
 
 

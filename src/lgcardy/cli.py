@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -172,7 +173,9 @@ def _model_from_config(c):
 
 def _idempotent_residuals(closed):
     alg, e = closed.pair.algebra, closed.idempotents
-    prods = np.array([[alg.multiply(x, y) for y in e] for x in e])
+    prods = np.zeros((closed.n,) * 3, dtype=complex)
+    for index, cubes in alg.stacks:  # every product e_x e_y, one einsum per stack
+        prods[..., index] = np.einsum("xgi,ygj,gijk->xygk", e[:, index], e[:, index], cubes)
     worst = float(np.max(np.abs(prods - np.eye(closed.n)[:, :, None] * e[None, :, :])))
     return worst, float(np.max(np.abs(e.sum(axis=0) - alg.unit)))
 
@@ -185,8 +188,7 @@ def cmd_build(c):
     data = {"mu": complex_to_json(model.closed.mu), "rho": complex_to_json(model.rho)}
     if c.output:
         with open(c.output, "w") as fh:
-            json.dump(model_to_dict(model), fh, indent=2)
-            fh.write("\n")
+            fh.write(_dumps(model_to_dict(model)) + "\n")
         data["model_written_to"] = c.output
     else:
         data["model"] = model_to_dict(model)
@@ -396,8 +398,34 @@ def run(config):
     return report, (0 if report["passed"] else 1)
 
 
+def _dumps(obj, indent="\n"):
+    """``json.dumps(obj, indent=2)``, character for character.  A list of
+    finite floats, or of [re, im] pairs of them, is formatted by one ``%``
+    over a joined template; with ``indent`` set, json would run its
+    pure-Python encoder on every float."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        # json writes a non-str key as its own JSON text, quoted
+        return "{" + inner + sep.join(
+            json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": " + _dumps(v, inner)
+            for k, v in obj.items()) + indent + "}"
+    flat, item = obj, "%r"
+    if set(map(type, obj)) == {list} and set(map(len, obj)) == {2}:
+        flat = [x for pair in obj for x in pair]
+        item = "[" + inner + "  %r," + inner + "  %r" + inner + "]"
+    # a sum of floats is finite only if every term is
+    if set(map(type, flat)) == {float} and math.isfinite(sum(flat)):
+        body = sep.join([item] * len(obj)) % tuple(flat)
+    else:
+        body = sep.join(_dumps(x, inner) for x in obj)
+    return "[" + inner + body + indent + "]"
+
+
 def _emit(report, config):
-    text = json.dumps(report, indent=2)
+    text = _dumps(report)
     # build already used --output for the model file itself
     out = None if config.command == "build" else config.output
     if out:

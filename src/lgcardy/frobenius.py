@@ -11,8 +11,7 @@ An algebra is stored as the cubes of its structure tensor on its
 declared blocks, stacked by block size into (g, d, d, d) arrays; the
 entries between blocks are zero and never stored.  Every residual, Gram
 matrix and action matrix is contracted one stack at a time, with one
-batched einsum per block size.  The dense tensor ``FiniteAlgebra.mul``
-is a read-only view built on demand, for tests and small-n debugging.
+batched einsum per block size.
 
 A pair may carry a stack of functionals on one algebra, ``functional``
 of shape (S, dim): its Gram matrices and their margins then come as
@@ -117,9 +116,7 @@ class FiniteAlgebra:
     holds one ``(index, cubes)`` pair per dimension d, with ``cubes`` a
     (g, d, d, d) array and ``index`` the (g, d) basis indices of its
     blocks.  Every routine contracts one stack at a time, so g blocks of
-    one size cost one batched einsum.  ``mul`` is a read-only dense view
-    built on demand for tests and small-n debugging; no routine of the
-    library reads it.
+    one size cost one batched einsum.
 
     The constructor takes a dense tensor, refuses one with a nonzero
     entry (NaN included) outside the declared cubes, and keeps only the
@@ -158,13 +155,6 @@ class FiniteAlgebra:
         self.blocks = blocks
         self.stacks = stacks
         self.labels = list(labels) if labels is not None else ["e%d" % i for i in range(dim)]
-
-    @property
-    def mul(self):
-        """Dense structure tensor, built on each access and read-only."""
-        out = _dense(self.stacks, self.dim)
-        out.flags.writeable = False
-        return out
 
     def cubes(self):
         """(offset, cube) for every block, in the order of ``blocks``."""

@@ -31,7 +31,6 @@ __all__ = [
     "DegenerateModelError",
     "LGPolynomial",
     "poly_trim",
-    "poly_mod",
     "poly_derivative",
     "poly_eval",
     "critical_points",
@@ -85,32 +84,6 @@ def poly_derivative(a):
 
 def poly_eval(a, z):
     return np.polynomial.polynomial.polyval(z, np.asarray(a, dtype=complex))
-
-
-def poly_mod(a, m):
-    """Remainder of ``a`` modulo ``m`` by synthetic division.
-
-    The divisor's leading coefficient must be nonzero; the dividend is
-    reduced degree by degree, so no spurious small coefficients survive at
-    the top end.
-    """
-    a = poly_trim(np.asarray(a, dtype=complex))
-    m = poly_trim(np.asarray(m, dtype=complex))
-    dm = len(m) - 1
-    if dm == 0 and m[0] == 0:
-        raise ZeroDivisionError("zero divisor polynomial")
-    if dm == 0:
-        return np.zeros(1, dtype=complex)
-    r = a.copy()
-    lead = m[dm]
-    for k in range(len(r) - 1, dm - 1, -1):
-        q = r[k] / lead
-        if q != 0:
-            r[k] = 0.0
-            r[k - dm : k] -= q * m[:dm]
-        else:
-            r[k] = 0.0
-    return poly_trim(r[:dm] if len(r) > dm else r)
 
 
 @dataclass(frozen=True)

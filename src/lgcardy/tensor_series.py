@@ -448,7 +448,8 @@ def series_to_dict(series):
 
 
 def series_from_dict(data):
-    """Series from its JSON payload; refuses what add_term would drop."""
+    """Series from its JSON payload; refuses non-finite coefficients and
+    what add_term would drop."""
     n = int(data["n"])
     m = int(data["m"])
     out = TensorSeries(n, m, int(data["truncation"]))
@@ -462,5 +463,8 @@ def series_from_dict(data):
             raise ValueError("series letter out of range")
         if len(tw) + len(sw) > out.truncation:
             raise ValueError("term longer than truncation")
-        out.add_term(tw, sw, complex(re, im))
+        coeff = complex(re, im)
+        if not np.isfinite(coeff):
+            raise ValueError("non-finite coefficient %r" % coeff)
+        out.add_term(tw, sw, coeff)
     return out

@@ -22,6 +22,8 @@ from lgcardy.moduli import flat_chart
 from lgcardy.polycore import DegenerateModelError, ToleranceConfig, poly_eval
 from lgcardy.tensor_series import d_sss, quadratic_s_block
 
+from test_frobenius import dense
+
 
 @pytest.fixture(scope="module")
 def model():
@@ -222,7 +224,7 @@ def test_boundary_blocks_of_series_match_dense_formulas(n):
     values = np.array([[poly_eval(tan, r) for r in model.closed.roots]
                        for tan in chart.tangents])
     for corruption, cf in _corrupted_cfs(model):
-        mulb, lb = cf.b.algebra.mul, cf.b.functional
+        mulb, lb = dense(cf.b.algebra), cf.b.functional
         gram = np.einsum("uvq,q->uv", mulb, lb)
         cubic = np.einsum("uvq,qwr,r->uvw", mulb, mulb, lb)
         transfer = np.array([np.einsum("p,puq,q->u", cf.phi @ values[k], mulb, lb)
@@ -246,7 +248,7 @@ def test_undeclared_cross_block_write_is_refused(model):
     # the per-block reader skips entries between blocks, so an algebra
     # carrying one must be refused at construction, never read
     alg = model.cf.b.algebra
-    mul = alg.mul.copy()
+    mul = dense(alg)
     mul[0, 4, 4] = 0.05
     with pytest.raises(ValueError, match="do not split"):
         FiniteAlgebra(mul, alg.unit, alg.labels, alg.blocks)

@@ -33,6 +33,8 @@ from lgcardy.frobenius import (
 from lgcardy.landau_ginzburg import build_closed, build_quaternion_model
 from lgcardy.polycore import DegenerateModelError, ToleranceConfig
 
+from test_frobenius import dense
+
 
 def _zero_pair():
     """The zero dimensional pair, a trivial boundary part."""
@@ -53,7 +55,7 @@ def orthogonal_sum_cf(c1, c2, name=None):
 
 def _right_action_matrix(alg, y):
     """Matrix of right multiplication by y in the basis."""
-    return np.einsum("j,ijk->ki", y, alg.mul)
+    return np.einsum("j,ijk->ki", y, dense(alg))
 
 
 def _phi_star(cf):
@@ -78,7 +80,7 @@ def _three_einsum_coordinates(cf):
     The path search only reorders the sums of each einsum."""
     ga_inv = np.linalg.inv(cf.a.gram())
     gb_inv = np.linalg.inv(cf.b.gram())
-    mulb = cf.b.algebra.mul
+    mulb = dense(cf.b.algebra)
     lb = cf.b.functional
     m1 = np.einsum("bi,bkc,c->ik", cf.phi, mulb, lb, optimize=True)
     lhs = m1.T @ ga_inv @ m1
@@ -286,7 +288,7 @@ def test_cf_json_round_trip():
     assert back.name == "two_blocks"
     assert np.allclose(back.phi, cf.phi)
     assert np.allclose(back.a.gram(), cf.a.gram())
-    assert np.allclose(back.b.algebra.mul, cf.b.algebra.mul)
+    assert np.allclose(dense(back.b.algebra), dense(cf.b.algebra))
     assert verify_cardy_frobenius(back).passed
 
 
@@ -305,7 +307,7 @@ def test_decompose_commutative_does_not_depend_on_eq_tol():
 def _dense_frobenius(pair, commutative):
     """The residuals and margin of verify_frobenius, written out on the
     dense structure tensor over every basis triple."""
-    mul, dim = pair.algebra.mul, pair.algebra.dim
+    mul, dim = dense(pair.algebra), pair.algebra.dim
     left = np.einsum("ijm,mkl->ijkl", mul, mul, optimize=True)
     right = np.einsum("jkm,iml->ijkl", mul, mul, optimize=True)
     e = pair.algebra.unit
@@ -325,7 +327,7 @@ def _dense_frobenius(pair, commutative):
 def _dense_cardy(cf):
     """The residuals and margins of verify_cardy_frobenius, written out on
     the dense structure tensors (the formulas the block route replaced)."""
-    mula, mulb, phi = cf.a.algebra.mul, cf.b.algebra.mul, cf.phi
+    mula, mulb, phi = dense(cf.a.algebra), dense(cf.b.algebra), cf.phi
     ga = np.einsum("ijk,k->ij", mula, cf.a.functional)
     gb = np.einsum("ijk,k->ij", mulb, cf.b.functional)
     images = np.einsum("ijc,bc->ijb", mula, phi)
@@ -404,7 +406,7 @@ def test_payloads_match_dense_cube_formula(n):
     # declared block, as the writer read it before blocks were stored
     model = _seeded_model(n)
     for pair in (model.closed.pair, model.cf.a, model.cf.b):
-        mul = pair.algebra.mul
+        mul = dense(pair.algebra)
         want = [complex_to_json(mul[o:o + d, o:o + d, o:o + d].reshape(-1))
                 for o, d in pair.algebra.blocks]
         assert json.dumps(pair_to_dict(pair)["structure"]) == json.dumps(want)

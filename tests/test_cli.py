@@ -9,7 +9,7 @@ import pytest
 from lgcardy import cli
 from lgcardy.bundle import assemble_potential, corrupt_model, verify_bundle
 from lgcardy.cli import main, parse_branch, parse_complex_list
-from lgcardy.landau_ginzburg import build_quaternion_model
+from lgcardy.landau_ginzburg import build_quaternion_model, model_to_dict
 from lgcardy.moduli import wdvv_check
 from lgcardy.tensor_series import series_to_dict
 
@@ -168,6 +168,15 @@ def test_exit_code_two_for_bad_arguments(tmp_path, capsys):
     assert main(["verify-cf", "--input", str(model_file), "--index-reversal"]) == 2
     assert main(["chart"] + FROZEN + ["--index-reversal"]) == 0
     capsys.readouterr()
+    # a non-finite series coefficient is refused, not judged or called degenerate
+    payload = series_to_dict(assemble_potential(build_quaternion_model(n=2, a=(-3.0, 0.0))))
+    [term] = [t for t in payload["terms"] if t["t"] == [] and t["s"] == [5, 5]]
+    series_file = tmp_path / "series.json"
+    for bad in (float("nan"), float("inf")):
+        term["coeff"][0] = bad
+        series_file.write_text(json.dumps(payload))
+        assert main(["ext-wdvv", "--input", str(series_file)]) == 2
+        assert "bad series file" in capsys.readouterr().err
 
 
 def test_exit_code_three_for_degenerate_model(capsys):
@@ -201,6 +210,41 @@ def test_reports_deterministic_modulo_timestamp(tmp_path, capsys):
     second = [ln for ln in out_file.read_text().splitlines() if '"timestamp"' not in ln]
     capsys.readouterr()
     assert first == second
+
+
+WRITER_CASES = [[command] + args for command in ("chart", "build", "verify-cf", "bundle", "ext-wdvv")
+                for args in (FROZEN, SEEDED3)] + [
+    [command, "--n", n] for command in ("potential", "wdvv") for n in ("1", "2", "3")] + [
+    ["bundle", "--t-degree", "5"] + FROZEN, ["chart", "--index-reversal"] + SEEDED3]
+
+
+@pytest.mark.parametrize("argv", WRITER_CASES)
+def test_report_writer_matches_json_dumps(argv):
+    report, _ = cli.run(cli._config_from_args(cli._ARGPARSER.parse_args(argv)))
+    assert cli._dumps(report) == json.dumps(report, indent=2)
+
+
+def test_model_file_matches_json_dumps(tmp_path, capsys):
+    model_file = tmp_path / "model.json"
+    assert main(["build"] + FROZEN + ["--output", str(model_file)]) == 0
+    capsys.readouterr()
+    want = model_to_dict(build_quaternion_model(n=2, a=(-3.0, 0.0)))
+    assert model_file.read_text() == json.dumps(want, indent=2) + "\n"
+
+
+def test_writer_matches_json_dumps_off_the_bulk_path():
+    nan, inf = float("nan"), float("inf")
+    obj = {
+        "special": [nan, inf, -inf, 0.0, -0.0, 1e-320], "mixed": [1, 2.5, True, None],
+        "pairs": [[1.0, nan], [inf, 2.0]], "one_pair": [[0.5, -1.5]], "int_pairs": [[0, 1]],
+        "ragged": [[1.0, 2.0], [3.0]], "triples": [[1.0, 2.0, 3.0]], "overflow": [1e308, 1e308],
+        "text": ["gr\u00fc\u00dfe \u03c1", 'say "hi"\n\tbye', ""], "empty": [[], {}, ()],
+        "tuples": (1.0, (2.0, 3.0), [(4.0, 5.0)]), "nested": {"a": {"b": [[[1.0, 2.0]]]}},
+        "np": [np.float64(0.1), [np.float64(0.2), 0.3]], 3: "int key", 0.5: "float key",
+        None: "null key", False: "bool key",
+    }
+    for value in (obj, [], {}, nan, "x", [1.0], [[1.0, 2.0]]):
+        assert cli._dumps(value) == json.dumps(value, indent=2)
 
 
 def test_build_report_stays_small_at_n8(capsys):

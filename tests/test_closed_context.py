@@ -13,15 +13,17 @@ import pytest
 from lgcardy import bundle, cli, landau_ginzburg, moduli, polycore
 from lgcardy.bundle import verify_bundle
 from lgcardy.landau_ginzburg import build_closed, build_quaternion_model
-from lgcardy.moduli import _chart_on, _reversion_values, flat_chart
+from lgcardy.moduli import _chart_on, _reversion_values
 from lgcardy.polycore import (
     DegenerateModelError,
     LGPolynomial,
     critical_points,
-    poly_mod,
     residue_functional,
     reversion_polynomials,
 )
+
+from test_frobenius import dense
+from test_polycore import poly_mod
 
 
 def _draws():
@@ -164,7 +166,7 @@ def _pairing_by_poly_mod(rows, closed):
 def test_products_are_the_poly_mod_reductions():
     for scale, n, a in _draws():
         closed = build_closed(n=n, a=a)
-        _assert_agree(closed.pair.algebra.mul, _products_by_poly_mod(closed), scale)
+        _assert_agree(dense(closed.pair.algebra), _products_by_poly_mod(closed), scale)
 
 
 def test_ttilde_matches_revert_series():
@@ -188,10 +190,3 @@ def test_chart_metrics_match_the_poly_mod_pairing():
         g_raw = _pairing_by_poly_mod(raw, chart.closed)
         _assert_agree(chart.metric_residual, np.max(np.abs(g - flip)), scale)
         _assert_agree(chart.metric_residual_raw, np.max(np.abs(g_raw - (n + 1) * flip)), scale)
-
-
-def test_closed_algebra_and_chart_reduce_no_polynomial(monkeypatch):
-    counts = _count_calls(monkeypatch, ("poly_mod",))
-    flat_chart(n=8, a=(0.3 + 0.1j, -1, 0.2, 0.8, 0.1 + 0.2j, -0.5, 0.3 + 0.3j, 0.1))
-    # the products gather the 2n-1 reductions, the pairing is a Hankel form
-    assert counts == {}

@@ -7,6 +7,7 @@ from lgcardy.frobenius import (
     FiniteAlgebra,
     FrobeniusPair,
     VerificationReport,
+    _dense,
     complex_to_json,
     json_to_complex,
     m2_quaternion_isomorphism,
@@ -19,6 +20,11 @@ from lgcardy.frobenius import (
     quaternion_pair,
     verify_frobenius,
 )
+
+
+def dense(alg):
+    """The (dim, dim, dim) structure tensor of ``alg``, as a new array."""
+    return _dense(alg.stacks, alg.dim)
 
 
 def _zero_pair():
@@ -148,8 +154,8 @@ def _pairwise_fold(pairs):
     for p in pairs[1:]:
         d1, d2 = out.algebra.dim, p.algebra.dim
         mul = np.zeros((d1 + d2,) * 3, dtype=complex)
-        mul[:d1, :d1, :d1] = out.algebra.mul
-        mul[d1:, d1:, d1:] = p.algebra.mul
+        mul[:d1, :d1, :d1] = dense(out.algebra)
+        mul[d1:, d1:, d1:] = dense(p.algebra)
         blocks = out.algebra.blocks + [(off + d1, d) for off, d in p.algebra.blocks]
         alg = FiniteAlgebra(mul, np.concatenate([out.algebra.unit, p.algebra.unit]),
                             out.algebra.labels + p.algebra.labels, blocks)
@@ -177,11 +183,9 @@ def test_orthogonal_sum_list_leaves_a_single_summand_untouched():
     q = orthogonal_sum_list([p], name="renamed")
     assert q is not p and q.name == "renamed"
     assert pair_to_dict(p) == before
-    # the dense view is read-only; the sum must not share the summand's cubes
-    with pytest.raises(ValueError, match="read-only"):
-        q.algebra.mul[0, 0, 0] = 7.0
+    # the sum must not share the summand's cubes
     q.algebra.stacks[0][1][0, 0, 0, 0] = 7.0
-    assert p.algebra.mul[0, 0, 0] == 1.0 and pair_to_dict(p) == before
+    assert dense(p.algebra)[0, 0, 0] == 1.0 and pair_to_dict(p) == before
 
 
 def test_degenerate_form_detected():
@@ -210,15 +214,15 @@ def test_broken_associativity_detected():
 
 def test_blocks_must_split_structure_tensor():
     p = orthogonal_sum(number_pair(2.0), quaternion_pair(0.5))
-    mul = p.algebra.mul.copy()
+    mul = dense(p.algebra)
     mul[0, 1, 1] = 1e-300  # e_0 e_1 reaches into the quaternion block
     with pytest.raises(ValueError, match="do not split"):
         FiniteAlgebra(mul, p.algebra.unit, blocks=p.algebra.blocks)
     FiniteAlgebra(mul, p.algebra.unit)  # one whole block is always a split
     # a dense tensor is not one array per block, flat or wrapped in a list
-    for dense in (complex_to_json(mul.reshape(-1)), [complex_to_json(mul.reshape(-1))]):
+    for whole in (complex_to_json(mul.reshape(-1)), [complex_to_json(mul.reshape(-1))]):
         d = pair_to_dict(p)
-        d["structure"] = dense
+        d["structure"] = whole
         with pytest.raises(ValueError, match="one array per block"):
             pair_from_dict(d)
     d = pair_to_dict(p)
@@ -227,7 +231,7 @@ def test_blocks_must_split_structure_tensor():
         pair_from_dict(d)
     for blocks in ([(0, 2), (1, 4)], [(0, 1), (1, 5)], [(0, 0), (0, 5)]):
         with pytest.raises(ValueError, match="disjoint slices"):
-            FiniteAlgebra(p.algebra.mul, p.algebra.unit, blocks=blocks)
+            FiniteAlgebra(dense(p.algebra), p.algebra.unit, blocks=blocks)
         d = pair_to_dict(p)
         d["blocks"] = [list(b) for b in blocks]
         with pytest.raises(ValueError, match="disjoint slices"):
@@ -258,7 +262,7 @@ def test_pair_from_dict_needs_one_cube_per_block():
 
 def test_nan_in_one_block_fails_associativity():
     p = orthogonal_sum_list([number_pair(1.0), quaternion_pair(0.5), number_pair(2.0)])
-    mul = p.algebra.mul.copy()
+    mul = dense(p.algebra)
     mul[2, 3, 4] = np.nan  # inside the quaternion block, which is not the last
     pair = FrobeniusPair(
         FiniteAlgebra(mul, p.algebra.unit, blocks=p.algebra.blocks), p.functional
@@ -300,7 +304,7 @@ def test_json_round_trip():
     assert all(len(entry) == 2 for cube in d["structure"] for entry in cube)
     q = pair_from_dict(d)
     assert q.name == "mix"
-    assert np.allclose(q.algebra.mul, p.algebra.mul)
+    assert np.allclose(dense(q.algebra), dense(p.algebra))
     assert np.allclose(q.functional, p.functional)
     assert q.algebra.blocks == p.algebra.blocks
     x = json_to_complex(complex_to_json(np.array([[1 + 2j, 0], [3, -1j]])))
@@ -330,7 +334,7 @@ def test_block_layout_round_trip_is_exact():
         q = pair_from_dict(d)
         assert q.algebra.blocks == p.algebra.blocks
         assert q.algebra.labels == p.algebra.labels and q.name == p.name
-        assert np.array_equal(q.algebra.mul, p.algebra.mul)
+        assert np.array_equal(dense(q.algebra), dense(p.algebra))
         assert np.array_equal(q.algebra.unit, p.algebra.unit)
         assert np.array_equal(q.functional, p.functional)
     assert [b for _, b in p.algebra.blocks] == [3]  # the corrupted bulk

@@ -17,7 +17,9 @@ from lgcardy.moduli import (
     wdvv_check,
 )
 from lgcardy.moduli import _sorted_triples, _third_derivative_basis
-from lgcardy.polycore import ToleranceConfig, _weighted_exponents, poly_mod
+from lgcardy.polycore import ToleranceConfig, _weighted_exponents
+
+from test_polycore import poly_mod
 
 # step of the central differences in structure_gradient_residual
 FD_STEP = 1e-6

@@ -14,11 +14,29 @@ from lgcardy.polycore import (
     critical_points,
     poly_derivative,
     poly_eval,
-    poly_mod,
     poly_trim,
     residue_functional,
     reversion_polynomials,
 )
+
+
+def poly_mod(a, m):
+    """Remainder of ``a`` modulo ``m`` by synthetic division, degree by
+    degree: the written-out reference of the reduction table z^k mod p'."""
+    a = poly_trim(np.asarray(a, dtype=complex))
+    m = poly_trim(np.asarray(m, dtype=complex))
+    dm = len(m) - 1
+    if dm == 0 and m[0] == 0:
+        raise ZeroDivisionError("zero divisor polynomial")
+    if dm == 0:
+        return np.zeros(1, dtype=complex)
+    r = a.copy()
+    for k in range(len(r) - 1, dm - 1, -1):
+        q = r[k] / m[dm]
+        r[k] = 0.0
+        if q != 0:
+            r[k - dm : k] -= q * m[:dm]
+    return poly_trim(r[:dm] if len(r) > dm else r)
 
 
 def _tt(a, order=None):

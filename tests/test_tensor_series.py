@@ -21,6 +21,8 @@ from lgcardy.tensor_series import (
     series_to_dict,
 )
 
+from test_frobenius import dense
+
 
 def test_add_and_truncation():
     f = TensorSeries(2, 1, 3)
@@ -145,7 +147,7 @@ def _quaternion_toy(rho=0.5, tangent=2.0, scale_boundary=1.0):
     f.add_term((0, 0), (), 0.5 * ga)
     f.add_term((0, 0, 0), (), ca / 6.0)
     gb = pair.gram()
-    mul = pair.algebra.mul
+    mul = dense(pair.algebra)
     cb = np.einsum("ijq,q->ij", mul, pair.functional)
     cb3 = np.einsum("ijq,qkr,r->ijk", mul, mul, pair.functional)
     for i in range(4):
