@@ -5,20 +5,24 @@
 The package is imported from the ``src/`` of the checkout the script sits
 in, and the result is written to ``BENCH_NAME.json`` at its root.  For
 n = 2, 3, 4, 6 and 8 it builds one seeded model and times each layer of
-the verifier on it: critical points, ``build_closed``, the flat chart,
-``structure_tensor``, both Cardy routes, ``verify_cardy_frobenius``, both
-``verify_frobenius`` checks, ``build_quaternion_model``,
-``reconstruct_potential``, ``assemble_potential``, ``ext_wdvv_check`` and
-``verify_bundle``.  It also times every CLI subcommand end to end, in
-process, with its output discarded.
+the verifier on it: critical points, ``build_closed``, the flat chart
+(``_chart_on``), ``structure_tensor``, both Cardy routes (``_trace_route``
+and ``_coordinate_route``, the Gram matrices formed outside the timed
+call), ``verify_cardy_frobenius``, both ``verify_frobenius`` checks,
+``build_quaternion_model``, ``reconstruct_potential``,
+``assemble_potential``, ``ext_wdvv_check`` and ``verify_bundle``.  It
+also times every CLI subcommand end to end, in process, with its output
+discarded.
 
 Each cell repeats its call for BUDGET_S seconds (at least three calls, at
 most 200) and runs the fixed reference computation of
 ``perfbench/calibration.py`` after every call.  The JSON records, per cell,
 the call count and the median and minimum wall times, and the median
 rescaled to the reference machine speed the way perfbench rescales its job
-times.  BLAS threads are capped, and the machine (CPU, Python, numpy, BLAS
-and its threads, commit and source hash) is recorded, with the helpers of
+times, and ``src_lines`` records the size of the package source as
+``wc -l src/lgcardy/*.py`` counts it.  BLAS threads are capped, and the
+machine (CPU, Python, numpy, BLAS and its threads, commit and source hash)
+is recorded, with the helpers of
 ``perfbench/run.py``; models are drawn and CLI coefficients formatted by
 ``perfbench/workloads.py``.  This script is not part of the test suite.
 """
@@ -48,7 +52,7 @@ import calibration  # noqa: E402
 import workloads  # noqa: E402
 import lgcardy as lib  # noqa: E402
 from lgcardy import cli  # noqa: E402
-from lgcardy.cardy import cardy_residual_coordinates, cardy_residual_trace  # noqa: E402
+from lgcardy.cardy import _coordinate_route, _trace_route  # noqa: E402
 from lgcardy.moduli import _chart_on  # noqa: E402
 
 SIZES = (2, 3, 4, 6, 8)
@@ -88,13 +92,14 @@ def layers(model):
     n, p, closed, cf = model.n, model.p, model.closed, model.cf
     chart = _chart_on(closed)
     series = lib.assemble_potential(model)
+    ga, gb = cf.a.gram(), cf.b.gram()
     return {
         "critical_points": lambda: lib.critical_points(p),
         "build_closed": lambda: lib.build_closed(p=p),
         "flat_chart": lambda: _chart_on(closed),
         "structure_tensor": lambda: lib.structure_tensor(chart),
-        "cardy_trace": lambda: cardy_residual_trace(cf),
-        "cardy_coordinate": lambda: cardy_residual_coordinates(cf),
+        "cardy_trace": lambda: _trace_route(cf, ga, gb),
+        "cardy_coordinate": lambda: _coordinate_route(cf, ga, gb),
         "verify_cardy_frobenius": lambda: lib.verify_cardy_frobenius(cf),
         "verify_frobenius_bulk": lambda: lib.verify_frobenius(cf.a, commutative=True),
         "verify_frobenius_boundary": lambda: lib.verify_frobenius(cf.b),
@@ -121,6 +126,17 @@ def cli_argvs(model):
     }
 
 
+def src_lines():
+    """Lines of the package source, as ``wc -l src/lgcardy/*.py`` counts them."""
+    folder = os.path.join(ROOT, "src", "lgcardy")
+    total = 0
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".py"):
+            with open(os.path.join(folder, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
+
+
 def run_cli(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
@@ -139,6 +155,7 @@ def main(argv=None):
         "machine": perfbench_run.environment(),
         "reference_s": calibration.REFERENCE_S,
         "bundle_sample_points": BUNDLE_SAMPLE_POINTS,
+        "src_lines": src_lines(),
         "layers": {},
         "cli": {},
     }

@@ -11,7 +11,6 @@ third derivatives, and the extended system coupling both sectors.
 from .polycore import (
     DegenerateModelError,
     LGPolynomial,
-    MultiPoly,
     ToleranceConfig,
     critical_points,
     residue_functional,
@@ -83,7 +82,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DegenerateModelError",
     "LGPolynomial",
-    "MultiPoly",
     "ToleranceConfig",
     "critical_points",
     "residue_functional",

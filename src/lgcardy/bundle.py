@@ -19,9 +19,9 @@ routes: the seven formal conditions on the series, and the pointwise
 algebra axioms at the base point and at nearby sample points, and
 reports whether the verdicts agree.  The sample points are swept as one
 stack: their flat targets are inverted in one Newton loop, their
-critical data, frames and quaternion models are built in one pass each,
-and their axioms are checked in one batched call, every guard still
-judging each point on its own.  Controlled corruptions of single axioms
+critical data and frames are built in one pass each, and their
+quaternion models are built and checked in one batched call whose row 0
+is the base point, every guard still judging each point on its own.  Controlled corruptions of single axioms
 are provided to confirm that each failure surfaces in the predicted
 condition.
 """
@@ -51,7 +51,7 @@ from .frobenius import (
     quaternion_pair,
     verify_frobenius,
 )
-from .cardy import CardyFrobeniusAlgebra, _cardy_checks, verify_cardy_frobenius
+from .cardy import CardyFrobeniusAlgebra, _cardy_checks
 from .landau_ginzburg import LGClosedAlgebra, _critical_data, _quaternion_cf, build_closed
 from .moduli import (
     _chart_on,
@@ -372,19 +372,19 @@ def _worst_point(values, worst):
 
 def _sample_sweep(model, chart, corruption, eps, sample_points, sample_distance, tol,
                   paper_scale, seed):
-    """The pointwise route at the sample points, as one stack.
+    """The pointwise route at the base point and the sample points, as
+    one stack.
 
     The steps are drawn first, all S at once (the same numbers as S
-    draws of n), and every stage then runs on the whole stack: the flat
-    inversion, the critical data, the frame continuation, the quaternion
-    models with the corruption reapplied, and the axiom checks.  Each
-    guard flags the points it refuses; a flagged point is carried on
-    with the base point's data and, at the end, the error of the first
-    flagged point is raised, the one a loop over the points would have
-    met first.  Returns the Cardy residuals and margins and the
-    associator residuals of the stack (the structure-only ones as
-    scalars shared by every point), and the frame drift and scales of
-    every point.
+    draws of n); the flat inversion, the critical data and the frame
+    continuation run on the S sample points, the quaternion models with
+    the corruption reapplied and the axiom checks on 1 + S rows, row 0
+    the base point.  Each guard flags the points it refuses; a flagged
+    point is carried on with the base point's data and, at the end, the
+    error of the first flagged row is raised, the one a loop over the
+    points would have met first.  Returns the Cardy residuals and margins
+    of the rows (the structure-only ones as scalars shared by every
+    row), and the frame drift and scales of every sample point.
     """
     n = model.n
     rng = np.random.default_rng(seed)
@@ -398,15 +398,16 @@ def _sample_sweep(model, chart, corruption, eps, sample_points, sample_distance,
     bad = ~failures.ok
     roots[bad], mu[bad] = model.closed.roots, model.closed.mu
     _, _, _, scales, drift = _continue_frames(model, roots, mu, tol, paper_scale, failures)
+    # row 0, the base point, passed these guards when the model was built
+    failures.errors.insert(0, None)
     # the models are built in each point's own root order
-    _, _, cf = _quaternion_cf(mu, model.branch, failures)
+    _, _, cf = _quaternion_cf(np.concatenate([model.closed.mu[None], mu]), model.branch, failures)
     if corruption is not None:
         cf = _corrupt_cf(cf, n, corruption, eps)
     residuals, margins, degenerate = _cardy_checks(cf, tol)
     failures.flag(degenerate, lambda s: ValueError("degenerate A-form"))
     failures.raise_first()
-    associators = (cf.a.algebra.associator_residual(), cf.b.algebra.associator_residual())
-    return residuals, margins, associators, scales, drift
+    return residuals, margins, scales, drift
 
 
 @dataclass
@@ -505,10 +506,11 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
     centrality, homomorphism, transfer identity) on the base-point Cardy
     data and on freshly built models at ``sample_points`` random flat
     displacements of the given distance, keeping the worst value of each
-    fact and the point where it occurred.  The sample points are one
-    stack, inverted, built and checked in batched passes (see
-    ``_sample_sweep``); a point that fails a guard raises the error a
-    loop over the points would have raised first.  The unit and form
+    fact and the point where it occurred.  The sample points are
+    inverted, framed and built in batched passes, and checked together
+    with the base point as one stack (see ``_sample_sweep``); a point
+    that fails a guard raises the error a loop over the points would
+    have raised first.  The unit and form
     symmetry residuals of the bulk and boundary pairs join them as two
     more facts, checked at the base point.  Both routes see the same
     corrupted primitives, the corruption being reapplied at every sample
@@ -528,17 +530,13 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
     conditions = ext_wdvv_check(series, tol=tol)
     bulk_rep = verify_frobenius(cf.a, tol=tol)
     boundary_rep = verify_frobenius(cf.b, tol=tol)
-    base = verify_cardy_frobenius(cf, tol=tol)
 
-    residuals, margins, associators, scales, drifts = _sample_sweep(
+    residuals, margins, scales, drifts = _sample_sweep(
         model, chart, corruption, eps, sample_points, sample_distance, tol, paper_scale, seed)
-    # every value per point, the base point first
-    base_facts = _pointwise_facts(base.residuals, bulk_rep.residuals["associativity"],
-                                  boundary_rep.residuals["associativity"])
-    sample_facts = _pointwise_facts(residuals, *associators)
-    facts = {name: np.append(value, np.broadcast_to(sample_facts[name], sample_points))
-             for name, value in base_facts.items()}
-    margins = {name: np.append(value, margins[name]) for name, value in base.margins.items()}
+    # each value per row, the base point first; every row shares the
+    # cubes, so the associators are the base point's
+    facts = _pointwise_facts(residuals, bulk_rep.residuals["associativity"],
+                             boundary_rep.residuals["associativity"])
     worst_sample = {name: _worst_point(v, np.argmax) for name, v in facts.items()}
     worst_sample.update({name: _worst_point(v, np.argmin) for name, v in margins.items()})
     facts = {name: float(np.max(v)) for name, v in facts.items()}

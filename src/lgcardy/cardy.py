@@ -50,8 +50,6 @@ from .frobenius import (
 
 __all__ = [
     "CardyFrobeniusAlgebra",
-    "cardy_residual_trace",
-    "cardy_residual_coordinates",
     "verify_cardy_frobenius",
     "decompose_commutative",
     "quaternionic_cf",
@@ -81,18 +79,6 @@ class CardyFrobeniusAlgebra:
         )
 
 
-def _refuse_degenerate(margin_a, tol):
-    if margin_a <= tol.eq_tol:
-        raise ValueError("degenerate A-form")
-
-
-def _checked_a_gram(cf, tol):
-    """The bulk Gram matrix, refused when too close to singular."""
-    ga = cf.a.gram()
-    _refuse_degenerate(nondegeneracy_margin(ga), tol or ToleranceConfig())
-    return ga
-
-
 def _adjoint(cf, ga, gb):
     """The adjoint phi* of phi with respect to the two bilinear forms, the
     (dim A, dim B) matrix X with (a, X b)_A = (phi a, b)_B: solves
@@ -117,30 +103,9 @@ def _trace_route(cf, ga, gb):
     return _worst(lhs - traces)
 
 
-def cardy_residual_trace(cf, tol=None):
-    """Worst defect of (phi* f_k, phi* f_l)_A = tr(b -> f_k b f_l)."""
-    if cf.b.algebra.dim == 0:
-        return 0.0
-    return float(_trace_route(cf, _checked_a_gram(cf, tol), cf.b.gram()))
-
-
 def _coordinate_route(cf, ga, gb):
-    """The dual-basis form of the transfer identity, given both Gram
-    matrices (or stacks of them); see cardy_residual_coordinates."""
-    alg = cf.b.algebra
-    # m1[i, k] = l_B(phi(a_i) f_k)
-    m1 = cf.phi.T @ gb
-    lhs = m1.swapaxes(-1, -2) @ np.linalg.inv(ga) @ m1
-    x = gb @ np.linalg.inv(gb)
-    rhs = []
-    for index, c in alg.stacks:
-        y = np.einsum("gcld,...gds->...gcls", c, x[..., index[:, :, None], index[:, None, :]])
-        rhs.append(np.einsum("gksc,...gcls->...gkl", c, y))
-    return _worst(lhs - alg.block_matrix(rhs))
-
-
-def cardy_residual_coordinates(cf, tol=None):
-    """Worst defect of the dual-basis form of the transfer identity.
+    """Worst defect of the dual-basis form of the transfer identity,
+    given both Gram matrices (or stacks of them).
 
     For every boundary pair (x, y) = (f_k, f_l) it compares
     sum_ij (G_A^-1)[i,j] l_B(phi(a_i) x) l_B(phi(a_j) y) against
@@ -155,9 +120,16 @@ def cardy_residual_coordinates(cf, tol=None):
     to the identity, so the route still sees the boundary functional and
     both Gram factors.  The left side uses m1 = phi^T lm.
     """
-    if cf.b.algebra.dim == 0:
-        return 0.0
-    return float(_coordinate_route(cf, _checked_a_gram(cf, tol), cf.b.gram()))
+    alg = cf.b.algebra
+    # m1[i, k] = l_B(phi(a_i) f_k)
+    m1 = cf.phi.T @ gb
+    lhs = m1.swapaxes(-1, -2) @ np.linalg.inv(ga) @ m1
+    x = gb @ np.linalg.inv(gb)
+    rhs = []
+    for index, c in alg.stacks:
+        y = np.einsum("gcld,...gds->...gcls", c, x[..., index[:, :, None], index[:, None, :]])
+        rhs.append(np.einsum("gksc,...gcls->...gkl", c, y))
+    return _worst(lhs - alg.block_matrix(rhs))
 
 
 def verify_cardy_frobenius(cf, tol=None):

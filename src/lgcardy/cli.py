@@ -24,7 +24,10 @@ worst value occurred (worst_sample: 0 the base point, k the k-th sample).
 Suites that do not apply are never dropped silently: they appear
 under "skipped" with a reason.  Exit codes: 0 when the report passes,
 1 when it fails, 2 for unusable arguments or input files, 3 for a
-degenerate model.
+degenerate model.  An option the subcommand does not read is unusable
+unless left at its default, and so is a --tol that is NaN, negative or
+infinite; with --input the file fixes the model (and, for ext-wdvv, the
+truncation).
 With the same arguments and seed the report is byte identical except
 for the timestamp field.
 
@@ -367,8 +370,32 @@ def _config_from_args(args):
     return RunConfig(**values)
 
 
+# the options each command reads; every report can go to --output
+_READS = {
+    "build": {"n", "a", "input", "branch", "tol"},
+    "verify-cf": {"n", "a", "input", "branch", "tol"},
+    "chart": {"n", "a", "tol", "index_reversal"},
+    "potential": {"n", "seed", "samples", "tol", "index_reversal"},
+    "wdvv": {"n", "seed", "samples", "tol", "index_reversal"},
+    "ext-wdvv": {"n", "a", "input", "branch", "tol", "t_degree"},
+    "bundle": {"n", "a", "input", "branch", "tol", "t_degree", "samples", "seed", "paper_scale"},
+}
+# what a model or series file fixes itself
+_FIXED_BY_INPUT = {"n", "a", "branch"}
+
+
 def _refuse_unsupported(c):
-    """Raise CLIError for option values that no run of the command supports."""
+    """Raise CLIError for option values that no run of the command supports,
+    and for options the command does not read, unless left at default."""
+    reads = _READS[c.command] | {"command", "output"}
+    if c.input and "input" in reads:
+        reads -= _FIXED_BY_INPUT | ({"t_degree"} if c.command == "ext-wdvv" else set())
+    for f in fields(c):
+        if f.name not in reads and getattr(c, f.name) != f.default:
+            option = "--" + f.name.replace("_", "-")
+            if f.name in _READS[c.command]:
+                raise CLIError("%s cannot be combined with --input" % option)
+            raise CLIError("%s does not read %s" % (c.command, option))
     if c.n is not None and c.n < 1:
         raise CLIError("--n must be at least 1, got %d" % c.n)
     if c.n is not None and c.a is not None and len(c.a) != c.n:
@@ -381,11 +408,10 @@ def _refuse_unsupported(c):
         raise CLIError("%s needs --samples of at least %d" % (c.command, least))
     if c.branch is not None and c.n is not None and len(c.branch) != c.n:
         raise CLIError("expected %d entries in --branch, got %d" % (c.n, len(c.branch)))
-    # a model or series file fixes its own branch
-    if c.branch is not None and c.input:
-        raise CLIError("--branch cannot be combined with --input")
-    if c.index_reversal and c.command not in ("chart", "potential", "wdvv"):
-        raise CLIError("%s does not support --index-reversal" % c.command)
+    # --tol 0 judges exactly; a NaN or negative tolerance passes nothing,
+    # and an infinite one refuses every form as degenerate
+    if c.tol is not None and not (math.isfinite(c.tol) and c.tol >= 0):
+        raise CLIError("--tol must be finite and not negative, got %r" % c.tol)
 
 
 def run(config):

@@ -4,17 +4,17 @@ Everything downstream works with one-variable complex polynomials in the
 ascending coefficient convention of numpy.polynomial: ``coeffs[k]`` is the
 coefficient of ``z**k``.  The module provides
 
-* exact-arithmetic helpers (add, multiply, remainder, derivative),
+* helpers to trim, differentiate and evaluate,
 * the depressed monic family ``z**(n+1) + a_1 z**(n-1) + ... + a_n``,
 * critical point extraction with a Newton polish and degeneracy guards,
 * the residue-at-infinity functional computed along two independent
   routes that cross-check each other,
   both for one polynomial or for a stack of polynomials of one degree,
   whose guards then judge each polynomial on its own (``_Failures``),
-* small multivariate polynomials over exponent dictionaries, and
 * the reversion coefficients of w**(n+1) = p(z) at infinity as
-  polynomials in the coefficients, read from the Lagrange inversion
-  formula, from which the flat chart reads its coordinates.
+  polynomials in the coefficients, exponent dictionaries read from the
+  Lagrange inversion formula, from which the flat chart reads its
+  coordinates and their derivatives.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "poly_eval",
     "critical_points",
     "residue_functional",
-    "MultiPoly",
     "reversion_polynomials",
 ]
 
@@ -290,129 +289,6 @@ def _lagrange_rows(roots):
     return num[..., 1:] / np.prod(roots[..., None] - others, axis=-1)[..., None]
 
 
-class MultiPoly:
-    """Sparse polynomial in ``nvars`` commuting variables over the complex
-    numbers.  Terms live in a dict mapping exponent tuples to coefficients.
-    Only the small amount of algebra the flat chart needs is implemented.
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                c = complex(c)
-                if c != 0:
-                    self.terms[tuple(e)] = self.terms.get(tuple(e), 0.0) + c
-            self.terms = {e: c for e, c in self.terms.items() if c != 0}
-
-    @classmethod
-    def constant(cls, nvars, c):
-        if c == 0:
-            return cls(nvars)
-        return cls(nvars, {(0,) * nvars: complex(c)})
-
-    @classmethod
-    def variable(cls, nvars, i):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): 1.0})
-
-    def copy(self):
-        out = MultiPoly(self.nvars)
-        out.terms = dict(self.terms)
-        return out
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = MultiPoly.constant(self.nvars, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0.0) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        res = MultiPoly(self.nvars)
-        res.terms = out
-        return res
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        res = MultiPoly(self.nvars)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = MultiPoly.constant(self.nvars, other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            c = complex(other)
-            res = MultiPoly(self.nvars)
-            if c != 0:
-                res.terms = {e: v * c for e, v in self.terms.items()}
-            return res
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, 0.0) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        res = MultiPoly(self.nvars)
-        res.terms = out
-        return res
-
-    __rmul__ = __mul__
-
-    def diff(self, i):
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            out[tuple(e2)] = c * e[i]
-        res = MultiPoly(self.nvars)
-        res.terms = out
-        return res
-
-    def eval(self, values):
-        values = np.asarray(values, dtype=complex)
-        total = 0.0 + 0.0j
-        for e, c in self.terms.items():
-            term = c
-            for i, k in enumerate(e):
-                if k:
-                    term = term * values[i] ** k
-            total += term
-        return total
-
-    def __repr__(self):
-        if not self.terms:
-            return "MultiPoly(0)"
-        bits = []
-        for e in sorted(self.terms):
-            bits.append("%r*x^%r" % (self.terms[e], list(e)))
-        return "MultiPoly(" + " + ".join(bits) + ")"
-
-
 def _weighted_exponents(weights, total):
     """Exponent tuples m with sum_i m_i weights[i] = total, the first
     exponent varying slowest."""
@@ -427,8 +303,9 @@ def reversion_polynomials(n, order=None):
     """Reversion coefficients of ``w**(n+1) = p(z)`` at infinity as
     polynomials in a_1..a_n.
 
-    Entry k-1 is a MultiPoly in n variables giving tt_k, the coefficient
-    of w**(-k) in the inverse branch z(w) = w + sum_k tt_k w**(-k).
+    Entry k-1 is a dict {exponent tuple: coefficient} of monomials in n
+    variables giving tt_k, the coefficient of w**(-k) in the inverse
+    branch z(w) = w + sum_k tt_k w**(-k).
     Defaults to ``order = n`` terms, which is what the flat chart
     consumes.  Cached per (n, order).
 
@@ -451,8 +328,9 @@ def reversion_polynomials(n, order=None):
                 c *= alpha - r
             for mj in m:
                 c /= math.factorial(mj)
-            terms[m] = float(c)
-        polys.append(MultiPoly(n, terms))
+            if c:
+                terms[m] = float(c)
+        polys.append(terms)
     return tuple(polys)
 
 
@@ -465,11 +343,14 @@ def _reversion_table(n):
     the derivative of t~^(i+1) along a_(k+1).  Cached per n, so the
     derivatives are formed once."""
     polys = reversion_polynomials(n)
-    columns = list(polys) + [q.diff(k) for q in polys for k in range(n)]
-    exponents = sorted({e for q in columns for e in q.terms})
+    # d/da_(k+1) of c a^e is e_k c a^(e - 1_k)
+    columns = list(polys) + [
+        {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k] for e, c in q.items() if e[k]}
+        for q in polys for k in range(n)]
+    exponents = sorted({e for q in columns for e in q})
     row = {e: m for m, e in enumerate(exponents)}
     coeffs = np.zeros((len(exponents), len(columns)), dtype=complex)
     for j, q in enumerate(columns):
-        for e, c in q.terms.items():
+        for e, c in q.items():
             coeffs[row[e], j] = c
     return np.array(exponents, dtype=int).reshape(len(exponents), n), coeffs

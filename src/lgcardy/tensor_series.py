@@ -53,8 +53,6 @@ __all__ = [
     "class_basis",
     "class_tensors",
     "encode_symmetric",
-    "quadratic_t_block",
-    "quadratic_s_block",
     "ext_wdvv_check",
     "series_to_dict",
     "series_from_dict",
@@ -180,23 +178,14 @@ def _by_shape(series):
 
 
 def _quadratic_block(shapes, size, shape):
-    """F_xy + F_yx at (x, y) over the terms of shape (2, 0) or (0, 2)."""
+    """F_xy + F_yx at (x, y) over the terms of shape (2, 0) or (0, 2),
+    the second t- or s-derivatives of the constant part."""
     out = np.zeros((size, size), dtype=complex)
     if shape in shapes:
         (x, y), c = shapes[shape][0].T, shapes[shape][1]
         np.add.at(out, (x, y), c)
         np.add.at(out, (y, x), c)
     return out
-
-
-def quadratic_t_block(series):
-    """Second t-derivatives of the constant part, F[(i, j), ()] + F[(j, i), ()]."""
-    return _quadratic_block(_by_shape(series), series.n, (2, 0))
-
-
-def quadratic_s_block(series):
-    """Half the second s-derivatives of the constant part, (F[(), (u, v)] + F[(), (v, u)]) / 2."""
-    return 0.5 * _quadratic_block(_by_shape(series), series.m, (0, 2))
 
 
 def _condition_one(series):

@@ -20,9 +20,10 @@ from lgcardy.frobenius import FiniteAlgebra, quaternion_pair
 from lgcardy.landau_ginzburg import build_quaternion_model
 from lgcardy.moduli import flat_chart
 from lgcardy.polycore import DegenerateModelError, ToleranceConfig, poly_eval
-from lgcardy.tensor_series import d_sss, quadratic_s_block
+from lgcardy.tensor_series import d_sss
 
 from test_frobenius import dense
+from test_tensor_series import quadratic_blocks
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +83,7 @@ def test_series_quadratic_and_mixed_blocks_match_tensors(model):
     bt = bundle_tensors(model)
     m = 8
     gram = model.cf.b.gram()
-    qs = quadratic_s_block(series)
+    _, qs = quadratic_blocks(series)
     assert np.allclose(qs, gram, atol=1e-12)
     for u in range(m):
         sign = 2.0 if u % 4 == 0 else -2.0
@@ -310,23 +311,23 @@ def test_report_round_trips_to_json(model):
 
 
 def test_nan_at_one_sample_point_fails_pointwise_route(model, monkeypatch):
-    # the NaN sits in the second of three samples of the batch, after
-    # finite values of the same facts, where the builtin max and min
-    # would drop it
+    # the NaN sits in the second of three samples of the batch (row 2,
+    # after the base point's row 0), after finite values of the same
+    # facts, where the builtin max and min would drop it
     calls = []
     exact = bd._quaternion_cf
 
     def nan_at_second_sample(mu, branch, failures):
         branch, rho, cf = exact(mu, branch, failures)
         calls.append(cf)
-        cf.a.functional[1] = np.nan
-        cf.b.functional[1] = np.nan
+        cf.a.functional[2] = np.nan
+        cf.b.functional[2] = np.nan
         return branch, rho, cf
 
     monkeypatch.setattr(bd, "_quaternion_cf", nan_at_second_sample)
     rep = verify_bundle(model, sample_points=3)
-    # one stack holding the three sample points
-    assert len(calls) == 1 and calls[0].a.functional.shape == (3, 2)
+    # one stack holding the base point and the three sample points
+    assert len(calls) == 1 and calls[0].a.functional.shape == (4, 2)
     assert np.isnan(rep.pointwise.residuals["cardy"])
     assert rep.pointwise.margins and all(np.isnan(v) for v in rep.pointwise.margins.values())
     assert not rep.pointwise.passed and not rep.pointwise_passed

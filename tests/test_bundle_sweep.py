@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from lgcardy import bundle as bd
+from lgcardy import cardy
 from lgcardy.bundle import CORRUPTIONS, corrupt_model, flat_s_frame, verify_bundle
 from lgcardy.cardy import verify_cardy_frobenius
 from lgcardy.frobenius import verify_frobenius
@@ -224,3 +225,56 @@ def test_the_first_failing_sample_point_decides_the_error(monkeypatch):
     for k, want in ((2, (DegenerateModelError, stuck)), (6, jump)):
         monkeypatch.setattr(bd, "_invert_flat", stuck_at(k))
         assert _outcome(lambda: verify_bundle(model, **kwargs))[1] == want, k
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_one_cardy_stack_holds_the_base_point_and_the_samples(monkeypatch, n):
+    # every Cardy check of verify_bundle is one stacked call: the base
+    # point is its row 0, and no one-point check (verify_cardy_frobenius
+    # runs through the same function) is made beside it
+    model = _seeded_model(n, 60 + n)
+    calls = []
+    exact = cardy._cardy_checks
+
+    def recording(cf, tol):
+        calls.append(cf)
+        return exact(cf, tol)
+
+    monkeypatch.setattr(cardy, "_cardy_checks", recording)
+    monkeypatch.setattr(bd, "_cardy_checks", recording)
+    for corruption in (None,) + CORRUPTIONS + ("phi_swap",):
+        calls.clear()
+        rep = verify_bundle(model, sample_points=4, corruption=corruption)
+        [cf] = calls
+        assert cf.a.functional.shape == (5, n), corruption
+        base_cf = model.cf if corruption is None else corrupt_model(model, corruption)
+        assert np.array_equal(cf.a.functional[0], base_cf.a.functional)
+        assert np.array_equal(cf.b.functional[0], base_cf.b.functional)
+        # row 0 is the one-point check, bit for bit
+        residuals, margins, _ = exact(cf, ToleranceConfig())
+        base = verify_cardy_frobenius(base_cf)
+        for name, value in base.residuals.items():
+            assert np.broadcast_to(residuals[name], 5)[0] == value, (corruption, name)
+        for name, value in base.margins.items():
+            assert margins[name][0] == value, (corruption, name)
+        assert rep.pointwise.margins == {name: min(v) for name, v in margins.items()}
+
+
+def test_a_degenerate_base_point_raises_before_any_sample_error(monkeypatch):
+    # a tolerance at the base point's bulk margin refuses the base point
+    # (row 0), and that error wins over a failing first sample point
+    model = _seeded_model(3, 91)
+    base = verify_cardy_frobenius(model.cf).margins["nondegeneracy_A"]
+    tol = ToleranceConfig(eq_tol=base)
+    exact = bd._invert_flat
+    stuck = (DegenerateModelError, "flat coordinate inversion did not converge")
+
+    def stuck_at_first(n, targets, a0, failures, max_iter=60):
+        a = exact(n, targets, a0, failures, max_iter)
+        failures.flag(np.arange(len(targets)) == 0, lambda s: DegenerateModelError(stuck[1]))
+        return a
+
+    monkeypatch.setattr(bd, "_invert_flat", stuck_at_first)
+    assert _outcome(lambda: verify_bundle(model, sample_points=3))[1] == stuck
+    assert _outcome(lambda: verify_bundle(model, sample_points=3, tol=tol))[1] == (
+        ValueError, "degenerate A-form")

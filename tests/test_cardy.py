@@ -9,8 +9,7 @@ import pytest
 from lgcardy.bundle import CORRUPTIONS, corrupt_model
 from lgcardy.cardy import (
     CardyFrobeniusAlgebra,
-    cardy_residual_coordinates,
-    cardy_residual_trace,
+    _coordinate_route,
     cf_from_dict,
     cf_to_dict,
     decompose_commutative,
@@ -130,8 +129,8 @@ def test_matrix_block_passes():
 
 def test_trace_and_coordinate_routes_agree():
     for cf in (quaternionic_cf(1.3 + 0.2j), matrix_cf(2, 0.9)):
-        r1 = cardy_residual_trace(cf)
-        r2 = cardy_residual_coordinates(cf)
+        rep = verify_cardy_frobenius(cf)
+        r1, r2 = rep.residuals["cardy_trace"], rep.residuals["cardy_coordinate"]
         assert abs(r1 - r2) < 1e-10
 
 
@@ -140,16 +139,17 @@ def test_coordinate_route_matches_three_einsum_formula():
         model = _seeded_model(n)
         for cf in [model.cf] + [corrupt_model(model, c) for c in CORRUPTIONS]:
             old = _three_einsum_coordinates(cf)
-            new = cardy_residual_coordinates(cf)
+            new = verify_cardy_frobenius(cf).residuals["cardy_coordinate"]
             assert abs(new - old) <= 1e-12 * max(1.0, old), (n, cf.name, old, new)
 
 
 def test_coordinate_route_memory_at_n8():
     cf = _seeded_model(8).cf
-    cardy_residual_coordinates(cf)
+    ga, gb = cf.a.gram(), cf.b.gram()
+    _coordinate_route(cf, ga, gb)
     tracemalloc.start()
     try:
-        cardy_residual_coordinates(cf)
+        _coordinate_route(cf, ga, gb)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -167,11 +167,32 @@ def test_exit_code_two_for_bad_arguments(tmp_path, capsys):
         assert main([command] + FROZEN + ["--index-reversal"]) == 2
     assert main(["verify-cf", "--input", str(model_file), "--index-reversal"]) == 2
     assert main(["chart"] + FROZEN + ["--index-reversal"]) == 0
+    # an option the command never reads is refused, not echoed and ignored
+    assert main(["chart"] + FROZEN + ["--paper-scale"]) == 2
+    assert main(["verify-cf"] + FROZEN + ["--t-degree", "9", "--samples", "4"]) == 2
+    assert main(["chart"] + FROZEN + ["--input", "/nonexistent.json"]) == 2
+    assert main(["potential", "--n", "2"] + FROZEN[2:]) == 2
+    assert main(["build"] + FROZEN + ["--seed", "7"]) == 2
+    # the file fixes the model, and a series file its truncation
+    assert main(["verify-cf", "--input", str(model_file), "--n", "2"]) == 2
+    assert main(["bundle", "--input", str(model_file)] + FROZEN[2:]) == 2
+    assert main(["bundle", "--input", str(model_file), "--samples", "2"]) == 0
+    series_file = tmp_path / "series.json"
+    series_file.write_text(json.dumps(series_to_dict(assemble_potential(
+        build_quaternion_model(n=2, a=(-3.0, 0.0))))))
+    assert main(["ext-wdvv", "--input", str(series_file), "--t-degree", "5"]) == 2
+    assert main(["ext-wdvv", "--input", str(series_file)]) == 0
+    # a tolerance that is NaN, negative or infinite is refused; 0 is not
+    for command in ("build", "chart", "verify-cf", "bundle", "ext-wdvv"):
+        for bad in ("nan", "-1", "inf"):
+            assert main([command] + FROZEN + ["--tol", bad]) == 2, (command, bad)
+    assert main(["potential", "--n", "2", "--tol", "nan"]) == 2
+    assert main(["wdvv", "--n", "2", "--tol=-inf"]) == 2
+    assert main(["verify-cf"] + FROZEN + ["--tol", "0"]) == 1
     capsys.readouterr()
     # a non-finite series coefficient is refused, not judged or called degenerate
     payload = series_to_dict(assemble_potential(build_quaternion_model(n=2, a=(-3.0, 0.0))))
     [term] = [t for t in payload["terms"] if t["t"] == [] and t["s"] == [5, 5]]
-    series_file = tmp_path / "series.json"
     for bad in (float("nan"), float("inf")):
         term["coeff"][0] = bad
         series_file.write_text(json.dumps(payload))
@@ -351,9 +372,12 @@ def test_wdvv_tol_reaches_the_library_report(capsys, monkeypatch):
 
 def test_parser_carries_nothing_from_one_call_to_the_next(capsys, monkeypatch):
     argv = ["chart"] + FROZEN
-    _, first_out = _run(capsys, argv + ["--paper-scale", "--index-reversal", "--tol", "1e-3"])
+    _, first_out = _run(capsys, argv + ["--index-reversal", "--tol", "1e-3"])
     first = json.loads(first_out)["config"]
-    assert first["paper_scale"] and first["index_reversal"] and first["tol"] == 1e-3
+    assert first["index_reversal"] and first["tol"] == 1e-3
+    # chart does not read --paper-scale, so bundle sets it
+    _, bundle_out = _run(capsys, ["bundle"] + FROZEN + ["--samples", "2", "--paper-scale"])
+    assert json.loads(bundle_out)["config"]["paper_scale"]
     code, out = _run(capsys, argv)
     monkeypatch.setattr(cli, "_ARGPARSER", cli._build_parser())
     fresh_code, fresh_out = _run(capsys, argv)

@@ -23,7 +23,7 @@ from lgcardy.polycore import (
 )
 
 from test_frobenius import dense
-from test_polycore import poly_mod
+from test_polycore import evaluate, poly_mod
 
 
 def _draws():
@@ -170,11 +170,11 @@ def test_products_are_the_poly_mod_reductions():
 
 
 def test_ttilde_matches_revert_series():
-    # the table product of the chart against MultiPoly.eval, one monomial
-    # at a time, of the same reversion polynomials
+    # the table product of the chart against the same reversion
+    # polynomials evaluated one monomial at a time
     for scale, n, a in _draws():
         chart = _chart_on(build_closed(n=n, a=a))
-        _assert_agree(chart.ttilde, [q.eval(a) for q in reversion_polynomials(n)], scale)
+        _assert_agree(chart.ttilde, [evaluate(q, a) for q in reversion_polynomials(n)], scale)
 
 
 def test_chart_metrics_match_the_poly_mod_pairing():
