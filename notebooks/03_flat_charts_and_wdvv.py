@@ -64,7 +64,7 @@ print(rep.summary())
 
 # Corrupt one quartic coefficient and associativity collapses; this is
 # the negative control showing the check has teeth.
-bad = PotentialPoly(3, dict(pot3.terms), pot3.euler)
+bad = PotentialPoly(3, dict(pot3.terms))
 slot = next(e for e in bad.terms if sum(e) == 4)
 bad.terms[slot] = bad.terms[slot] + 0.1
 print("corrupted associativity:",

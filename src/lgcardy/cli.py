@@ -209,7 +209,7 @@ def cmd_chart(c):
     if c.n is None or c.a is None:
         raise CLIError("chart needs --n together with --a")
     tol = c.tolerances()
-    chart = flat_chart(n=c.n, a=c.a, tol=tol, index_reversal=c.index_reversal)
+    chart = flat_chart(n=c.n, a=c.a, tol=tol)
     euler = euler_check(chart)
     rep = VerificationReport("chart", tol.eq_tol, {
         "metric_constancy": chart.metric_residual,
@@ -217,10 +217,11 @@ def cmd_chart(c):
         "grading_of_flat_coordinates": euler["flat_scaling"],
         "grading_of_raw_coordinates": euler["raw_scaling"],
     })
+    step = -1 if c.index_reversal else 1
     data = {
         "ttilde": complex_to_json(chart.ttilde),
-        "t": complex_to_json(chart.t),
-        "tangents": [complex_to_json(tan) for tan in chart.tangents],
+        "t": complex_to_json(chart.t[::step]),
+        "tangents": [complex_to_json(tan) for tan in chart.tangents[::step]],
     }
     return _report(c, [rep], data=data)
 
@@ -230,16 +231,19 @@ def cmd_potential(c):
         raise CLIError("potential needs --n")
     tol = c.tolerances()
     count = c.samples if c.samples is not None else 60
-    pot, fit = reconstruct_potential(
-        c.n, sample_count=count, tol=tol, seed=c.seed, index_reversal=c.index_reversal
-    )
+    pot, fit = reconstruct_potential(c.n, sample_count=count, tol=tol, seed=c.seed)
     rep = VerificationReport("potential", tol.eq_tol, {
         "fit_residual": fit,
         "quasi_homogeneity": pot.quasi_homogeneity_residual(),
     })
-    data = {"potential": potential_to_dict(pot)}
-    quartic_slot = 0 if c.index_reversal else c.n - 1
-    exps = tuple(4 if i == quartic_slot else 0 for i in range(c.n))
+    payload = potential_to_dict(pot)
+    if c.index_reversal:  # relabel t^i as t^(n+1-i)
+        payload["index_reversal"] = True
+        for row in payload["monomials"]:
+            row["exponents"].reverse()
+        payload["monomials"].sort(key=lambda row: row["exponents"])
+    data = {"potential": payload}
+    exps = (0,) * (c.n - 1) + (4,)
     if exps in pot.terms:
         quartic = pot.terms[exps]
         data["quartic_coefficient"] = complex_to_json(quartic)
@@ -260,12 +264,12 @@ def cmd_wdvv(c):
         ]
         return _report(c, [], skipped=skipped)
     tol = c.tolerances()
-    pot, fit = reconstruct_potential(
-        c.n, tol=tol, seed=c.seed, index_reversal=c.index_reversal
-    )
+    pot, fit = reconstruct_potential(c.n, tol=tol, seed=c.seed)
     count = c.samples if c.samples is not None else 20
     rng = np.random.default_rng(c.seed)
     points = rng.uniform(-0.8, 0.8, size=(count, c.n))
+    if c.index_reversal:  # the check points are given in the reversed labels
+        points = points[:, ::-1]
     # the fit and the equations are judged at 1e-7 unless --tol is given
     wdvv_tol = ToleranceConfig(eq_tol=c.tol if c.tol is not None else 1e-7)
     rep = wdvv_check(pot, points, tol=wdvv_tol)
@@ -344,7 +348,7 @@ def _build_parser():
     common.add_argument("--paper-scale", dest="paper_scale", action="store_true",
                         help="use the literal rho_p/rho_q frame scale")
     common.add_argument("--index-reversal", dest="index_reversal", action="store_true",
-                        help="reverse the flat index convention (chart, potential, wdvv)")
+                        help="report flat coordinates t^i as t^(n+1-i) (chart, potential, wdvv)")
     parser = argparse.ArgumentParser(
         prog="lgcardy",
         description="build and verify quaternion models of polynomial superpotentials",
@@ -400,6 +404,8 @@ def _refuse_unsupported(c):
         raise CLIError("--n must be at least 1, got %d" % c.n)
     if c.n is not None and c.a is not None and len(c.a) != c.n:
         raise CLIError("expected %d coefficients in --a, got %d" % (c.n, len(c.a)))
+    if c.a is not None and not np.all(np.isfinite(c.a)):
+        raise CLIError("--a must be finite, got %s" % " ".join(map(str, c.a)))
     if c.t_degree < 3:
         raise CLIError("--t-degree must be at least 3, got %d" % c.t_degree)
     # potential and wdvv check nothing without a sample or check point

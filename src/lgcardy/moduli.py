@@ -98,23 +98,22 @@ def _flat_mixing_matrix(n):
 
 @dataclass
 class FlatChart:
-    """Flat coordinates at a base point.
+    """Flat coordinates at a base point, labelled t^1..t^n with the unit
+    direction t^1 first.
 
     ``closed`` is the closed algebra the chart was built on.
     ``tangents[k]`` holds the ascending coefficients (length n) of
-    dp/dt^{k+1}, ``jacobian_at`` is da/dt, and the metric residuals
-    compare the residue pairing of tangents against the constant model:
-    antidiagonal 1 in t, antidiagonal (n+1) in the raw coordinates.
+    dp/dt^{k+1}, and the metric residuals compare the residue pairing of
+    tangents against the constant model: antidiagonal 1 in t,
+    antidiagonal (n+1) in the raw coordinates.
     """
 
     closed: LGClosedAlgebra
     ttilde: np.ndarray
     t: np.ndarray
-    jacobian_at: np.ndarray
     tangents: np.ndarray
     metric_residual: float
     metric_residual_raw: float
-    index_reversal: bool = False
 
     @property
     def p(self):
@@ -138,31 +137,26 @@ def _reversion_values(n, a):
     return values[..., :n], values[..., n:].reshape(a.shape[:-1] + (n, n))
 
 
-def flat_chart(p=None, n=None, a=None, tol=None, index_reversal=False):
-    """Flat coordinates, their tangent polynomials and metric residuals.
-
-    With ``index_reversal`` the coordinate labels run backwards, which
-    moves the unit direction from the first slot to the last.
-    """
-    return _chart_on(build_closed(n=n, a=a, p=p, tol=tol), index_reversal)
+def flat_chart(p=None, n=None, a=None, tol=None):
+    """Flat coordinates, their tangent polynomials and metric residuals,
+    in the one labelling of ``FlatChart`` (the unit direction first)."""
+    return _chart_on(build_closed(n=n, a=a, p=p, tol=tol))
 
 
-def _chart_on(closed, index_reversal=False):
+def _chart_on(closed):
     """The flat chart at the polynomial of an already built closed algebra."""
-    return _charts(closed.n, [closed], np.array([closed.p.a]), closed.functional_values[None],
-                   index_reversal)[0]
+    return _charts(closed.n, [closed], np.array([closed.p.a]), closed.functional_values[None])[0]
 
 
-def _charts(n, closeds, a, values, index_reversal):
+def _charts(n, closeds, a, values):
     """The FlatCharts of ``_chart_stack``, one per closed algebra."""
-    rows = zip(*_chart_stack(n, a, values, index_reversal))
-    return [FlatChart(closed, ttilde, t, jac_at, tangents, float(metric), float(metric_raw),
-                      index_reversal=index_reversal)
-            for closed, (ttilde, t, jac_at, tangents, metric, metric_raw) in zip(closeds, rows)]
+    rows = zip(*_chart_stack(n, a, values))
+    return [FlatChart(closed, ttilde, t, tangents, float(metric), float(metric_raw))
+            for closed, (ttilde, t, tangents, metric, metric_raw) in zip(closeds, rows)]
 
 
-def _chart_stack(n, a, values, index_reversal):
-    """t~, t, da/dt, the tangents and both metric residuals at each row of
+def _chart_stack(n, a, values):
+    """t~, t, the tangents and both metric residuals at each row of
     a (S, n), ``values`` (S, 2n-1) the closed functional values there.
 
     t~ is read from the cached reversion polynomials, and both metrics
@@ -183,31 +177,22 @@ def _chart_stack(n, a, values, index_reversal):
     g_raw = raw_tangents @ hankel @ raw_tangents.swapaxes(1, 2)
     metric = np.abs(g - flip).max(axis=(1, 2))
     metric_raw = np.abs(g_raw - (n + 1) * flip).max(axis=(1, 2))
-
-    if index_reversal:
-        t, jac_at, tangents = t[:, ::-1], jac_at[..., ::-1], tangents[:, ::-1]
-    return ttilde, t, jac_at, tangents, metric, metric_raw
+    return ttilde, t, tangents, metric, metric_raw
 
 
 @dataclass
 class EulerData:
-    """Charges of the grading field: coordinate t^i scales with degree
-    d_i = (n+2-i)/(n+1), the field itself has conformal weight
-    upsilon = 2/(n+1) - 1, and no coordinate is shifted."""
+    """Charges of the grading field: coordinate t^i (the unit direction
+    t^1 first) scales with degree d_i = (n+2-i)/(n+1), and the field
+    itself has conformal weight upsilon = 2/(n+1) - 1."""
 
     n: int
-    index_reversal: bool = False
     degrees: np.ndarray = field(init=False)
-    shifts: np.ndarray = field(init=False)
     upsilon: float = field(init=False)
 
     def __post_init__(self):
         n = self.n
-        d = np.array([(n + 2.0 - i) / (n + 1.0) for i in range(1, n + 1)])
-        if self.index_reversal:
-            d = d[::-1].copy()
-        self.degrees = d
-        self.shifts = np.zeros(n)
+        self.degrees = np.array([(n + 2.0 - i) / (n + 1.0) for i in range(1, n + 1)])
         self.upsilon = 2.0 / (n + 1.0) - 1.0
 
 
@@ -235,14 +220,12 @@ def euler_check(chart):
     rhs[1:] -= dpc / (n + 1.0)
     p_identity = float(np.max(np.abs(lep - rhs)))
 
-    # E t^i = d_i t^i through the chain rule in the a variables, with the
-    # coordinates in their natural order
-    order = slice(None, None, -1) if chart.index_reversal else slice(None)
-    jac_ta = np.linalg.inv(chart.jacobian_at[:, order])
+    # E t^i = d_i t^i through the chain rule in the a variables; entry
+    # [k, n-1-j] of the tangents is da_(j+1)/dt^(k+1)
+    jac_ta = np.linalg.inv(chart.tangents[:, ::-1].T)
     e_vec = weights * avals
     lhs = jac_ta @ e_vec
-    d = EulerData(n).degrees
-    flat_scaling = float(np.max(np.abs(lhs - d * chart.t[order])))
+    flat_scaling = float(np.max(np.abs(lhs - EulerData(n).degrees * chart.t)))
 
     raw_degrees = np.array([(i + 1.0) / (n + 1.0) for i in range(1, n + 1)])
     lhs_raw = _reversion_values(n, avals)[1] @ e_vec
@@ -309,7 +292,7 @@ def _invert_flat(n, targets, a0, failures, max_iter=60):
     return a
 
 
-def sample_charts(n, count, seed=42, tol=None, scale=0.8, index_reversal=False):
+def sample_charts(n, count, seed=42, tol=None, scale=0.8):
     """Random admissible base points with their flat charts.
 
     Rejects coefficient draws whose critical points collide or whose
@@ -321,7 +304,7 @@ def sample_charts(n, count, seed=42, tol=None, scale=0.8, index_reversal=False):
     a, *data = _sample_stack(n, count, seed, tol, scale)
     closeds = [_closed_algebra(LGPolynomial(n, tuple(a[s])), *(x[s] for x in data))
                for s in range(len(a))]
-    return _charts(n, closeds, a, data[2], index_reversal)
+    return _charts(n, closeds, a, data[2])
 
 
 def _sample_stack(n, count, seed, tol, scale):
@@ -387,16 +370,15 @@ def _third_derivative_basis(exponents, points):
 
 @dataclass
 class PotentialPoly:
-    """Polynomial potential in the flat coordinates.
+    """Polynomial potential in the flat coordinates of ``FlatChart``.
 
-    ``terms`` maps exponent tuples to coefficients.  The attached
-    EulerData fixes the coordinate charges, so quasi-homogeneity is a
-    statement about each monomial separately.
+    ``terms`` maps exponent tuples, the unit direction t^1 first, to
+    coefficients.  The charges of ``EulerData(n)`` make quasi-homogeneity
+    a statement about each monomial separately.
     """
 
     n: int
     terms: dict
-    euler: EulerData
 
     def _third_derivatives_at(self, points):
         """Third derivative tensors at each point, as [point, i, j, k],
@@ -408,8 +390,8 @@ class PotentialPoly:
 
     def quasi_homogeneity_residual(self):
         """Worst weighted-degree defect over cubic-and-higher monomials."""
-        d = self.euler.degrees
-        target = self.euler.upsilon + 3.0
+        euler = EulerData(self.n)
+        d, target = euler.degrees, euler.upsilon + 3.0
         worst = 0.0
         for exps, coeff in self.terms.items():
             if sum(exps) <= 2:
@@ -423,7 +405,7 @@ class UnderdeterminedFitError(ValueError):
     """The sampled structure tensors leave the potential undetermined."""
 
 
-def reconstruct_potential(n, sample_count=60, tol=None, seed=42, index_reversal=False):
+def reconstruct_potential(n, sample_count=60, tol=None, seed=42):
     """Fit the potential whose third derivatives are the structure tensor.
 
     The ansatz contains every monomial of weighted degree 2n + 4 in the
@@ -435,12 +417,9 @@ def reconstruct_potential(n, sample_count=60, tol=None, seed=42, index_reversal=
     tensor entries.  Raises UnderdeterminedFitError when the design
     matrix has lower rank than the ansatz has monomials.
     """
-    euler = EulerData(n, index_reversal=index_reversal)
     exponents = _weighted_exponents(tuple(range(n + 1, 1, -1)), 2 * n + 4)
-    if index_reversal:
-        exponents = [tuple(reversed(e)) for e in exponents]
     a, r, _, values, _, _ = _sample_stack(n, sample_count, seed, tol, 0.8)
-    _, t, _, tangents, _, _ = _chart_stack(n, a, values, index_reversal)
+    _, t, tangents, _, _ = _chart_stack(n, a, values)
     mul = r[:, np.add.outer(np.arange(n), np.arange(n))]
     # one row per chart and sorted triple i <= j <= k, chart-major
     design = _third_derivative_basis(exponents, t).transpose(0, 2, 1).reshape(-1, len(exponents))
@@ -452,7 +431,7 @@ def reconstruct_potential(n, sample_count=60, tol=None, seed=42, index_reversal=
             " more samples are needed" % (rank, len(exponents), n, sample_count))
     fit_residual = float(np.max(np.abs(design @ beta - rhs)))
     terms = {exps: complex(b) for exps, b in zip(exponents, beta)}
-    return PotentialPoly(n, terms, euler), fit_residual
+    return PotentialPoly(n, terms), fit_residual
 
 
 def wdvv_check(potential, points, tol=None):
@@ -462,18 +441,17 @@ def wdvv_check(potential, points, tol=None):
     associativity residual contracts two third-derivative tensors with
     the constant inverse metric (the antidiagonal identity) and compares
     the exchange of the two outer slots.  The normalization residual
-    compares the third derivatives along the unit direction (first
-    coordinate, or last under index reversal) with the metric.  The
-    quasi-homogeneity residual is per-monomial and point independent.
+    compares the third derivatives along the unit direction, the first
+    coordinate, with the metric.  The quasi-homogeneity residual is
+    per-monomial and point independent.
     """
     tol = tol or ToleranceConfig()
     n = potential.n
     flip = np.fliplr(np.eye(n))
-    unit = n - 1 if potential.euler.index_reversal else 0
     d3 = potential._third_derivatives_at(list(points))
     left = np.einsum("pijq,qr,pklr->pijkl", d3, flip, d3)
     assoc = float(np.max(np.abs(left - left.transpose(0, 3, 2, 1, 4)), initial=0.0))
-    norm = float(np.max(np.abs(d3[..., unit] - flip), initial=0.0))
+    norm = float(np.max(np.abs(d3[..., 0] - flip), initial=0.0))
     rep = VerificationReport(subject="wdvv_n%d" % n, tol=tol.eq_tol)
     rep.residuals["associativity"] = assoc
     rep.residuals["normalization"] = norm
@@ -484,7 +462,7 @@ def wdvv_check(potential, points, tol=None):
 def potential_to_dict(potential):
     return {
         "n": potential.n,
-        "index_reversal": bool(potential.euler.index_reversal),
+        "index_reversal": False,
         "monomials": [
             {"exponents": list(exps), "coeff": complex_to_json(coeff)}
             for exps, coeff in sorted(potential.terms.items())
@@ -493,10 +471,12 @@ def potential_to_dict(potential):
 
 
 def potential_from_dict(data):
-    n = int(data["n"])
-    euler = EulerData(n, index_reversal=bool(data.get("index_reversal", False)))
+    """The potential of a ``potential_to_dict`` payload.  A payload marked
+    ``"index_reversal": true`` (as ``lgcardy potential --index-reversal``
+    writes it) has its exponent tuples read back into the natural labels."""
+    step = -1 if data.get("index_reversal", False) else 1
     terms = {}
     for row in data["monomials"]:
         coeff = row["coeff"]
-        terms[tuple(row["exponents"])] = complex(coeff[0], coeff[1])
-    return PotentialPoly(n, terms, euler)
+        terms[tuple(row["exponents"][::step])] = complex(coeff[0], coeff[1])
+    return PotentialPoly(int(data["n"]), terms)

@@ -437,13 +437,14 @@ def series_to_dict(series):
 
 
 def series_from_dict(data):
-    """Series from its JSON payload; refuses non-finite coefficients and
-    what add_term would drop."""
+    """Series from its JSON payload; refuses negative sizes, non-finite
+    coefficients and what add_term would drop."""
     n = int(data["n"])
     m = int(data["m"])
     out = TensorSeries(n, m, int(data["truncation"]))
-    if out.truncation < 0:
-        raise ValueError("negative truncation")
+    for name in ("n", "m", "truncation"):
+        if getattr(out, name) < 0:
+            raise ValueError("negative %s" % name)
     for row in data["terms"]:
         re, im = row["coeff"]
         tw = tuple(int(i) - 1 for i in row["t"])

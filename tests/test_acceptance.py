@@ -171,7 +171,7 @@ def test_criterion_6_wdvv_reconstructed_f3():
     rep = wdvv_check(pot, points)
     worst = max(rep.residuals.values())
     quartic = next(e for e in pot.terms if sum(e) == 4)
-    bad = PotentialPoly(3, dict(pot.terms), pot.euler)
+    bad = PotentialPoly(3, dict(pot.terms))
     bad.terms[quartic] = bad.terms[quartic] + 0.1
     control = wdvv_check(bad, points).residuals["associativity"]
     ok = worst < 1e-7 and control > 1e-3

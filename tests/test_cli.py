@@ -10,7 +10,8 @@ from lgcardy import cli
 from lgcardy.bundle import assemble_potential, corrupt_model, verify_bundle
 from lgcardy.cli import main, parse_branch, parse_complex_list
 from lgcardy.landau_ginzburg import build_quaternion_model, model_to_dict
-from lgcardy.moduli import wdvv_check
+from lgcardy.moduli import potential_from_dict, wdvv_check
+from lgcardy.polycore import ToleranceConfig
 from lgcardy.tensor_series import series_to_dict
 
 FROZEN = ["--n", "2", "--a", "-3,0 0,0"]
@@ -77,6 +78,43 @@ def test_chart_frozen_coordinates(capsys):
     assert np.isclose(t[0][0], 0.0, atol=1e-12)
     assert np.isclose(t[1][0], -1.0, atol=1e-12)
     assert all(e["pass"] for e in report["residuals"])
+
+
+def test_chart_index_reversal_only_relabels():
+    # the chart is computed in one labelling; the flag reverses what is shown
+    rng = np.random.default_rng(16)
+    for n in range(1, 9):
+        for scale in (0.8, 1e3):
+            a = tuple(scale * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+            plain, code = cli.run(cli.RunConfig("chart", n=n, a=a))
+            rev, code_rev = cli.run(cli.RunConfig("chart", n=n, a=a, index_reversal=True))
+            assert code_rev == code
+            assert rev["config"].pop("index_reversal") and not plain["config"].pop("index_reversal")
+            for key in ("t", "tangents"):
+                assert rev["data"].pop(key) == plain["data"].pop(key)[::-1]
+            del plain["timestamp"], rev["timestamp"]
+            assert cli._dumps(rev) == cli._dumps(plain)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_potential_index_reversal_only_relabels(n):
+    plain, _ = cli.run(cli.RunConfig("potential", n=n))
+    rev, _ = cli.run(cli.RunConfig("potential", n=n, index_reversal=True))
+    want = sorted([row["exponents"][::-1], row["coeff"]]
+                  for row in plain["data"]["potential"]["monomials"])
+    got = [[row["exponents"], row["coeff"]] for row in rev["data"]["potential"]["monomials"]]
+    assert got == want  # the coefficients bit for bit
+    assert rev["data"]["potential"]["index_reversal"] is True
+    assert rev["residuals"] == plain["residuals"]
+    back = potential_from_dict(rev["data"]["potential"])
+    assert back.terms == potential_from_dict(plain["data"]["potential"]).terms
+    if n > 1:  # wdvv --index-reversal checks the same potential at its reversed points
+        wdvv, code = cli.run(cli.RunConfig("wdvv", n=n, index_reversal=True))
+        points = np.random.default_rng(42).uniform(-0.8, 0.8, size=(20, n))[:, ::-1]
+        rep = wdvv_check(back, points, tol=ToleranceConfig(eq_tol=1e-7))
+        assert rep.passed and code == 0
+        rows = {row["name"]: row["value"] for row in wdvv["residuals"]}
+        assert all(rows[name] == value for name, value in rep.residuals.items())
 
 
 def test_build_writes_model_usable_as_input(tmp_path, capsys):
@@ -189,6 +227,12 @@ def test_exit_code_two_for_bad_arguments(tmp_path, capsys):
     assert main(["potential", "--n", "2", "--tol", "nan"]) == 2
     assert main(["wdvv", "--n", "2", "--tol=-inf"]) == 2
     assert main(["verify-cf"] + FROZEN + ["--tol", "0"]) == 1
+    # so is a non-finite coefficient, which is not a degenerate model
+    for command in ("build", "chart"):
+        for bad in ("nan,0 0,0", "inf,0 0,0", "0,0 1,-inf"):
+            capsys.readouterr()
+            assert main([command, "--n", "2", "--a=" + bad]) == 2, (command, bad)
+            assert "--a must be finite" in capsys.readouterr().err
     capsys.readouterr()
     # a non-finite series coefficient is refused, not judged or called degenerate
     payload = series_to_dict(assemble_potential(build_quaternion_model(n=2, a=(-3.0, 0.0))))
@@ -196,6 +240,11 @@ def test_exit_code_two_for_bad_arguments(tmp_path, capsys):
     for bad in (float("nan"), float("inf")):
         term["coeff"][0] = bad
         series_file.write_text(json.dumps(payload))
+        assert main(["ext-wdvv", "--input", str(series_file)]) == 2
+        assert "bad series file" in capsys.readouterr().err
+    # and so is a negative series size
+    for n, m in ((-1, 0), (1, -2)):
+        series_file.write_text(json.dumps({"n": n, "m": m, "truncation": 4, "terms": []}))
         assert main(["ext-wdvv", "--input", str(series_file)]) == 2
         assert "bad series file" in capsys.readouterr().err
 

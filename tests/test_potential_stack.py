@@ -13,7 +13,6 @@ import pytest
 from lgcardy import cli, landau_ginzburg, moduli, polycore
 from lgcardy.landau_ginzburg import build_closed
 from lgcardy.moduli import (
-    EulerData,
     PotentialPoly,
     UnderdeterminedFitError,
     _sample_stack,
@@ -68,17 +67,18 @@ def _reference_draws(n, count, seed, scale=0.8):
 
 
 def _reference_fit(n, count, seed, index_reversal):
-    """The fit of reconstruct_potential, one chart at a time."""
-    exponents = _weighted_exponents(tuple(range(n + 1, 1, -1)), 2 * n + 4)
-    if index_reversal:
-        exponents = [tuple(reversed(e)) for e in exponents]
+    """The fit of reconstruct_potential, one chart at a time; with
+    ``index_reversal`` it is made in the reversed labels t^(n+1-i)."""
+    step = -1 if index_reversal else 1
+    exponents = [e[::step] for e in _weighted_exponents(tuple(range(n + 1, 1, -1)), 2 * n + 4)]
     draws, _, _ = _reference_draws(n, count, seed)
-    charts = [flat_chart(n=n, a=a, index_reversal=index_reversal) for a in draws]
+    charts = [flat_chart(n=n, a=a) for a in draws]
     i, j, k = np.array([(i, j, k) for i in range(n) for j in range(i, n)
                         for k in range(j, n)]).T
-    basis = _dense_basis(exponents, [chart.t for chart in charts])
+    basis = _dense_basis(exponents, [chart.t[::step] for chart in charts])
     design = basis[:, :, i, j, k].transpose(0, 2, 1).reshape(-1, len(exponents))
-    rhs = np.concatenate([structure_tensor(chart)[i, j, k] for chart in charts])
+    rhs = np.concatenate([structure_tensor(chart)[::step, ::step, ::step][i, j, k]
+                          for chart in charts])
     beta = np.linalg.lstsq(design, rhs, rcond=None)[0]
     return draws, dict(zip(exponents, beta))
 
@@ -86,13 +86,22 @@ def _reference_fit(n, count, seed, index_reversal):
 @pytest.mark.parametrize("index_reversal", (False, True))
 @pytest.mark.parametrize("n", range(1, 9))
 def test_stacked_fit_matches_per_chart_loop(n, index_reversal):
+    # under index_reversal the CLI's relabelled payload of the one fit is
+    # held against a fit made in the reversed labels
     draws, want = _reference_fit(n, 60, 42, index_reversal)
-    charts = sample_charts(n, 60, seed=42, index_reversal=index_reversal)
+    charts = sample_charts(n, 60, seed=42)
     assert np.array_equal([chart.p.a for chart in charts], draws)
-    F, fit = reconstruct_potential(n, index_reversal=index_reversal)
-    assert list(F.terms) == list(want)
+    F, fit = reconstruct_potential(n)
+    step = -1 if index_reversal else 1
+    assert [e[::step] for e in F.terms] == list(want)
+    got = F.terms
+    if index_reversal:
+        report, _ = cli.run(cli.RunConfig("potential", n=n, index_reversal=True))
+        got = {tuple(row["exponents"]): complex(*row["coeff"])
+               for row in report["data"]["potential"]["monomials"]}
+    assert got.keys() == want.keys()
     for exps, c in want.items():
-        assert abs(F.terms[exps] - c) <= 1e-12 * max(1.0, abs(c))
+        assert abs(got[exps] - c) <= 1e-12 * max(1.0, abs(c))
     assert fit < 1e-9
 
 
@@ -112,7 +121,7 @@ def test_third_derivatives_are_bit_identical_to_the_dense_basis():
     for n in range(1, 9):
         exponents = _weighted_exponents(tuple(range(n + 1, 1, -1)), 2 * n + 4)
         coeffs = rng.normal(size=len(exponents)) + 1j * rng.normal(size=len(exponents))
-        F = PotentialPoly(n, dict(zip(exponents, coeffs)), EulerData(n))
+        F = PotentialPoly(n, dict(zip(exponents, coeffs)))
         for count in (1, 20):
             points = rng.uniform(-0.8, 0.8, size=(count, n))
             want = np.sum(coeffs[:, None, None, None] * _dense_basis(exponents, points), axis=1)

@@ -392,3 +392,6 @@ def test_series_json_round_trip():
         series_from_dict(long_term)
     with pytest.raises(ValueError, match="negative truncation"):
         series_from_dict({"n": 1, "m": 0, "truncation": -1, "terms": []})
+    for name in ("n", "m"):
+        with pytest.raises(ValueError, match="negative %s" % name):
+            series_from_dict({"n": 1, "m": 0, "truncation": 4, "terms": [], name: -2})
