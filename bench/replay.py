@@ -9,8 +9,9 @@ scales 0.8 and 1e3 it draws one model the way the perfbench workloads draw
 theirs (``perfbench/workloads.draw_coefficients``), runs every CLI
 subcommand on it in process, with ``chart --index-reversal`` and
 ``bundle --paper-scale`` besides, ``bundle`` and ``ext-wdvv`` at
-``--t-degree 5`` for n <= 4, and runs ``verify_bundle`` at t_degree 4
-clean and with every corruption (``CORRUPTIONS`` and ``phi_swap``).
+``--t-degree 5`` for n <= 4, and runs ``verify_bundle`` at t_degree 4,
+and at t_degree 5 for n <= 3, clean and with every corruption
+(``CORRUPTIONS`` and ``phi_swap``).
 ``potential`` and ``wdvv`` take no model; they run once per n, under both
 index conventions.  It writes one canonical JSON line per report: the
 case, the exit code (CLI) or the raised error, ``passed``,
@@ -64,6 +65,9 @@ MODEL_RUNS = tuple((command, [], 8) for command in
     ("ext-wdvv", ["--t-degree", "5"], 4),
 )
 BUNDLE_CORRUPTIONS = (None,) + tuple(lib.CORRUPTIONS) + ("phi_swap",)
+# (t_degree, largest n) of the verify_bundle runs; the case names of
+# t_degree 4 carry no truncation
+BUNDLE_TRUNCATIONS = ((4, 8), (5, 3))
 
 
 def draw_model(n, scale):
@@ -96,11 +100,11 @@ def cli_record(case, argv):
     return record
 
 
-def bundle_record(case, a, corruption):
+def bundle_record(case, a, corruption, t_degree):
     record = {"case": case, "corruption": corruption}
     try:
         model = lib.build_quaternion_model(n=len(a), a=a)
-        rep = lib.verify_bundle(model, t_degree=4, corruption=corruption)
+        rep = lib.verify_bundle(model, t_degree=t_degree, corruption=corruption)
     except Exception as exc:  # the raise itself is part of the record
         record["raised"] = _error(exc)
         return record
@@ -126,10 +130,14 @@ def grid():
                 argv = [command, "--n", str(n), workloads._format_a(a)] + extra
                 case = " ".join([command] + extra + [where])
                 yield lambda case=case, argv=argv: cli_record(case, argv)
-            for corruption in BUNDLE_CORRUPTIONS:
-                case = "verify_bundle %s corruption=%s" % (where, corruption)
-                yield lambda case=case, corruption=corruption, a=a: bundle_record(
-                    case, a, corruption)
+            for t_degree, largest in BUNDLE_TRUNCATIONS:
+                if n > largest:
+                    continue
+                for corruption in BUNDLE_CORRUPTIONS:
+                    case = "verify_bundle%s %s corruption=%s" % (
+                        "" if t_degree == 4 else " t_degree=%d" % t_degree, where, corruption)
+                    yield lambda case=case, corruption=corruption, a=a, t=t_degree: bundle_record(
+                        case, a, corruption, t)
 
 
 def dump(path):

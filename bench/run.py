@@ -10,9 +10,11 @@ the verifier on it: critical points, ``build_closed``, the flat chart
 and ``_coordinate_route``, the Gram matrices formed outside the timed
 call), ``verify_cardy_frobenius``, both ``verify_frobenius`` checks,
 ``build_quaternion_model``, ``reconstruct_potential``,
-``assemble_potential``, ``ext_wdvv_check`` and ``verify_bundle``.  It
-also times every CLI subcommand end to end, in process, with its output
-discarded.
+``assemble_potential``, ``ext_wdvv_check``, the series route of
+``verify_bundle`` (``series_route``: assembly over the structural keys
+plus the numeric pass, on the warm layout of its (n, t_degree, blocks))
+and ``verify_bundle``.  It also times every CLI subcommand end to end,
+in process, with its output discarded.
 
 Each cell repeats its call for BUDGET_S seconds (at least three calls, at
 most 200) and runs the fixed reference computation of
@@ -51,9 +53,10 @@ import numpy as np  # noqa: E402
 import calibration  # noqa: E402
 import workloads  # noqa: E402
 import lgcardy as lib  # noqa: E402
-from lgcardy import cli  # noqa: E402
+from lgcardy import bundle, cli  # noqa: E402
 from lgcardy.cardy import _coordinate_route, _trace_route  # noqa: E402
 from lgcardy.moduli import _chart_on  # noqa: E402
+from lgcardy.tensor_series import _conditions  # noqa: E402
 
 SIZES = (2, 3, 4, 6, 8)
 BUDGET_S = 0.3
@@ -87,12 +90,21 @@ def time_call(fn):
     }
 
 
+def series_route(model, chart, tol):
+    """The series route of ``verify_bundle`` at t_degree 4 on a clean model:
+    the coefficient vector over the structural keys, then the numeric pass
+    on the cached layout."""
+    blocks, coeffs = bundle._assemble(model, chart, model.cf, 4, tol)
+    return _conditions(bundle._assembled_layout(model.n, 4, blocks)[-1], coeffs, tol)
+
+
 def layers(model):
     """The timed calls of each layer on one model, by layer name."""
     n, p, closed, cf = model.n, model.p, model.closed, model.cf
     chart = _chart_on(closed)
     series = lib.assemble_potential(model)
     ga, gb = cf.a.gram(), cf.b.gram()
+    tol = lib.ToleranceConfig()
     return {
         "critical_points": lambda: lib.critical_points(p),
         "build_closed": lambda: lib.build_closed(p=p),
@@ -107,6 +119,7 @@ def layers(model):
         "reconstruct_potential": lambda: lib.reconstruct_potential(n),
         "assemble_potential": lambda: lib.assemble_potential(model),
         "ext_wdvv_check": lambda: lib.ext_wdvv_check(series),
+        "series_route": lambda: series_route(model, chart, tol),
         "verify_bundle": lambda: lib.verify_bundle(model, sample_points=BUNDLE_SAMPLE_POINTS),
     }
 

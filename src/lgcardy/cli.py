@@ -406,8 +406,12 @@ def _refuse_unsupported(c):
         raise CLIError("expected %d coefficients in --a, got %d" % (c.n, len(c.a)))
     if c.a is not None and not np.all(np.isfinite(c.a)):
         raise CLIError("--a must be finite, got %s" % " ".join(map(str, c.a)))
-    if c.t_degree < 3:
-        raise CLIError("--t-degree must be at least 3, got %d" % c.t_degree)
+    # at 3, conditions 3-7 judge no class: bundle's series route passes vacuously
+    least = 4 if c.command == "bundle" else 3
+    if c.t_degree < least:
+        raise CLIError("--t-degree must be at least %d, got %d" % (least, c.t_degree))
+    if c.seed < 0:
+        raise CLIError("--seed must not be negative, got %d" % c.seed)
     # potential and wdvv check nothing without a sample or check point
     least = 1 if c.command in ("potential", "wdvv") else 0
     if c.samples is not None and c.samples < least:

@@ -31,10 +31,17 @@ The s-letters that share an s-word form an s-block (one quaternion block
 per critical point of an assembled series; Moore-Segal, hep-th/0609042).
 S3 and the boundary Gram vanish between blocks, so both are kept per
 block, stacked by block size.
+
+The check runs in two parts: a layout of integer index arrays read off
+the key list alone (_layout), and one numeric pass over the coefficients
+in key order (_conditions), where exact zeros change nothing.
+ext_wdvv_check builds the layout of its series on every call;
+verify_bundle keeps one per (n, t_degree, boundary blocks).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
@@ -84,12 +91,6 @@ class TensorSeries:
     def copy(self):
         return TensorSeries(self.n, self.m, self.truncation, dict(self.terms))
 
-    def __add__(self, other):
-        out = self.copy()
-        for (tw, sw), c in other.terms.items():
-            out.add_term(tw, sw, c)
-        return out
-
 
 def d_t(series, i):
     """Delete one occurrence of t^i from every monomial, in every way."""
@@ -121,19 +122,11 @@ def d_sss(series, i, j, r):
     """
     out = TensorSeries(series.n, series.m, series.truncation)
     for (tw, sw), c in series.terms.items():
-        ell = len(sw)
-        for start in range(ell):
+        for start in range(len(sw)):
             rot = sw[start:] + sw[:start]
-            if rot[0] != i:
-                continue
-            for p in range(1, ell):
-                if rot[p] != j:
-                    continue
-                for q in range(p + 1, ell):
-                    if rot[q] != r:
-                        continue
-                    rest = rot[1:p] + rot[p + 1 : q] + rot[q + 1 :]
-                    out.add_term(tw, rest, c)
+            for p, q in combinations(range(1, len(sw)), 2):
+                if (rot[0], rot[p], rot[q]) == (i, j, r):
+                    out.add_term(tw, rot[1:p] + rot[p + 1 : q] + rot[q + 1 :], c)
     return out
 
 
@@ -165,45 +158,35 @@ def encode_symmetric(exponent_terms, n, m, truncation):
     return out
 
 
-def _by_shape(series):
-    """The terms by word-length shape (t-length, s-length): the array of
-    the words t-word + s-word, one row per term, and the coefficients."""
+def _by_shape(keys):
+    """The positions of the keys by word-length shape (t-length,
+    s-length), and the array of the words t-word + s-word, one row each."""
     groups = {}
-    for (tw, sw), c in series.terms.items():
-        words, coeffs = groups.setdefault((len(tw), len(sw)), ([], []))
-        words.append(tw + sw)
-        coeffs.append(c)
-    return {shape: (np.array(w, dtype=np.intp).reshape(len(w), sum(shape)), np.array(c, complex))
-            for shape, (w, c) in groups.items()}
+    for pos, (tw, sw) in enumerate(keys):
+        groups.setdefault((len(tw), len(sw)), []).append((pos,) + tw + sw)
+    rows = {shape: np.array(g, dtype=np.intp) for shape, g in groups.items()}
+    return {shape: (r[:, 0], r[:, 1:]) for shape, r in rows.items()}
 
 
-def _quadratic_block(shapes, size, shape):
-    """F_xy + F_yx at (x, y) over the terms of shape (2, 0) or (0, 2),
-    the second t- or s-derivatives of the constant part."""
-    out = np.zeros((size, size), dtype=complex)
-    if shape in shapes:
-        (x, y), c = shapes[shape][0].T, shapes[shape][1]
-        np.add.at(out, (x, y), c)
-        np.add.at(out, (y, x), c)
-    return out
+def _symmetry_groups(keys):
+    """The t-permutation groups of condition 1 as key positions, one array
+    per group size, ``len(keys)`` where an ordering is not a key."""
+    where = {key: pos for pos, key in enumerate(keys)}
+    rows = {}
+    for tkey, sw in dict.fromkeys((tuple(sorted(tw)), sw) for tw, sw in keys if len(tw) >= 2):
+        row = [where.get((w, sw), len(keys)) for w in set(permutations(tkey))]
+        rows.setdefault(len(row), []).append(row)
+    return tuple(np.array(r, dtype=np.intp) for r in rows.values())
 
 
-def _condition_one(series):
+def _condition_one(groups, c):
     """Worst deviation of a coefficient from its t-permutation mean."""
-    groups = {}
-    for (tw, sw), c in series.terms.items():
-        if len(tw) < 2:
-            continue
-        groups.setdefault((tuple(sorted(tw)), sw), []).append((tw, c))
     worst = [0.0]
-    for (tkey, sw), entries in groups.items():
-        words = set(permutations(tkey))
-        lookup = dict(entries)
-        values = np.array([lookup.get(w, 0.0) for w in words], dtype=complex)
+    for values in (c[g] for g in groups):
         # offsets from one entry are exact where entries are equal, so an
         # exactly symmetric group reads 0 at any magnitude of its entries
-        offsets = values - values[0]
-        worst.append(np.max(np.abs(offsets - offsets.mean())))
+        offsets = values - values[:, :1]
+        worst.append(np.max(np.abs(offsets - offsets.mean(axis=1, keepdims=True))))
     # np.max, unlike max, keeps a NaN wherever it comes
     return float(np.max(worst))
 
@@ -245,7 +228,7 @@ def _s_blocks(shapes, m):
     """The s-blocks: connected components of the s-letters that share an
     s-word, as one (g, d) letter array per block size d."""
     edges = [(np.repeat(w[:, lt], ls - 1), w[:, lt + 1:].ravel())
-             for (lt, ls), (w, _) in shapes.items() if ls > 1]
+             for (lt, ls), (_, w) in shapes.items() if ls > 1]
     u, v = (np.concatenate([e[k] for e in edges] + [e[1 - k] for e in edges] + [np.zeros(0, int)])
             for k in (0, 1))
     label = np.arange(m)
@@ -259,17 +242,73 @@ def _s_blocks(shapes, m):
     return [order[size[order] == d].reshape(-1, d) for d in dict.fromkeys(size[order].tolist())]
 
 
-def _picked(words, coeffs, kt, picks, position):
+def _picked(words, at, kt, picks, position):
     """Letters at each pick of positions in each word, the class of the
-    letters left over (kt of them t-letters) and the coefficient, one row
-    per (word, pick)."""
+    letters left over (kt of them t-letters) and the key position, one
+    row per (word, pick)."""
     picks = np.array(list(picks), dtype=np.intp)
     rest = np.array([[x for x in range(words.shape[1]) if x not in p] for p in picks.tolist()],
                     dtype=np.intp).reshape(len(picks), -1)
     left = words[:, rest]
     cls = position(np.sort(left[..., :kt], axis=-1), np.sort(left[..., kt:], axis=-1))
     letters = words[:, picks].reshape(-1, picks.shape[1]).T
-    return letters, cls.ravel(), np.repeat(coeffs, len(picks))
+    return letters, cls.ravel(), np.repeat(at, len(picks))
+
+
+_Layout = namedtuple("_Layout", "n m window size groups pairs scatter blocks starts")
+
+
+def _layout(n, m, truncation, keys):
+    """What the seven conditions read off a list of (t-word, s-word) keys,
+    all integers: the alphabet sizes, the window, its class count, the
+    condition-1 groups, the class pairs (a, b, c) as rows, the scatter
+    (flat slot, key position) of _scattered, the s-blocks and the flat
+    starts of their cubes, of the two quadratic blocks and of the end."""
+    shapes = _by_shape(keys)
+    window = truncation - 4
+    index, pairs = class_basis(n, m, window) if window >= 0 else ({}, [])
+    size = len(index)
+    pairs = np.array([(a, b, c) for c, ab in enumerate(pairs) for a, b in ab],
+                     dtype=np.intp).reshape(-1, 3).T
+
+    def position(t, s):
+        pad = np.full(t.shape[:-1] + (window - t.shape[-1] - s.shape[-1],), n + m)
+        return _colex(np.concatenate([t, s + n, pad], axis=-1), n + m + 1)
+    blocks = _s_blocks(shapes, m)
+    # per s-letter: the flat start of its block's cube, the class stride
+    # of its stack, its place in the block and the block size
+    start, stride, place, dim = (np.zeros(m, dtype=np.intp) for _ in range(4))
+    starts = [size * (n**3 + n * m)]
+    for letters in blocks:
+        g, d = letters.shape
+        start[letters], stride[letters] = starts[-1] + d**3 * np.arange(g)[:, None], g * d**3
+        place[letters], dim[letters] = np.arange(d), d
+        starts.append(starts[-1] + size * g * d**3)
+    starts += [starts[-1] + n * n, starts[-1] + n * n + m * m]
+    parts = []
+    for (lt, ls), (at, words) in shapes.items():
+        if (lt, ls) in ((2, 0), (0, 2)):  # F_xy + F_yx at (x, y)
+            x, y = words.T
+            base, side = starts[-3 + ls // 2], n if lt else m
+            parts += [(base + x * side + y, at), (base + y * side + x, at)]
+        if lt >= 3 and lt + ls - 3 <= window:
+            (i, j, p), c, v = _picked(words, at, lt - 3, permutations(range(lt), 3), position)
+            parts.append((((c * n + i) * n + j) * n + p, v))
+        if lt and ls and lt + ls - 2 <= window:
+            (k, p), c, v = _picked(words, at, lt - 1,
+                                   [(x, lt + y) for x in range(lt) for y in range(ls)], position)
+            parts.append((size * n**3 + (c * n + k) * m + p, v))
+        if ls >= 3 and lt + ls - 3 <= window:
+            # the cyclic rotations of the s-word, as d_sss reads them
+            picks = [tuple(lt + (first + d) % ls for d in (0, p, q))
+                     for first in range(ls) for p, q in combinations(range(1, ls), 2)]
+            (i, j, r), c, v = _picked(words, at, lt, picks, position)
+            d = dim[i]
+            parts.append((start[i] + c * stride[i] + (place[i] * d + place[j]) * d + place[r], v))
+    scatter = np.concatenate([np.array(p, dtype=np.intp) for p in parts]
+                             + [np.zeros((2, 0), np.intp)], axis=1)
+    return _Layout(n, m, window, size, _symmetry_groups(keys), pairs, scatter, tuple(blocks),
+                   np.array(starts, dtype=np.intp))
 
 
 def class_tensors(series, index):
@@ -282,52 +321,23 @@ def class_tensors(series, index):
     (letters, cubes), one per block size as in FiniteAlgebra.stacks, with
     cubes (classes, g, d, d, d) on the (g, d) letters.
     """
-    return _class_tensors(_by_shape(series), series.n, series.m, index)
-
-
-def _class_tensors(shapes, n, m, index):
-    """class_tensors on the terms grouped by shape, one vectorised pick
-    of letter positions per shape and derivative, one scatter in all."""
-    size = len(index)
     window = max((len(t) + len(s) for t, s in index), default=-1)
+    return _scattered(_layout(series.n, series.m, window + 4, list(series.terms)),
+                      np.array(list(series.terms.values()), dtype=complex))[:3]
 
-    def position(t, s):
-        pad = np.full(t.shape[:-1] + (window - t.shape[-1] - s.shape[-1],), n + m)
-        return _colex(np.concatenate([t, s + n, pad], axis=-1), n + m + 1)
-    blocks = _s_blocks(shapes, m)
-    # one flat array holds T3, M2 and the S3 stacks in turn; per s-letter:
-    # the flat start of its block's cube, the class stride of its stack,
-    # its place in the block and the block size
-    start, stride, place, dim = (np.zeros(m, dtype=np.intp) for _ in range(4))
-    total = size * (n**3 + n * m)
-    for letters in blocks:
-        g, d = letters.shape
-        start[letters], stride[letters] = total + d**3 * np.arange(g)[:, None], g * d**3
-        place[letters], dim[letters] = np.arange(d), d
-        total += size * g * d**3
-    parts = []
-    for (lt, ls), (words, coeffs) in shapes.items():
-        if lt >= 3 and lt + ls - 3 <= window:
-            (i, j, p), c, v = _picked(words, coeffs, lt - 3, permutations(range(lt), 3), position)
-            parts.append((((c * n + i) * n + j) * n + p, v))
-        if lt and ls and lt + ls - 2 <= window:
-            (k, p), c, v = _picked(words, coeffs, lt - 1,
-                                   [(x, lt + y) for x in range(lt) for y in range(ls)], position)
-            parts.append((size * n**3 + (c * n + k) * m + p, v))
-        if ls >= 3 and lt + ls - 3 <= window:
-            # the cyclic rotations of the s-word, as d_sss reads them
-            picks = [tuple(lt + (first + d) % ls for d in (0, p, q))
-                     for first in range(ls) for p, q in combinations(range(1, ls), 2)]
-            (i, j, r), c, v = _picked(words, coeffs, lt, picks, position)
-            d = dim[i]
-            parts.append((start[i] + c * stride[i] + (place[i] * d + place[j]) * d + place[r], v))
-    at, values = (np.concatenate([p[k] for p in parts] + [np.zeros(0, int)]) for k in (0, 1))
-    flat = np.empty(total, dtype=complex)
-    flat.real, flat.imag = (np.bincount(at, part, total) for part in (values.real, values.imag))
-    cubes = [(letters, flat[start[letters[0, 0]]:][:size * stride[letters[0, 0]]]
-              .reshape((size,) + letters.shape + letters.shape[1:] * 2)) for letters in blocks]
+
+def _scattered(layout, c):
+    """T3, S3 and M2 as class_tensors gives them, then F_xy + F_yx over the
+    t- and the s-letters, in one gather from ``c`` and one scatter."""
+    n, m, size, starts = layout.n, layout.m, layout.size, layout.starts
+    at, values = layout.scatter[0], c[layout.scatter[1]]
+    flat = np.empty(starts[-1], dtype=complex)
+    flat.real, flat.imag = (np.bincount(at, part, len(flat)) for part in (values.real, values.imag))
+    cubes = [(letters, flat[a:b].reshape((size,) + letters.shape + letters.shape[1:] * 2))
+             for letters, a, b in zip(layout.blocks, starts[:-3], starts[1:-2])]
     return (flat[:size * n**3].reshape(size, n, n, n), cubes,
-            flat[size * n**3:size * (n**3 + n * m)].reshape(size, n, m))
+            flat[size * n**3:starts[0]].reshape(size, n, m),
+            flat[starts[-3]:starts[-2]].reshape(n, n), flat[starts[-2]:].reshape(m, m))
 
 
 def _alive(z):
@@ -346,8 +356,7 @@ def _class_sum(spec, x, live_x, y, live_y, pairs):
     a, b, c = pairs[:, live_x[pairs[0]] * live_y[pairs[1]] != 0]
     terms = np.einsum(spec, x[a], y[b])
     out = np.zeros((len(x),) + terms.shape[1:], dtype=complex)
-    for k, cls in enumerate(c.tolist()):
-        out[cls] += terms[k]
+    np.add.at(out, c, terms)
     return out
 
 
@@ -358,34 +367,39 @@ def ext_wdvv_check(series, tol=None):
     class-coefficient defects on the exactly determined window (classes
     of degree at most truncation - 4; none at truncation 3); margins
     condition_2_t and condition_2_s are the singular value ratios of the
-    quadratic blocks.  Conditions 4 and 5, Fb and the boundary factors of
-    6 and 7 run per s-block; the right sides of 6 and 7 are scattered into
-    their dense places, where they meet the left sides over all letters.
-    Raises ValueError("no inverse Gram") when a quadratic block cannot
-    be inverted.
+    quadratic blocks.  Each call builds the layout of the series' own
+    keys.  Raises ValueError("no inverse Gram") when a quadratic block
+    cannot be inverted.
     """
+    layout = _layout(series.n, series.m, series.truncation, list(series.terms))
+    return _conditions(layout, np.array(list(series.terms.values()), dtype=complex), tol)
+
+
+def _conditions(layout, coeffs, tol=None):
+    """ext_wdvv_check as one numeric pass over ``coeffs``, in the key order
+    of ``layout``.  Conditions 4 and 5, Fb and the boundary factors of 6
+    and 7 run per s-block; the right sides of 6 and 7 are scattered into
+    their dense places, where they meet the left sides over all letters."""
     tol = tol or ToleranceConfig()
-    n, m = series.n, series.m
-    window = series.truncation - 4
-    shapes = _by_shape(series)
+    n, m, pairs = layout.n, layout.m, layout.pairs
+    # the zero read by a missing ordering in a condition-1 group
+    c = np.append(np.asarray(coeffs, dtype=complex), 0.0)
 
     rep = VerificationReport(subject="ext_wdvv", tol=tol.eq_tol)
-    rep.residuals["condition_1"] = _condition_one(series)
+    rep.residuals["condition_1"] = _condition_one(layout.groups, c)
 
-    ga, gb = _quadratic_block(shapes, n, (2, 0)), 0.5 * _quadratic_block(shapes, m, (0, 2))
+    t3, s3, m2, ga, gb = _scattered(layout, c)
+    gb = 0.5 * gb
     for name, gram in (("condition_2_t", ga), ("condition_2_s", gb))[:1 + (m > 0)]:
         rep.margins[name] = nondegeneracy_margin(gram)
         if rep.margins[name] <= tol.eq_tol:
             raise ValueError("no inverse Gram")
     fa = np.linalg.inv(ga)
 
-    if window < 0:
+    if layout.window < 0:
         rep.residuals.update(("condition_%d" % k, 0.0) for k in range(3, 8))
         return rep
 
-    index, pairs = class_basis(n, m, window)
-    pairs = np.array([(a, b, c) for c, ab in enumerate(pairs) for a, b in ab]).reshape(-1, 3).T
-    t3, s3, m2 = _class_tensors(shapes, n, m, index)
     live_t, live_m = _alive(t3), _alive(m2)
     # a NaN or inf in an inverse Gram reaches every slice it multiplies
     finite_a = 1.0 if np.isfinite(fa).all() else np.nan
@@ -393,8 +407,8 @@ def ext_wdvv_check(series, tol=None):
     lhs3 = _class_sum("aijq,aqkl->aijkl", np.einsum("aijp,pq->aijq", t3, fa), live_t * finite_a,
                       t3, live_t, pairs)
     defects = {3: [lhs3 - np.einsum("akjil->aijkl", lhs3)], 4: [], 5: []}
-    rhs6 = np.zeros((len(index), m, n, n), dtype=complex)
-    rhs7 = np.zeros((len(index), m, m), dtype=complex)
+    rhs6 = np.zeros((layout.size, m, n, n), dtype=complex)
+    rhs7 = np.zeros((layout.size, m, m), dtype=complex)
     for letters, s3b in s3:
         fb = np.linalg.inv(gb[letters[:, :, None], letters[:, None, :]])
         finite_b = 1.0 if np.isfinite(fb).all() else np.nan
@@ -420,27 +434,15 @@ def ext_wdvv_check(series, tol=None):
 
 def series_to_dict(series):
     """JSON payload; word letters are one based in the file format."""
-    terms = []
-    for (tw, sw), c in sorted(series.terms.items()):
-        c = complex(c)
-        terms.append({
-            "t": [i + 1 for i in tw],
-            "s": [j + 1 for j in sw],
-            "coeff": [c.real, c.imag],
-        })
-    return {
-        "n": series.n,
-        "m": series.m,
-        "truncation": series.truncation,
-        "terms": terms,
-    }
+    terms = [{"t": [i + 1 for i in tw], "s": [j + 1 for j in sw], "coeff": [c.real, c.imag]}
+             for (tw, sw), c in ((key, complex(c)) for key, c in sorted(series.terms.items()))]
+    return {"n": series.n, "m": series.m, "truncation": series.truncation, "terms": terms}
 
 
 def series_from_dict(data):
     """Series from its JSON payload; refuses negative sizes, non-finite
     coefficients and what add_term would drop."""
-    n = int(data["n"])
-    m = int(data["m"])
+    n, m = int(data["n"]), int(data["m"])
     out = TensorSeries(n, m, int(data["truncation"]))
     for name in ("n", "m", "truncation"):
         if getattr(out, name) < 0:

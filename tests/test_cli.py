@@ -188,6 +188,14 @@ def test_exit_code_two_for_bad_arguments(tmp_path, capsys):
     # refused up front: unsupported truncation, size, branch and sample counts
     assert main(["bundle"] + FROZEN + ["--t-degree", "2"]) == 2
     assert main(["ext-wdvv"] + FROZEN + ["--t-degree", "2"]) == 2
+    # at truncation 3 conditions 3-7 judge no class: bundle refuses it,
+    # ext-wdvv keeps it as the documented vacuous case
+    assert main(["bundle"] + FROZEN + ["--t-degree", "3"]) == 2
+    assert main(["ext-wdvv"] + FROZEN + ["--t-degree", "3"]) == 0
+    # a negative seed is unusable, not a degenerate model
+    assert main(["bundle"] + FROZEN + ["--seed", "-1"]) == 2
+    assert main(["potential", "--n", "2", "--seed", "-1"]) == 2
+    assert main(["wdvv", "--n", "2", "--seed=-1"]) == 2
     assert main(["chart", "--n", "0", "--a", "1,0"]) == 2
     assert main(["potential", "--n", "0"]) == 2
     assert main(["build"] + FROZEN + ["--branch", "+,+,+"]) == 2

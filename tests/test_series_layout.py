@@ -1,0 +1,139 @@
+"""The series route of ``verify_bundle`` against the public series check.
+
+``verify_bundle`` writes the assembled coefficients densely over the
+structural keys of (n, t_degree, boundary blocks), exact zeros included,
+and runs the seven conditions on the layout it keeps for that key.
+``ext_wdvv_check(assemble_potential(...))`` builds the layout of the
+nonzero terms on every call.  Both must give the same rows: bit for bit
+at truncation 4, and to 1e-13 max(1, |v|) above it.
+"""
+
+import numpy as np
+import pytest
+
+from lgcardy import bundle as bd
+from lgcardy import tensor_series as ts
+from lgcardy.bundle import CORRUPTIONS, assemble_potential, corrupt_model, verify_bundle
+from lgcardy.landau_ginzburg import build_quaternion_model
+from lgcardy.polycore import DegenerateModelError
+from lgcardy.tensor_series import ext_wdvv_check
+
+EPS = 0.05
+
+
+def _seeded_model(n, draw):
+    rng = np.random.default_rng([17, n, draw])
+    while True:
+        a = tuple(0.8 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        try:
+            return build_quaternion_model(n=n, a=a)
+        except DegenerateModelError:
+            continue
+
+
+def _kinds(n):
+    """Clean, then every corruption that n allows."""
+    yield None
+    for kind in CORRUPTIONS + ("phi_swap",):
+        if n > 1 or kind not in ("t_symmetry", "homomorphism", "phi_swap"):
+            yield kind
+
+
+def _public_rows(model, t_degree, kind):
+    """The rows of ext_wdvv_check on the assembled series, with the
+    order-asymmetric bump that verify_bundle adds for t_symmetry."""
+    cf = None if kind is None else corrupt_model(model, kind, EPS)
+    series = assemble_potential(model, t_degree=t_degree, cf=cf)
+    if kind == "t_symmetry":
+        series.add_term((0, 0, 1), (), EPS)
+        series.add_term((0, 1, 0), (), -EPS)
+    return ext_wdvv_check(series).entries()
+
+
+CASES = ([(n, 4, draw) for n in range(1, 9) for draw in range(3)]
+         + [(n, t, 0) for n in (1, 2, 3) for t in (5, 6)])
+
+
+@pytest.mark.parametrize("n, t_degree, draw", CASES)
+def test_series_route_matches_public_check(n, t_degree, draw):
+    model = _seeded_model(n, draw)
+    for kind in _kinds(n):
+        rep = verify_bundle(model, t_degree=t_degree, sample_points=0, corruption=kind, eps=EPS)
+        got, want = rep.conditions.entries(), _public_rows(model, t_degree, kind)
+        if t_degree == 4:
+            assert got == want, kind
+            continue
+        for rows_got, rows_want in zip(got, want):
+            assert [r["name"] for r in rows_got] == [r["name"] for r in rows_want]
+            for g, w in zip(rows_got, rows_want):
+                assert g["pass"] == w["pass"], (kind, g, w)
+                gap = abs(g["value"] - w["value"])
+                assert gap <= 1e-13 * max(1.0, abs(w["value"])), (kind, g, w)
+
+
+def _count_layouts(monkeypatch, module):
+    """Count the calls of ``module._layout`` from now on."""
+    built, layout = [], ts._layout
+
+    def counted(*args):
+        built.append(args[:3])
+        return layout(*args)
+    monkeypatch.setattr(module, "_layout", counted)
+    return built
+
+
+def test_layout_is_built_once_per_key(monkeypatch):
+    model = _seeded_model(2, 0)
+    bd._assembled_layout.cache_clear()
+    built = _count_layouts(monkeypatch, bd)
+    first = verify_bundle(model, sample_points=0)
+    second = verify_bundle(model, sample_points=0)
+    assert first.conditions.entries() == second.conditions.entries()
+    # a corruption keeps the declared blocks, and so the key
+    verify_bundle(model, sample_points=0, corruption="cardy")
+    assert built == [(2, 8, 4)]
+    verify_bundle(model, t_degree=5, sample_points=0)
+    assert built == [(2, 8, 4), (2, 8, 5)]
+    assert bd._assembled_layout.cache_info().currsize == 2
+
+
+def test_public_check_builds_its_layout_every_call(monkeypatch):
+    series = assemble_potential(_seeded_model(2, 0))
+    built = _count_layouts(monkeypatch, ts)
+    ext_wdvv_check(series)
+    ext_wdvv_check(series)
+    assert len(built) == 2
+
+
+def _leaves(obj):
+    if isinstance(obj, tuple):  # the layout itself is a named tuple
+        for item in obj:
+            yield from _leaves(item)
+    else:
+        yield obj
+
+
+def test_cached_layout_holds_integers_only():
+    bd._assembled_layout.cache_clear()
+    for n, t_degree in ((1, 4), (3, 4), (2, 5)):
+        model = _seeded_model(n, 0)
+        verify_bundle(model, t_degree=t_degree, sample_points=0)
+        # one stack of n quaternion blocks, as the key reads them
+        blocks = (tuple(tuple(range(4 * i, 4 * i + 4)) for i in range(n)),)
+        leaves = list(_leaves(bd._assembled_layout(n, t_degree, blocks)))
+        assert leaves
+        for leaf in leaves:
+            if isinstance(leaf, np.ndarray):
+                assert leaf.dtype.kind == "i", leaf.dtype
+            else:
+                assert type(leaf) is int, type(leaf)
+    assert bd._assembled_layout.cache_info().misses == 3
+
+
+def test_t_degree_three_is_refused():
+    model = _seeded_model(2, 0)
+    with pytest.raises(ValueError, match="t_degree of at least 4"):
+        verify_bundle(model, t_degree=3)
+    # the series check itself keeps the documented vacuous case
+    rep = ext_wdvv_check(assemble_potential(model, t_degree=3))
+    assert [rep.residuals["condition_%d" % k] for k in range(3, 8)] == [0.0] * 5

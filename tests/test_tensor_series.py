@@ -6,9 +6,9 @@ import pytest
 from lgcardy.frobenius import quaternion_pair
 from lgcardy.tensor_series import (
     TensorSeries,
-    _by_shape,
     _condition_one,
-    _quadratic_block,
+    _layout,
+    _scattered,
     class_basis,
     class_tensors,
     d_s,
@@ -27,8 +27,13 @@ from test_frobenius import dense
 def quadratic_blocks(f):
     """The quadratic blocks as ext_wdvv_check reads them: the second
     t-derivatives and half the second s-derivatives of the constant part."""
-    shapes = _by_shape(f)
-    return _quadratic_block(shapes, f.n, (2, 0)), 0.5 * _quadratic_block(shapes, f.m, (0, 2))
+    qt, qs = _scattered(_layout(f.n, f.m, f.truncation, list(f.terms)), _coefficients(f))[3:]
+    return qt, 0.5 * qs
+
+
+def _coefficients(f):
+    """The coefficients of f in key order, and the zero a missing key reads."""
+    return np.array(list(f.terms.values()) + [0.0], dtype=complex)
 
 
 def test_add_and_truncation():
@@ -205,7 +210,7 @@ def test_condition_one_measures_asymmetry():
     g = TensorSeries(2, 0, 4)
     for word in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
         g.add_term(word, (), 123456789.123)
-    assert _condition_one(g) == 0.0
+    assert _condition_one(_layout(2, 0, 4, list(g.terms)).groups, _coefficients(g)) == 0.0
 
 
 def test_singular_block_raises():
