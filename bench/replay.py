@@ -10,8 +10,8 @@ theirs (``perfbench/workloads.draw_coefficients``), runs every CLI
 subcommand on it in process, with ``chart --index-reversal`` and
 ``bundle --paper-scale`` besides, ``bundle`` and ``ext-wdvv`` at
 ``--t-degree 5`` for n <= 4, and runs ``verify_bundle`` at t_degree 4,
-and at t_degree 5 for n <= 3, clean and with every corruption
-(``CORRUPTIONS`` and ``phi_swap``).
+at t_degree 5 for n <= 3 and at t_degree 6 for n <= 2, clean and with
+every corruption (``CORRUPTIONS`` and ``phi_swap``).
 ``potential`` and ``wdvv`` take no model; they run once per n, under both
 index conventions.  It writes one canonical JSON line per report: the
 case, the exit code (CLI) or the raised error, ``passed``,
@@ -67,7 +67,7 @@ MODEL_RUNS = tuple((command, [], 8) for command in
 BUNDLE_CORRUPTIONS = (None,) + tuple(lib.CORRUPTIONS) + ("phi_swap",)
 # (t_degree, largest n) of the verify_bundle runs; the case names of
 # t_degree 4 carry no truncation
-BUNDLE_TRUNCATIONS = ((4, 8), (5, 3))
+BUNDLE_TRUNCATIONS = ((4, 8), (5, 3), (6, 2))
 
 
 def draw_model(n, scale):

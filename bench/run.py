@@ -94,8 +94,8 @@ def series_route(model, chart, tol):
     """The series route of ``verify_bundle`` at t_degree 4 on a clean model:
     the coefficient vector over the structural keys, then the numeric pass
     on the cached layout."""
-    blocks, coeffs = bundle._assemble(model, chart, model.cf, 4, tol)
-    return _conditions(bundle._assembled_layout(model.n, 4, blocks)[-1], coeffs, tol)
+    _, layout, coeffs = bundle._assemble(model, chart, model.cf, 4, tol)
+    return _conditions(layout, coeffs, tol)
 
 
 def layers(model):

@@ -232,85 +232,70 @@ def _shift_terms(terms, center):
 def assemble_potential(model, t_degree=4, tol=None, cf=None):
     """Truncated potential series of a model at its own base point.
 
-    The degree-two part is the constant pairing data by convention; the
-    bulk cubic block is the structure tensor in flat coordinates (for a
-    truncation above 4 the recentred global bulk potential supplies all
-    bulk orders).  The boundary pairing, the boundary triple pairing
-    l((f_u f_v) f_w) and the transfer are read off the Cardy data ``cf``
-    (default: the model's own), one declared boundary block at a time,
-    so a corrupted copy flows into the series.  The mixed block is the
-    transfer at the base point, a linear mixed polynomial; the boundary
-    blocks stay frozen at the base point at every truncation.  The terms
-    are the nonzero entries of the structural keys, in their order.
+    The degree-two part is the constant pairing data by convention.  The
+    bulk block is read off the model's flat chart, never off ``cf.a``: its
+    cubic layer is the structure tensor, and above truncation 4 the
+    recentred global bulk potential supplies the orders 4 to ``t_degree``.
+    The boundary pairing, the boundary triple pairing l((f_u f_v) f_w) and
+    the transfer are read off ``cf`` (default: the model's own Cardy data),
+    one declared boundary block at a time.  The mixed block is the transfer
+    at the base point, a linear mixed polynomial; the boundary blocks stay
+    frozen at the base point at every truncation.  The terms are the
+    nonzero entries of the structural keys, in their order.
     """
     cf = model.cf if cf is None else cf
-    blocks, coeffs = _assemble(model, _chart_on(model.closed), cf, t_degree, tol)
-    keys = _structural_keys(model.n, t_degree, blocks)[0]
+    keys, _, coeffs = _assemble(model, _chart_on(model.closed), cf, t_degree, tol)
     return TensorSeries(model.n, cf.b.algebra.dim, t_degree,
                         {key: c for key, c in zip(keys, coeffs.tolist()) if c != 0})
 
 
-def _structural_keys(n, t_degree, blocks):
-    """The keys of every series assembled with the boundary block rows
-    ``blocks`` (one tuple per stack): the bulk words (every triple up to
-    truncation 4, above it every ordering of each exponent e, 3 <= |e| <=
-    t_degree, under an ansatz monomial), the quadratic pairs, the Gram
-    and cubic entries of each block in turn, the transfer, then the bump
-    words (0, 0, 1) and (0, 1, 0) if not bulk words.  Returns the keys,
-    the bulk exponents and their counts of orderings (none up to 4)."""
-    exps, counts = [], []
-    if t_degree <= 4:
-        bulk = list(product(range(n), repeat=3))
-    else:  # exponents as _shift_terms meets them, orderings as encode_symmetric
-        ansatz = _weighted_exponents(tuple(range(n + 1, 1, -1)), 2 * n + 4)
-        picks = (pick for e in ansatz for pick in product(*[range(k + 1) for k in e]))
-        exps = list(dict.fromkeys(pick for pick in picks if 3 <= sum(pick) <= t_degree))
-        orders = [list(set(permutations([x for x, k in enumerate(e) for _ in range(k)])))
-                  for e in exps]
-        bulk, counts = [w for order in orders for w in order], list(map(len, orders))
+@functools.lru_cache(maxsize=None)
+def _assembled_layout(n, t_degree, blocks):
+    """The structural keys of the boundary block rows ``blocks`` (one
+    tuple per stack), the bulk exponents of orders 4 to t_degree under an
+    ansatz monomial (none up to truncation 4) with their counts of
+    orderings, and the check layout of the keys: integers only.  The keys
+    are every bulk triple in product order (the bump words (0, 0, 1) and
+    (0, 1, 0) at positions 1 and n), every ordering of those exponents,
+    the quadratic pairs, the Gram and cubic entries of each block in turn,
+    and the transfer."""
+    # exponents as _shift_terms meets them, orderings as encode_symmetric
+    ansatz = _weighted_exponents(tuple(range(n + 1, 1, -1)), 2 * n + 4) if t_degree > 4 else ()
+    picks = (pick for e in ansatz for pick in product(*[range(k + 1) for k in e]))
+    exps = list(dict.fromkeys(pick for pick in picks if 4 <= sum(pick) <= t_degree))
+    orders = [list(set(permutations([x for x, k in enumerate(e) for _ in range(k)])))
+              for e in exps]
     rows = [row for index in blocks for row in index]
-    keys = [(w, ()) for w in bulk] + [((i, n - 1 - i), ()) for i in range(n)]
+    keys = [(w, ()) for w in product(range(n), repeat=3)]
+    keys += [(w, ()) for order in orders for w in order]
+    keys += [((i, n - 1 - i), ()) for i in range(n)]
     keys += [((), (u, v)) for row in rows for u in row for v in row]
     keys += [((), (u, v, w)) for row in rows for u in row for v in row for w in row]
     keys += [((k,), (u,)) for k in range(n) for u in range(sum(map(len, rows)))]
-    keys += [(w, ()) for w in ((0, 0, 1), (0, 1, 0)) if n > 1 and w not in bulk]
-    return keys, exps, counts
-
-
-@functools.lru_cache(maxsize=None)
-def _assembled_layout(n, t_degree, blocks):
-    """The bulk exponents, their counts of orderings, the positions of the
-    bump words and the check layout of the structural keys: integers only."""
-    keys, exps, counts = _structural_keys(n, t_degree, blocks)
-    bump = [keys.index((w, ())) for w in ((0, 0, 1), (0, 1, 0))] if n > 1 else []
-    m = sum(len(row) for index in blocks for row in index)
-    return (np.array(exps, dtype=np.intp).reshape(len(exps), n), np.array(counts, dtype=np.intp),
-            np.array(bump, dtype=np.intp), _layout(n, m, t_degree, keys))
+    return (tuple(keys), tuple(exps), np.array(list(map(len, orders)), dtype=np.intp),
+            _layout(n, sum(map(len, rows)), t_degree, keys))
 
 
 def _assemble(model, chart, cf, t_degree, tol):
     """assemble_potential on the flat chart of the base point, as the
-    declared boundary blocks and the coefficients of their structural
-    keys, exact zeros included."""
+    structural keys of the declared boundary blocks, their cached check
+    layout and their coefficients, exact zeros included."""
     if t_degree < 3:
         raise ValueError("t-degree must be at least 3")
     tol = tol or ToleranceConfig()
     n, index = model.n, [i for i, _ in cf.b.algebra.stacks]
     blocks = tuple(tuple(map(tuple, i.tolist())) for i in index)
-    exps, counts, bump, _ = _assembled_layout(n, t_degree, blocks)
-    if t_degree <= 4:
-        bulk = structure_tensor(chart).ravel() / 6.0
-    else:
+    keys, exps, counts, layout = _assembled_layout(n, t_degree, blocks)
+    coeffs = [structure_tensor(chart).ravel() / 6.0]
+    if t_degree > 4:
         shifted = _shift_terms(_cached_potential(n, tol).terms, np.asarray(chart.t, dtype=complex))
-        values = np.array([shifted.get(e, 0.0) for e in map(tuple, exps.tolist())], dtype=complex)
-        bulk = np.repeat(values / counts, counts)
+        values = np.array([shifted.get(e, 0.0) for e in exps], dtype=complex)
+        coeffs.append(np.repeat(values / counts, counts))
     gram, roots = cf.b.gram(), model.closed.roots
     transfer = np.array([poly_eval(t, roots) for t in chart.tangents]) @ cf.phi.T @ gram
-    coeffs = [bulk, np.full(n, 0.5)] + [gram[i[:, :, None], i[:, None, :]].ravel() for i in index]
+    coeffs += [np.full(n, 0.5)] + [gram[i[:, :, None], i[:, None, :]].ravel() for i in index]
     coeffs += [c.ravel() / 3.0 for _, c in _cubic_blocks(cf.b)] + [transfer.ravel()]
-    coeffs = np.concatenate(coeffs)
-    # the bump words that are not bulk words come last
-    return blocks, np.append(coeffs, np.zeros(np.count_nonzero(bump >= len(coeffs))))
+    return keys, layout, np.concatenate(coeffs)
 
 
 def _corrupt_cf(cf, n, corruption, eps):
@@ -361,8 +346,9 @@ def _corrupt_cf(cf, n, corruption, eps):
 def corrupt_model(model, corruption, eps=0.05):
     """Copy of the base-point Cardy data with one axiom deliberately broken.
 
-    t_symmetry      bulk product loses commutativity (the series route
-                    additionally receives an order-asymmetric bump);
+    t_symmetry      bulk product loses commutativity (the series reads
+                    its bulk off the chart, so verify_bundle gives its
+                    series route an order-asymmetric bump instead);
     b_associativity the first boundary block's product of I and J gains
                     a spurious J component;
     centrality      the first bulk idempotent maps to a genuine but
@@ -544,14 +530,15 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
     inverted, framed and built in batched passes, and checked together
     with the base point as one stack (see ``_sample_sweep``); a point
     that fails a guard raises the error a loop over the points would
-    have raised first.  The unit and form
-    symmetry residuals of the bulk and boundary pairs join them as two
-    more facts, checked at the base point.  Both routes see the same
-    corrupted primitives, the corruption being reapplied at every sample
-    point.  The same sweep records the frame pairing drift, judged at
-    FRAME_DRIFT_TOL unless ``paper_scale`` is set, and the frame scale
-    spread max|lambda - 1| together with the scales of the sample point
-    where it is largest.
+    have raised first.  The unit and form symmetry residuals of the bulk
+    and boundary pairs join them as two more facts, checked at the base
+    point.  The corruption is reapplied at every sample point; the series
+    reads its bulk off the chart, not off ``cf.a``, so it sees
+    ``t_symmetry`` only through an order-asymmetric bump on its words
+    (0, 0, 1) and (0, 1, 0).  The same sweep records the frame pairing
+    drift, judged at FRAME_DRIFT_TOL unless ``paper_scale`` is set, and
+    the frame scale spread max|lambda - 1| together with the scales of
+    the sample point where it is largest.
     """
     if t_degree < 4:
         raise ValueError("verify_bundle needs a t_degree of at least 4, got %r: below it no"
@@ -560,10 +547,9 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
     n = model.n
     cf = model.cf if corruption is None else corrupt_model(model, corruption, eps=eps)
     chart = _chart_on(model.closed)
-    blocks, coeffs = _assemble(model, chart, cf, t_degree, tol)
-    *_, bump, layout = _assembled_layout(n, t_degree, blocks)
-    if corruption == "t_symmetry":
-        coeffs[bump] += (eps, -eps)
+    _, layout, coeffs = _assemble(model, chart, cf, t_degree, tol)
+    if corruption == "t_symmetry":  # the bump words (0, 0, 1) and (0, 1, 0)
+        coeffs[[1, n]] += (eps, -eps)
     conditions = _conditions(layout, coeffs, tol)
     bulk_rep = verify_frobenius(cf.a, tol=tol)
     boundary_rep = verify_frobenius(cf.b, tol=tol)

@@ -260,7 +260,7 @@ def _structure_stack(tangents, mul, functional):
     return c[(slice(None),) + tuple(_sorted_triples(n)[0].T)]
 
 
-def coefficients_from_flat(n, t_target, a0=None, tol=None, max_iter=60):
+def coefficients_from_flat(n, t_target, a0=None, max_iter=60):
     """Invert the flat coordinate map by Newton iteration."""
     failures = _Failures(1)
     a = _invert_flat(n, np.asarray(t_target, dtype=complex)[None], a0, failures, max_iter)

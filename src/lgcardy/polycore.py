@@ -64,12 +64,12 @@ class DegenerateModelError(ValueError):
     model cannot provide."""
 
 
-def poly_trim(c, tol=0.0):
-    """Drop trailing (highest-degree) coefficients that are exactly zero,
-    or smaller than ``tol`` when given.  Always keeps at least one entry."""
+def poly_trim(c):
+    """Drop trailing (highest-degree) coefficients that are exactly zero.
+    Always keeps at least one entry."""
     c = np.asarray(c, dtype=complex)
     n = len(c)
-    while n > 1 and abs(c[n - 1]) <= tol:
+    while n > 1 and c[n - 1] == 0:
         n -= 1
     return c[:n].copy()
 

@@ -20,7 +20,7 @@ from lgcardy.frobenius import FiniteAlgebra, quaternion_pair
 from lgcardy.landau_ginzburg import build_quaternion_model
 from lgcardy.moduli import flat_chart
 from lgcardy.polycore import DegenerateModelError, ToleranceConfig, poly_eval
-from lgcardy.tensor_series import d_sss
+from lgcardy.tensor_series import d_sss, ext_wdvv_check
 
 from test_frobenius import dense
 from test_tensor_series import quadratic_blocks
@@ -163,6 +163,16 @@ def test_bulk_potential_is_fitted_under_the_given_tolerances(model):
     # tolerances must sample afresh and fail
     with pytest.raises(DegenerateModelError, match="sampling kept hitting degenerate models"):
         assemble_potential(model, t_degree=5, tol=ToleranceConfig(root_sep_tol=1e3))
+
+
+def test_series_route_misses_a_corrupted_bulk_product(model):
+    # the series reads its bulk block off the chart, never off cf.a, so a
+    # t_symmetry copy leaves the assembled series clean: verify_bundle
+    # fires condition_1 only through its bump.  Carrying the corruption
+    # through cf.a is left to ROADMAP item 5 (a second construction).
+    series = assemble_potential(model, cf=corrupt_model(model, "t_symmetry"))
+    assert series.terms == assemble_potential(model).terms
+    assert ext_wdvv_check(series).passed
 
 
 def test_cardy_corruption_is_isolated(model):

@@ -65,7 +65,7 @@ def _per_point(model, corruption=None, eps=0.05, sample_points=10, sample_distan
         step = rng.standard_normal(n)
         step /= np.linalg.norm(step)
         t = np.asarray(chart.t, dtype=complex) + sample_distance * step
-        a_q = coefficients_from_flat(n, t, a0=model.p.a, tol=tol)
+        a_q = coefficients_from_flat(n, t, a0=model.p.a)
         frame = flat_s_frame(model, a_q, tol=tol, paper_scale=paper_scale)
         drift = np.max([drift, frame.drift])
         spread_q = float(np.max(np.abs(frame.scales - 1.0)))

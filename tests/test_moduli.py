@@ -236,8 +236,8 @@ def structure_gradient_residual(chart, tol=None):
     for l in range(n):
         shift = np.zeros(n, dtype=complex)
         shift[l] = step
-        a_plus = coefficients_from_flat(n, chart.t + shift, a0=a0, tol=tol)
-        a_minus = coefficients_from_flat(n, chart.t - shift, a0=a0, tol=tol)
+        a_plus = coefficients_from_flat(n, chart.t + shift, a0=a0)
+        a_minus = coefficients_from_flat(n, chart.t - shift, a0=a0)
         c_plus = structure_tensor(flat_chart(n=n, a=a_plus, tol=tol))
         c_minus = structure_tensor(flat_chart(n=n, a=a_minus, tol=tol))
         grad[l] = (c_plus - c_minus) / (2 * step)

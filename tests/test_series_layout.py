@@ -8,6 +8,8 @@ nonzero terms on every call.  Both must give the same rows: bit for bit
 at truncation 4, and to 1e-13 max(1, |v|) above it.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -94,7 +96,12 @@ def test_layout_is_built_once_per_key(monkeypatch):
     assert built == [(2, 8, 4)]
     verify_bundle(model, t_degree=5, sample_points=0)
     assert built == [(2, 8, 4), (2, 8, 5)]
-    assert bd._assembled_layout.cache_info().currsize == 2
+    # assemble_potential reads its keys off the same cached layout
+    assemble_potential(model, t_degree=6)
+    assemble_potential(model, t_degree=6)
+    verify_bundle(model, t_degree=6, sample_points=0)
+    assert built == [(2, 8, 4), (2, 8, 5), (2, 8, 6)]
+    assert bd._assembled_layout.cache_info().currsize == 3
 
 
 def test_public_check_builds_its_layout_every_call(monkeypatch):
@@ -103,6 +110,31 @@ def test_public_check_builds_its_layout_every_call(monkeypatch):
     ext_wdvv_check(series)
     ext_wdvv_check(series)
     assert len(built) == 2
+
+
+def _triples(series):
+    return [series.coefficient(w, ()) for w in itertools.product(range(series.n), repeat=3)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bulk_cubic_layer_is_the_same_at_every_truncation(n):
+    model = _seeded_model(n, 0)
+    want = _triples(assemble_potential(model, t_degree=4))
+    assert any(want)
+    for t_degree in (5, 6):
+        assert _triples(assemble_potential(model, t_degree=t_degree)) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_triple_is_a_structural_key(n):
+    blocks = (tuple(tuple(range(4 * i, 4 * i + 4)) for i in range(n)),)
+    triples = [(w, ()) for w in itertools.product(range(n), repeat=3)]
+    for t_degree in (3, 4, 5, 6):
+        keys = bd._assembled_layout(n, t_degree, blocks)[0]
+        assert list(keys[:n**3]) == triples
+        assert len(set(keys)) == len(keys)
+        if n > 1:  # the t_symmetry bump words
+            assert (keys[1], keys[n]) == (((0, 0, 1), ()), ((0, 1, 0), ()))
 
 
 def _leaves(obj):
