@@ -16,15 +16,17 @@ every corruption (``CORRUPTIONS`` and ``phi_swap``).
 index conventions.  It writes one canonical JSON line per report: the
 case, the exit code (CLI) or the raised error, ``passed``,
 ``routes_agree`` where the report has it, every residual and margin
-row as [name, value, tol, pass], and for a CLI report the sha256 of its
-text with the ``"timestamp"`` line removed.  The first line records the
+row as [name, value, tol, pass], for a ``verify_bundle`` report its
+``worst_sample``, ``frame_drift`` and ``frame_scale_spread``, and for a
+CLI report the sha256 of its text with the ``"timestamp"`` line removed.  The first line records the
 machine and the source, with the helpers of ``perfbench/run.py``.
 
 ``diff`` reads two dumps and prints every verdict flip, row flip,
 exit-code change and change of raised error type, then the largest
-relative value gap |a - b| / max(1, |a|) per row name, the raised
-messages that changed, and the CLI report texts that changed (counted
-over the cases whose records in both dumps carry a digest).  It exits 1
+relative value gap |a - b| / max(1, |a|) per row name and per frame
+value, the ``worst_sample`` maps that changed, the raised messages that
+changed, and the CLI report texts that changed (counted over the cases
+whose records in both dumps carry a digest).  It exits 1
 when anything flipped, else 0; a changed text alone is not a flip.
 This script is not part of the test suite.
 """
@@ -111,6 +113,9 @@ def bundle_record(case, a, corruption, t_degree):
     record["passed"] = rep.passed
     record["routes_agree"] = rep.routes_agree
     record["rows"] = _rows(*rep.entries())
+    record["worst_sample"] = rep.worst_sample
+    record["frame"] = {"frame_drift": rep.frame_drift,
+                       "frame_scale_spread": rep.frame_scale_spread}
     return record
 
 
@@ -170,7 +175,7 @@ def _gap(a, b):
 
 def diff(path_a, path_b):
     a, b = _load(path_a), _load(path_b)
-    flips, messages, texts = [], [], []
+    flips, messages, texts, samples = [], [], [], []
     digests = 0  # cases whose records in both dumps carry a text digest
     gaps = {}  # row name -> (gap, case)
     for case in sorted(set(a) | set(b)):
@@ -190,6 +195,13 @@ def diff(path_a, path_b):
             digests += 1
             if ra["sha256"] != rb["sha256"]:
                 texts.append(case)
+        if ra.get("worst_sample") != rb.get("worst_sample"):
+            samples.append("%s: %r -> %r" % (case, ra.get("worst_sample"), rb.get("worst_sample")))
+        frame_a, frame_b = ra.get("frame", {}), rb.get("frame", {})
+        for name in sorted(frame_a.keys() & frame_b.keys()):
+            gap = _gap(frame_a[name], frame_b[name])
+            if "data." + name not in gaps or gap > gaps["data." + name][0]:
+                gaps["data." + name] = (gap, case)
         rows_a = {row[0]: row for row in ra.get("rows", [])}
         rows_b = {row[0]: row for row in rb.get("rows", [])}
         if rows_a.keys() != rows_b.keys():
@@ -206,10 +218,13 @@ def diff(path_a, path_b):
     print("flips: %d" % len(flips))
     for line in flips:
         print("  FLIP " + line)
-    print("largest relative gap |a - b| / max(1, |a|) per row:")
+    print("largest relative gap |a - b| / max(1, |a|) per row (data.*: frame values):")
     for name in sorted(gaps):
         gap, case = gaps[name]
         print("  %-34s %.3e  (%s)" % (name, gap, case))
+    print("changed worst_sample maps: %d" % len(samples))
+    for line in samples:
+        print("  " + line)
     print("changed raise messages: %d" % len(messages))
     for line in messages:
         print("  " + line)

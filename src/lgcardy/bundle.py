@@ -47,6 +47,8 @@ from .frobenius import (
     FrobeniusPair,
     VerificationReport,
     _dense,
+    _worst,
+    _worst_row,
     complex_to_json,
     orthogonal_sum_list,
     quaternion_pair,
@@ -159,7 +161,7 @@ def _continue_frames(model, roots, mu, tol, paper_scale, failures):
     else:
         scales = np.sqrt((model.rho / rho).astype(complex))
     # block i of the Gram matrix is s_i^2 rho_i diag(2, -2, -2, -2)
-    drift = np.max(np.abs(2.0 * (scales ** 2 * rho - model.rho)), axis=1)
+    drift = _worst([2.0 * (scales ** 2 * rho - model.rho)], axis=1)
     return roots, mu, rho, scales, drift
 
 
@@ -365,26 +367,18 @@ def corrupt_model(model, corruption, eps=0.05):
     return _corrupt_cf(model.cf, model.n, corruption, eps)
 
 
-def _pointwise_facts(residuals, a_associativity, b_associativity):
+def _pointwise_facts(defects, a_associativity, b_associativity):
     """The five pointwise algebra facts checked at every sample point,
-    read off the Cardy residuals and the associator residuals of both
-    pairs, per point of a stack where those are arrays.  A NaN residual
-    makes its fact NaN."""
-    r = residuals
+    reduced by the rule from the Cardy defects of a stack and the
+    associator residuals of both pairs: the transfer identity per point,
+    every other fact, whose defects the points share, as one value."""
     return {
-        "a_associativity": np.maximum(a_associativity, r["commutativity"]),
-        "b_associativity": b_associativity,
-        "centrality": r["centrality"],
-        "homomorphism": np.maximum(r["homomorphism"], r["unit_preservation"]),
-        "cardy": np.maximum(r["cardy_trace"], r["cardy_coordinate"]),
+        "a_associativity": _worst([a_associativity] + defects["commutativity"]),
+        "b_associativity": _worst([b_associativity]),
+        "centrality": _worst(defects["centrality"]),
+        "homomorphism": _worst(defects["homomorphism"] + defects["unit_preservation"]),
+        "cardy": _worst(defects["cardy_trace"] + defects["cardy_coordinate"], axis=(-2, -1)),
     }
-
-
-def _worst_point(values, worst):
-    """Index of the worst of the per-point ``values`` under ``worst``
-    (np.argmax or np.argmin): the first NaN, else the first extreme."""
-    nan = np.isnan(values)
-    return int(np.argmax(nan) if nan.any() else worst(values))
 
 
 def _sample_sweep(model, chart, corruption, eps, sample_points, sample_distance, tol,
@@ -399,9 +393,9 @@ def _sample_sweep(model, chart, corruption, eps, sample_points, sample_distance,
     the base point.  Each guard flags the points it refuses; a flagged
     point is carried on with the base point's data and, at the end, the
     error of the first flagged row is raised, the one a loop over the
-    points would have met first.  Returns the Cardy residuals and margins
-    of the rows (the structure-only ones as scalars shared by every
-    row), and the frame drift and scales of every sample point.
+    points would have met first.  Returns the Cardy defects and margins
+    of the rows (the structure-only defects shared by every row), and the
+    frame drift and scales of every sample point.
     """
     n = model.n
     rng = np.random.default_rng(seed)
@@ -421,10 +415,10 @@ def _sample_sweep(model, chart, corruption, eps, sample_points, sample_distance,
     _, _, cf = _quaternion_cf(np.concatenate([model.closed.mu[None], mu]), model.branch, failures)
     if corruption is not None:
         cf = _corrupt_cf(cf, n, corruption, eps)
-    residuals, margins, degenerate = _cardy_checks(cf, tol)
+    defects, margins, degenerate = _cardy_checks(cf, tol)
     failures.flag(degenerate, lambda s: ValueError("degenerate A-form"))
     failures.raise_first()
-    return residuals, margins, scales, drift
+    return defects, margins, scales, drift
 
 
 @dataclass
@@ -538,7 +532,7 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
     (0, 0, 1) and (0, 1, 0).  The same sweep records the frame pairing
     drift, judged at FRAME_DRIFT_TOL unless ``paper_scale`` is set, and
     the frame scale spread max|lambda - 1| together with the scales of
-    the sample point where it is largest.
+    the sample point where it is largest, picked by the row rule.
     """
     if t_degree < 4:
         raise ValueError("verify_bundle needs a t_degree of at least 4, got %r: below it no"
@@ -554,31 +548,30 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
     bulk_rep = verify_frobenius(cf.a, tol=tol)
     boundary_rep = verify_frobenius(cf.b, tol=tol)
 
-    residuals, margins, scales, drifts = _sample_sweep(
+    defects, margins, scales, drifts = _sample_sweep(
         model, chart, corruption, eps, sample_points, sample_distance, tol, paper_scale, seed)
     # each value per row, the base point first; every row shares the
     # cubes, so the associators are the base point's
-    facts = _pointwise_facts(residuals, bulk_rep.residuals["associativity"],
+    facts = _pointwise_facts(defects, bulk_rep.residuals["associativity"],
                              boundary_rep.residuals["associativity"])
-    worst_sample = {name: _worst_point(v, np.argmax) for name, v in facts.items()}
-    worst_sample.update({name: _worst_point(v, np.argmin) for name, v in margins.items()})
-    facts = {name: float(np.max(v)) for name, v in facts.items()}
-    margins = {name: float(np.min(v)) for name, v in margins.items()}
+    worst_sample = {name: _worst_row(v) for name, v in facts.items()}
+    worst_sample.update({name: _worst_row(v, np.argmin) for name, v in margins.items()})
+    # a shared value is its own worst row
+    facts = {name: float(np.take(v, worst_sample[name])) for name, v in facts.items()}
+    margins = {name: float(np.take(v, worst_sample[name])) for name, v in margins.items()}
     # unit and form symmetry are checked at the base point only; their
     # form_nondegeneracy margins are nondegeneracy_A and _B again
     for name in ("unit", "form_symmetry"):
-        facts[name] = float(np.max([bulk_rep.residuals[name], boundary_rep.residuals[name]]))
+        facts[name] = _worst([bulk_rep.residuals[name], boundary_rep.residuals[name]])
         worst_sample[name] = 0
 
-    drift = float(np.max(drifts, initial=0.0))
-    # the scales of the largest departure from 1 are reported (the last
-    # point reaching it), and a NaN departure, the first one seen
-    spreads = np.max(np.abs(scales - 1.0), axis=1, initial=0.0)
+    drift = _worst([drifts])
+    # the scales of the sample point with the largest departure from 1
+    spreads = _worst([scales - 1.0], axis=1)
     if not sample_points:
         spread, frame_scales = 0.0, tuple(np.ones(n, dtype=complex))
     else:
-        nan = np.isnan(spreads)
-        k = int(np.argmax(nan)) if nan.any() else sample_points - 1 - int(np.argmax(spreads[::-1]))
+        k = _worst_row(spreads)
         spread, frame_scales = float(spreads[k]), tuple(scales[k])
     pointwise = VerificationReport("pointwise axioms (%d sample points)" % sample_points,
                                    tol.eq_tol, facts, margins)

@@ -37,7 +37,7 @@ from .frobenius import (
     FiniteAlgebra,
     FrobeniusPair,
     VerificationReport,
-    _max_abs,
+    _worst,
     complex_to_json,
     json_to_complex,
     matrix_pair,
@@ -86,26 +86,22 @@ def _adjoint(cf, ga, gb):
     return np.linalg.solve(ga, cf.phi.T @ gb)
 
 
-def _worst(defect):
-    """Largest absolute entry of each (.., d, d) matrix of a stack."""
-    return np.max(np.abs(defect), axis=(-2, -1))
-
-
 def _trace_route(cf, ga, gb):
-    """Worst defect of (phi* f_k, phi* f_l)_A = tr(b -> f_k b f_l), given
-    both Gram matrices (or stacks of them).  The traces vanish unless f_k
-    and f_l lie in one block, and each stack of blocks gives its blocks'
+    """Defect (phi* f_k, phi* f_l)_A - tr(b -> f_k b f_l), the (dim B,
+    dim B) matrix over (k, l), given both Gram matrices (or a stack of
+    matrices, one per stacked pair).  The traces vanish unless f_k and
+    f_l lie in one block, and each stack of blocks gives its blocks'
     traces in one einsum."""
     ps = _adjoint(cf, ga, gb)
     lhs = ps.swapaxes(-1, -2) @ ga @ ps
     alg = cf.b.algebra
     traces = alg.block_matrix([np.einsum("gkmi,gilm->gkl", c, c) for _, c in alg.stacks])
-    return _worst(lhs - traces)
+    return lhs - traces
 
 
 def _coordinate_route(cf, ga, gb):
-    """Worst defect of the dual-basis form of the transfer identity,
-    given both Gram matrices (or stacks of them).
+    """Defect of the dual-basis form of the transfer identity, left side
+    minus right side as _trace_route gives its defect.
 
     For every boundary pair (x, y) = (f_k, f_l) it compares
     sum_ij (G_A^-1)[i,j] l_B(phi(a_i) x) l_B(phi(a_j) y) against
@@ -129,7 +125,7 @@ def _coordinate_route(cf, ga, gb):
     for index, c in alg.stacks:
         y = np.einsum("gcld,...gds->...gcls", c, x[..., index[:, :, None], index[:, None, :]])
         rhs.append(np.einsum("gksc,...gcls->...gkl", c, y))
-    return _worst(lhs - alg.block_matrix(rhs))
+    return lhs - alg.block_matrix(rhs)
 
 
 def verify_cardy_frobenius(cf, tol=None):
@@ -143,38 +139,40 @@ def verify_cardy_frobenius(cf, tol=None):
     too close to singular for the transfer identity.
     """
     tol = tol or ToleranceConfig()
-    residuals, margins, degenerate = _cardy_checks(cf, tol)
+    defects, margins, degenerate = _cardy_checks(cf, tol)
     if degenerate:
         raise ValueError("degenerate A-form")
-    return VerificationReport(cf.name, tol.eq_tol, {k: float(v) for k, v in residuals.items()},
+    return VerificationReport(cf.name, tol.eq_tol, {k: _worst(v) for k, v in defects.items()},
                               {k: float(v) for k, v in margins.items()})
 
 
 def _cardy_checks(cf, tol):
-    """Residuals and margins of verify_cardy_frobenius for one pair or a
-    stack of pairs, and whether the bulk form is too degenerate for the
-    transfer identity (margin at or below eq_tol).
+    """Defect arrays and margins of verify_cardy_frobenius for one pair or
+    a stack of pairs, and whether the bulk form is too degenerate for the
+    transfer identity (margin at or below eq_tol).  ``defects`` maps each
+    residual name to its list of defect arrays, for the caller to reduce.
 
     The structure constants are read one stack of blocks at a time, phi
     as the (g, d, dim A) slab of its rows on the stacked blocks; the
-    (dim A, dim A, dim B) homomorphism tensors stay dense.  The residuals
-    that do not read a functional are computed once; the Gram matrices,
-    their margins and both transfer routes once per functional, as
-    (S,) arrays for a stack.  A degenerate bulk form, or a pair of forms
-    with a non-finite entry, is replaced by the identity before the
+    (dim A, dim A, dim B) homomorphism tensors stay dense.  The defects
+    that do not read a functional are computed once, shared by a stack;
+    the Gram matrices, their margins and both transfer routes once per
+    functional, the routes as (S, dim B, dim B) defects and the margins
+    as (S,) arrays for a stack.  A degenerate bulk form, or a pair of
+    forms with a non-finite entry, is replaced by the identity before the
     routes, so that the other samples of a stack still get theirs: the
-    routes of a non-finite pair are NaN, those of a degenerate one are
-    meaningless and refused by the caller.
+    route defects of a non-finite pair are NaN, those of a degenerate one
+    are meaningless and refused by the caller.
     """
     alg_a = cf.a.algebra
     alg_b = cf.b.algebra
     phi = cf.phi
-    residuals = {"commutativity": alg_a.commutator_residual()}
+    defects = {"commutativity": alg_a._commutator_defects()}
     ga = cf.a.gram()
     margin_a = nondegeneracy_margin(ga)
     margins = {"nondegeneracy_A": margin_a}
     if alg_b.dim == 0:
-        return residuals, margins, np.zeros(np.shape(margin_a), dtype=bool)
+        return defects, margins, np.zeros(np.shape(margin_a), dtype=bool)
     # images[i, j] = phi(a_i a_j), products[i, j] = phi(a_i) phi(a_j)
     images = np.zeros((alg_a.dim, alg_a.dim, alg_b.dim), dtype=complex)
     for index, c in alg_a.stacks:
@@ -188,9 +186,9 @@ def _cardy_checks(cf, tol):
         products[:, :, index] = np.einsum("gcj,gicd->ijgd", slab, left)
         # phi(a_i) f_k - f_k phi(a_i) on the block of f_k
         central.append(np.einsum("gbi,gbkc->gikc", slab, c - c.transpose(0, 2, 1, 3)))
-    residuals["homomorphism"] = float(np.max(np.abs(images - products)))
-    residuals["unit_preservation"] = float(np.max(np.abs(phi @ alg_a.unit - alg_b.unit)))
-    residuals["centrality"] = _max_abs(central)
+    defects["homomorphism"] = [images - products]
+    defects["unit_preservation"] = [phi @ alg_a.unit - alg_b.unit]
+    defects["centrality"] = central
     gb = cf.b.gram()
     margins["nondegeneracy_B"] = nondegeneracy_margin(gb)
     degenerate = np.asarray(margin_a <= tol.eq_tol)
@@ -200,12 +198,10 @@ def _cardy_checks(cf, tol):
     if skip.any():
         skip = skip[..., None, None]
         ga, gb = np.where(skip, np.eye(alg_a.dim), ga), np.where(skip, np.eye(alg_b.dim), gb)
-    residuals["cardy_trace"] = _trace_route(cf, ga, gb)
-    residuals["cardy_coordinate"] = _coordinate_route(cf, ga, gb)
-    if unknown.any():
-        for name in ("cardy_trace", "cardy_coordinate"):
-            residuals[name] = np.where(unknown, np.nan, residuals[name])
-    return residuals, margins, degenerate
+    nan = np.where(unknown, np.nan, 0.0)[..., None, None]
+    defects["cardy_trace"] = [_trace_route(cf, ga, gb) + nan]
+    defects["cardy_coordinate"] = [_coordinate_route(cf, ga, gb) + nan]
+    return defects, margins, degenerate
 
 
 def decompose_commutative(pair, tol=None, seed=0, attempts=3):
@@ -222,7 +218,6 @@ def decompose_commutative(pair, tol=None, seed=0, attempts=3):
     alg = pair.algebra
     d = alg.dim
     rng = np.random.default_rng(seed)
-    last_defect = np.inf
     for _ in range(attempts):
         x = rng.normal(size=d) + 1j * rng.normal(size=d)
         vals, vecs = np.linalg.eig(alg.left_action_matrix(x))
@@ -246,12 +241,10 @@ def decompose_commutative(pair, tol=None, seed=0, attempts=3):
         if defect <= DEGENERACY_TOL:
             total = np.sum(idempotents, axis=0)
             if float(np.max(np.abs(total - alg.unit))) > DEGENERACY_TOL:
-                last_defect = defect
                 continue
             weights = np.array([pair.apply(e) for e in idempotents])
             order = np.lexsort((weights.imag, weights.real))
             return [idempotents[i] for i in order], weights[order]
-        last_defect = min(last_defect, defect)
     raise ValueError("not semisimple")
 
 

@@ -14,13 +14,15 @@ bundle     two-route verification of the boundary bundle at one model
 Reports are a single JSON document whose "residuals" and "margins"
 arrays hold {name, value, tol, pass} rows: the rows of the library
 reports behind the command, each report's rows sorted by name, exactly
-as VerificationReport.entries() and to_dict() give them.  A residual
-passes at or below its tolerance, a margin above it, a NaN never.
+as VerificationReport.entries() and to_dict() give them.  A residual,
+the largest |entry| of its check's defect arrays (NaN if any entry is,
+0 if none), passes at or below its tolerance, a margin above it, a NaN never.
 bundle lists the series conditions (condition_*), the pointwise facts
 (a_associativity, b_associativity, centrality, homomorphism, cardy,
 unit, form_symmetry) and, unless --paper-scale is given, frame_drift;
 its data gives, for each pointwise fact and margin, the point where the
-worst value occurred (worst_sample: 0 the base point, k the k-th sample).
+worst value occurred (worst_sample: 0 the base point, k the k-th sample;
+the first NaN, else the first extreme).
 Suites that do not apply are never dropped silently: they appear
 under "skipped" with a reason.  Exit codes: 0 when the report passes,
 1 when it fails, 2 for unusable arguments or input files, 3 for a
@@ -48,19 +50,20 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .polycore import DegenerateModelError, ToleranceConfig
-from .frobenius import VerificationReport, complex_to_json
+from .frobenius import VerificationReport, _worst, complex_to_json
 from .cardy import verify_cardy_frobenius
 from .landau_ginzburg import build_quaternion_model, model_from_dict, model_to_dict
 from .moduli import (
     UnderdeterminedFitError,
+    _chart_on,
     euler_check,
     flat_chart,
     potential_to_dict,
     reconstruct_potential,
     wdvv_check,
 )
-from .tensor_series import ext_wdvv_check, series_from_dict
-from .bundle import assemble_potential, verify_bundle
+from .tensor_series import _conditions, ext_wdvv_check, series_from_dict
+from .bundle import _assemble, verify_bundle
 
 __all__ = ["RunConfig", "main", "run"]
 
@@ -179,8 +182,8 @@ def _idempotent_residuals(closed):
     prods = np.zeros((closed.n,) * 3, dtype=complex)
     for index, cubes in alg.stacks:  # every product e_x e_y, one einsum per stack
         prods[..., index] = np.einsum("xgi,ygj,gijk->xygk", e[:, index], e[:, index], cubes)
-    worst = float(np.max(np.abs(prods - np.eye(closed.n)[:, :, None] * e[None, :, :])))
-    return worst, float(np.max(np.abs(e.sum(axis=0) - alg.unit)))
+    return (_worst([prods - np.eye(closed.n)[:, :, None] * e[None, :, :]]),
+            _worst([e.sum(axis=0) - alg.unit]))
 
 
 def cmd_build(c):
@@ -279,18 +282,18 @@ def cmd_wdvv(c):
 
 def cmd_ext_wdvv(c):
     tol = c.tolerances()
-    if c.input:
-        raw = _load_json(c.input)
-        try:
-            series = series_from_dict(raw)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CLIError("bad series file %s: %s" % (c.input, exc))
-        source = {"series_file": c.input}
-    else:
+    if not c.input:
         model = _model_from_config(c)
-        series = assemble_potential(model, t_degree=c.t_degree, tol=tol)
+        # the assembled coefficients on the cached layout, as verify_bundle checks them
+        _, layout, coeffs = _assemble(model, _chart_on(model.closed), model.cf, c.t_degree, tol)
         source = {"assembled_from": _config_echo(c)["a"], "t_degree": c.t_degree}
-    return _report(c, [ext_wdvv_check(series, tol=tol)], data=source)
+        return _report(c, [_conditions(layout, coeffs, tol)], data=source)
+    raw = _load_json(c.input)
+    try:
+        series = series_from_dict(raw)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CLIError("bad series file %s: %s" % (c.input, exc))
+    return _report(c, [ext_wdvv_check(series, tol=tol)], data={"series_file": c.input})
 
 
 def cmd_bundle(c):

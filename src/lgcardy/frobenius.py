@@ -17,6 +17,13 @@ A pair may carry a stack of functionals on one algebra, ``functional``
 of shape (S, dim): its Gram matrices and their margins then come as
 (S, dim, dim) and (S,) arrays from the same batched calls, one entry per
 functional.
+
+Every check hands over its defect arrays, and the rules beside
+``VerificationReport`` alone reduce them.  A residual is the largest
+absolute entry of its defect arrays, NaN if any entry is, 0 if there are
+none (``_worst``; a stack keeps its point axis); the worst point of a
+stack is the first NaN, else the first extreme (``_worst_row``); the pass
+rule is ``VerificationReport.entries``.
 """
 
 from __future__ import annotations
@@ -94,12 +101,6 @@ def _dense(stacks, dim):
     for index, cubes in stacks:
         out[index[:, :, None, None], index[:, None, :, None], index[:, None, None, :]] = cubes
     return out
-
-
-def _max_abs(arrays):
-    """Largest absolute entry over a list of arrays, 0 when they hold
-    none; a NaN anywhere makes it NaN."""
-    return float(np.array([np.abs(a).max(initial=0.0) for a in arrays]).max(initial=0.0))
 
 
 class FiniteAlgebra:
@@ -195,7 +196,7 @@ class FiniteAlgebra:
         blocks is checked on its own.  A NaN in any block makes the
         result NaN.
         """
-        return _max_abs([
+        return _worst([
             np.einsum("gijm,gmkl->gijkl", c, c) - np.einsum("gjkm,giml->gijkl", c, c)
             for _, c in self.stacks])
 
@@ -208,10 +209,14 @@ class FiniteAlgebra:
             eye = np.eye(cubes.shape[1])
             worst.append(np.einsum("gi,gijk->gjk", e, cubes) - eye)
             worst.append(np.einsum("gj,gijk->gik", e, cubes) - eye)
-        return _max_abs(worst)
+        return _worst(worst)
 
     def commutator_residual(self):
-        return _max_abs([c - c.transpose(0, 2, 1, 3) for _, c in self.stacks])
+        return _worst(self._commutator_defects())
+
+    def _commutator_defects(self):
+        """e_i e_j - e_j e_i on each stack of blocks."""
+        return [c - c.transpose(0, 2, 1, 3) for _, c in self.stacks]
 
 
 @dataclass
@@ -284,6 +289,25 @@ class VerificationReport:
         }
 
 
+def _worst(defects, axis=None):
+    """The one reduction rule: the largest absolute entry over a list of
+    defect arrays as a float, NaN when any entry is NaN and 0.0 when they
+    hold none.  With ``axis`` only those axes of each array are reduced,
+    so a stacked check keeps its point axis."""
+    worst = 0.0
+    for d in defects:  # np.maximum, unlike max, keeps a NaN wherever it comes
+        worst = np.maximum(worst, np.abs(d).max(axis=axis, initial=0.0))
+    return float(worst) if axis is None else worst
+
+
+def _worst_row(values, extreme=np.argmax):
+    """The row rule: the index of the worst of the per-point ``values`` of
+    a stack, the first NaN, else the first extreme under ``extreme``
+    (np.argmax for residuals, np.argmin for margins)."""
+    nan = np.isnan(values)
+    return int(np.argmax(nan) if nan.any() else extreme(values))
+
+
 _TINY = np.finfo(float).tiny
 
 
@@ -323,7 +347,7 @@ def verify_frobenius(pair, tol=None, commutative=False):
     rep.residuals["associativity"] = alg.associator_residual()
     rep.residuals["unit"] = alg.unit_residual()
     g = pair.gram()
-    rep.residuals["form_symmetry"] = float(np.max(np.abs(g - g.T)))
+    rep.residuals["form_symmetry"] = _worst([g - g.T])
     if commutative:
         rep.residuals["commutativity"] = alg.commutator_residual()
     rep.margins["form_nondegeneracy"] = nondegeneracy_margin(g)
@@ -445,20 +469,11 @@ def m2_quaternion_isomorphism():
     psi = np.linalg.inv(quat_to_mat)
     mat = matrix_pair(2, 1.0)
     quat = quaternion_pair(1.0)
-    residual = 0.0
-    for i in range(4):
-        for j in range(4):
-            x = np.zeros(4, dtype=complex)
-            y = np.zeros(4, dtype=complex)
-            x[i] = 1.0
-            y[j] = 1.0
-            xy = mat.algebra.multiply(x, y)
-            defect = quat.algebra.multiply(psi @ x, psi @ y) - psi @ xy
-            residual = max(residual, float(np.max(np.abs(defect))))
-        ei = np.zeros(4, dtype=complex)
-        ei[i] = 1.0
-        residual = max(residual, abs(quat.apply(psi @ ei) - mat.apply(ei)))
-    return psi, residual
+    basis = np.eye(4, dtype=complex)
+    defects = [quat.algebra.multiply(psi @ x, psi @ y) - psi @ mat.algebra.multiply(x, y)
+               for x in basis for y in basis]
+    defects += [quat.apply(psi @ x) - mat.apply(x) for x in basis]
+    return psi, _worst(defects)
 
 
 def pair_to_dict(pair):

@@ -30,7 +30,7 @@ from .polycore import (
     _reversion_table,
     _weighted_exponents,
 )
-from .frobenius import VerificationReport, complex_to_json
+from .frobenius import VerificationReport, _worst, complex_to_json
 from .landau_ginzburg import (
     LGClosedAlgebra,
     _closed_algebra,
@@ -175,8 +175,8 @@ def _chart_stack(n, a, values):
     flip = np.fliplr(np.eye(n))
     g = tangents @ hankel @ tangents.swapaxes(1, 2)
     g_raw = raw_tangents @ hankel @ raw_tangents.swapaxes(1, 2)
-    metric = np.abs(g - flip).max(axis=(1, 2))
-    metric_raw = np.abs(g_raw - (n + 1) * flip).max(axis=(1, 2))
+    metric = _worst([g - flip], axis=(1, 2))
+    metric_raw = _worst([g_raw - (n + 1) * flip], axis=(1, 2))
     return ttilde, t, tangents, metric, metric_raw
 
 
@@ -211,25 +211,24 @@ def euler_check(chart):
     weights = np.array([(k + 1.0) / (n + 1.0) for k in range(1, n + 1)])
 
     # E p: each a_k carries weight (k+1)/(n+1)
+    e_vec = weights * avals
     lep = np.zeros(n + 2, dtype=complex)
-    for k in range(1, n + 1):
-        lep[n - k] = weights[k - 1] * avals[k - 1]
+    lep[:n] = e_vec[::-1]
     coeffs = p.coeffs()
     dpc = p.derivative_coeffs()
     rhs = coeffs.copy()
     rhs[1:] -= dpc / (n + 1.0)
-    p_identity = float(np.max(np.abs(lep - rhs)))
+    p_identity = _worst([lep - rhs])
 
     # E t^i = d_i t^i through the chain rule in the a variables; entry
     # [k, n-1-j] of the tangents is da_(j+1)/dt^(k+1)
     jac_ta = np.linalg.inv(chart.tangents[:, ::-1].T)
-    e_vec = weights * avals
     lhs = jac_ta @ e_vec
-    flat_scaling = float(np.max(np.abs(lhs - EulerData(n).degrees * chart.t)))
+    flat_scaling = _worst([lhs - EulerData(n).degrees * chart.t])
 
     raw_degrees = np.array([(i + 1.0) / (n + 1.0) for i in range(1, n + 1)])
     lhs_raw = _reversion_values(n, avals)[1] @ e_vec
-    raw_scaling = float(np.max(np.abs(lhs_raw - raw_degrees * chart.ttilde)))
+    raw_scaling = _worst([lhs_raw - raw_degrees * chart.ttilde])
     return {
         "p_identity": p_identity,
         "flat_scaling": flat_scaling,
@@ -389,16 +388,12 @@ class PotentialPoly:
         return np.sum(coeffs[:, None] * basis, axis=1)[:, _sorted_triples(self.n)[1]]
 
     def quasi_homogeneity_residual(self):
-        """Worst weighted-degree defect over cubic-and-higher monomials."""
+        """Worst weighted-degree defect over cubic-and-higher monomials; a
+        NaN coefficient makes it NaN."""
         euler = EulerData(self.n)
         d, target = euler.degrees, euler.upsilon + 3.0
-        worst = 0.0
-        for exps, coeff in self.terms.items():
-            if sum(exps) <= 2:
-                continue
-            degree = float(np.dot(d, exps))
-            worst = max(worst, abs(coeff) * abs(degree - target))
-        return worst
+        return _worst([np.array([abs(coeff) * abs(float(np.dot(d, exps)) - target)
+                                 for exps, coeff in self.terms.items() if sum(exps) > 2])])
 
 
 class UnderdeterminedFitError(ValueError):
@@ -429,7 +424,7 @@ def reconstruct_potential(n, sample_count=60, tol=None, seed=42):
         raise UnderdeterminedFitError(
             "underdetermined fit: rank %d of %d monomials at n=%d from %d sample charts;"
             " more samples are needed" % (rank, len(exponents), n, sample_count))
-    fit_residual = float(np.max(np.abs(design @ beta - rhs)))
+    fit_residual = _worst([design @ beta - rhs])
     terms = {exps: complex(b) for exps, b in zip(exponents, beta)}
     return PotentialPoly(n, terms), fit_residual
 
@@ -450,11 +445,9 @@ def wdvv_check(potential, points, tol=None):
     flip = np.fliplr(np.eye(n))
     d3 = potential._third_derivatives_at(list(points))
     left = np.einsum("pijq,qr,pklr->pijkl", d3, flip, d3)
-    assoc = float(np.max(np.abs(left - left.transpose(0, 3, 2, 1, 4)), initial=0.0))
-    norm = float(np.max(np.abs(d3[..., 0] - flip), initial=0.0))
     rep = VerificationReport(subject="wdvv_n%d" % n, tol=tol.eq_tol)
-    rep.residuals["associativity"] = assoc
-    rep.residuals["normalization"] = norm
+    rep.residuals["associativity"] = _worst([left - left.transpose(0, 3, 2, 1, 4)])
+    rep.residuals["normalization"] = _worst([d3[..., 0] - flip])
     rep.residuals["quasi_homogeneity"] = potential.quasi_homogeneity_residual()
     return rep
 

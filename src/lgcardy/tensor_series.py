@@ -36,7 +36,9 @@ The check runs in two parts: a layout of integer index arrays read off
 the key list alone (_layout), and one numeric pass over the coefficients
 in key order (_conditions), where exact zeros change nothing.
 ext_wdvv_check builds the layout of its series on every call;
-verify_bundle keeps one per (n, t_degree, boundary blocks).
+verify_bundle, and the CLI's ext-wdvv on a model, check the assembled
+coefficients on the one layout cached per (n, t_degree, boundary
+blocks).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from math import comb
 import numpy as np
 
 from .polycore import ToleranceConfig
-from .frobenius import VerificationReport, _max_abs, nondegeneracy_margin
+from .frobenius import VerificationReport, _worst, nondegeneracy_margin
 
 __all__ = [
     "TensorSeries",
@@ -180,15 +182,12 @@ def _symmetry_groups(keys):
 
 
 def _condition_one(groups, c):
-    """Worst deviation of a coefficient from its t-permutation mean."""
-    worst = [0.0]
-    for values in (c[g] for g in groups):
-        # offsets from one entry are exact where entries are equal, so an
-        # exactly symmetric group reads 0 at any magnitude of its entries
-        offsets = values - values[:, :1]
-        worst.append(np.max(np.abs(offsets - offsets.mean(axis=1, keepdims=True))))
-    # np.max, unlike max, keeps a NaN wherever it comes
-    return float(np.max(worst))
+    """Deviations of each coefficient from its t-permutation mean, one
+    array per group size."""
+    # offsets from one entry are exact where entries are equal, so an
+    # exactly symmetric group reads 0 at any magnitude of its entries
+    offsets = [values - values[:, :1] for values in (c[g] for g in groups)]
+    return [x - x.mean(axis=1, keepdims=True) for x in offsets]
 
 
 def class_basis(n, m, window):
@@ -386,7 +385,7 @@ def _conditions(layout, coeffs, tol=None):
     c = np.append(np.asarray(coeffs, dtype=complex), 0.0)
 
     rep = VerificationReport(subject="ext_wdvv", tol=tol.eq_tol)
-    rep.residuals["condition_1"] = _condition_one(layout.groups, c)
+    rep.residuals["condition_1"] = _worst(_condition_one(layout.groups, c))
 
     t3, s3, m2, ga, gb = _scattered(layout, c)
     gb = 0.5 * gb
@@ -428,7 +427,7 @@ def _conditions(layout, coeffs, tol=None):
             "agulq,aglvq->aguv", s3fbfb, live_s * finite_b, s3b, live_s, pairs)
     defects[6] = [_class_sum("akq,aqij->akij", m2fa, live_m * finite_a, t3, live_t, pairs) - rhs6]
     defects[7] = [_class_sum("auq,aqv->auv", m2fa, live_m * finite_a, m2, live_m, pairs) - rhs7]
-    rep.residuals.update(("condition_%d" % k, _max_abs(d)) for k, d in defects.items())
+    rep.residuals.update(("condition_%d" % k, _worst(d)) for k, d in defects.items())
     return rep
 
 

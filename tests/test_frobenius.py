@@ -8,6 +8,8 @@ from lgcardy.frobenius import (
     FrobeniusPair,
     VerificationReport,
     _dense,
+    _worst,
+    _worst_row,
     complex_to_json,
     json_to_complex,
     m2_quaternion_isomorphism,
@@ -51,6 +53,27 @@ def test_entries_fail_nan_residual_and_margin():
         residuals, margins = rep.entries()
         assert [r["pass"] for r in residuals + margins] == [False]
         assert not rep.passed and rep.to_dict()["passed"] is False
+
+
+def test_worst_is_the_one_reduction_rule():
+    assert _worst([]) == 0.0 and _worst([np.zeros((2, 0))]) == 0.0
+    assert type(_worst([np.ones(2)])) is float
+    assert _worst([np.array([1.0, -3.0]), np.array([2j])]) == 3.0
+    # a NaN in the second array wins over a larger finite entry in the first
+    assert np.isnan(_worst([np.array([5.0, -7.0]), np.array([1.0, np.nan])]))
+    # with axis, a stacked check keeps its point axis
+    stack = np.zeros((3, 2, 2))
+    stack[1, 0, 1], stack[2, 1, 1] = -4.0, np.nan
+    rows = _worst([stack, np.ones((3, 2, 2))], axis=(-2, -1))
+    assert rows.shape == (3,) and rows[:2].tolist() == [1.0, 4.0] and np.isnan(rows[2])
+
+
+def test_worst_row_is_the_first_nan_else_the_first_extreme():
+    assert _worst_row(np.array([1.0, 3.0, 3.0, 0.5])) == 1
+    assert _worst_row(np.array([1.0, 0.5, 3.0, 0.5]), np.argmin) == 1
+    assert _worst_row(np.array([1.0, np.nan, 3.0, np.nan])) == 1
+    assert _worst_row(np.array([3.0, 1.0, np.nan]), np.argmin) == 2
+    assert _worst_row(np.float64(2.0)) == 0  # a value shared by every row
 
 
 def test_number_pair():

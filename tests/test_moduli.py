@@ -300,6 +300,11 @@ def test_wdvv_check_n3():
     rep = wdvv_check(F, pts)
     assert rep.residuals["associativity"] > 1e-3
     assert rep.residuals["quasi_homogeneity"] > 1e-3
+    # a NaN coefficient makes every residual that reads it NaN
+    F.terms[(0, 4, 0)] = np.nan
+    rep = wdvv_check(F, pts)
+    assert np.isnan(rep.residuals["associativity"])
+    assert np.isnan(rep.residuals["quasi_homogeneity"])
 
 
 def test_index_reversal_convention():

@@ -16,6 +16,7 @@ import pytest
 from lgcardy import bundle as bd
 from lgcardy import tensor_series as ts
 from lgcardy.bundle import CORRUPTIONS, assemble_potential, corrupt_model, verify_bundle
+from lgcardy.cli import RunConfig, run
 from lgcardy.landau_ginzburg import build_quaternion_model
 from lgcardy.polycore import DegenerateModelError
 from lgcardy.tensor_series import ext_wdvv_check
@@ -110,6 +111,27 @@ def test_public_check_builds_its_layout_every_call(monkeypatch):
     ext_wdvv_check(series)
     ext_wdvv_check(series)
     assert len(built) == 2
+
+
+@pytest.mark.parametrize("n, t_degree", [(2, 4), (3, 4), (2, 5), (3, 5)])
+def test_cli_ext_wdvv_checks_a_model_on_the_cached_layout(monkeypatch, n, t_degree):
+    model = _seeded_model(n, 0)
+    config = RunConfig("ext-wdvv", n=n, a=tuple(model.p.a), t_degree=t_degree)
+    run(config)
+    built = [_count_layouts(monkeypatch, module) for module in (bd, ts)]
+    report, _ = run(config)
+    assert built == [[], []]  # a warm call builds no layout
+    monkeypatch.undo()
+    want = ext_wdvv_check(assemble_potential(model, t_degree=t_degree)).entries()
+    got = report["residuals"], report["margins"]
+    if t_degree == 4:
+        assert got == want
+        return
+    for rows_got, rows_want in zip(got, want):
+        assert [r["name"] for r in rows_got] == [r["name"] for r in rows_want]
+        for g, w in zip(rows_got, rows_want):
+            assert g["pass"] == w["pass"], (g, w)
+            assert abs(g["value"] - w["value"]) <= 1e-13 * max(1.0, abs(w["value"])), (g, w)
 
 
 def _triples(series):
