@@ -11,7 +11,9 @@ subcommand on it in process, with ``chart --index-reversal`` and
 ``bundle --paper-scale`` besides, ``bundle`` and ``ext-wdvv`` at
 ``--t-degree 5`` for n <= 4, and runs ``verify_bundle`` at t_degree 4,
 at t_degree 5 for n <= 3 and at t_degree 6 for n <= 2, clean and with
-every corruption (``CORRUPTIONS`` and ``phi_swap``).
+every corruption (``CORRUPTIONS`` and ``phi_swap``).  For each model it
+also records the critical data of ``build_closed``: the roots, mu and the
+functional values.
 ``potential`` and ``wdvv`` take no model; they run once per n, under both
 index conventions.  It writes one canonical JSON line per report: the
 case, the exit code (CLI) or the raised error, ``passed``,
@@ -23,11 +25,13 @@ machine and the source, with the helpers of ``perfbench/run.py``.
 
 ``diff`` reads two dumps and prints every verdict flip, row flip,
 exit-code change and change of raised error type, then the largest
-relative value gap |a - b| / max(1, |a|) per row name and per frame
-value, the ``worst_sample`` maps that changed, the raised messages that
-changed, and the CLI report texts that changed (counted over the cases
-whose records in both dumps carry a digest).  It exits 1
-when anything flipped, else 0; a changed text alone is not a flip.
+relative value gap |a - b| / max(1, |a|) per row name, per frame value
+and per critical datum (roots, mu, functional values), the models whose
+root order changed (a root of the first dump nearest another slot in the
+second), the ``worst_sample`` maps that changed, the raised messages
+that changed, and the CLI report texts that changed (counted over the
+cases whose records in both dumps carry a digest).  It exits 1 when
+anything flipped, else 0; a changed text alone is not a flip.
 This script is not part of the test suite.
 """
 
@@ -54,6 +58,7 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 import lgcardy as lib  # noqa: E402
 from lgcardy import cli  # noqa: E402
+from lgcardy.frobenius import complex_to_json  # noqa: E402
 
 SIZES = range(1, 9)
 SCALES = (workloads.SCALE, workloads.LARGE_SCALE)
@@ -70,6 +75,7 @@ BUNDLE_CORRUPTIONS = (None,) + tuple(lib.CORRUPTIONS) + ("phi_swap",)
 # (t_degree, largest n) of the verify_bundle runs; the case names of
 # t_degree 4 carry no truncation
 BUNDLE_TRUNCATIONS = ((4, 8), (5, 3), (6, 2))
+CLOSED_DATA = ("roots", "mu", "functional_values")
 
 
 def draw_model(n, scale):
@@ -119,6 +125,18 @@ def bundle_record(case, a, corruption, t_degree):
     return record
 
 
+def closed_record(case, a):
+    record = {"case": case}
+    try:
+        closed = lib.build_closed(n=len(a), a=a)
+    except Exception as exc:  # the raise itself is part of the record
+        record["raised"] = _error(exc)
+        return record
+    record["closed"] = {name: complex_to_json(getattr(closed, name))
+                        for name in CLOSED_DATA}
+    return record
+
+
 def grid():
     """A thunk per report of the replay grid, in a fixed order."""
     for n in SIZES:
@@ -129,6 +147,7 @@ def grid():
         for scale in SCALES:
             a = draw_model(n, scale)
             where = "n=%d scale=%g" % (n, scale)
+            yield lambda where=where, a=a: closed_record("build_closed " + where, a)
             for command, extra, largest in MODEL_RUNS:
                 if n > largest:
                     continue
@@ -173,9 +192,13 @@ def _gap(a, b):
     return abs(a - b) / max(1.0, abs(a))
 
 
+def _complex(pairs):
+    return np.array([complex(re, im) for re, im in pairs])
+
+
 def diff(path_a, path_b):
     a, b = _load(path_a), _load(path_b)
-    flips, messages, texts, samples = [], [], [], []
+    flips, messages, texts, samples, reordered = [], [], [], [], []
     digests = 0  # cases whose records in both dumps carry a text digest
     gaps = {}  # row name -> (gap, case)
     for case in sorted(set(a) | set(b)):
@@ -197,6 +220,17 @@ def diff(path_a, path_b):
                 texts.append(case)
         if ra.get("worst_sample") != rb.get("worst_sample"):
             samples.append("%s: %r -> %r" % (case, ra.get("worst_sample"), rb.get("worst_sample")))
+        closed_a, closed_b = ra.get("closed"), rb.get("closed")
+        if closed_a and closed_b:
+            for name in CLOSED_DATA:
+                va, vb = _complex(closed_a[name]), _complex(closed_b[name])
+                gap = float(np.max(np.abs(va - vb) / np.maximum(1.0, np.abs(va)), initial=0.0))
+                if "closed." + name not in gaps or gap > gaps["closed." + name][0]:
+                    gaps["closed." + name] = (gap, case)
+            roots_a, roots_b = _complex(closed_a["roots"]), _complex(closed_b["roots"])
+            nearest = np.argmin(np.abs(roots_a[:, None] - roots_b[None]), axis=1)
+            if not np.array_equal(nearest, np.arange(len(roots_a))):
+                reordered.append("%s: %s" % (case, nearest.tolist()))
         frame_a, frame_b = ra.get("frame", {}), rb.get("frame", {})
         for name in sorted(frame_a.keys() & frame_b.keys()):
             gap = _gap(frame_a[name], frame_b[name])
@@ -218,10 +252,14 @@ def diff(path_a, path_b):
     print("flips: %d" % len(flips))
     for line in flips:
         print("  FLIP " + line)
-    print("largest relative gap |a - b| / max(1, |a|) per row (data.*: frame values):")
+    print("largest relative gap |a - b| / max(1, |a|) per row (data.*: frame values, "
+          "closed.*: critical data):")
     for name in sorted(gaps):
         gap, case = gaps[name]
         print("  %-34s %.3e  (%s)" % (name, gap, case))
+    print("changed root orders: %d" % len(reordered))
+    for line in reordered:
+        print("  " + line)
     print("changed worst_sample maps: %d" % len(samples))
     for line in samples:
         print("  " + line)

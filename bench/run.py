@@ -5,7 +5,10 @@
 The package is imported from the ``src/`` of the checkout the script sits
 in, and the result is written to ``BENCH_NAME.json`` at its root.  For
 n = 2, 3, 4, 6 and 8 it builds one seeded model and times each layer of
-the verifier on it: critical points, ``build_closed``, the flat chart
+the verifier on it: critical points, ``build_closed``, the critical data
+of a stack of S seeded polynomials in one ``_critical_data`` call at
+S = 10 (the sample sweep of ``verify_bundle``) and S = 60 (the draws of
+one potential fit), the flat chart
 (``_chart_on``), ``structure_tensor``, both Cardy routes (``_trace_route``
 and ``_coordinate_route``, their defects reduced by ``_worst``, the Gram
 matrices formed outside the timed call), ``verify_cardy_frobenius``, both
@@ -54,6 +57,8 @@ import calibration  # noqa: E402
 import workloads  # noqa: E402
 import lgcardy as lib  # noqa: E402
 from lgcardy import bundle, cli  # noqa: E402
+from lgcardy.landau_ginzburg import _critical_data  # noqa: E402
+from lgcardy.polycore import _Failures  # noqa: E402
 from lgcardy.cardy import _coordinate_route, _trace_route  # noqa: E402
 from lgcardy.frobenius import _worst  # noqa: E402
 from lgcardy.moduli import _chart_on  # noqa: E402
@@ -64,6 +69,9 @@ BUDGET_S = 0.3
 MIN_CALLS = 3
 MAX_CALLS = 200
 BUNDLE_SAMPLE_POINTS = 10
+# stack sizes of the critical-data cells: the sweep's sample points and the
+# draws of one potential fit
+CRITICAL_STACKS = (BUNDLE_SAMPLE_POINTS, 60)
 
 
 def seeded_model(n, seed=0):
@@ -71,6 +79,13 @@ def seeded_model(n, seed=0):
     rng = np.random.default_rng(1000 + 10 * n + seed)
     a = workloads.draw_coefficients(rng, n, workloads.SCALE)
     return lib.build_quaternion_model(n=n, a=a)
+
+
+def seeded_stack(n, count):
+    """``count`` coefficient rows of degree n, drawn as the perfbench
+    workloads draw theirs."""
+    rng = np.random.default_rng(2000 + 10 * n + count)
+    return np.array([workloads.draw_coefficients(rng, n, workloads.SCALE) for _ in range(count)])
 
 
 def time_call(fn):
@@ -106,9 +121,12 @@ def layers(model):
     series = lib.assemble_potential(model)
     ga, gb = cf.a.gram(), cf.b.gram()
     tol = lib.ToleranceConfig()
+    stacks = {count: seeded_stack(n, count) for count in CRITICAL_STACKS}
     return {
         "critical_points": lambda: lib.critical_points(p),
         "build_closed": lambda: lib.build_closed(p=p),
+        **{"critical_data_s%d" % count: lambda a=a: _critical_data(a, tol, _Failures(len(a)))
+           for count, a in stacks.items()},
         "flat_chart": lambda: _chart_on(closed),
         "structure_tensor": lambda: lib.structure_tensor(chart),
         "cardy_trace": lambda: _worst([_trace_route(cf, ga, gb)]),

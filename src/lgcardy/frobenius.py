@@ -338,6 +338,8 @@ def verify_frobenius(pair, tol=None, commutative=False):
     Residuals: associativity, two-sided unit, symmetry of the form
     (equivalently l vanishes on commutators), and optionally
     commutativity.  Margin: singular value ratio of the Gram matrix.
+    On a stack of functionals the form symmetry and the margin report
+    the worst functional of the stack (``_worst_row``).
     """
     tol = tol or ToleranceConfig()
     alg = pair.algebra
@@ -347,10 +349,14 @@ def verify_frobenius(pair, tol=None, commutative=False):
     rep.residuals["associativity"] = alg.associator_residual()
     rep.residuals["unit"] = alg.unit_residual()
     g = pair.gram()
-    rep.residuals["form_symmetry"] = _worst([g - g.T])
+    symmetry = _worst([g - g.swapaxes(-1, -2)], axis=(-2, -1) if g.ndim > 2 else None)
+    margin = nondegeneracy_margin(g)
+    if g.ndim > 2:
+        symmetry, margin = symmetry[_worst_row(symmetry)], margin[_worst_row(margin, np.argmin)]
+    rep.residuals["form_symmetry"] = float(symmetry)
     if commutative:
         rep.residuals["commutativity"] = alg.commutator_residual()
-    rep.margins["form_nondegeneracy"] = nondegeneracy_margin(g)
+    rep.margins["form_nondegeneracy"] = float(margin)
     return rep
 
 

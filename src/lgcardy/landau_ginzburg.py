@@ -12,11 +12,15 @@ unit.  This produces a bulk-boundary pair that passes every axiom in
 The critical data and the quaternion models are built for a stack of
 polynomials of one degree at once (``_critical_data``,
 ``_quaternion_cf``); ``build_closed`` and ``build_quaternion_model`` are
-their one-polynomial case.
+their one-polynomial case.  Every critical point, guard and functional
+value is read off one table of root powers; the block stacks of the
+quaternion models are built once per n (``_quaternion_blocks``),
+read-only, and each model keeps its own functionals and phi.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,11 +92,9 @@ def build_closed(n=None, a=None, p=None, tol=None):
     give the structure tensor.  Raises DegenerateModelError when critical
     points collide or the routes disagree.
     """
-    tol = tol or ToleranceConfig()
-    if p is None:
-        p = LGPolynomial(int(n), tuple(a))
+    p = LGPolynomial(int(n), tuple(a)) if p is None else p
     failures = _Failures(1)
-    data = _critical_data(np.array([p.a]), tol, failures)
+    data = _critical_data(np.array([p.a]), tol or ToleranceConfig(), failures)
     failures.raise_first()
     return _closed_algebra(p, *(x[0] for x in data))
 
@@ -100,12 +102,12 @@ def build_closed(n=None, a=None, p=None, tol=None):
 def _closed_algebra(p, r, roots, values, idem, mu):
     """The closed algebra of p from its row of ``_critical_data``."""
     n = p.n
-    mul = r[np.add.outer(np.arange(n), np.arange(n))]
-    pair = FrobeniusPair(
-        FiniteAlgebra(mul, np.eye(1, n, dtype=complex)[0], labels=["z^%d" % k for k in range(n)]),
-        values[:n],
-        name="closed_n%d" % n,
-    )
+    # the one block is the whole algebra, so there is nothing to check
+    cubes = r[None, np.add.outer(np.arange(n), np.arange(n))]
+    algebra = FiniteAlgebra._from_stacks([(np.arange(n)[None], cubes)],
+                                         np.eye(1, n, dtype=complex)[0],
+                                         ["z^%d" % k for k in range(n)], [(0, n)])
+    pair = FrobeniusPair(algebra, values[:n], name="closed_n%d" % n)
     return LGClosedAlgebra(p, pair, roots, idem, mu, _mu_product(roots), values)
 
 
@@ -123,17 +125,17 @@ def _critical_data(a, tol, failures):
     Returns the reductions r[s, k] = z^k mod p' and the residue functional
     on z^k (both routes), k = 0 .. 2n-2, the sorted critical points, the
     Lagrange idempotents and the weights mu = l(idempotent), each with a
-    leading (S,) axis.  Every guard of critical_points and of the residue
-    routes flags its polynomials in ``failures``; the idempotents of a
-    flagged polynomial are left zero.
+    leading (S,) axis.  One table of the powers z^0 .. z^(2n-2) of the
+    sorted roots gives the convergence guard, p'' and the partial
+    fractions of every functional value.  Every guard of critical_points
+    and of the residue routes flags its polynomials in ``failures``; the
+    idempotents of a flagged polynomial are left zero.
     """
     count, n = a.shape
-    coeffs = np.zeros((count, n + 2), dtype=complex)
-    coeffs[:, :n] = a[:, ::-1]
-    coeffs[:, n + 1] = 1.0
+    coeffs = np.concatenate([a[:, ::-1], np.zeros((count, 1)), np.ones((count, 1))], axis=1)
     dp = coeffs[:, 1:] * np.arange(1, n + 2)
-    roots = _critical_stack(dp, tol, failures)
-    values = _residues(np.eye(2 * n - 1, dtype=complex), dp, roots, tol, failures)
+    roots, table, curv = _critical_stack(dp, tol, failures, 2 * n - 2)
+    values = _residues(np.eye(2 * n - 1, dtype=complex), dp, table, curv, tol, failures)
     # r[:, k]: r[:, k-1] shifted up, its z^n term traded for p'
     r = np.zeros((count, 2 * n - 1, n), dtype=complex)
     r[:, :n] = np.eye(n)
@@ -193,36 +195,45 @@ def _quaternion_cf(mu, branch, failures):
     cf), rho shaped as mu and cf one Cardy pair or a stack of them.
 
     The bulk is n one-dimensional blocks, the boundary n quaternion
-    blocks, each built as one stack of cubes shared by every model;
-    only the functionals, mu and 2 rho on the block units, carry the
-    (S,) axis.  A zero weight (a degenerate functional) is flagged in
-    ``failures``.
+    blocks, each one stack of cubes shared by every model of degree n
+    (``_quaternion_blocks``); only the functionals, mu and 2 rho on the
+    block units, carry the (S,) axis.  A zero weight (a degenerate
+    functional) is flagged in ``failures``.
     """
     n = mu.shape[-1]
-    if branch is None:
-        branch = (1,) * n
-    branch = tuple(int(b) for b in branch)
+    branch = (1,) * n if branch is None else tuple(int(b) for b in branch)
     if len(branch) != n or any(b not in (-1, 1) for b in branch):
         raise ValueError("branch must give +1 or -1 per critical point")
     failures.flag(np.any(mu == 0, axis=-1), lambda s: ValueError("degenerate functional"))
     rho = np.array(branch) * np.sqrt(mu)
-    points = np.arange(n)
-    bulk = FiniteAlgebra._from_stacks(
-        [(points[:, None], np.ones((n, 1, 1, 1), dtype=complex))], np.ones(n, dtype=complex),
-        ["1"] * n, [(i, 1) for i in range(n)])
-    boundary = FiniteAlgebra._from_stacks(
-        [(4 * points[:, None] + np.arange(4), np.repeat(_quaternion_table()[None], n, axis=0))],
-        np.tile(np.eye(1, 4, dtype=complex)[0], n), ["1", "I", "J", "K"] * n,
-        [(4 * i, 4) for i in range(n)])
+    stack_a, unit_a, stack_b, unit_b = _quaternion_blocks(n)
+    bulk = FiniteAlgebra._from_stacks([stack_a], unit_a, ["1"] * n, [(i, 1) for i in range(n)])
+    boundary = FiniteAlgebra._from_stacks([stack_b], unit_b, ["1", "I", "J", "K"] * n,
+                                          [(4 * i, 4) for i in range(n)])
     lb = np.zeros(mu.shape[:-1] + (4 * n,), dtype=complex)
     lb[..., ::4] = 2.0 * rho
     phi = np.zeros((4 * n, n), dtype=complex)
-    phi[4 * points, points] = 1.0
+    phi[4 * np.arange(n), np.arange(n)] = 1.0
     cf = CardyFrobeniusAlgebra(
         FrobeniusPair(bulk, np.array(mu, dtype=complex), name="bulk_n%d" % n),
         FrobeniusPair(boundary, lb, name="boundary_n%d" % n),
         phi, name="lg_n%d" % n)
     return branch, rho, cf
+
+
+@functools.lru_cache(maxsize=None)
+def _quaternion_blocks(n):
+    """The (index, cubes) stack and the unit of the bulk, n one-dimensional
+    blocks, then of the boundary, n quaternion blocks, of the degree-n
+    models.  Cached per n; the arrays are read-only, so an edit in place
+    raises instead of reaching every model."""
+    points = np.arange(n)[:, None]
+    stack_a = (points, np.ones((n, 1, 1, 1), dtype=complex))
+    stack_b = (4 * points + np.arange(4), np.repeat(_quaternion_table()[None], n, axis=0))
+    units = (np.ones(n, dtype=complex), np.tile(np.eye(1, 4, dtype=complex)[0], n))
+    for array in (*stack_a, *stack_b, *units):
+        array.flags.writeable = False
+    return stack_a, units[0], stack_b, units[1]
 
 
 def model_to_dict(model):

@@ -6,11 +6,13 @@ coefficient of ``z**k``.  The module provides
 
 * helpers to trim, differentiate and evaluate,
 * the depressed monic family ``z**(n+1) + a_1 z**(n-1) + ... + a_n``,
-* critical point extraction with a Newton polish and degeneracy guards,
+* critical point extraction with three Newton steps and guards,
 * the residue-at-infinity functional computed along two independent
   routes that cross-check each other,
   both for one polynomial or for a stack of polynomials of one degree,
   whose guards then judge each polynomial on its own (``_Failures``),
+* one evaluation rule: a polynomial is read at points as its
+  coefficients contracted with the table of their powers (``_powers``),
 * the reversion coefficients of w**(n+1) = p(z) at infinity as
   polynomials in the coefficients, exponent dictionaries read from the
   Lagrange inversion formula, from which the flat chart reads its
@@ -82,7 +84,7 @@ def poly_derivative(a):
 
 
 def poly_eval(a, z):
-    return np.polynomial.polynomial.polyval(z, np.asarray(a, dtype=complex))
+    return _powers(z, len(a) - 1) @ np.asarray(a, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -105,11 +107,7 @@ class LGPolynomial:
 
     def coeffs(self):
         """Ascending coefficient array of length n + 2."""
-        c = np.zeros(self.n + 2, dtype=complex)
-        c[self.n + 1] = 1.0
-        for j, aj in enumerate(self.a, start=1):
-            c[self.n + 1 - (j + 1)] = aj
-        return c
+        return np.array(self.a[::-1] + (0.0, 1.0), dtype=complex)
 
     def derivative_coeffs(self):
         return poly_derivative(self.coeffs())
@@ -156,64 +154,66 @@ def _degenerate(message):
 def critical_points(p, tol=None):
     """Sorted critical points of an LGPolynomial (roots of p').
 
-    Roots come from the companion matrix and are then polished with a few
-    Newton steps.  They are sorted by (real, imag) so the ordering is a
-    deterministic function of the model.  Raises DegenerateModelError when
-    two critical points come closer than ``root_sep_tol``.
+    Roots come from the companion matrix and are then polished with
+    three Newton steps.  They are sorted by (real, imag) so the ordering
+    is a deterministic function of the model.  Raises DegenerateModelError
+    when two critical points come closer than ``root_sep_tol``.
     """
     failures = _Failures(1)
-    roots = _critical_stack(p.derivative_coeffs()[None], tol or ToleranceConfig(), failures)
+    roots = _critical_stack(p.derivative_coeffs()[None], tol or ToleranceConfig(), failures, 0)[0]
     failures.raise_first()
     return roots[0]
 
 
-def _eval_rows(c, x):
-    """Row s of ``c`` (ascending coefficients) at the points ``x[s]``, by
-    the Horner steps of numpy's polyval, so that one row gives polyval's
-    values bit for bit."""
-    acc = c[:, -1:] + x * 0
-    for k in range(2, c.shape[1] + 1):
-        acc = c[:, -k:1 - k or None] + acc * x
-    return acc
+def _powers(x, degree):
+    """x**0 .. x**degree along a new last axis, as one running product."""
+    table = np.asarray(x, dtype=complex)[..., None].repeat(degree + 1, axis=-1)
+    table[..., 0] = 1.0
+    return np.multiply.accumulate(table, axis=-1, out=table)
 
 
-def _critical_stack(dp, tol, failures):
+def _critical_stack(dp, tol, failures, degree):
     """critical_points for a stack of derivatives p', one per row of ``dp``
     (ascending, leading coefficient n + 1).  The companion eigenvalues of
     the stack are one batched call, and each guard flags its rows in
     ``failures``.  Trailing zero coefficients are split off as exact zero
-    roots, as numpy.roots does."""
+    roots, as numpy.roots does.
+
+    Each of the three Newton steps contracts one table of the powers of
+    the roots with the (n + 1, 2) matrix of the coefficients of p' and
+    p''.  After the sort one table, up to max(n, ``degree``), gives the
+    convergence guard and p''; returns the sorted roots (S, n), that
+    table and p'' at the roots."""
     n = dp.shape[-1] - 1
-    ddp = dp[:, 1:] * np.arange(1, n + 1)
+    derivs = np.zeros(dp.shape + (2,), dtype=complex)
+    derivs[..., 0] = dp
+    derivs[:, :n, 1] = dp[:, 1:] * np.arange(1, n + 1)
     roots = np.zeros(dp.shape[:1] + (n,), dtype=complex)
     # zeros[s]: trailing zero coefficients of p'_s, each an exact root 0
     zeros = np.argmax(dp != 0, axis=1)
-    for z in set(zeros.tolist()):
+    for z in set(zeros.tolist()) - {n}:  # z = n: p' is a monomial, every root 0
         rows = zeros == z
         k = n - z
-        if k == 0:
-            continue
         companion = np.zeros((rows.sum(), k, k), dtype=complex)
-        companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        companion[:, 1:, :-1] = np.eye(k - 1)
         companion[:, 0, :] = -dp[rows, n - 1:z - 1 if z else None:-1] / dp[rows, n, None]
         roots[rows, :k] = np.linalg.eigvals(companion)
     for _ in range(3):
-        val = _eval_rows(dp, roots)
-        slope = _eval_rows(ddp, roots)
-        safe = np.abs(slope) > 1e-300
-        if safe.all():
-            roots = roots - val / slope
-        else:
-            roots = roots - np.where(safe, val / np.where(safe, slope, 1.0), 0.0)
-    scale = np.maximum(1.0, np.abs(roots) ** n)
-    failures.flag((np.abs(_eval_rows(dp, roots)) > DEGENERACY_TOL * scale).any(axis=1),
-                  _degenerate("critical point refinement did not converge"))
+        values = _powers(roots, n) @ derivs
+        safe = np.abs(values[..., 1]) > 1e-300  # a root where p'' vanishes stays put
+        roots = roots - np.divide(values[..., 0], values[..., 1],
+                                  out=np.zeros(roots.shape, dtype=complex), where=safe)
     roots = roots[np.arange(len(roots))[:, None], np.lexsort((roots.imag, roots.real), axis=1)]
+    table = _powers(roots, max(n, degree))
+    values = table[..., :n + 1] @ derivs
+    scale = np.maximum(1.0, np.abs(table[..., n]))
+    failures.flag((np.abs(values[..., 0]) > DEGENERACY_TOL * scale).any(axis=1),
+                  _degenerate("critical point refinement did not converge"))
     gaps = np.abs(roots[:, :, None] - roots[:, None, :])
     gaps[:, np.arange(n), np.arange(n)] = np.inf
     failures.flag((gaps < tol.root_sep_tol).any(axis=(1, 2)),
                   _degenerate("degenerate critical points"))
-    return roots
+    return roots, table, values[..., 1]
 
 
 def _laurent_inverse(c, depth):
@@ -232,19 +232,20 @@ def _laurent_inverse(c, depth):
     return b
 
 
-def _residues(rows, dp, roots, tol, failures):
+def _residues(rows, dp, table, curv, tol, failures):
     """residue_functional on each row of ``rows`` (ascending coefficients
-    of equal length) for a stack of polynomials: ``dp[s]`` holds p_s' and
-    ``roots[s]`` its critical points.  Both routes run for all rows and
-    all polynomials in one vectorised pass; each guard flags its
-    polynomials in ``failures``.  Returns the (S, rows) values."""
+    of equal length) for a stack of polynomials: ``dp[s]`` holds p_s',
+    ``table[s]`` and ``curv[s]`` the powers of its critical points and
+    p_s'' there, from ``_critical_stack``.  The partial fractions sum the
+    powers weighted by 1/p'' over the roots, then contract with the rows;
+    each guard flags its polynomials in ``failures``.  Returns the
+    (S, rows) values."""
     n, width = dp.shape[-1] - 1, rows.shape[1]
-    curv = _eval_rows(dp[:, 1:] * np.arange(1, n + 1), roots)
     flat = (np.abs(curv) < tol.root_sep_tol).any(axis=1)
     if flat.any():
         failures.flag(flat, _degenerate("vanishing second derivative at a critical point"))
-        curv[flat] = 1.0
-    val_pf = np.sum(np.polynomial.polynomial.polyval(roots, rows.T) / curv, axis=-1).T
+        curv = np.where(flat[:, None], 1.0, curv)
+    val_pf = np.sum(table[..., :width] / curv[..., None], axis=1) @ rows.T
 
     b = _laurent_inverse(dp.T, max(0, width - n))
     val_lr = b[: max(0, width - n + 1)].T @ rows[:, n - 1 :].T
@@ -266,9 +267,10 @@ def residue_functional(q, p, tol=None):
     """
     tol = tol or ToleranceConfig()
     q = poly_trim(np.asarray(q, dtype=complex))
+    dp = p.derivative_coeffs()[None]
     failures = _Failures(1)
-    value = _residues(q[None, :], p.derivative_coeffs()[None], critical_points(p, tol)[None],
-                      tol, failures)
+    _, table, curv = _critical_stack(dp, tol, failures, len(q) - 1)
+    value = _residues(q[None, :], dp, table, curv, tol, failures)
     failures.raise_first()
     return complex(value[0, 0])
 

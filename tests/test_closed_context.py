@@ -108,9 +108,9 @@ def test_bundle_builds_each_closed_algebra_once(monkeypatch):
     rows = []
     exact = landau_ginzburg._critical_stack
 
-    def recording(dp, tol, failures):
+    def recording(dp, tol, failures, degree):
         rows.append(len(dp))
-        return exact(dp, tol, failures)
+        return exact(dp, tol, failures, degree)
 
     monkeypatch.setattr(landau_ginzburg, "_critical_stack", recording)
     model = build_quaternion_model(n=2, a=(-3.0, 0.0))
@@ -161,6 +161,55 @@ def _pairing_by_poly_mod(rows, closed):
             w = poly_mod(np.convolve(u, v), dp)
             g[i, j] = np.dot(w, values[: len(w)])
     return g
+
+
+def _horner_critical_data(p):
+    """The critical data along the Horner route: the companion eigenvalues
+    (numpy.roots), three Newton steps with p' and p'' each read by
+    Horner's rule (numpy's polyval), the (real, imag) sort, the partial
+    fractions of z^0 .. z^(2n-2) over the roots, each monomial read by
+    polyval, the Lagrange basis by np.convolve and mu = l(e_i)."""
+    n, polyval = p.n, np.polynomial.polynomial.polyval
+    dp = p.derivative_coeffs()
+    ddp = dp[1:] * np.arange(1, n + 1)
+    roots = np.roots(dp[::-1]).astype(complex)
+    for _ in range(3):
+        roots = roots - polyval(roots, dp) / polyval(roots, ddp)
+    roots = roots[np.lexsort((roots.imag, roots.real))]
+    curv = polyval(roots, ddp)
+    monomials = np.eye(2 * n - 1, dtype=complex)
+    values = np.array([np.sum(polyval(roots, z) / curv) for z in monomials])
+    idem = _lagrange_reference(roots)
+    return roots, values, idem, idem @ values[:n]
+
+
+def test_power_table_matches_the_horner_route():
+    for scale, n, a in _draws():
+        closed = build_closed(n=n, a=a)
+        roots, values, idem, mu = _horner_critical_data(closed.p)
+        # the same root order: each reference root is nearest its own slot
+        nearest = np.argmin(np.abs(roots[:, None] - closed.roots[None]), axis=1)
+        assert np.array_equal(nearest, np.arange(n))
+        _assert_agree(closed.roots, roots, scale)
+        _assert_agree(closed.functional_values, values, scale)
+        _assert_agree(closed.mu, mu, scale)
+        _assert_agree(closed.idempotents, idem, scale)
+
+
+def test_stacked_critical_data_is_each_row_bit_for_bit():
+    by_degree = collections.defaultdict(list)
+    for _, n, a in _draws():
+        by_degree[n].append(a)
+    for n, rows in by_degree.items():
+        a = np.array(rows)
+        failures = polycore._Failures(len(a))
+        stacked = landau_ginzburg._critical_data(a, polycore.ToleranceConfig(), failures)
+        assert failures.ok.all()
+        for s in range(len(a)):
+            alone = landau_ginzburg._critical_data(a[s:s + 1], polycore.ToleranceConfig(),
+                                                   polycore._Failures(1))
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[s], want[0])
 
 
 def test_products_are_the_poly_mod_reductions():

@@ -76,6 +76,27 @@ def test_worst_row_is_the_first_nan_else_the_first_extreme():
     assert _worst_row(np.float64(2.0)) == 0  # a value shared by every row
 
 
+@pytest.mark.parametrize("count", (3, 4))
+def test_stacked_functionals_report_the_worst_row(count):
+    # row k is k l + 0.1 (k - 1) l_I on the quaternions: a nonzero l(I)
+    # makes l(JK) = -l(KJ), so each row has its own symmetry defect and
+    # margin; count 4 equals the dimension, where a transpose of the
+    # whole stack still broadcasts
+    quat = quaternion_pair(1.0)
+    rows = np.array([k * quat.functional + 0.1 * (k - 1) * np.eye(4)[1]
+                     for k in range(1, count + 1)])
+    stacked = verify_frobenius(FrobeniusPair(quat.algebra, rows))
+    each = [verify_frobenius(FrobeniusPair(quat.algebra, row)) for row in rows]
+    residuals, margins = stacked.entries()
+    for row in residuals:
+        assert row["value"] == max(rep.residuals[row["name"]] for rep in each)
+    for row in margins:
+        assert row["value"] == min(rep.margins[row["name"]] for rep in each)
+    assert all(type(v) is float for v in (*stacked.residuals.values(),
+                                          *stacked.margins.values()))
+    assert stacked.residuals["form_symmetry"] > 0 and not stacked.passed
+
+
 def test_number_pair():
     p = number_pair(0.5)
     rep = verify_frobenius(p, commutative=True)

@@ -142,3 +142,20 @@ def test_model_json_round_trip():
     back = model_from_dict(payload)
     assert np.allclose(back.rho, model.rho)
     assert np.allclose(back.closed.roots, model.closed.roots)
+
+
+def test_block_structure_is_shared_and_read_only():
+    # two models of one degree share the block cubes and units, which an
+    # edit in place cannot reach; each keeps its own functionals and phi
+    first = build_quaternion_model(n=3, a=(-0.7, 0.4 + 0.2j, 0.3))
+    second = build_quaternion_model(n=3, a=(0.5, -1.0, 0.2j))
+    for pair_1, pair_2 in ((first.cf.a, second.cf.a), (first.cf.b, second.cf.b)):
+        (index, cubes), = pair_1.algebra.stacks
+        assert cubes is pair_2.algebra.stacks[0][1] and index is pair_2.algebra.stacks[0][0]
+        for array in (index, cubes, pair_1.algebra.unit):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 7
+        assert pair_1.functional is not pair_2.functional
+    assert first.cf.phi is not second.cf.phi
+    first.cf.phi[0, 0] = 2.0
+    assert second.cf.phi[0, 0] == 1.0

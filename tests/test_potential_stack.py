@@ -140,9 +140,9 @@ def test_fit_is_one_stack_per_draw_batch(monkeypatch):
     rows = []
     exact = landau_ginzburg._critical_stack
 
-    def recording(dp, tol, failures):
+    def recording(dp, tol, failures, degree):
         rows.append(len(dp))
-        return exact(dp, tol, failures)
+        return exact(dp, tol, failures, degree)
 
     monkeypatch.setattr(landau_ginzburg, "_critical_stack", recording)
     _sample_stack(3, 10, 5, None, 200.0)
