@@ -11,7 +11,10 @@ S = 10 (the sample sweep of ``verify_bundle``) and S = 60 (the draws of
 one potential fit), the flat chart
 (``_chart_on``), ``structure_tensor``, both Cardy routes (``_trace_route``
 and ``_coordinate_route``, their defects reduced by ``_worst``, the Gram
-matrices formed outside the timed call), ``verify_cardy_frobenius``, both
+matrices formed outside the timed call), ``verify_cardy_frobenius``, the
+stacked Cardy check of the ``verify_bundle`` sweep (``cardy_stack_s11``: its
+one ``_cardy_checks`` call on the base point and BUNDLE_SAMPLE_POINTS sample
+points, the stacked pair recorded from one sweep), both
 ``verify_frobenius`` checks, ``build_quaternion_model``,
 ``reconstruct_potential``, ``assemble_potential``, ``ext_wdvv_check``, the
 series route of ``verify_bundle`` (``series_route``: assembly over the
@@ -59,7 +62,7 @@ import lgcardy as lib  # noqa: E402
 from lgcardy import bundle, cli  # noqa: E402
 from lgcardy.landau_ginzburg import _critical_data  # noqa: E402
 from lgcardy.polycore import _Failures  # noqa: E402
-from lgcardy.cardy import _coordinate_route, _trace_route  # noqa: E402
+from lgcardy.cardy import _cardy_checks, _coordinate_route, _trace_route  # noqa: E402
 from lgcardy.frobenius import _worst  # noqa: E402
 from lgcardy.moduli import _chart_on  # noqa: E402
 from lgcardy.tensor_series import _conditions  # noqa: E402
@@ -86,6 +89,25 @@ def seeded_stack(n, count):
     workloads draw theirs."""
     rng = np.random.default_rng(2000 + 10 * n + count)
     return np.array([workloads.draw_coefficients(rng, n, workloads.SCALE) for _ in range(count)])
+
+
+def sweep_cardy_pair(model):
+    """The stacked Cardy pair that one ``verify_bundle`` sweep hands to
+    ``_cardy_checks``: the base point and BUNDLE_SAMPLE_POINTS sample
+    points."""
+    seen = []
+
+    def recording(cf, tol):
+        seen.append(cf)
+        return _cardy_checks(cf, tol)
+
+    bundle._cardy_checks = recording
+    try:
+        lib.verify_bundle(model, sample_points=BUNDLE_SAMPLE_POINTS)
+    finally:
+        bundle._cardy_checks = _cardy_checks
+    [cf] = seen
+    return cf
 
 
 def time_call(fn):
@@ -122,6 +144,7 @@ def layers(model):
     ga, gb = cf.a.gram(), cf.b.gram()
     tol = lib.ToleranceConfig()
     stacks = {count: seeded_stack(n, count) for count in CRITICAL_STACKS}
+    swept = sweep_cardy_pair(model)
     return {
         "critical_points": lambda: lib.critical_points(p),
         "build_closed": lambda: lib.build_closed(p=p),
@@ -132,6 +155,7 @@ def layers(model):
         "cardy_trace": lambda: _worst([_trace_route(cf, ga, gb)]),
         "cardy_coordinate": lambda: _worst([_coordinate_route(cf, ga, gb)]),
         "verify_cardy_frobenius": lambda: lib.verify_cardy_frobenius(cf),
+        "cardy_stack_s%d" % (1 + BUNDLE_SAMPLE_POINTS): lambda: _cardy_checks(swept, tol),
         "verify_frobenius_bulk": lambda: lib.verify_frobenius(cf.a, commutative=True),
         "verify_frobenius_boundary": lambda: lib.verify_frobenius(cf.b),
         "build_quaternion_model": lambda: lib.build_quaternion_model(p=p),

@@ -47,12 +47,12 @@ from .frobenius import (
     FrobeniusPair,
     VerificationReport,
     _dense,
+    _frobenius_residuals,
     _worst,
     _worst_row,
     complex_to_json,
     orthogonal_sum_list,
     quaternion_pair,
-    verify_frobenius,
 )
 from .cardy import CardyFrobeniusAlgebra, _cardy_checks
 from .landau_ginzburg import LGClosedAlgebra, _critical_data, _quaternion_cf, build_closed
@@ -431,7 +431,8 @@ class BundleReport:
     model passes when all three reports pass and the routes agree.
     ``worst_sample`` maps each pointwise fact and margin to the point
     that gave its worst value: 0 is the base point, k the k-th sample
-    point; a NaN counts as worst and a tie goes to the first point.
+    point; a NaN counts as worst, and a tie within about 128 ulps of the
+    worst value goes to the first point (``frobenius._worst_row``).
     """
 
     n: int
@@ -545,24 +546,23 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
     if corruption == "t_symmetry":  # the bump words (0, 0, 1) and (0, 1, 0)
         coeffs[[1, n]] += (eps, -eps)
     conditions = _conditions(layout, coeffs, tol)
-    bulk_rep = verify_frobenius(cf.a, tol=tol)
-    boundary_rep = verify_frobenius(cf.b, tol=tol)
+    bulk, _ = _frobenius_residuals(cf.a)
+    boundary, _ = _frobenius_residuals(cf.b)
 
     defects, margins, scales, drifts = _sample_sweep(
         model, chart, corruption, eps, sample_points, sample_distance, tol, paper_scale, seed)
     # each value per row, the base point first; every row shares the
     # cubes, so the associators are the base point's
-    facts = _pointwise_facts(defects, bulk_rep.residuals["associativity"],
-                             boundary_rep.residuals["associativity"])
+    facts = _pointwise_facts(defects, bulk["associativity"], boundary["associativity"])
     worst_sample = {name: _worst_row(v) for name, v in facts.items()}
     worst_sample.update({name: _worst_row(v, np.argmin) for name, v in margins.items()})
-    # a shared value is its own worst row
-    facts = {name: float(np.take(v, worst_sample[name])) for name, v in facts.items()}
-    margins = {name: float(np.take(v, worst_sample[name])) for name, v in margins.items()}
-    # unit and form symmetry are checked at the base point only; their
-    # form_nondegeneracy margins are nondegeneracy_A and _B again
+    # a shared value is its own worst row; NaN if any row is
+    facts = {name: float(np.max(v)) for name, v in facts.items()}
+    margins = {name: float(np.min(v)) for name, v in margins.items()}
+    # unit and form symmetry are checked at the base point only; the
+    # form_nondegeneracy margins would be nondegeneracy_A and _B again
     for name in ("unit", "form_symmetry"):
-        facts[name] = _worst([bulk_rep.residuals[name], boundary_rep.residuals[name]])
+        facts[name] = _worst([bulk[name], boundary[name]])
         worst_sample[name] = 0
 
     drift = _worst([drifts])
@@ -571,8 +571,7 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
     if not sample_points:
         spread, frame_scales = 0.0, tuple(np.ones(n, dtype=complex))
     else:
-        k = _worst_row(spreads)
-        spread, frame_scales = float(spreads[k]), tuple(scales[k])
+        spread, frame_scales = float(np.max(spreads)), tuple(scales[_worst_row(spreads)])
     pointwise = VerificationReport("pointwise axioms (%d sample points)" % sample_points,
                                    tol.eq_tol, facts, margins)
     frame_rep = VerificationReport("frame pairing drift", FRAME_DRIFT_TOL,

@@ -13,13 +13,13 @@ agree.
 Both algebras are read as stacks of block cubes (see
 :mod:`lgcardy.frobenius`), and phi on a stack of boundary blocks as the
 slab of its rows there.  The multiplicativity, centrality and trace
-contractions vanish between blocks, so each runs as one batched einsum
-per block size; the Gram matrices and the dim B x dim B left-hand
-sides stay dense.  A pair whose two functionals carry a leading sample
-axis stands for a stack of pairs on one algebra and one phi: the
-structure residuals are computed once for the stack, and the Gram
-matrices, both transfer routes and the margins once per sample, in
-batched calls.
+contractions vanish between blocks, so each runs per block size as
+batched matrix products on reshaped cubes; the Gram matrices and the
+dim B x dim B left-hand sides stay dense.  A pair whose two
+functionals carry a leading sample axis stands for a stack of pairs on
+one algebra and one phi: the structure residuals are computed once for
+the stack, and the Gram matrices, both transfer routes and the margins
+once per sample, in batched calls.
 
 The module also splits a commutative semisimple pair into its
 one dimensional blocks by diagonalising multiplication by a random
@@ -37,6 +37,7 @@ from .frobenius import (
     FiniteAlgebra,
     FrobeniusPair,
     VerificationReport,
+    _matrices,
     _worst,
     complex_to_json,
     json_to_complex,
@@ -91,12 +92,13 @@ def _trace_route(cf, ga, gb):
     dim B) matrix over (k, l), given both Gram matrices (or a stack of
     matrices, one per stacked pair).  The traces vanish unless f_k and
     f_l lie in one block, and each stack of blocks gives its blocks'
-    traces in one einsum."""
+    traces in one batched matrix product."""
     ps = _adjoint(cf, ga, gb)
     lhs = ps.swapaxes(-1, -2) @ ga @ ps
     alg = cf.b.algebra
-    traces = alg.block_matrix([np.einsum("gkmi,gilm->gkl", c, c) for _, c in alg.stacks])
-    return lhs - traces
+    # tr(b -> f_k b f_l) = sum_mi c[k, m, i] c[i, l, m], as (k, mi) @ (mi, l)
+    traces = [_matrices(c, 1) @ _matrices(c.transpose(0, 3, 1, 2), 2) for _, c in alg.stacks]
+    return lhs - alg.block_matrix(traces)
 
 
 def _coordinate_route(cf, ga, gb):
@@ -108,12 +110,12 @@ def _coordinate_route(cf, ga, gb):
     sum_sr (G_B^-1)[r,s] l_B(x f_s y f_r).
 
     The right side vanishes unless f_k and f_l lie in one block, and a
-    block of dimension d is contracted in O(d^4) time, one einsum per
-    stack of blocks: with the Gram matrix lm[d, r] = l_B(f_d f_r) and
-    x = lm G_B^-1, first y[c, l, s] = sum_d mul[c, l, d] x[d, s], then
-    rhs[k, l] = sum_sc mul[k, s, c] y[c, l, s], all indices in the
-    block.  The product lm G_B^-1 is formed numerically, not cancelled
-    to the identity, so the route still sees the boundary functional and
+    block of dimension d is contracted in O(d^4) time, two batched matrix
+    products per stack of blocks: with lm[d, r] = l_B(f_d f_r) and x =
+    lm G_B^-1, first y[c, l, s] = sum_d mul[c, l, d] x[d, s], then
+    rhs[k, l] = sum_sc mul[k, s, c] y[c, l, s], all indices in the block.
+    The product lm G_B^-1 is formed numerically, not cancelled to the
+    identity, so the route still sees the boundary functional and
     both Gram factors.  The left side uses m1 = phi^T lm.
     """
     alg = cf.b.algebra
@@ -123,8 +125,10 @@ def _coordinate_route(cf, ga, gb):
     x = gb @ np.linalg.inv(gb)
     rhs = []
     for index, c in alg.stacks:
-        y = np.einsum("gcld,...gds->...gcls", c, x[..., index[:, :, None], index[:, None, :]])
-        rhs.append(np.einsum("gksc,...gcls->...gkl", c, y))
+        # y as its transpose y[s, c, l], so that rhs is (k, sc) @ (sc, l)
+        xb = x[..., index[:, :, None], index[:, None, :]]
+        y = xb.swapaxes(-1, -2) @ _matrices(c, 2).swapaxes(-1, -2)
+        rhs.append(_matrices(c, 1) @ y.reshape(y.shape[:-2] + (-1, c.shape[1])))
     return lhs - alg.block_matrix(rhs)
 
 
@@ -176,16 +180,19 @@ def _cardy_checks(cf, tol):
     # images[i, j] = phi(a_i a_j), products[i, j] = phi(a_i) phi(a_j)
     images = np.zeros((alg_a.dim, alg_a.dim, alg_b.dim), dtype=complex)
     for index, c in alg_a.stacks:
-        images[index[:, :, None], index[:, None, :]] = np.einsum(
-            "gijc,bgc->gijb", c, phi[:, index])
+        images[index[:, :, None], index[:, None, :]] = (
+            _matrices(c, 2) @ phi[:, index].transpose(1, 2, 0)).reshape(c.shape[:3] + (-1,))
     products = np.zeros_like(images)
     central = []
     for index, c in alg_b.stacks:
-        slab = phi[index]
-        left = np.einsum("gbi,gbcd->gicd", slab, c)
-        products[:, :, index] = np.einsum("gcj,gicd->ijgd", slab, left)
+        g, d = c.shape[:2]
+        slab = phi[index].transpose(0, 2, 1)  # slab[g, i, b] = phi[index[g, b], i]
+        # products[i, j, g, e] = sum_c phi(a_j)_c (phi(a_i) f_c)_e, as (j, c) @ (c, ie)
+        left = (slab @ _matrices(c, 1)).reshape(g, -1, d, d)
+        right = slab @ left.transpose(0, 2, 1, 3).reshape(g, d, -1)
+        products[:, :, index] = right.reshape(g, alg_a.dim, alg_a.dim, d).transpose(2, 1, 0, 3)
         # phi(a_i) f_k - f_k phi(a_i) on the block of f_k
-        central.append(np.einsum("gbi,gbkc->gikc", slab, c - c.transpose(0, 2, 1, 3)))
+        central.append((slab @ _matrices(c - c.transpose(0, 2, 1, 3), 1)).reshape(left.shape))
     defects["homomorphism"] = [images - products]
     defects["unit_preservation"] = [phi @ alg_a.unit - alg_b.unit]
     defects["centrality"] = central

@@ -22,7 +22,7 @@ bundle lists the series conditions (condition_*), the pointwise facts
 unit, form_symmetry) and, unless --paper-scale is given, frame_drift;
 its data gives, for each pointwise fact and margin, the point where the
 worst value occurred (worst_sample: 0 the base point, k the k-th sample;
-the first NaN, else the first extreme).
+the first NaN, else the first within about 128 ulps of the extreme).
 Suites that do not apply are never dropped silently: they appear
 under "skipped" with a reason.  Exit codes: 0 when the report passes,
 1 when it fails, 2 for unusable arguments or input files, 3 for a

@@ -9,9 +9,9 @@ explicit residuals.
 
 An algebra is stored as the cubes of its structure tensor on its
 declared blocks, stacked by block size into (g, d, d, d) arrays; the
-entries between blocks are zero and never stored.  Every residual, Gram
-matrix and action matrix is contracted one stack at a time, with one
-batched einsum per block size.
+entries between blocks are zero and never stored.  Residuals and Gram
+matrices are contracted one stack at a time, as batched matrix products
+on reshaped cubes; products and action matrices as batched einsums.
 
 A pair may carry a stack of functionals on one algebra, ``functional``
 of shape (S, dim): its Gram matrices and their margins then come as
@@ -22,8 +22,8 @@ Every check hands over its defect arrays, and the rules beside
 ``VerificationReport`` alone reduce them.  A residual is the largest
 absolute entry of its defect arrays, NaN if any entry is, 0 if there are
 none (``_worst``; a stack keeps its point axis); the worst point of a
-stack is the first NaN, else the first extreme (``_worst_row``); the pass
-rule is ``VerificationReport.entries``.
+stack is the first NaN, else the first row within ``_TIE_RTOL`` of the
+extreme (``_worst_row``); the pass rule is ``VerificationReport.entries``.
 """
 
 from __future__ import annotations
@@ -95,6 +95,11 @@ def _stack(blocks, cubes):
     return stacks
 
 
+def _matrices(cubes, k):
+    """(g, d, d, d) cubes as (g, d^k, d^(3-k)) matrices: rows on the first k indices."""
+    return cubes.reshape(len(cubes), cubes.shape[1] ** k, -1)
+
+
 def _dense(stacks, dim):
     """The (dim, dim, dim) structure tensor the stacks stand for."""
     out = np.zeros((dim, dim, dim), dtype=complex)
@@ -117,7 +122,7 @@ class FiniteAlgebra:
     holds one ``(index, cubes)`` pair per dimension d, with ``cubes`` a
     (g, d, d, d) array and ``index`` the (g, d) basis indices of its
     blocks.  Every routine contracts one stack at a time, so g blocks of
-    one size cost one batched einsum.
+    one size cost one batched matrix product or einsum per contraction.
 
     The constructor takes a dense tensor, refuses one with a nonzero
     entry (NaN included) outside the declared cubes, and keeps only the
@@ -196,19 +201,21 @@ class FiniteAlgebra:
         blocks is checked on its own.  A NaN in any block makes the
         result NaN.
         """
-        return _worst([
-            np.einsum("gijm,gmkl->gijkl", c, c) - np.einsum("gjkm,giml->gijkl", c, c)
-            for _, c in self.stacks])
+        defects = []
+        for _, c in self.stacks:
+            # (ij, m) @ (m, kl) against, for each i, (jk, m) @ (m, l)
+            left = _matrices(c, 2) @ _matrices(c, 1)
+            defects.append(left - (_matrices(c, 2)[:, None] @ c).reshape(left.shape))
+        return _worst(defects)
 
     def unit_residual(self):
         """Worst defect of e x = x e = x over the basis.  A basis vector
         outside every block multiplies to zero, a defect of 1."""
         worst = [np.ones(1)] if sum(d for _, d in self.blocks) < self.dim else []
         for index, cubes in self.stacks:
-            e = self.unit[index]
-            eye = np.eye(cubes.shape[1])
-            worst.append(np.einsum("gi,gijk->gjk", e, cubes) - eye)
-            worst.append(np.einsum("gj,gijk->gik", e, cubes) - eye)
+            e, eye = self.unit[index], np.eye(cubes.shape[1])
+            worst.append((e[:, None] @ _matrices(cubes, 1)).reshape(cubes.shape[:3]) - eye)
+            worst.append((e[:, None, None] @ cubes)[:, :, 0] - eye)
         return _worst(worst)
 
     def commutator_residual(self):
@@ -240,7 +247,7 @@ class FrobeniusPair:
         """Matrix of the bilinear form (e_i, e_j) = l(e_i e_j), zero off
         the blocks; one per functional of a stack."""
         alg = self.algebra
-        return alg.block_matrix([np.einsum("gijk,...gk->...gij", cubes, self.functional[..., index])
+        return alg.block_matrix([(cubes @ self.functional[..., index][..., None, :, None])[..., 0]
                                  for index, cubes in alg.stacks])
 
 
@@ -300,12 +307,22 @@ def _worst(defects, axis=None):
     return float(worst) if axis is None else worst
 
 
+_TIE_RTOL = 128 * np.finfo(float).eps  # about 128 ulps of the extreme
+
+
 def _worst_row(values, extreme=np.argmax):
     """The row rule: the index of the worst of the per-point ``values`` of
-    a stack, the first NaN, else the first extreme under ``extreme``
-    (np.argmax for residuals, np.argmin for margins)."""
+    a stack, the first NaN, else the first row within ``_TIE_RTOL`` of the
+    extreme under ``extreme`` (np.argmax for residuals, np.argmin for
+    margins), so that rounding alone does not move the worst row.  An
+    extreme of 0 or inf ties only exactly."""
+    values = np.asarray(values)
     nan = np.isnan(values)
-    return int(np.argmax(nan) if nan.any() else extreme(values))
+    if nan.any():
+        return int(np.argmax(nan))
+    worst = values.flat[extreme(values)]
+    near = values == worst if np.isinf(worst) else np.abs(values - worst) <= _TIE_RTOL * abs(worst)
+    return int(np.argmax(near))
 
 
 _TINY = np.finfo(float).tiny
@@ -339,25 +356,27 @@ def verify_frobenius(pair, tol=None, commutative=False):
     (equivalently l vanishes on commutators), and optionally
     commutativity.  Margin: singular value ratio of the Gram matrix.
     On a stack of functionals the form symmetry and the margin report
-    the worst functional of the stack (``_worst_row``).
+    the worst functional of the stack, NaN if any is.
     """
     tol = tol or ToleranceConfig()
-    alg = pair.algebra
     rep = VerificationReport(subject=pair.name, tol=tol.eq_tol)
-    if alg.dim == 0:
+    if pair.algebra.dim == 0:
         return rep
-    rep.residuals["associativity"] = alg.associator_residual()
-    rep.residuals["unit"] = alg.unit_residual()
-    g = pair.gram()
-    symmetry = _worst([g - g.swapaxes(-1, -2)], axis=(-2, -1) if g.ndim > 2 else None)
-    margin = nondegeneracy_margin(g)
-    if g.ndim > 2:
-        symmetry, margin = symmetry[_worst_row(symmetry)], margin[_worst_row(margin, np.argmin)]
-    rep.residuals["form_symmetry"] = float(symmetry)
-    if commutative:
-        rep.residuals["commutativity"] = alg.commutator_residual()
-    rep.margins["form_nondegeneracy"] = float(margin)
+    rep.residuals, g = _frobenius_residuals(pair, commutative)
+    rep.margins["form_nondegeneracy"] = float(np.min(nondegeneracy_margin(g)))
     return rep
+
+
+def _frobenius_residuals(pair, commutative=False):
+    """The residuals of ``verify_frobenius`` on a pair of positive
+    dimension, by name, and the Gram matrix (or stack of them) they read."""
+    alg = pair.algebra
+    g = pair.gram()
+    residuals = {"associativity": alg.associator_residual(), "unit": alg.unit_residual(),
+                 "form_symmetry": _worst([g - g.swapaxes(-1, -2)])}
+    if commutative:
+        residuals["commutativity"] = alg.commutator_residual()
+    return residuals, g
 
 
 def number_pair(lam, name="number"):

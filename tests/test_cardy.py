@@ -9,7 +9,9 @@ import pytest
 from lgcardy.bundle import CORRUPTIONS, corrupt_model
 from lgcardy.cardy import (
     CardyFrobeniusAlgebra,
+    _cardy_checks,
     _coordinate_route,
+    _trace_route,
     cf_from_dict,
     cf_to_dict,
     decompose_commutative,
@@ -429,3 +431,118 @@ def test_block_checks_memory_at_n8():
     # a dense (4n)^3 boundary tensor is 0.5 MB at n = 8; the dense build
     # and checks peaked at about 0.54 MB and 1.4 MB
     assert peak < 5e5, peak
+
+
+def _random_stacked_cf(nan):
+    """A Cardy pair on random complex cubes, blocks of 4, 9 and 4 on both
+    sides, with a stack of three functionals per pair, and its Gram
+    matrices; with ``nan`` one entry of both 9-blocks is NaN after the
+    Gram matrices are formed, so that the routes can still solve with
+    them."""
+    rng = np.random.default_rng(21)
+    blocks = [(0, 4), (4, 9), (13, 4)]
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    muls = []
+    for _ in range(2):
+        mul = np.zeros((17, 17, 17), dtype=complex)
+        for off, d in blocks:
+            mul[off:off + d, off:off + d, off:off + d] = draw(d, d, d)
+        muls.append(mul)
+    units, functionals, phi = draw(2, 17), draw(2, 3, 17), draw(17, 17)
+
+    def pairs():
+        return [FrobeniusPair(FiniteAlgebra(mul, e, blocks=blocks), f)
+                for mul, e, f in zip(muls, units, functionals)]
+
+    ga, gb = (p.gram() for p in pairs())
+    if nan:
+        for mul in muls:
+            mul[5, 6, 7] = np.nan
+    return CardyFrobeniusAlgebra(*pairs(), phi), ga, gb
+
+
+def _kernel_and_einsum(name, cf, ga, gb):
+    """The block contraction as the package computes it and the same
+    quantity from the einsum spec that contraction replaced, each as a
+    list of arrays."""
+    alg_a, alg_b, phi = cf.a.algebra, cf.b.algebra, cf.phi
+    if name == "associator":
+        return [alg_b.associator_residual()], [_worst([
+            np.einsum("gijm,gmkl->gijkl", c, c) - np.einsum("gjkm,giml->gijkl", c, c)
+            for _, c in alg_b.stacks])]
+    if name == "unit":
+        want = []
+        for index, c in alg_b.stacks:
+            e, eye = alg_b.unit[index], np.eye(c.shape[1])
+            want += [np.einsum("gi,gijk->gjk", e, c) - eye, np.einsum("gj,gijk->gik", e, c) - eye]
+        return [alg_b.unit_residual()], [_worst(want)]
+    if name == "gram":
+        return [cf.b.gram()], [alg_b.block_matrix([
+            np.einsum("gijk,...gk->...gij", c, cf.b.functional[..., index])
+            for index, c in alg_b.stacks])]
+    if name == "trace_route":
+        ps = np.linalg.solve(ga, phi.T @ gb)
+        traces = [np.einsum("gkmi,gilm->gkl", c, c) for _, c in alg_b.stacks]
+        return [_trace_route(cf, ga, gb)], [ps.swapaxes(-1, -2) @ ga @ ps
+                                            - alg_b.block_matrix(traces)]
+    if name == "coordinate_route":
+        m1 = phi.T @ gb
+        x = gb @ np.linalg.inv(gb)
+        rhs = []
+        for index, c in alg_b.stacks:
+            y = np.einsum("gcld,...gds->...gcls", c, x[..., index[:, :, None], index[:, None, :]])
+            rhs.append(np.einsum("gksc,...gcls->...gkl", c, y))
+        return [_coordinate_route(cf, ga, gb)], [m1.swapaxes(-1, -2) @ np.linalg.inv(ga) @ m1
+                                                 - alg_b.block_matrix(rhs)]
+    defects = _cardy_checks(cf, ToleranceConfig())[0]
+    if name == "homomorphism":
+        images = np.zeros((alg_a.dim, alg_a.dim, alg_b.dim), dtype=complex)
+        for index, c in alg_a.stacks:
+            images[index[:, :, None], index[:, None, :]] = np.einsum(
+                "gijc,bgc->gijb", c, phi[:, index])
+        products = np.zeros_like(images)
+        for index, c in alg_b.stacks:
+            left = np.einsum("gbi,gbcd->gicd", phi[index], c)
+            products[:, :, index] = np.einsum("gcj,gicd->ijgd", phi[index], left)
+        return defects["homomorphism"], [images - products]
+    assert name == "centrality"
+    return defects["centrality"], [
+        np.einsum("gbi,gbkc->gikc", phi[index], c - c.transpose(0, 2, 1, 3))
+        for index, c in alg_b.stacks]
+
+
+@pytest.mark.parametrize("nan", (False, True))
+@pytest.mark.parametrize("name", ("associator", "unit", "gram", "trace_route",
+                                  "coordinate_route", "homomorphism", "centrality"))
+def test_block_matmuls_match_their_einsum_specs(name, nan):
+    # blocks of two sizes, two blocks of one size, and three functionals:
+    # every axis the batched products reshape; a NaN in a cube must reach
+    # the same entries along both
+    cf, ga, gb = _random_stacked_cf(nan)
+    got, want = _kernel_and_einsum(name, cf, ga, gb)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.shape == w.shape, name
+        scale = np.abs(np.where(np.isnan(w), 0.0, w)).max(initial=1.0)
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-13 * scale, err_msg=name)
+    assert any(np.isnan(g).any() for g in got) == nan, name
+
+
+def test_a_pointwise_job_runs_no_einsum(monkeypatch):
+    # the model build, the corruption and the three checks of one
+    # pointwise job contract every block stack with matrix products
+    def refused(*args, **kwargs):
+        raise AssertionError("np.einsum called")
+
+    model = _seeded_model(4)
+    monkeypatch.setattr(np, "einsum", refused)
+    for corruption in (None,) + CORRUPTIONS:
+        model = build_quaternion_model(n=4, a=model.p.a)
+        cf = model.cf if corruption is None else corrupt_model(model, corruption)
+        verify_cardy_frobenius(cf)
+        verify_frobenius(cf.a, commutative=True)
+        verify_frobenius(cf.b)

@@ -74,6 +74,19 @@ def test_worst_row_is_the_first_nan_else_the_first_extreme():
     assert _worst_row(np.array([1.0, np.nan, 3.0, np.nan])) == 1
     assert _worst_row(np.array([3.0, 1.0, np.nan]), np.argmin) == 2
     assert _worst_row(np.float64(2.0)) == 0  # a value shared by every row
+    # a row within about 128 ulps of the extreme ties with it, and the
+    # first of the tied rows wins, so rounding alone does not move it
+    eps = np.finfo(float).eps
+    assert _worst_row(np.array([1.0, 3.0, 3.0 * (1 + 100 * eps), 0.5])) == 1
+    assert _worst_row(np.array([1.0, 3.0, 3.0 * (1 + 200 * eps), 0.5])) == 2
+    assert _worst_row(np.array([1.0, 0.5, 0.5 * (1 - 100 * eps)]), np.argmin) == 1
+    assert _worst_row(np.array([1.0, 0.5, 0.5 * (1 - 200 * eps)]), np.argmin) == 2
+    assert _worst_row(np.array([3.0 * (1 + 100 * eps), np.nan, 3.0])) == 1
+    # an extreme of 0 or inf ties only exactly
+    assert _worst_row(np.array([5e-324, 0.0, 0.0]), np.argmin) == 1
+    assert _worst_row(np.array([0.0, 0.0])) == 0
+    assert _worst_row(np.array([1e308, np.inf, np.inf])) == 1
+    assert _worst_row(np.array([np.inf, 1e308]), np.argmin) == 1
 
 
 @pytest.mark.parametrize("count", (3, 4))
