@@ -16,6 +16,9 @@ stacked Cardy check of the ``verify_bundle`` sweep (``cardy_stack_s11``: its
 one ``_cardy_checks`` call on the base point and BUNDLE_SAMPLE_POINTS sample
 points, the stacked pair recorded from one sweep), both
 ``verify_frobenius`` checks, ``build_quaternion_model``,
+``corrupt_model`` (``b_associativity``, the corruption that edits a
+boundary cube), the boundary triple pairing ``_cubic_blocks`` (the Gram
+matrix formed outside the timed call),
 ``reconstruct_potential``, ``assemble_potential``, ``ext_wdvv_check``, the
 series route of ``verify_bundle`` (``series_route``: assembly over the
 structural keys plus the numeric pass, on the warm layout of its (n,
@@ -159,6 +162,8 @@ def layers(model):
         "verify_frobenius_bulk": lambda: lib.verify_frobenius(cf.a, commutative=True),
         "verify_frobenius_boundary": lambda: lib.verify_frobenius(cf.b),
         "build_quaternion_model": lambda: lib.build_quaternion_model(p=p),
+        "corrupt_model": lambda: lib.corrupt_model(model, "b_associativity"),
+        "cubic_blocks": lambda: bundle._cubic_blocks(cf.b, gb),
         "reconstruct_potential": lambda: lib.reconstruct_potential(n),
         "assemble_potential": lambda: lib.assemble_potential(model),
         "ext_wdvv_check": lambda: lib.ext_wdvv_check(series),

@@ -55,12 +55,7 @@ from .moduli import (
 )
 from .tensor_series import (
     TensorSeries,
-    d_s,
-    d_sss,
-    d_t,
-    encode_symmetric,
     ext_wdvv_check,
-    project,
     series_from_dict,
     series_to_dict,
 )
@@ -116,12 +111,7 @@ __all__ = [
     "structure_tensor",
     "wdvv_check",
     "TensorSeries",
-    "d_s",
-    "d_sss",
-    "d_t",
-    "encode_symmetric",
     "ext_wdvv_check",
-    "project",
     "series_from_dict",
     "series_to_dict",
     "CORRUPTIONS",

@@ -48,6 +48,7 @@ from .frobenius import (
     VerificationReport,
     _dense,
     _frobenius_residuals,
+    _matrices,
     _worst,
     _worst_row,
     complex_to_json,
@@ -180,12 +181,12 @@ class BundleTensors:
     cAB: np.ndarray
 
 
-def _cubic_blocks(pair):
-    """The triple pairing l((f_u f_v) f_w) of a pair as one (index,
-    cubes) per stack of blocks, ``cubes[g]`` on the basis indices
-    ``index[g]``.  It vanishes off the blocks, since a product of two
-    basis vectors of one block stays in that block."""
-    return [(index, np.einsum("guvq,gqwr,gr->guvw", c, c, pair.functional[index]))
+def _cubic_blocks(pair, gram):
+    """The triple pairing l((f_u f_v) f_w) = sum_q c[u, v, q] G[q, w] of a
+    pair with Gram matrix G as one (index, cubes) per stack of blocks,
+    ``cubes[g]`` on the basis indices ``index[g]``.  It vanishes off the
+    blocks, since a product of two basis vectors of one block stays there."""
+    return [(index, (_matrices(c, 2) @ gram[index[:, :, None], index[:, None, :]]).reshape(c.shape))
             for index, c in pair.algebra.stacks]
 
 
@@ -203,7 +204,7 @@ def bundle_tensors(model, q=None, frame=None, tol=None):
     m = 4 * n
     boundary = orthogonal_sum_list([quaternion_pair(r) for r in frame.rho])
     # the n quaternion blocks form one stack, in root order
-    (index, cubic), = _cubic_blocks(boundary)
+    (index, cubic), = _cubic_blocks(boundary, boundary.gram())
     cb = _dense([(index, frame.scales[:, None, None, None] ** 3 * cubic)], m)
     values = np.array([poly_eval(t, frame.roots) for t in _chart_on(frame.closed).tangents])
     cab = np.zeros((n, m), dtype=complex)
@@ -261,7 +262,7 @@ def _assembled_layout(n, t_degree, blocks):
     (0, 1, 0) at positions 1 and n), every ordering of those exponents,
     the quadratic pairs, the Gram and cubic entries of each block in turn,
     and the transfer."""
-    # exponents as _shift_terms meets them, orderings as encode_symmetric
+    # exponents as _shift_terms meets them, each spread over its distinct orderings
     ansatz = _weighted_exponents(tuple(range(n + 1, 1, -1)), 2 * n + 4) if t_degree > 4 else ()
     picks = (pick for e in ansatz for pick in product(*[range(k + 1) for k in e]))
     exps = list(dict.fromkeys(pick for pick in picks if 4 <= sum(pick) <= t_degree))
@@ -296,22 +297,28 @@ def _assemble(model, chart, cf, t_degree, tol):
     gram, roots = cf.b.gram(), model.closed.roots
     transfer = np.array([poly_eval(t, roots) for t in chart.tangents]) @ cf.phi.T @ gram
     coeffs += [np.full(n, 0.5)] + [gram[i[:, :, None], i[:, None, :]].ravel() for i in index]
-    coeffs += [c.ravel() / 3.0 for _, c in _cubic_blocks(cf.b)] + [transfer.ravel()]
+    coeffs += [c.ravel() / 3.0 for _, c in _cubic_blocks(cf.b, gram)] + [transfer.ravel()]
     return keys, layout, np.concatenate(coeffs)
 
 
 def _corrupt_cf(cf, n, corruption, eps):
-    mula = _dense(cf.a.algebra.stacks, cf.a.algebra.dim)
-    la = cf.a.functional.copy()
-    mulb = _dense(cf.b.algebra.stacks, cf.b.algebra.dim)
+    """corrupt_model on a quaternion model's Cardy data or the sweep's stack
+    of them: one bulk and one boundary stack.  An edit lands in a copy; the
+    unedited stacks are shared read-only, so an edit in place raises."""
+    (index_a, cubes_a), = cf.a.algebra.stacks
+    (index_b, cubes_b), = cf.b.algebra.stacks
     lb = cf.b.functional.copy()
     phi = cf.phi.copy()
     if corruption == "t_symmetry":
         if n < 2:
             raise ValueError("t_symmetry corruption needs at least two bulk directions")
+        # the write spans bulk blocks 0 and 1, so the bulk becomes one block
+        mula = _dense(cf.a.algebra.stacks, n)
         mula[0, 1, 0] += eps
+        index_a, cubes_a = np.arange(n)[None], mula[None]
     elif corruption == "b_associativity":
-        mulb[1, 2, 2] += eps
+        cubes_b = cubes_b.copy()
+        cubes_b[0, 1, 2, 2] += eps
     elif corruption == "centrality":
         phi[:, 0] = 0.0
         phi[0, 0] = 0.5
@@ -328,20 +335,11 @@ def _corrupt_cf(cf, n, corruption, eps):
         lb[..., :4] *= 1.0 + eps
     else:
         raise ValueError("unknown corruption %r" % (corruption,))
-    alga = cf.a.algebra
-    algb = cf.b.algebra
-    # t_symmetry writes across two bulk blocks, so the corrupted bulk is
-    # declared as the one merged block; every other corruption stays inside
-    # the declared blocks, which the constructor checks again
-    a_pair = FrobeniusPair(
-        FiniteAlgebra(mula, alga.unit.copy(), alga.labels,
-                      None if corruption == "t_symmetry" else alga.blocks),
-        la, name=cf.a.name,
-    )
-    b_pair = FrobeniusPair(
-        FiniteAlgebra(mulb, algb.unit.copy(), algb.labels, algb.blocks),
-        lb, name=cf.b.name,
-    )
+    alga, algb = cf.a.algebra, cf.b.algebra
+    a_pair = FrobeniusPair(FiniteAlgebra._from_stacks([(index_a, cubes_a)], alga.unit, alga.labels),
+                           cf.a.functional.copy(), name=cf.a.name)
+    b_pair = FrobeniusPair(FiniteAlgebra._from_stacks([(index_b, cubes_b)], algb.unit, algb.labels),
+                           lb, name=cf.b.name)
     return CardyFrobeniusAlgebra(a_pair, b_pair, phi, name=cf.name + "+" + corruption)
 
 

@@ -178,11 +178,11 @@ def _model_from_config(c):
 
 
 def _idempotent_residuals(closed):
-    alg, e = closed.pair.algebra, closed.idempotents
-    prods = np.zeros((closed.n,) * 3, dtype=complex)
-    for index, cubes in alg.stacks:  # every product e_x e_y, one einsum per stack
-        prods[..., index] = np.einsum("xgi,ygj,gijk->xygk", e[:, index], e[:, index], cubes)
-    return (_worst([prods - np.eye(closed.n)[:, :, None] * e[None, :, :]]),
+    alg, e, n = closed.pair.algebra, closed.idempotents, closed.n
+    (_, c), = alg.stacks  # the closed algebra is one block
+    # prods[x, y] = e_x e_y = sum_j e[y, j] (sum_i e[x, i] c[i, j, :])
+    prods = e[None] @ (e @ c.reshape(n, n * n)).reshape(n, n, n)
+    return (_worst([prods - np.eye(n)[:, :, None] * e[None, :, :]]),
             _worst([e.sum(axis=0) - alg.unit]))
 
 

@@ -8,9 +8,9 @@ pairs into orthogonal sums, and verifies the axioms numerically with
 explicit residuals.
 
 An algebra is stored as the cubes of its structure tensor on its
-declared blocks, stacked by block size into (g, d, d, d) arrays; the
-entries between blocks are zero and never stored.  Residuals and Gram
-matrices are contracted one stack at a time, as batched matrix products
+blocks, stacked by block size into (g, d, d, d) arrays that alone
+describe the blocks; the entries between blocks are zero and never
+stored.  Residuals and Gram matrices are contracted one stack at a time, as batched matrix products
 on reshaped cubes; products and action matrices as batched einsums.
 
 A pair may carry a stack of functionals on one algebra, ``functional``
@@ -113,20 +113,21 @@ class FiniteAlgebra:
 
     The structure tensor ``mul[i, j, :]`` holds the coordinates of
     ``e_i * e_j`` in the basis, ``unit`` the coordinates of the identity.
-    ``blocks`` lists disjoint (offset, dim) slices of the basis that split
-    the algebra: every entry of the structure tensor outside the cubes of
-    the blocks is zero.  Without declared blocks the whole algebra is the
-    one block (0, dim).
+    ``blocks`` lists the disjoint (offset, dim) slices of the basis that
+    split the algebra, in basis order: every entry of the structure tensor
+    outside the cubes of the blocks is zero.
 
     Only the cubes are stored, grouped by block dimension: ``stacks``
     holds one ``(index, cubes)`` pair per dimension d, with ``cubes`` a
     (g, d, d, d) array and ``index`` the (g, d) basis indices of its
-    blocks.  Every routine contracts one stack at a time, so g blocks of
-    one size cost one batched matrix product or einsum per contraction.
+    blocks, one row per block; ``blocks`` is read off these rows.  Every
+    routine contracts one stack at a time, so g blocks of one size cost
+    one batched matrix product or einsum per contraction.
 
-    The constructor takes a dense tensor, refuses one with a nonzero
-    entry (NaN included) outside the declared cubes, and keeps only the
-    cubes; a one-block tensor is kept as it is, without a copy.
+    The constructor takes a dense tensor and its block slices (by default
+    the one block (0, dim)), refuses one with a nonzero entry (NaN
+    included) outside their cubes, and keeps only the cubes; a one-block
+    tensor is kept as it is, without a copy.
     """
 
     def __init__(self, mul, unit, labels=None, blocks=None):
@@ -142,32 +143,29 @@ class FiniteAlgebra:
         # agree; NaN counts as nonzero, so it is refused outside the blocks
         if np.count_nonzero(mul) != sum(map(np.count_nonzero, cubes)):
             raise ValueError("blocks do not split the structure tensor")
-        self._init(dim, blocks, _stack(blocks, cubes), unit, labels)
+        self._init(dim, _stack(blocks, cubes), unit, labels)
 
     @classmethod
-    def _from_stacks(cls, stacks, unit, labels, blocks):
-        """Algebra on stacks built from checked blocks, listed in
-        ``blocks`` in their declared order; the dimension is the length
+    def _from_stacks(cls, stacks, unit, labels):
+        """Algebra on stacks of checked blocks; the dimension is the length
         of ``unit``."""
         alg = cls.__new__(cls)
-        alg._init(len(unit), blocks, stacks, unit, labels)
+        alg._init(len(unit), stacks, unit, labels)
         return alg
 
-    def _init(self, dim, blocks, stacks, unit, labels):
+    def _init(self, dim, stacks, unit, labels):
         self.dim = dim
         self.unit = np.asarray(unit, dtype=complex)
         if self.unit.shape != (dim,):
             raise ValueError("unit has wrong length")
-        self.blocks = blocks
+        self.blocks = sorted((row[0], len(row)) for index, _ in stacks for row in index.tolist())
         self.stacks = stacks
         self.labels = list(labels) if labels is not None else ["e%d" % i for i in range(dim)]
 
     def cubes(self):
-        """(offset, cube) for every block, in the order of ``blocks``."""
-        found = {}
-        for index, stack in self.stacks:
-            found.update(zip(index[:, 0].tolist(), stack))
-        return [(off, found[off]) for off, _ in self.blocks]
+        """(offset, cube) for every block, in basis order."""
+        return sorted(((off, cube) for index, stack in self.stacks
+                       for off, cube in zip(index[:, 0].tolist(), stack)), key=lambda b: b[0])
 
     def block_matrix(self, parts):
         """(dim, dim) matrix that is zero off the blocks and holds, on the
@@ -455,24 +453,21 @@ def orthogonal_sum_list(pairs, name="sum"):
     """Direct sum of a nonempty list of Frobenius pairs: the stacks of
     cubes of each block size, units, functionals and labels
     concatenated, with no dense tensor formed.  A summand may have
-    dimension zero.  Block lists are merged flat, so the sum keeps one
-    block per block of a summand.  The summands are copied, never
-    modified."""
+    dimension zero.  The sum keeps one block per block of a summand.  The
+    summands are copied, never modified."""
     if not pairs:
         raise ValueError("need at least one summand")
-    groups, labels, blocks, off = {}, [], [], 0
+    groups, labels, off = {}, [], 0
     for p in pairs:
         for index, cubes in p.algebra.stacks:
             groups.setdefault(cubes.shape[1], []).append((index + off, cubes))
         labels += p.algebra.labels
-        blocks += [(o + off, d) for o, d in p.algebra.blocks]
         off += p.algebra.dim
     stacks = [(np.concatenate([index for index, _ in group]),
                np.concatenate([cubes for _, cubes in group])) for group in groups.values()]
     unit = np.concatenate([p.algebra.unit for p in pairs])
     functional = np.concatenate([p.functional for p in pairs])
-    return FrobeniusPair(FiniteAlgebra._from_stacks(stacks, unit, labels, blocks), functional,
-                         name=name)
+    return FrobeniusPair(FiniteAlgebra._from_stacks(stacks, unit, labels), functional, name=name)
 
 
 def m2_quaternion_isomorphism():
@@ -541,5 +536,5 @@ def pair_from_dict(data):
     functional = json_to_complex(data["functional"]) if d else np.zeros(0, dtype=complex)
     if unit.shape != (d,):
         raise ValueError("unit has wrong length")
-    alg = FiniteAlgebra._from_stacks(_stack(blocks, arrays), unit, data.get("labels"), blocks)
+    alg = FiniteAlgebra._from_stacks(_stack(blocks, arrays), unit, data.get("labels"))
     return FrobeniusPair(alg, functional, name=data.get("name", "pair"))

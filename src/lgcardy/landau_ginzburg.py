@@ -106,7 +106,7 @@ def _closed_algebra(p, r, roots, values, idem, mu):
     cubes = r[None, np.add.outer(np.arange(n), np.arange(n))]
     algebra = FiniteAlgebra._from_stacks([(np.arange(n)[None], cubes)],
                                          np.eye(1, n, dtype=complex)[0],
-                                         ["z^%d" % k for k in range(n)], [(0, n)])
+                                         ["z^%d" % k for k in range(n)])
     pair = FrobeniusPair(algebra, values[:n], name="closed_n%d" % n)
     return LGClosedAlgebra(p, pair, roots, idem, mu, _mu_product(roots), values)
 
@@ -207,9 +207,8 @@ def _quaternion_cf(mu, branch, failures):
     failures.flag(np.any(mu == 0, axis=-1), lambda s: ValueError("degenerate functional"))
     rho = np.array(branch) * np.sqrt(mu)
     stack_a, unit_a, stack_b, unit_b = _quaternion_blocks(n)
-    bulk = FiniteAlgebra._from_stacks([stack_a], unit_a, ["1"] * n, [(i, 1) for i in range(n)])
-    boundary = FiniteAlgebra._from_stacks([stack_b], unit_b, ["1", "I", "J", "K"] * n,
-                                          [(4 * i, 4) for i in range(n)])
+    bulk = FiniteAlgebra._from_stacks([stack_a], unit_a, ["1"] * n)
+    boundary = FiniteAlgebra._from_stacks([stack_b], unit_b, ["1", "I", "J", "K"] * n)
     lb = np.zeros(mu.shape[:-1] + (4 * n,), dtype=complex)
     lb[..., ::4] = 2.0 * rho
     phi = np.zeros((4 * n, n), dtype=complex)

@@ -3,10 +3,12 @@
 A series lives in the tensor algebra on letters t^0 .. t^{n-1} and
 s^0 .. s^{m-1}; a monomial is an ordered t-word followed by an ordered
 s-word, and the series is truncated at a fixed total word length.
-Derivatives delete letters (d_t, d_s, and the cyclic d_sss).  Two
-monomials are equivalent when their words agree as multisets; the
-projection onto classes is multiplicative, with the multiset union as
-the class product, so the seven conditions are evaluated on classes.
+Derivatives delete letters: one letter in every way, or, for the
+cyclic triple s-derivative, three letters of each cyclic rotation of the
+s-word that starts with the first of them.  Two monomials are
+equivalent when their words agree as multisets; the projection onto
+classes is multiplicative, with the multiset union as the class
+product, so the seven conditions are evaluated on classes.
 
 Conditions, stated on the class projections with Fa and Fb the inverse
 quadratic blocks:
@@ -55,13 +57,7 @@ from .frobenius import VerificationReport, _worst, nondegeneracy_margin
 
 __all__ = [
     "TensorSeries",
-    "d_t",
-    "d_s",
-    "d_sss",
-    "project",
     "class_basis",
-    "class_tensors",
-    "encode_symmetric",
     "ext_wdvv_check",
     "series_to_dict",
     "series_from_dict",
@@ -92,72 +88,6 @@ class TensorSeries:
 
     def copy(self):
         return TensorSeries(self.n, self.m, self.truncation, dict(self.terms))
-
-
-def d_t(series, i):
-    """Delete one occurrence of t^i from every monomial, in every way."""
-    out = TensorSeries(series.n, series.m, series.truncation)
-    for (tw, sw), c in series.terms.items():
-        for pos, letter in enumerate(tw):
-            if letter == i:
-                out.add_term(tw[:pos] + tw[pos + 1 :], sw, c)
-    return out
-
-
-def d_s(series, j):
-    """Delete one occurrence of s^j from every monomial, in every way."""
-    out = TensorSeries(series.n, series.m, series.truncation)
-    for (tw, sw), c in series.terms.items():
-        for pos, letter in enumerate(sw):
-            if letter == j:
-                out.add_term(tw, sw[:pos] + sw[pos + 1 :], c)
-    return out
-
-
-def d_sss(series, i, j, r):
-    """Cyclic triple s-derivative.
-
-    For every monomial and every cyclic rotation of its s-word that
-    begins with the letter i, each ordered pair of later positions
-    carrying j then r contributes the rotated word with those three
-    letters removed.
-    """
-    out = TensorSeries(series.n, series.m, series.truncation)
-    for (tw, sw), c in series.terms.items():
-        for start in range(len(sw)):
-            rot = sw[start:] + sw[:start]
-            for p, q in combinations(range(1, len(sw)), 2):
-                if (rot[0], rot[p], rot[q]) == (i, j, r):
-                    out.add_term(tw, rot[1:p] + rot[p + 1 : q] + rot[q + 1 :], c)
-    return out
-
-
-def project(series):
-    """Sum coefficients over monomials with equal word multisets, into
-    one sorted (t-word, s-word) pair per class."""
-    out = TensorSeries(series.n, series.m, series.truncation)
-    for (tw, sw), c in series.terms.items():
-        out.add_term(tuple(sorted(tw)), tuple(sorted(sw)), c)
-    return out
-
-
-def encode_symmetric(exponent_terms, n, m, truncation):
-    """Spread a classical polynomial over ordered words.
-
-    ``exponent_terms`` maps exponent tuples (length n) to coefficients.
-    Each monomial is distributed evenly over its distinct orderings, so
-    d_t of the encoding equals the encoding of the partial derivative.
-    """
-    out = TensorSeries(n, m, truncation)
-    for exps, coeff in exponent_terms.items():
-        word = [letter for letter, mult in enumerate(exps) for _ in range(mult)]
-        if len(word) > truncation:
-            continue
-        distinct = set(permutations(word))
-        share = coeff / len(distinct)
-        for w in distinct:
-            out.add_term(w, (), share)
-    return out
 
 
 def _by_shape(keys):
@@ -298,7 +228,7 @@ def _layout(n, m, truncation, keys):
                                    [(x, lt + y) for x in range(lt) for y in range(ls)], position)
             parts.append((size * n**3 + (c * n + k) * m + p, v))
         if ls >= 3 and lt + ls - 3 <= window:
-            # the cyclic rotations of the s-word, as d_sss reads them
+            # the cyclic rotations of the s-word, as the cyclic derivative reads them
             picks = [tuple(lt + (first + d) % ls for d in (0, p, q))
                      for first in range(ls) for p, q in combinations(range(1, ls), 2)]
             (i, j, r), c, v = _picked(words, at, lt, picks, position)
@@ -310,24 +240,16 @@ def _layout(n, m, truncation, keys):
                    np.array(starts, dtype=np.intp))
 
 
-def class_tensors(series, index):
-    """T3, S3 and M2 with a leading class axis, in one pass over the terms.
-
-    T3[:, i, j, p] is the class projection of d_t(d_t(d_t(F, p), j), i),
-    S3[:, i, j, r] that of d_sss(F, i, j, r) and M2[:, k, p] that of
-    d_t(d_s(F, p), k), on the classes of an ``index`` from class_basis.
-    S3 vanishes unless i, j and r share an s-block, so it is a list of
-    (letters, cubes), one per block size as in FiniteAlgebra.stacks, with
-    cubes (classes, g, d, d, d) on the (g, d) letters.
-    """
-    window = max((len(t) + len(s) for t, s in index), default=-1)
-    return _scattered(_layout(series.n, series.m, window + 4, list(series.terms)),
-                      np.array(list(series.terms.values()), dtype=complex))[:3]
-
-
 def _scattered(layout, c):
-    """T3, S3 and M2 as class_tensors gives them, then F_xy + F_yx over the
-    t- and the s-letters, in one gather from ``c`` and one scatter."""
+    """T3, S3 and M2 with a leading class axis, then F_xy + F_yx over the
+    t- and the s-letters, in one gather from ``c`` and one scatter.
+
+    T3[:, i, j, p] is the class projection of the triple t-derivative in
+    the letters i, j, p, S3 that of the cyclic triple s-derivative and
+    M2[:, k, p] that of the mixed derivative in t^k and s^p.  S3 vanishes
+    unless i, j and r share an s-block, so it is a list of (letters,
+    cubes), one per block size as in FiniteAlgebra.stacks, with cubes
+    (classes, g, d, d, d) on the (g, d) letters."""
     n, m, size, starts = layout.n, layout.m, layout.size, layout.starts
     at, values = layout.scatter[0], c[layout.scatter[1]]
     flat = np.empty(starts[-1], dtype=complex)

@@ -26,7 +26,9 @@ from lgcardy.moduli import (
     wdvv_check,
 )
 from lgcardy.polycore import DegenerateModelError
-from lgcardy.tensor_series import TensorSeries, d_sss
+from lgcardy.tensor_series import TensorSeries
+
+from letter_calculus import d_sss
 
 _SAMPLE = []
 

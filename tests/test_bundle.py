@@ -16,12 +16,14 @@ from lgcardy.bundle import (
     verify_bundle,
 )
 from lgcardy.cli import main
-from lgcardy.frobenius import FiniteAlgebra, quaternion_pair
-from lgcardy.landau_ginzburg import build_quaternion_model
+from lgcardy.frobenius import FiniteAlgebra, FrobeniusPair, quaternion_pair
+from lgcardy.cardy import CardyFrobeniusAlgebra
+from lgcardy.landau_ginzburg import _quaternion_cf, build_quaternion_model
 from lgcardy.moduli import flat_chart
-from lgcardy.polycore import DegenerateModelError, ToleranceConfig, poly_eval
-from lgcardy.tensor_series import d_sss, ext_wdvv_check
+from lgcardy.polycore import DegenerateModelError, ToleranceConfig, _Failures, poly_eval
+from lgcardy.tensor_series import ext_wdvv_check
 
+from letter_calculus import d_sss
 from test_frobenius import dense
 from test_tensor_series import quadratic_blocks
 
@@ -371,3 +373,126 @@ def test_nan_frame_at_one_sample_point_fails_the_frame(model, monkeypatch, capsy
     assert main(["bundle", "--n", "2", "--a", "-3,0 0,0", "--samples", "3"]) == 1
     assert calls == [3, 3]
     capsys.readouterr()
+
+
+def _dense_corrupt_cf(cf, n, corruption, eps):
+    """The reference corruption, written on dense tensors: both structure
+    tensors formed in full, one entry of them, of phi or of a functional
+    changed, and both algebras rebuilt by the dense constructor on their
+    blocks, the bulk as one block under t_symmetry."""
+    mula = dense(cf.a.algebra)
+    la = cf.a.functional.copy()
+    mulb = dense(cf.b.algebra)
+    lb = cf.b.functional.copy()
+    phi = cf.phi.copy()
+    if corruption == "t_symmetry":
+        mula[0, 1, 0] += eps
+    elif corruption == "b_associativity":
+        mulb[1, 2, 2] += eps
+    elif corruption == "centrality":
+        phi[:, 0] = 0.0
+        phi[0, 0] = 0.5
+        phi[1, 0] = 0.5j
+    elif corruption == "homomorphism":
+        phi[4, 0] += eps
+    elif corruption == "phi_swap":
+        phi[:, [0, 1]] = phi[:, [1, 0]]
+    elif corruption == "cardy":
+        lb[..., :4] *= 1.0 + eps
+    alga, algb = cf.a.algebra, cf.b.algebra
+    a_pair = FrobeniusPair(
+        FiniteAlgebra(mula, alga.unit.copy(), alga.labels,
+                      None if corruption == "t_symmetry" else alga.blocks), la, name=cf.a.name)
+    b_pair = FrobeniusPair(FiniteAlgebra(mulb, algb.unit.copy(), algb.labels, algb.blocks), lb,
+                           name=cf.b.name)
+    return CardyFrobeniusAlgebra(a_pair, b_pair, phi, name=cf.name + "+" + corruption)
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, np.ascontiguousarray(x).tobytes()
+
+
+def _assert_same_cf(got, want, label):
+    assert got.name == want.name, label
+    assert _bits(got.phi) == _bits(want.phi), label
+    for g, w in ((got.a, want.a), (got.b, want.b)):
+        assert (g.name, g.algebra.labels, g.algebra.blocks) == (
+            w.name, w.algebra.labels, w.algebra.blocks), label
+        assert _bits(g.functional) == _bits(w.functional), label
+        assert _bits(g.algebra.unit) == _bits(w.algebra.unit), label
+        assert len(g.algebra.stacks) == len(w.algebra.stacks), label
+        for (gi, gc), (wi, wc) in zip(g.algebra.stacks, w.algebra.stacks):
+            assert _bits(gi) == _bits(wi) and _bits(gc) == _bits(wc), label
+
+
+def _stacked_cf(models):
+    """The sweep's stack of Cardy pairs on the weights of ``models``."""
+    mu = np.array([m.closed.mu for m in models])
+    return _quaternion_cf(mu, models[0].branch, _Failures(len(models)))[2]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_corruptions_edit_stacks_as_the_dense_reference(n):
+    models = [_seeded_model(n, 70 + n + k) for k in range(3)]
+    for label, cf in (("model", models[0].cf), ("stack", _stacked_cf(models))):
+        for corruption in CORRUPTIONS + ("phi_swap",):
+            try:
+                got = bd._corrupt_cf(cf, n, corruption, 0.05)
+            except ValueError:  # this corruption needs n >= 2
+                assert n == 1 and corruption in ("t_symmetry", "homomorphism", "phi_swap")
+                continue
+            _assert_same_cf(got, _dense_corrupt_cf(cf, n, corruption, 0.05),
+                            (label, corruption))
+
+
+def test_corruptions_build_no_dense_boundary(monkeypatch):
+    # the name bundle imports is the one its corruptions would call
+    calls, dense_of = [], bd._dense
+
+    def recording(stacks, dim):
+        calls.append(dim)
+        return dense_of(stacks, dim)
+
+    monkeypatch.setattr(bd, "_dense", recording)
+    for n in (2, 3):
+        model = _seeded_model(n, 80 + n)
+        for corruption in CORRUPTIONS + ("phi_swap",):
+            bulk = [n] if corruption == "t_symmetry" else []
+            calls.clear()
+            corrupt_model(model, corruption)
+            assert calls == bulk, corruption
+            calls.clear()
+            verify_bundle(model, corruption=corruption, sample_points=3)
+            # the base point's corruption, then the sweep's
+            assert calls == bulk * 2, corruption
+
+
+def test_corruptions_leave_the_model_stacks_read_only():
+    for n in (1, 2, 5):
+        model = _seeded_model(n, 90 + n)
+        algebras = (model.cf.a.algebra, model.cf.b.algebra)
+        before = [_bits(x) for alg in algebras for stack in alg.stacks for x in stack]
+        for corruption in CORRUPTIONS + ("phi_swap",):
+            try:
+                corrupt_model(model, corruption)
+            except ValueError:  # this corruption needs n >= 2
+                continue
+            arrays = [x for alg in algebras for stack in alg.stacks for x in stack]
+            assert [_bits(x) for x in arrays] == before, corruption
+            assert not any(x.flags.writeable for x in arrays), corruption
+        (_, cubes), = model.cf.b.algebra.stacks
+        with pytest.raises(ValueError, match="read-only"):
+            cubes[0, 1, 2, 2] += 0.05
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cubic_blocks_match_the_three_operand_einsum(n):
+    model = _seeded_model(n, 40 + n)
+    for corruption, cf in _corrupted_cfs(model):
+        got = bd._cubic_blocks(cf.b, cf.b.gram())
+        want = [(index, np.einsum("guvq,gqwr,gr->guvw", c, c, cf.b.functional[index]))
+                for index, c in cf.b.algebra.stacks]
+        assert len(got) == len(want)
+        for (gi, gc), (wi, wc) in zip(got, want):
+            assert _bits(gi) == _bits(wi) and _bits(gc) == _bits(wc), corruption

@@ -9,9 +9,9 @@ import pytest
 from lgcardy import cli
 from lgcardy.bundle import assemble_potential, corrupt_model, verify_bundle
 from lgcardy.cli import main, parse_branch, parse_complex_list
-from lgcardy.landau_ginzburg import build_quaternion_model, model_to_dict
+from lgcardy.landau_ginzburg import build_closed, build_quaternion_model, model_to_dict
 from lgcardy.moduli import potential_from_dict, wdvv_check
-from lgcardy.polycore import ToleranceConfig
+from lgcardy.polycore import DegenerateModelError, ToleranceConfig
 from lgcardy.tensor_series import series_to_dict
 
 FROZEN = ["--n", "2", "--a", "-3,0 0,0"]
@@ -443,3 +443,21 @@ def test_parser_carries_nothing_from_one_call_to_the_next(capsys, monkeypatch):
     assert code == fresh_code and second == fresh
     assert not second["config"]["paper_scale"] and not second["config"]["index_reversal"]
     assert second["config"]["tol"] is None
+
+
+def test_idempotent_residuals_match_the_einsum_reference():
+    # two matrix products sum in another order than the einsum: the
+    # residuals agree to the rounding of the summed terms
+    rng = np.random.default_rng(5)
+    for n in range(1, 9):
+        for scale in (0.8, 1e3):
+            try:
+                closed = build_closed(n=n, a=tuple(scale * rng.standard_normal(n)))
+            except DegenerateModelError:
+                continue
+            e, ((_, c),) = closed.idempotents, closed.pair.algebra.stacks
+            want = np.einsum("xi,yj,ijk->xyk", e, e, c[0]) - np.eye(n)[:, :, None] * e[None]
+            terms = np.einsum("xi,yj,ijk->xyk", abs(e), abs(e), abs(c[0])).max()
+            got, unit = cli._idempotent_residuals(closed)
+            assert abs(got - np.abs(want).max()) <= 4 * n * np.finfo(float).eps * terms
+            assert unit == np.abs(e.sum(axis=0) - closed.pair.algebra.unit).max()

@@ -395,3 +395,54 @@ def test_block_layout_round_trip_is_exact():
         assert np.array_equal(q.algebra.unit, p.algebra.unit)
         assert np.array_equal(q.functional, p.functional)
     assert [b for _, b in p.algebra.blocks] == [3]  # the corrupted bulk
+
+
+def _constructed_algebras():
+    """(label, algebra, its blocks in basis order) for every constructor."""
+    from lgcardy.bundle import CORRUPTIONS, corrupt_model
+    from lgcardy.landau_ginzburg import build_quaternion_model
+
+    p = orthogonal_sum(number_pair(2.0), quaternion_pair(0.5))
+    yield "dense", FiniteAlgebra(dense(p.algebra), p.algebra.unit), [(0, 5)]
+    yield "dense, out of order", FiniteAlgebra(dense(p.algebra), p.algebra.unit,
+                                               blocks=[(1, 4), (0, 1)]), [(0, 1), (1, 4)]
+    yield "zero", _zero_pair().algebra, []
+    yield "matrix", matrix_pair(3, 0.5).algebra, [(0, 9)]
+    mixed = orthogonal_sum_list([quaternion_pair(0.5), number_pair(2.0), matrix_pair(3, 1.0),
+                                 _zero_pair(), number_pair(1j)])
+    blocks = [(0, 4), (4, 1), (5, 9), (14, 1)]
+    yield "sum", mixed.algebra, blocks
+    yield "from dict", pair_from_dict(pair_to_dict(mixed)).algebra, blocks
+    model = build_quaternion_model(n=3, a=(0.4, -0.9 + 0.2j, 0.3))
+    yield "closed", model.closed.pair.algebra, [(0, 3)]
+    ones, quaternions = [(0, 1), (1, 1), (2, 1)], [(0, 4), (4, 4), (8, 4)]
+    yield "bulk", model.cf.a.algebra, ones
+    yield "boundary", model.cf.b.algebra, quaternions
+    for corruption in CORRUPTIONS + ("phi_swap",):
+        cf = corrupt_model(model, corruption)
+        yield corruption, cf.a.algebra, [(0, 3)] if corruption == "t_symmetry" else ones
+        yield corruption, cf.b.algebra, quaternions
+
+
+def test_blocks_are_the_stacks_offsets():
+    for label, alg, blocks in _constructed_algebras():
+        assert alg.blocks == blocks, label
+        rows = [row for index, _ in alg.stacks for row in index.tolist()]
+        assert sorted((row[0], len(row)) for row in rows) == blocks, label
+        # every index row is the slice of the basis that its block names
+        assert all(row == list(range(row[0], row[0] + len(row))) for row in rows), label
+        assert [off for off, _ in alg.cubes()] == [off for off, _ in blocks], label
+
+
+def test_blocks_declared_out_of_order_are_reported_in_basis_order():
+    p = orthogonal_sum(number_pair(2.0), quaternion_pair(0.5))
+    alg = FiniteAlgebra(dense(p.algebra), p.algebra.unit, blocks=[(1, 4), (0, 1)])
+    assert alg.blocks == [(0, 1), (1, 4)]
+    d = pair_to_dict(FrobeniusPair(alg, p.functional))
+    assert d["blocks"] == [[0, 1], [1, 4]]
+    assert [len(cube) for cube in d["structure"]] == [1, 64]
+    # a payload with its blocks out of order reads back in basis order
+    q = pair_from_dict(dict(d, blocks=d["blocks"][::-1], structure=d["structure"][::-1]))
+    assert q.algebra.blocks == [(0, 1), (1, 4)]
+    assert pair_to_dict(q) == d
+    assert np.array_equal(dense(q.algebra), dense(p.algebra))

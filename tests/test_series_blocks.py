@@ -23,11 +23,12 @@ from lgcardy.polycore import DegenerateModelError
 from lgcardy.tensor_series import (
     TensorSeries,
     class_basis,
-    class_tensors,
     ext_wdvv_check,
     series_from_dict,
     series_to_dict,
 )
+
+from letter_calculus import class_tensors
 
 NAMES = ["condition_%d" % k for k in (3, 4, 5, 6, 7)]
 TOL = 1e-9

@@ -10,17 +10,12 @@ from lgcardy.tensor_series import (
     _layout,
     _scattered,
     class_basis,
-    class_tensors,
-    d_s,
-    d_sss,
-    d_t,
-    encode_symmetric,
     ext_wdvv_check,
-    project,
     series_from_dict,
     series_to_dict,
 )
 
+from letter_calculus import class_tensors, d_s, d_sss, d_t, encode_symmetric, project
 from test_frobenius import dense
 
 
