@@ -22,7 +22,9 @@ matrix formed outside the timed call),
 ``reconstruct_potential``, ``assemble_potential``, ``ext_wdvv_check``, the
 series route of ``verify_bundle`` (``series_route``: assembly over the
 structural keys plus the numeric pass, on the warm layout of its (n,
-t_degree, blocks)) and ``verify_bundle``.  It also times every CLI
+t_degree, blocks); ``series_route_t5``, at n <= SERIES_T5_MAX_N only, the
+same at t_degree 5, where the assembly recentres the fitted bulk potential
+at the chart) and ``verify_bundle``.  It also times every CLI
 subcommand end to end, in process, with its output discarded.
 
 Each cell repeats its call for BUDGET_S seconds (at least three calls, at
@@ -78,6 +80,9 @@ BUNDLE_SAMPLE_POINTS = 10
 # stack sizes of the critical-data cells: the sweep's sample points and the
 # draws of one potential fit
 CRITICAL_STACKS = (BUNDLE_SAMPLE_POINTS, 60)
+# largest n of the series_route_t5 cell, as far as the replay grid runs
+# the CLI above truncation 4
+SERIES_T5_MAX_N = 4
 
 
 def seeded_model(n, seed=0):
@@ -131,11 +136,11 @@ def time_call(fn):
     }
 
 
-def series_route(model, chart, tol):
-    """The series route of ``verify_bundle`` at t_degree 4 on a clean model:
-    the coefficient vector over the structural keys, then the numeric pass
-    on the cached layout."""
-    _, layout, coeffs = bundle._assemble(model, chart, model.cf, 4, tol)
+def series_route(model, chart, tol, t_degree=4):
+    """The series route of ``verify_bundle`` on a clean model: the
+    coefficient vector over the structural keys, then the numeric pass on
+    the cached layout."""
+    _, layout, coeffs = bundle._assemble(model, chart, model.cf, t_degree, tol)
     return _conditions(layout, coeffs, tol)
 
 
@@ -148,6 +153,10 @@ def layers(model):
     tol = lib.ToleranceConfig()
     stacks = {count: seeded_stack(n, count) for count in CRITICAL_STACKS}
     swept = sweep_cardy_pair(model)
+    t5 = {}
+    if n <= SERIES_T5_MAX_N:
+        series_route(model, chart, tol, 5)  # builds the layout and fits the potential
+        t5["series_route_t5"] = lambda: series_route(model, chart, tol, 5)
     return {
         "critical_points": lambda: lib.critical_points(p),
         "build_closed": lambda: lib.build_closed(p=p),
@@ -168,6 +177,7 @@ def layers(model):
         "assemble_potential": lambda: lib.assemble_potential(model),
         "ext_wdvv_check": lambda: lib.ext_wdvv_check(series),
         "series_route": lambda: series_route(model, chart, tol),
+        **t5,
         "verify_bundle": lambda: lib.verify_bundle(model, sample_points=BUNDLE_SAMPLE_POINTS),
     }
 

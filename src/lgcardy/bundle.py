@@ -11,19 +11,16 @@ of a drifting pairing.
 
 From the base-point Cardy data the module assembles a truncated
 two-alphabet potential series: bulk structure constants in flat
-coordinates, the constant pairings as quadratic terms, the bulk-boundary
-transfer as the mixed block, and the boundary triple pairing as the
-cubic boundary block, read one declared boundary block at a time.
-``verify_bundle`` then checks the same model along two independent
-routes: the seven formal conditions on the series, and the pointwise
-algebra axioms at the base point and at nearby sample points, and
-reports whether the verdicts agree.  The sample points are swept as one
-stack: their flat targets are inverted in one Newton loop, their
-critical data and frames are built in one pass each, and their
-quaternion models are built and checked in one batched call whose row 0
-is the base point, every guard still judging each point on its own.  Controlled corruptions of single axioms
-are provided to confirm that each failure surfaces in the predicted
-condition.
+coordinates (above truncation 4, with the fitted potential recentred at
+the chart through the Taylor factors its cached layout holds), the
+constant pairings as quadratic terms, the bulk-boundary transfer as the
+mixed block, and the boundary triple pairing as the cubic boundary
+block, read one declared boundary block at a time.  ``verify_bundle``
+then checks the same model along two independent routes: the seven
+formal conditions on the series, and the pointwise algebra axioms at the
+base point and at nearby sample points swept as one stack, and reports
+whether the verdicts agree.  Controlled corruptions of single axioms
+confirm that each failure surfaces in the predicted condition.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import comb
 
 import numpy as np
 
@@ -39,7 +35,7 @@ from .polycore import (
     LGPolynomial,
     ToleranceConfig,
     _Failures,
-    _weighted_exponents,
+    _degenerate,
     poly_eval,
 )
 from .frobenius import (
@@ -58,10 +54,12 @@ from .frobenius import (
 from .cardy import CardyFrobeniusAlgebra, _cardy_checks
 from .landau_ginzburg import LGClosedAlgebra, _critical_data, _quaternion_cf, build_closed
 from .moduli import (
+    _ansatz,
+    _cached_potential,
     _chart_on,
     _invert_flat,
-    _match_stack,
-    reconstruct_potential,
+    _monomials,
+    _recentring,
     structure_tensor,
 )
 from .tensor_series import TensorSeries, _conditions, _layout
@@ -145,6 +143,27 @@ def flat_s_frame(model, q, tol=None, paper_scale=False):
     return FrameData(closed_q, roots, mu, rho, scales, float(drift))
 
 
+def _match_stack(roots, ref, sep_tol, failures):
+    """Index of the root nearest each reference root, demanded bijective,
+    for each row of ``roots`` (S, n) against the one reference ``ref``.
+
+    Two candidate roots at the same distance (within sep_tol) make the
+    continuation ambiguous, as does any non-bijective assignment; such a
+    row is flagged in ``failures`` as degenerate, a sign that the
+    perturbation jumped between branches.
+    """
+    n = roots.shape[1]
+    dist = np.abs(roots[:, None, :] - ref[None, :, None])
+    order = np.argsort(dist, axis=-1)
+    perm = order[..., 0]
+    bad = np.any(np.sort(perm, axis=1) != np.arange(n), axis=1)
+    if n > 1:
+        near = np.take_along_axis(dist, order[..., :2], axis=-1)
+        bad |= np.any(near[..., 1] - near[..., 0] < sep_tol, axis=1)
+    failures.flag(bad, _degenerate("frame continuation failed"))
+    return perm
+
+
 def _continue_frames(model, roots, mu, tol, paper_scale, failures):
     """flat_s_frame from the critical points and weights of a stack of
     nearby polynomials, each row in its own root order.  Returns the
@@ -190,17 +209,15 @@ def _cubic_blocks(pair, gram):
             for index, c in pair.algebra.stacks]
 
 
-def bundle_tensors(model, q=None, frame=None, tol=None):
+def bundle_tensors(model, q=None, tol=None):
     """Structure tensors of the boundary sector at a nearby point.
 
     ``q`` gives the deformation coefficients of the target polynomial
-    (default: the base point itself); alternatively pass an existing
-    ``frame`` from flat_s_frame.  The tensors are expressed in the
+    (default: the base point itself).  The tensors are expressed in the
     transported frame vectors lambda_i V e_i.
     """
     n = model.n
-    if frame is None:
-        frame = flat_s_frame(model, model.p.a if q is None else q, tol=tol)
+    frame = flat_s_frame(model, model.p.a if q is None else q, tol=tol)
     m = 4 * n
     boundary = orthogonal_sum_list([quaternion_pair(r) for r in frame.rho])
     # the n quaternion blocks form one stack, in root order
@@ -210,26 +227,6 @@ def bundle_tensors(model, q=None, frame=None, tol=None):
     cab = np.zeros((n, m), dtype=complex)
     cab[:, ::4] = values * (frame.scales * 2.0 * frame.rho)
     return BundleTensors(cB=cb, cAB=cab)
-
-
-@functools.lru_cache(maxsize=None)
-def _cached_potential(n, tol):
-    """The global bulk potential of truncations above 4, fitted once per
-    (n, tolerances)."""
-    return reconstruct_potential(n, tol=tol)[0]
-
-
-def _shift_terms(terms, center):
-    """Exponent dictionary of F(t + center) from that of F(t)."""
-    out = {}
-    for exps, coeff in terms.items():
-        for pick in product(*[range(e + 1) for e in exps]):
-            c = coeff
-            for e, k, c0 in zip(exps, pick, center):
-                c *= comb(e, k) * c0 ** (e - k)
-            if c != 0.0:
-                out[pick] = out.get(pick, 0.0) + c
-    return out
 
 
 def assemble_potential(model, t_degree=4, tol=None, cf=None):
@@ -255,19 +252,18 @@ def assemble_potential(model, t_degree=4, tol=None, cf=None):
 @functools.lru_cache(maxsize=None)
 def _assembled_layout(n, t_degree, blocks):
     """The structural keys of the boundary block rows ``blocks`` (one
-    tuple per stack), the bulk exponents of orders 4 to t_degree under an
-    ansatz monomial (none up to truncation 4) with their counts of
+    tuple per stack), the ansatz with the ``_recentring`` data of its bulk
+    orders 4 to t_degree (none up to truncation 4) and their counts of
     orderings, and the check layout of the keys: integers only.  The keys
     are every bulk triple in product order (the bump words (0, 0, 1) and
-    (0, 1, 0) at positions 1 and n), every ordering of those exponents,
-    the quadratic pairs, the Gram and cubic entries of each block in turn,
-    and the transfer."""
-    # exponents as _shift_terms meets them, each spread over its distinct orderings
-    ansatz = _weighted_exponents(tuple(range(n + 1, 1, -1)), 2 * n + 4) if t_degree > 4 else ()
-    picks = (pick for e in ansatz for pick in product(*[range(k + 1) for k in e]))
-    exps = list(dict.fromkeys(pick for pick in picks if 4 <= sum(pick) <= t_degree))
+    (0, 1, 0) at positions 1 and n), every ordering of those orders, the
+    quadratic pairs, the Gram and cubic entries of each block in turn, and
+    the transfer."""
+    ansatz = _ansatz(n) if t_degree > 4 else np.zeros((0, n), dtype=int)
+    exps, recentring = _recentring(ansatz, 4, t_degree)
+    # each order is spread over its distinct orderings
     orders = [list(set(permutations([x for x, k in enumerate(e) for _ in range(k)])))
-              for e in exps]
+              for e in exps.tolist()]
     rows = [row for index in blocks for row in index]
     keys = [(w, ()) for w in product(range(n), repeat=3)]
     keys += [(w, ()) for order in orders for w in order]
@@ -275,7 +271,7 @@ def _assembled_layout(n, t_degree, blocks):
     keys += [((), (u, v)) for row in rows for u in row for v in row]
     keys += [((), (u, v, w)) for row in rows for u in row for v in row for w in row]
     keys += [((k,), (u,)) for k in range(n) for u in range(sum(map(len, rows)))]
-    return (tuple(keys), tuple(exps), np.array(list(map(len, orders)), dtype=np.intp),
+    return (tuple(keys), ansatz, recentring, np.array(list(map(len, orders)), dtype=np.intp),
             _layout(n, sum(map(len, rows)), t_degree, keys))
 
 
@@ -288,11 +284,16 @@ def _assemble(model, chart, cf, t_degree, tol):
     tol = tol or ToleranceConfig()
     n, index = model.n, [i for i, _ in cf.b.algebra.stacks]
     blocks = tuple(tuple(map(tuple, i.tolist())) for i in index)
-    keys, exps, counts, layout = _assembled_layout(n, t_degree, blocks)
+    keys, ansatz, (binom, (m, q), low), counts, layout = _assembled_layout(n, t_degree, blocks)
     coeffs = [structure_tensor(chart).ravel() / 6.0]
-    if t_degree > 4:
-        shifted = _shift_terms(_cached_potential(n, tol).terms, np.asarray(chart.t, dtype=complex))
-        values = np.array([shifted.get(e, 0.0) for e in exps], dtype=complex)
+    if len(q):
+        # the bulk potential read by exponent and recentred at the chart
+        terms = dict(_cached_potential(n, tol.root_sep_tol).terms)
+        f = np.array([terms.pop(e, 0.0) for e in map(tuple, ansatz.tolist())], dtype=complex)
+        if terms:
+            raise ValueError("potential has monomials outside the ansatz: %s" % sorted(terms))
+        values = np.zeros(len(counts), dtype=complex)
+        np.add.at(values, q, f[m] * binom * _monomials(chart.t, low))
         coeffs.append(np.repeat(values / counts, counts))
     gram, roots = cf.b.gram(), model.closed.roots
     transfer = np.array([poly_eval(t, roots) for t in chart.tangents]) @ cf.phi.T @ gram

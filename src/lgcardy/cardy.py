@@ -211,12 +211,12 @@ def _cardy_checks(cf, tol):
     return defects, margins, degenerate
 
 
-def decompose_commutative(pair, tol=None, seed=0, attempts=3):
+def decompose_commutative(pair, tol=None, seed=0):
     """Split a commutative semisimple pair into idempotents.
 
-    Diagonalises left multiplication by a random element; for a
-    semisimple commutative algebra with a generic element the
-    eigenvectors are scalar multiples of the orthogonal idempotents.
+    Diagonalises left multiplication by a random element, up to three
+    of them; for a semisimple commutative algebra with a generic element
+    the eigenvectors are scalar multiples of the orthogonal idempotents.
     Returns (idempotents, weights) with weights[i] = l(e_i), sorted by
     weight.  Raises ValueError("not semisimple") when no generic
     element yields a clean idempotent basis.
@@ -225,7 +225,7 @@ def decompose_commutative(pair, tol=None, seed=0, attempts=3):
     alg = pair.algebra
     d = alg.dim
     rng = np.random.default_rng(seed)
-    for _ in range(attempts):
+    for _ in range(3):
         x = rng.normal(size=d) + 1j * rng.normal(size=d)
         vals, vecs = np.linalg.eig(alg.left_action_matrix(x))
         scale = max(1.0, float(np.max(np.abs(vals))))

@@ -8,16 +8,17 @@ coordinate system on that space and the objects living in it:
   of w^{n+1} = p(z) at infinity, in which the pairing is the constant
   antidiagonal identity;
 * the Euler field, which rescales each coordinate by a fixed charge;
-* the structure tensor c_ijk and a polynomial potential F with
-  dF^3 = c, reconstructed by least squares from a weighted-degree
-  ansatz and checked against the associativity, normalization and
-  quasi-homogeneity equations.
+* the structure tensor c_ijk and a potential F with dF^3 = c, fitted on
+  the monomials of Euler degree upsilon + 3 and checked for associativity,
+  normalization and quasi-homogeneity, its monomials (as the reversion
+  table's) read through one calculus: ``_monomials``, ``_taylor_factors``.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -27,8 +28,8 @@ from .polycore import (
     ToleranceConfig,
     _Failures,
     _degenerate,
-    _reversion_table,
     _weighted_exponents,
+    reversion_polynomials,
 )
 from .frobenius import VerificationReport, _worst, complex_to_json
 from .landau_ginzburg import (
@@ -55,28 +56,44 @@ __all__ = [
 ]
 
 
-def _match_stack(roots, ref, sep_tol, failures):
-    """Index of the root nearest each reference root, demanded bijective,
-    for each row of ``roots`` (S, n) against the one reference ``ref``.
+def _monomials(points, exponents):
+    """x^e at ``points`` (..., n) for each row e of ``exponents`` (M, n), as
+    (..., M), gathered from one table of the powers of each coordinate."""
+    x = np.asarray(points, dtype=complex)
+    powers = x[..., :, None] ** np.arange(exponents.max(initial=0) + 1)
+    return np.prod(powers[..., np.arange(x.shape[-1]), exponents], axis=-1)
 
-    Two candidate roots at the same distance (within sep_tol) make the
-    continuation ambiguous, as does any non-bijective assignment; such a
-    row is flagged in ``failures`` as degenerate, a sign that the
-    perturbation jumped between branches.
-    """
-    n = roots.shape[1]
-    dist = np.abs(roots[:, None, :] - ref[None, :, None])
-    order = np.argsort(dist, axis=-1)
-    perm = order[..., 0]
-    bad = np.any(np.sort(perm, axis=1) != np.arange(n), axis=1)
-    if n > 1:
-        near = np.take_along_axis(dist, order[..., :2], axis=-1)
-        bad |= np.any(near[..., 1] - near[..., 0] < sep_tol, axis=1)
-    failures.flag(bad, _degenerate("frame continuation failed"))
-    return perm
+
+def _taylor_factors(e, k):
+    """d^k x^e = e!/(e - k)! x^(e - k) for the exponents e (M, n) and the
+    orders k (Q, n), integer arrays: the exact integer factors e!/(e - k)!
+    that are not zero, their pairs (m, q) and the lowered exponents e - k."""
+    factors = np.ones((len(e), len(k)), dtype=int)
+    for s in range(k.max(initial=0)):
+        factors *= np.prod(np.where(k > s, e[:, None, :] - s, 1), axis=2)
+    m, q = np.nonzero(factors)
+    return factors[m, q], (m, q), e[m] - k[q]
 
 
 @functools.lru_cache(maxsize=None)
+def _reversion_table(n):
+    """The n reversion polynomials of order n and their n^2 first derivatives
+    as one linear map on monomials, formed once per n: ``exponents[m]`` is
+    the m-th monomial of a_1..a_n and ``coeffs[m, j]`` its coefficient in the
+    j-th polynomial, t~^(j+1) for j < n, d t~^(i+1) / d a_(k+1) for j = n + n i + k."""
+    polys = reversion_polynomials(n)
+    e = np.array(sorted({x for q in polys for x in q}), dtype=int).reshape(-1, n)
+    c = np.array([[q.get(x, 0.0) for q in polys] for x in map(tuple, e.tolist())])
+    factors, (m, k), lowered = _taylor_factors(e, np.eye(n, dtype=int))
+    both = list(map(tuple, np.concatenate([e, lowered]).tolist()))
+    row = {x: i for i, x in enumerate(sorted(set(both)))}
+    rows = np.array([row[x] for x in both])
+    coeffs = np.zeros((len(row), n + n * n), dtype=complex)
+    coeffs[rows[:len(e)], :n] = c
+    coeffs[rows[len(e):, None], n + n * np.arange(n) + k[:, None]] = factors[:, None] * c[m]
+    return np.array(list(row), dtype=int).reshape(-1, n), coeffs
+
+
 def _flat_mixing_matrix(n):
     """Matrix L with t = L tt, tt the raw inversion coefficients.
 
@@ -126,15 +143,12 @@ class FlatChart:
 
 def _reversion_values(n, a):
     """The raw inversion coefficients t~ and their jacobian dt~/da at a,
-    or at each row of a stack of points a (S, n): one product of the
-    monomials of a with the cached table of the reversion polynomials and
-    their derivatives.  Entry [i, k] of the jacobian differentiates
+    or at each row of a stack of points a (S, n): the monomials of a times
+    ``_reversion_table``.  Entry [i, k] of the jacobian differentiates
     t~^(i+1) along a_(k+1)."""
     exponents, coeffs = _reversion_table(n)
-    a = np.asarray(a, dtype=complex)
-    powers = a[..., :, None] ** np.arange(exponents.max(initial=0) + 1)
-    values = np.prod(powers[..., np.arange(n), exponents], axis=-1) @ coeffs
-    return values[..., :n], values[..., n:].reshape(a.shape[:-1] + (n, n))
+    values = _monomials(a, exponents) @ coeffs
+    return values[..., :n], values[..., n:].reshape(values.shape[:-1] + (n, n))
 
 
 def flat_chart(p=None, n=None, a=None, tol=None):
@@ -196,6 +210,23 @@ class EulerData:
         self.upsilon = 2.0 / (n + 1.0) - 1.0
 
 
+def _ansatz(n):
+    """The exponents (M, n) of Euler degree upsilon + 3, charges (n + 1) d_i."""
+    return np.array(_weighted_exponents(tuple(range(n + 1, 1, -1)), 2 * n + 4))
+
+
+def _recentring(e, low, high):
+    """The orders k of degree ``low`` to ``high`` of F(t + c), F on the exponents
+    e (M, n), as the picks k <= e first meet them; then the binomials C(e, k),
+    pairs and exponents e - k of its terms f_e C(e, k) c^(e - k) t^k."""
+    picks = (k for row in e.tolist() for k in product(*[range(x + 1) for x in row]))
+    orders = np.array(list(dict.fromkeys(k for k in picks if low <= sum(k) <= high)),
+                      dtype=int).reshape(-1, e.shape[1])
+    factors, (m, q), lowered = _taylor_factors(e, orders)
+    k_factorials = np.cumprod(np.maximum(np.arange(e.max(initial=0) + 1), 1))[orders].prod(axis=1)
+    return orders, (factors // k_factorials[q], (m, q), lowered)
+
+
 def euler_check(chart):
     """Residuals of the grading identities at the base point of a chart.
 
@@ -208,27 +239,22 @@ def euler_check(chart):
     p = chart.p
     n = p.n
     avals = np.asarray(p.a, dtype=complex)
-    weights = np.array([(k + 1.0) / (n + 1.0) for k in range(1, n + 1)])
-
-    # E p: each a_k carries weight (k+1)/(n+1)
-    e_vec = weights * avals
-    lep = np.zeros(n + 2, dtype=complex)
-    lep[:n] = e_vec[::-1]
-    coeffs = p.coeffs()
-    dpc = p.derivative_coeffs()
-    rhs = coeffs.copy()
-    rhs[1:] -= dpc / (n + 1.0)
-    p_identity = _worst([lep - rhs])
+    degrees = EulerData(n).degrees
+    # E p: a_k and the raw coefficient t~^k carry the charge (k+1)/(n+1)
+    e_vec = degrees[::-1] * avals
+    rhs = p.coeffs()
+    rhs[1:] -= p.derivative_coeffs() / (n + 1.0)
+    rhs[:n] -= e_vec[::-1]
+    p_identity = _worst([rhs])
 
     # E t^i = d_i t^i through the chain rule in the a variables; entry
     # [k, n-1-j] of the tangents is da_(j+1)/dt^(k+1)
     jac_ta = np.linalg.inv(chart.tangents[:, ::-1].T)
     lhs = jac_ta @ e_vec
-    flat_scaling = _worst([lhs - EulerData(n).degrees * chart.t])
+    flat_scaling = _worst([lhs - degrees * chart.t])
 
-    raw_degrees = np.array([(i + 1.0) / (n + 1.0) for i in range(1, n + 1)])
     lhs_raw = _reversion_values(n, avals)[1] @ e_vec
-    raw_scaling = _worst([lhs_raw - raw_degrees * chart.ttilde])
+    raw_scaling = _worst([lhs_raw - degrees[::-1] * chart.ttilde])
     return {
         "p_identity": p_identity,
         "flat_scaling": flat_scaling,
@@ -344,26 +370,15 @@ def _sorted_triples(n):
 
 def _third_derivative_basis(exponents, points):
     """d_i d_j d_k t^e for each exponent tuple e at each point and each
-    sorted triple of ``_sorted_triples``, as [point, monomial, triple].
-
-    The falling-factorial factor and the lowered exponents depend only on
-    e and on how often each coordinate occurs in (i, j, k); the powers of
-    each coordinate are taken once per point and gathered where the
-    factor is not zero.
-    """
-    t = np.asarray(points, dtype=complex)
-    count, n = t.shape
+    sorted triple of ``_sorted_triples``, as [point, monomial, triple]: the
+    ``_taylor_factors`` term of e at the order that counts each coordinate."""
+    count, n = np.shape(points)
     e = np.asarray(exponents, dtype=int).reshape(len(exponents), n)
     # hits[q, l]: how often coordinate l occurs in the q-th triple
     hits = (_sorted_triples(n)[0][:, :, None] == np.arange(n)).sum(axis=1)
-    factor = np.ones((len(e), len(hits)), dtype=int)
-    for s in range(3):
-        factor *= np.prod(np.where(hits > s, e[:, None, :] - s, 1), axis=2)
-    m, q = np.nonzero(factor)
-    lowered = e[m] - hits[q]
-    powers = t[:, :, None] ** np.arange(lowered.max(initial=0) + 1)
+    factors, (m, q), lowered = _taylor_factors(e, hits)
     out = np.zeros((count, len(e), len(hits)), dtype=complex)
-    out[:, m, q] = factor[m, q] * np.prod(powers[:, np.arange(n), lowered], axis=-1)
+    out[:, m, q] = factors * _monomials(points, lowered)
     return out
 
 
@@ -403,16 +418,14 @@ class UnderdeterminedFitError(ValueError):
 def reconstruct_potential(n, sample_count=60, tol=None, seed=42):
     """Fit the potential whose third derivatives are the structure tensor.
 
-    The ansatz contains every monomial of weighted degree 2n + 4 in the
-    integer weights n + 1, n, ..., 2 (equivalently, Euler degree
-    upsilon + 3).  The draws of ``sample_charts`` are charted and their
-    structure tensors contracted as one stack, which feeds the design
-    matrix.  Returns (potential, fit_residual) where the residual is the
+    The ansatz is ``_ansatz(n)``.  The draws of ``sample_charts`` are
+    charted and their structure tensors contracted as one stack, which
+    feeds the design matrix.  Returns (potential, fit_residual) where the residual is the
     worst defect of the fitted third derivatives against the sampled
     tensor entries.  Raises UnderdeterminedFitError when the design
     matrix has lower rank than the ansatz has monomials.
     """
-    exponents = _weighted_exponents(tuple(range(n + 1, 1, -1)), 2 * n + 4)
+    exponents = _ansatz(n)
     a, r, _, values, _, _ = _sample_stack(n, sample_count, seed, tol, 0.8)
     _, t, tangents, _, _ = _chart_stack(n, a, values)
     mul = r[:, np.add.outer(np.arange(n), np.arange(n))]
@@ -425,8 +438,14 @@ def reconstruct_potential(n, sample_count=60, tol=None, seed=42):
             "underdetermined fit: rank %d of %d monomials at n=%d from %d sample charts;"
             " more samples are needed" % (rank, len(exponents), n, sample_count))
     fit_residual = _worst([design @ beta - rhs])
-    terms = {exps: complex(b) for exps, b in zip(exponents, beta)}
+    terms = {exps: complex(b) for exps, b in zip(map(tuple, exponents.tolist()), beta)}
     return PotentialPoly(n, terms), fit_residual
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_potential(n, root_sep_tol):
+    """reconstruct_potential once per n and root_sep_tol, the one tolerance it reads."""
+    return reconstruct_potential(n, tol=ToleranceConfig(root_sep_tol=root_sep_tol))[0]
 
 
 def wdvv_check(potential, points, tol=None):

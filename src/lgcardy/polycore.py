@@ -335,24 +335,3 @@ def reversion_polynomials(n, order=None):
         polys.append(terms)
     return tuple(polys)
 
-
-@functools.lru_cache(maxsize=None)
-def _reversion_table(n):
-    """The n reversion polynomials of order n and their n^2 first
-    derivatives as one linear map on monomials: ``exponents[m]`` is the
-    m-th monomial of a_1..a_n and ``coeffs[m, j]`` its coefficient in the
-    j-th polynomial, j < n the polynomial t~^(j+1) and j = n + n i + k
-    the derivative of t~^(i+1) along a_(k+1).  Cached per n, so the
-    derivatives are formed once."""
-    polys = reversion_polynomials(n)
-    # d/da_(k+1) of c a^e is e_k c a^(e - 1_k)
-    columns = list(polys) + [
-        {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k] for e, c in q.items() if e[k]}
-        for q in polys for k in range(n)]
-    exponents = sorted({e for q in columns for e in q})
-    row = {e: m for m, e in enumerate(exponents)}
-    coeffs = np.zeros((len(exponents), len(columns)), dtype=complex)
-    for j, q in enumerate(columns):
-        for e, c in q.items():
-            coeffs[row[e], j] = c
-    return np.array(exponents, dtype=int).reshape(len(exponents), n), coeffs

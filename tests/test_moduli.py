@@ -182,6 +182,25 @@ def _monomial_third_derivatives(exps, t):
     return out
 
 
+def _falling_factorial_basis(exponents, points):
+    """The former body of ``_third_derivative_basis``: the falling
+    factorials and powers formed in place, the reference the monomial
+    calculus must match bit for bit."""
+    t = np.asarray(points, dtype=complex)
+    count, n = t.shape
+    e = np.asarray(exponents, dtype=int).reshape(len(exponents), n)
+    hits = (_sorted_triples(n)[0][:, :, None] == np.arange(n)).sum(axis=1)
+    factor = np.ones((len(e), len(hits)), dtype=int)
+    for s in range(3):
+        factor *= np.prod(np.where(hits > s, e[:, None, :] - s, 1), axis=2)
+    m, q = np.nonzero(factor)
+    lowered = e[m] - hits[q]
+    powers = t[:, :, None] ** np.arange(lowered.max(initial=0) + 1)
+    out = np.zeros((count, len(e), len(hits)), dtype=complex)
+    out[:, m, q] = factor[m, q] * np.prod(powers[:, np.arange(n), lowered], axis=-1)
+    return out
+
+
 def test_third_derivative_basis_matches_monomial_loop():
     rng = np.random.default_rng(8)
     for n in range(1, 7):
@@ -189,6 +208,7 @@ def test_third_derivative_basis_matches_monomial_loop():
                      + [(0,) * n, (1,) + (0,) * (n - 1)])
         points = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
         basis = _third_derivative_basis(exponents, points)
+        assert np.array_equal(basis, _falling_factorial_basis(exponents, points))
         triples, position = _sorted_triples(n)
         assert basis.shape == (4, len(exponents), len(triples))
         assert len(triples) == n * (n + 1) * (n + 2) // 6

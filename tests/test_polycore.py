@@ -9,7 +9,6 @@ from lgcardy.polycore import (
     LGPolynomial,
     ToleranceConfig,
     _lagrange_rows,
-    _reversion_table,
     _weighted_exponents,
     critical_points,
     poly_derivative,
@@ -18,6 +17,7 @@ from lgcardy.polycore import (
     residue_functional,
     reversion_polynomials,
 )
+from lgcardy.moduli import _reversion_table
 
 
 def poly_mod(a, m):
@@ -233,6 +233,23 @@ def test_reversion_coefficients_match_sympy():
                 assert q == {e: complex(float(c)) for e, c in exact.items()}
 
 
+def _reversion_table_by_dicts(n):
+    """The former body of ``_reversion_table``: each derivative formed as an
+    exponent dictionary, the reference the Taylor-factor table must match
+    bit for bit."""
+    polys = reversion_polynomials(n)
+    columns = list(polys) + [
+        {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k] for e, c in q.items() if e[k]}
+        for q in polys for k in range(n)]
+    exponents = sorted({e for q in columns for e in q})
+    row = {e: m for m, e in enumerate(exponents)}
+    coeffs = np.zeros((len(exponents), len(columns)), dtype=complex)
+    for j, q in enumerate(columns):
+        for e, c in q.items():
+            coeffs[row[e], j] = c
+    return np.array(exponents, dtype=int).reshape(len(exponents), n), coeffs
+
+
 def test_reversion_table_derivatives_match_sympy():
     # every column of the table, the n polynomials and their n^2 first
     # derivatives, against sympy's diff of the exact polynomials: each
@@ -243,6 +260,9 @@ def test_reversion_table_derivatives_match_sympy():
         columns = polys + [q.diff(a[k]) for q in polys for k in range(n)]
         exponents, coeffs = _reversion_table(n)
         assert coeffs.shape == (len(exponents), n + n * n)
+        want_exponents, want_coeffs = _reversion_table_by_dicts(n)
+        assert np.array_equal(exponents, want_exponents)
+        assert np.array_equal(coeffs, want_coeffs)
         for j, q in enumerate(columns):
             want = {e: float(c) for e, c in q.as_dict().items() if c != 0}
             got = {tuple(int(k) for k in e): c for e, c in zip(exponents, coeffs[:, j]) if c != 0}

@@ -9,6 +9,7 @@ at truncation 4, and to 1e-13 max(1, |v|) above it.
 """
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from lgcardy import tensor_series as ts
 from lgcardy.bundle import CORRUPTIONS, assemble_potential, corrupt_model, verify_bundle
 from lgcardy.cli import RunConfig, run
 from lgcardy.landau_ginzburg import build_quaternion_model
-from lgcardy.polycore import DegenerateModelError
+from lgcardy.moduli import PotentialPoly, _cached_potential, _chart_on
+from lgcardy.polycore import DegenerateModelError, ToleranceConfig
 from lgcardy.tensor_series import ext_wdvv_check
 
 EPS = 0.05
@@ -182,6 +184,79 @@ def test_cached_layout_holds_integers_only():
             else:
                 assert type(leaf) is int, type(leaf)
     assert bd._assembled_layout.cache_info().misses == 3
+
+
+def _shift_terms(terms, center):
+    """Exponent dictionary of F(t + center) from that of F(t): every pick
+    of every monomial, expanded one coordinate at a time.  This was the
+    recentring of ``_assemble`` above truncation 4, kept as its
+    reference."""
+    out = {}
+    for exps, coeff in terms.items():
+        for pick in itertools.product(*[range(e + 1) for e in exps]):
+            c = coeff
+            for e, k, c0 in zip(exps, pick, center):
+                c *= comb(e, k) * c0 ** (e - k)
+            if c != 0.0:
+                out[pick] = out.get(pick, 0.0) + c
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("t_degree", [5, 6])
+def test_recentred_bulk_matches_shifted_terms(n, t_degree):
+    """Every coefficient of the assembled vector above truncation 4: the
+    bulk orders 4 to t_degree against _shift_terms, spread evenly over
+    their orderings, and every other key against truncation 4."""
+    model = _seeded_model(n, 0)
+    chart = _chart_on(model.closed)
+    potential = _cached_potential(n, ToleranceConfig().root_sep_tol)
+    shifted = _shift_terms(potential.terms, np.asarray(chart.t, dtype=complex))
+    for kind in _kinds(n):
+        cf = model.cf if kind is None else corrupt_model(model, kind, EPS)
+        keys, _, got = bd._assemble(model, chart, cf, t_degree, None)
+        want = dict(zip(*bd._assemble(model, chart, cf, 4, None)[::2]))
+        bulk = 0
+        for (word, boundary), g in zip(keys, got):
+            if boundary or len(word) < 4:
+                w = want[word, boundary]
+            else:
+                bulk += 1
+                e = tuple(np.bincount(word, minlength=n))
+                orderings = len(set(itertools.permutations(word)))
+                w = shifted.get(e, 0.0) / orderings
+            assert abs(g - w) <= 1e-15 * max(1.0, abs(w)), (kind, word, boundary, g, w)
+        assert len(keys) == len(want) + bulk
+        assert bulk or n == 1  # n = 1 has no bulk order from 4 to t_degree
+
+
+def _assembled_with(monkeypatch, model, potential):
+    """assemble_potential at truncation 5 on ``potential`` in place of the
+    cached fit."""
+    with monkeypatch.context() as patch:
+        patch.setattr(bd, "_cached_potential", lambda *args: potential)
+        return assemble_potential(model, t_degree=5)
+
+
+def test_series_reads_the_potential_by_exponent(monkeypatch):
+    model = _seeded_model(3, 0)
+    terms = _cached_potential(3, ToleranceConfig().root_sep_tol).terms
+    want = assemble_potential(model, t_degree=5).terms
+    reordered = PotentialPoly(3, dict(reversed(list(terms.items()))))
+    assert list(reordered.terms) != list(terms)
+    assert _assembled_with(monkeypatch, model, reordered).terms == want
+    extra = PotentialPoly(3, {**terms, (0, 0, 6): 1.0})
+    with pytest.raises(ValueError, match="outside the ansatz"):
+        _assembled_with(monkeypatch, model, extra)
+
+
+def test_potential_is_fitted_once_whatever_the_eq_tol():
+    """The fit reads root_sep_tol alone, so a new eq_tol reuses the fit."""
+    model = _seeded_model(2, 0)
+    _cached_potential.cache_clear()
+    for eq_tol in (1e-8, 1e-9, 1e-10):
+        verify_bundle(model, t_degree=5, sample_points=0, tol=ToleranceConfig(eq_tol=eq_tol))
+    assert _cached_potential.cache_info().misses == 1
 
 
 def test_t_degree_three_is_refused():
