@@ -19,12 +19,16 @@ points, the stacked pair recorded from one sweep), both
 ``corrupt_model`` (``b_associativity``, the corruption that edits a
 boundary cube), the boundary triple pairing ``_cubic_blocks`` (the Gram
 matrix formed outside the timed call),
-``reconstruct_potential``, ``assemble_potential``, ``ext_wdvv_check``, the
+``reconstruct_potential``, ``wdvv_check`` (the fitted potential at
+WDVV_POINTS points drawn as the CLI's ``wdvv`` draws them),
+``assemble_potential``, ``ext_wdvv_check``, the
 series route of ``verify_bundle`` (``series_route``: assembly over the
 structural keys plus the numeric pass, on the warm layout of its (n,
 t_degree, blocks); ``series_route_t5``, at n <= SERIES_T5_MAX_N only, the
 same at t_degree 5, where the assembly recentres the fitted bulk potential
-at the chart) and ``verify_bundle``.  It also times every CLI
+at the chart), ``verify_bundle`` and, for each CLI subcommand, its report
+writer (``report_writer_<command>``: ``cli._dumps`` on the report of the
+subcommand's run on the model).  It also times every CLI
 subcommand end to end, in process, with its output discarded.
 
 Each cell repeats its call for BUDGET_S seconds (at least three calls, at
@@ -80,6 +84,8 @@ BUNDLE_SAMPLE_POINTS = 10
 # stack sizes of the critical-data cells: the sweep's sample points and the
 # draws of one potential fit
 CRITICAL_STACKS = (BUNDLE_SAMPLE_POINTS, 60)
+# check points of the wdvv_check cell, as many as the CLI's wdvv draws
+WDVV_POINTS = 20
 # largest n of the series_route_t5 cell, as far as the replay grid runs
 # the CLI above truncation 4
 SERIES_T5_MAX_N = 4
@@ -152,6 +158,8 @@ def layers(model):
     ga, gb = cf.a.gram(), cf.b.gram()
     tol = lib.ToleranceConfig()
     stacks = {count: seeded_stack(n, count) for count in CRITICAL_STACKS}
+    potential, _ = lib.reconstruct_potential(n)
+    points = np.random.default_rng(42).uniform(-0.8, 0.8, size=(WDVV_POINTS, n))
     swept = sweep_cardy_pair(model)
     t5 = {}
     if n <= SERIES_T5_MAX_N:
@@ -174,12 +182,24 @@ def layers(model):
         "corrupt_model": lambda: lib.corrupt_model(model, "b_associativity"),
         "cubic_blocks": lambda: bundle._cubic_blocks(cf.b, gb),
         "reconstruct_potential": lambda: lib.reconstruct_potential(n),
+        "wdvv_check": lambda: lib.wdvv_check(potential, points),
         "assemble_potential": lambda: lib.assemble_potential(model),
         "ext_wdvv_check": lambda: lib.ext_wdvv_check(series),
         "series_route": lambda: series_route(model, chart, tol),
         **t5,
         "verify_bundle": lambda: lib.verify_bundle(model, sample_points=BUNDLE_SAMPLE_POINTS),
+        **report_writers(model),
     }
+
+
+def report_writers(model):
+    """The report writer ``cli._dumps`` of each CLI subcommand, timed on the
+    report of its ``cli_argvs`` run."""
+    cells = {}
+    for name, argv in cli_argvs(model).items():
+        report, _ = cli.run(cli._config_from_args(cli._ARGPARSER.parse_args(argv)))
+        cells["report_writer_" + name] = lambda report=report: cli._dumps(report)
+    return cells
 
 
 def cli_argvs(model):

@@ -46,6 +46,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -437,20 +438,31 @@ def run(config):
     return report, (0 if report["passed"] else 1)
 
 
+# json's text of a scalar of each exact type, without the encoder that
+# json.dumps builds per call; json.dumps still writes a non-finite float
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
+                float: lambda x: float.__repr__(x) if x - x == 0 else json.dumps(x),
+                bool: lambda x: "true" if x else "false", type(None): lambda x: "null"}
+
+
 def _dumps(obj, indent="\n"):
-    """``json.dumps(obj, indent=2)``, character for character.  A list of
-    finite floats, or of [re, im] pairs of them, is formatted by one ``%``
-    over a joined template; with ``indent`` set, json would run its
-    pure-Python encoder on every float."""
+    """``json.dumps(obj, indent=2)``, character for character.  Scalars of
+    the exact types in ``_SCALAR_TEXT`` are written from there, any other
+    (np.float64 too) by json.dumps.  A list of finite floats, or of [re, im]
+    pairs of them, is formatted by one ``%`` over a joined template; with
+    ``indent`` set, json would run its pure-Python encoder on every float."""
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is not None:
+        return text(obj)
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         return json.dumps(obj)
     inner = indent + "  "
     sep = "," + inner
     if isinstance(obj, dict):
         # json writes a non-str key as its own JSON text, quoted
-        return "{" + inner + sep.join(
-            json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": " + _dumps(v, inner)
-            for k, v in obj.items()) + indent + "}"
+        return "{" + inner + sep.join([
+            encode_basestring_ascii(k if isinstance(k, str) else _dumps(k))
+            + ": " + _dumps(v, inner) for k, v in obj.items()]) + indent + "}"
     flat, item = obj, "%r"
     if set(map(type, obj)) == {list} and set(map(len, obj)) == {2}:
         flat = [x for pair in obj for x in pair]
@@ -459,7 +471,7 @@ def _dumps(obj, indent="\n"):
     if set(map(type, flat)) == {float} and math.isfinite(sum(flat)):
         body = sep.join([item] * len(obj)) % tuple(flat)
     else:
-        body = sep.join(_dumps(x, inner) for x in obj)
+        body = sep.join([_dumps(x, inner) for x in obj])
     return "[" + inner + body + indent + "]"
 
 

@@ -54,9 +54,9 @@ __all__ = [
 
 
 def complex_to_json(x):
-    """Encode a complex scalar or nested array as [re, im] pairs."""
-    arr = np.asarray(x, dtype=complex)
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+    """Encode a complex scalar or nested array as [re, im] pairs (its float view)."""
+    arr = np.asarray(x, dtype=complex, order="C")
+    return arr.reshape(-1).view(float).reshape(arr.shape + (2,)).tolist()
 
 
 def json_to_complex(obj):

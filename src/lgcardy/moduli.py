@@ -396,10 +396,11 @@ class PotentialPoly:
 
     def _third_derivatives_at(self, points):
         """Third derivative tensors at each point, as [point, i, j, k],
-        gathered from the sorted triples; each sum runs in monomial order."""
+        gathered from the sorted triples; each sum runs in sorted exponent order."""
         points = np.asarray(points, dtype=complex).reshape(-1, self.n)
-        basis = _third_derivative_basis(list(self.terms), points)
-        coeffs = np.array(list(self.terms.values()), dtype=complex)
+        exponents = sorted(self.terms)
+        basis = _third_derivative_basis(exponents, points)
+        coeffs = np.array([self.terms[e] for e in exponents], dtype=complex)
         return np.sum(coeffs[:, None] * basis, axis=1)[:, _sorted_triples(self.n)[1]]
 
     def quasi_homogeneity_residual(self):
@@ -453,17 +454,19 @@ def wdvv_check(potential, points, tol=None):
 
     ``points`` is an iterable of flat coordinate vectors.  The
     associativity residual contracts two third-derivative tensors with
-    the constant inverse metric (the antidiagonal identity) and compares
-    the exchange of the two outer slots.  The normalization residual
-    compares the third derivatives along the unit direction, the first
-    coordinate, with the metric.  The quasi-homogeneity residual is
+    the constant inverse metric, the antidiagonal identity, which only
+    reverses an index (left[p, ij, kl] is one matrix product per point),
+    and compares the exchange of the two outer slots.  The normalization
+    residual compares the third derivatives along the unit direction, the
+    first coordinate, with the metric.  The quasi-homogeneity residual is
     per-monomial and point independent.
     """
     tol = tol or ToleranceConfig()
     n = potential.n
     flip = np.fliplr(np.eye(n))
     d3 = potential._third_derivatives_at(list(points))
-    left = np.einsum("pijq,qr,pklr->pijkl", d3, flip, d3)
+    pairs = d3.reshape(-1, n * n, n)
+    left = (pairs[..., ::-1] @ pairs.transpose(0, 2, 1)).reshape(-1, n, n, n, n)
     rep = VerificationReport(subject="wdvv_n%d" % n, tol=tol.eq_tol)
     rep.residuals["associativity"] = _worst([left - left.transpose(0, 3, 2, 1, 4)])
     rep.residuals["normalization"] = _worst([d3[..., 0] - flip])

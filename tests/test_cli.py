@@ -1,5 +1,6 @@
 """Tests for the command line front end."""
 
+import enum
 import json
 import os
 
@@ -290,9 +291,12 @@ def test_reports_deterministic_modulo_timestamp(tmp_path, capsys):
     assert first == second
 
 
+SEEDED8 = ["--n", "8", "--a=" + " ".join("%r,%r" % (0.3 * k - 1.0, 0.1 * k) for k in range(8))]
+
 WRITER_CASES = [[command] + args for command in ("chart", "build", "verify-cf", "bundle", "ext-wdvv")
-                for args in (FROZEN, SEEDED3)] + [
+                for args in (FROZEN, SEEDED3, SEEDED8)] + [
     [command, "--n", n] for command in ("potential", "wdvv") for n in ("1", "2", "3")] + [
+    [command, "--n", "4", "--index-reversal"] for command in ("potential", "wdvv")] + [
     ["bundle", "--t-degree", "5"] + FROZEN, ["chart", "--index-reversal"] + SEEDED3]
 
 
@@ -310,6 +314,10 @@ def test_model_file_matches_json_dumps(tmp_path, capsys):
     assert model_file.read_text() == json.dumps(want, indent=2) + "\n"
 
 
+class Level(enum.IntEnum):
+    HIGH = 2
+
+
 def test_writer_matches_json_dumps_off_the_bulk_path():
     nan, inf = float("nan"), float("inf")
     obj = {
@@ -319,7 +327,9 @@ def test_writer_matches_json_dumps_off_the_bulk_path():
         "text": ["gr\u00fc\u00dfe \u03c1", 'say "hi"\n\tbye', ""], "empty": [[], {}, ()],
         "tuples": (1.0, (2.0, 3.0), [(4.0, 5.0)]), "nested": {"a": {"b": [[[1.0, 2.0]]]}},
         "np": [np.float64(0.1), [np.float64(0.2), 0.3]], 3: "int key", 0.5: "float key",
-        None: "null key", False: "bool key",
+        None: "null key", False: "bool key", "np_value": np.float64(-2.5),
+        np.float64(0.25): "np.float64 key", "enum": Level.HIGH,
+        "signed_pairs": [[-0.0, 1e-320], [1e-320, -0.0]], "tiny_pair": [[-0.0, -1e-320]],
     }
     for value in (obj, [], {}, nan, "x", [1.0], [[1.0, 2.0]]):
         assert cli._dumps(value) == json.dumps(value, indent=2)
@@ -328,8 +338,7 @@ def test_writer_matches_json_dumps_off_the_bulk_path():
 def test_build_report_stays_small_at_n8(capsys):
     # the boundary algebra is written block by block: 64 entries per
     # quaternion block, not the dense (4n)^3 tensor (2.26 MB of JSON)
-    a = "--a=" + " ".join("%r,%r" % (0.3 * k - 1.0, 0.1 * k) for k in range(8))
-    code, out = _run(capsys, ["build", "--n", "8", a])
+    code, out = _run(capsys, ["build"] + SEEDED8)
     assert code == 0
     assert len(out.encode()) < 200_000
     cf = json.loads(out)["data"]["model"]["cf"]

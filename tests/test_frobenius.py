@@ -22,6 +22,7 @@ from lgcardy.frobenius import (
     quaternion_pair,
     verify_frobenius,
 )
+from lgcardy.moduli import flat_chart
 
 
 def dense(alg):
@@ -366,6 +367,25 @@ def test_json_round_trip():
     assert q.algebra.blocks == p.algebra.blocks
     x = json_to_complex(complex_to_json(np.array([[1 + 2j, 0], [3, -1j]])))
     assert np.allclose(x, [[1 + 2j, 0], [3, -1j]])
+
+
+def test_complex_to_json_matches_stacked_parts():
+    """The float view against the real and imaginary parts stacked on a
+    last axis, on scalars, empty and non-contiguous arrays and special
+    parts; repr tells -0.0 from 0.0 and a numpy scalar from a float."""
+    def stacked(x):
+        arr = np.asarray(x, dtype=complex)
+        return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+    nan, inf = float("nan"), float("inf")
+    chart = flat_chart(n=3, a=(0.3 + 0.1j, -0.7 + 0.2j, 0.5 - 0.4j))
+    special = np.array([complex(nan, -0.0), complex(inf, -inf), complex(-0.0, nan), -0.0])
+    cases = [1 + 2j, complex(-0.0, -inf), 3, np.array(2 - 3j), np.array(-0.0), [], np.zeros((2, 0)),
+             np.arange(6.0).reshape(2, 3), chart.t, chart.t[::-1], chart.tangents[::-1],
+             chart.tangents[:, ::2], special, special.reshape(2, 2).T]
+    assert not chart.t[::-1].flags.c_contiguous
+    for x in cases:
+        assert repr(complex_to_json(x)) == repr(stacked(x))
 
 
 def _block_layout_pairs():

@@ -16,7 +16,7 @@ from lgcardy.moduli import (
     structure_tensor,
     wdvv_check,
 )
-from lgcardy.moduli import _sorted_triples, _third_derivative_basis
+from lgcardy.moduli import _ansatz, _sorted_triples, _third_derivative_basis
 from lgcardy.polycore import ToleranceConfig, _weighted_exponents
 
 from test_polycore import poly_mod
@@ -239,6 +239,41 @@ def test_wdvv_check_matches_pointwise_formula():
             assert abs(rep.residuals[name] - want) <= 1e-12 * max(1.0, want)
     assert rep.residuals["associativity"] > 1e-3
     assert wdvv_check(F, []).residuals["associativity"] == 0.0
+
+
+def _random_potential(n, rng):
+    """Random complex coefficients on the monomials of the fit's ansatz."""
+    exponents = list(map(tuple, _ansatz(n).tolist()))
+    coeffs = rng.normal(size=len(exponents)) + 1j * rng.normal(size=len(exponents))
+    return PotentialPoly(n, dict(zip(exponents, coeffs.tolist())))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_wdvv_check_matches_three_operand_einsum(n):
+    """The per-point matrix products against the einsum over the stack."""
+    rng = np.random.default_rng(60 + n)
+    pot = _random_potential(n, rng)
+    points = rng.uniform(-0.8, 0.8, size=(20, n))
+    flip = np.fliplr(np.eye(n))
+    d3 = pot._third_derivatives_at(points)
+    left = np.einsum("pijq,qr,pklr->pijkl", d3, flip, d3)
+    want = np.max(np.abs(left - left.transpose(0, 3, 2, 1, 4)))
+    got = wdvv_check(pot, points).residuals["associativity"]
+    assert n == 2 or want > 1e-3  # two flat directions are always associative
+    assert abs(got - want) <= 1e-13 * max(1.0, want)
+
+
+def test_third_derivatives_do_not_depend_on_term_order():
+    rng = np.random.default_rng(61)
+    for n in range(2, 7):
+        pot = _random_potential(n, rng)
+        points = rng.uniform(-0.8, 0.8, size=(10, n))
+        items = list(pot.terms.items())
+        for order in (rng.permutation(len(items)), range(len(items) - 1, -1, -1)):
+            shuffled = PotentialPoly(n, dict(items[k] for k in order))
+            assert list(shuffled.terms) != list(pot.terms)
+            assert np.array_equal(shuffled._third_derivatives_at(points),
+                                  pot._third_derivatives_at(points))
 
 
 def structure_gradient_residual(chart, tol=None):
