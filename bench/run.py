@@ -31,10 +31,13 @@ writer (``report_writer_<command>``: ``cli._dumps`` on the report of the
 subcommand's run on the model).  It also times every CLI
 subcommand end to end, in process, with its output discarded.
 
-Each cell repeats its call for BUDGET_S seconds (at least three calls, at
-most 200) and runs the fixed reference computation of
-``perfbench/calibration.py`` after every call.  The JSON records, per cell,
-the call count and the median and minimum wall times, and the median
+Each cell calls its function in batches, the smallest of 1, 2, 4, ...
+calls that spans at least SAMPLE_S seconds (the batches that find it are
+not kept, and warm the cell up), so that a cell of a few microseconds is
+not read off the timer's noise.  It takes batches for BUDGET_S seconds (at least three, at most 200) and runs
+the fixed reference computation of ``perfbench/calibration.py`` after every
+batch.  The JSON records, per cell, the call count, the batch size and the
+median and minimum wall times per call over the batches, and the median
 rescaled to the reference machine speed the way perfbench rescales its job
 times, and ``src_lines`` records the size of the package source as
 ``wc -l src/lgcardy/*.py`` counts it.  BLAS threads are capped, and the
@@ -73,13 +76,14 @@ from lgcardy.landau_ginzburg import _critical_data  # noqa: E402
 from lgcardy.polycore import _Failures  # noqa: E402
 from lgcardy.cardy import _cardy_checks, _coordinate_route, _trace_route  # noqa: E402
 from lgcardy.frobenius import _worst  # noqa: E402
-from lgcardy.moduli import _chart_on  # noqa: E402
+from lgcardy.moduli import _chart_on, _reversion_table  # noqa: E402
 from lgcardy.tensor_series import _conditions  # noqa: E402
 
 SIZES = (2, 3, 4, 6, 8)
 BUDGET_S = 0.3
-MIN_CALLS = 3
-MAX_CALLS = 200
+SAMPLE_S = 1e-3
+MIN_SAMPLES = 3
+MAX_SAMPLES = 200
 BUNDLE_SAMPLE_POINTS = 10
 # stack sizes of the critical-data cells: the sweep's sample points and the
 # draws of one potential fit
@@ -124,18 +128,29 @@ def sweep_cardy_pair(model):
     return cf
 
 
+def time_batch(fn, batch):
+    """Wall seconds of ``batch`` calls of ``fn``."""
+    t = time.perf_counter()
+    for _ in range(batch):
+        fn()
+    return time.perf_counter() - t
+
+
 def time_call(fn):
-    """Call ``fn`` repeatedly; returns the cell's timing record."""
+    """Call ``fn`` in batches that span at least SAMPLE_S each; returns the
+    cell's timing record, per call."""
+    batch = 1
+    while time_batch(fn, batch) < SAMPLE_S:
+        batch *= 2
     times, refs = [], []
     start = time.perf_counter()
-    while len(times) < MIN_CALLS or (time.perf_counter() - start < BUDGET_S
-                                     and len(times) < MAX_CALLS):
-        t = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t)
+    while len(times) < MIN_SAMPLES or (time.perf_counter() - start < BUDGET_S
+                                       and len(times) < MAX_SAMPLES):
+        times.append(time_batch(fn, batch) / batch)
         refs.append(calibration.reference_seconds())
     return {
-        "calls": len(times),
+        "calls": batch * len(times),
+        "batch": batch,
         "median_ms": 1e3 * statistics.median(times),
         "min_ms": 1e3 * min(times),
         "median_rescaled_ms": 1e3 * statistics.median(calibration.rescale(times, refs)),
@@ -252,7 +267,7 @@ def main(argv=None):
     }
     for n in SIZES:
         model = seeded_model(n)
-        lib.reversion_polynomials(n)  # the per-process cache every chart reads
+        _reversion_table(n)  # the per-process cache every chart reads
         for name, fn in layers(model).items():
             cell = time_call(fn)
             result["layers"].setdefault(name, {})[str(n)] = cell

@@ -36,6 +36,7 @@ from .polycore import (
     ToleranceConfig,
     _Failures,
     _degenerate,
+    _read_only,
     poly_eval,
 )
 from .frobenius import (
@@ -258,7 +259,7 @@ def _assembled_layout(n, t_degree, blocks):
     are every bulk triple in product order (the bump words (0, 0, 1) and
     (0, 1, 0) at positions 1 and n), every ordering of those orders, the
     quadratic pairs, the Gram and cubic entries of each block in turn, and
-    the transfer."""
+    the transfer.  The arrays are read-only."""
     ansatz = _ansatz(n) if t_degree > 4 else np.zeros((0, n), dtype=int)
     exps, recentring = _recentring(ansatz, 4, t_degree)
     # each order is spread over its distinct orderings
@@ -271,8 +272,9 @@ def _assembled_layout(n, t_degree, blocks):
     keys += [((), (u, v)) for row in rows for u in row for v in row]
     keys += [((), (u, v, w)) for row in rows for u in row for v in row for w in row]
     keys += [((k,), (u,)) for k in range(n) for u in range(sum(map(len, rows)))]
-    return (tuple(keys), ansatz, recentring, np.array(list(map(len, orders)), dtype=np.intp),
-            _layout(n, sum(map(len, rows)), t_degree, keys))
+    counts = np.array(list(map(len, orders)), dtype=np.intp)
+    return (tuple(keys),) + _read_only((ansatz, recentring, counts,
+                                        _layout(n, sum(map(len, rows)), t_degree, keys)))
 
 
 def _assemble(model, chart, cf, t_degree, tol):
@@ -425,20 +427,22 @@ class BundleReport:
     """Two-route verdict for one model.
 
     ``conditions`` holds the seven series conditions, ``pointwise`` the
-    pointwise algebra facts and ``frame`` the frame pairing drift (empty
-    under ``paper_scale``, whose drift is documented, not judged).  The
-    model passes when all three reports pass and the routes agree.
+    pointwise algebra facts at the base point and ``sample_points`` others,
+    and ``frame`` the frame pairing drift (empty under ``paper_scale``,
+    whose drift is documented, not judged).  The model passes when all
+    three reports pass and the routes agree.
     ``worst_sample`` maps each pointwise fact and margin to the point
     that gave its worst value: 0 is the base point, k the k-th sample
     point; a NaN counts as worst, and a tie within about 128 ulps of the
     worst value goes to the first point (``frobenius._worst_row``).
+    ``to_dict`` is the verdict block of the CLI's ``bundle`` report: the
+    rows of the three reports, the frame and sample data, and ``passed``.
     """
 
     n: int
-    a: tuple
-    t_degree: int
     corruption: object
     paper_scale: bool
+    sample_points: int
     conditions: object
     pointwise: object
     frame: object
@@ -487,23 +491,12 @@ class BundleReport:
         return "\n".join(lines)
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "a": complex_to_json(self.a),
-            "t_degree": self.t_degree,
-            "corruption": self.corruption,
-            "paper_scale": self.paper_scale,
-            "routes_agree": self.routes_agree,
-            "series_passed": self.series_passed,
-            "pointwise_passed": self.pointwise_passed,
-            "frame_drift": self.frame_drift,
-            "frame_scale_spread": self.frame_scale_spread,
-            "frame_scales": complex_to_json(self.frame_scales),
-            "conditions": self.conditions.to_dict(),
-            "pointwise": self.pointwise.to_dict(),
-            "frame": self.frame.to_dict(),
-            "worst_sample": dict(self.worst_sample),
-        }
+        residuals, margins = self.entries()
+        data = {"routes_agree": self.routes_agree, "frame_scale_spread": self.frame_scale_spread,
+                "frame_scales": complex_to_json(self.frame_scales),
+                "sample_points": self.sample_points, "frame_drift": self.frame_drift,
+                "worst_sample": dict(self.worst_sample)}
+        return {"residuals": residuals, "margins": margins, "data": data, "passed": self.passed}
 
 
 def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
@@ -577,10 +570,9 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
                                    {} if paper_scale else {"frame_drift": drift})
     return BundleReport(
         n=n,
-        a=model.p.a,
-        t_degree=t_degree,
         corruption=corruption,
         paper_scale=paper_scale,
+        sample_points=sample_points,
         conditions=conditions,
         pointwise=pointwise,
         frame=frame_rep,

@@ -11,10 +11,11 @@ wdvv       associativity residuals of the reconstructed potential
 ext-wdvv   the seven-condition check on a stored or assembled series
 bundle     two-route verification of the boundary bundle at one model
 
-Reports are a single JSON document whose "residuals" and "margins"
-arrays hold {name, value, tol, pass} rows: the rows of the library
-reports behind the command, each report's rows sorted by name, exactly
-as VerificationReport.entries() and to_dict() give them.  A residual,
+A report is a single JSON document: the to_dict() block of the library
+report behind the command ("residuals" and "margins" arrays of {name,
+value, tol, pass} rows, each sub-report's rows sorted by name, "data"
+and "passed") with the command, its config, "skipped", the command's
+own data after the report's, and a timestamp.  A residual,
 the largest |entry| of its check's defect arrays (NaN if any entry is,
 0 if none), passes at or below its tolerance, a margin above it, a NaN never.
 bundle lists the series conditions (condition_*), the pointwise facts
@@ -50,7 +51,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .polycore import DegenerateModelError, ToleranceConfig
+from .polycore import ToleranceConfig
 from .frobenius import VerificationReport, _worst, complex_to_json
 from .cardy import verify_cardy_frobenius
 from .landau_ginzburg import build_quaternion_model, model_from_dict, model_to_dict
@@ -146,23 +147,15 @@ def _config_echo(c):
     return echo
 
 
-def _report(config, reports, data=None, skipped=None):
-    """The JSON report of a command: the rows of its library reports,
-    concatenated, and their verdict."""
-    residuals, margins = [], []
-    for rep in reports:
-        rows, margin_rows = rep.entries()
-        residuals += rows
-        margins += margin_rows
-    return {
-        "command": config.command,
-        "config": _config_echo(config),
-        "residuals": residuals,
-        "margins": margins,
-        "skipped": list(skipped or []),
-        "data": dict(data or {}),
-        "passed": all(rep.passed for rep in reports),
-    }
+def _report(config, report, data=None, skipped=None):
+    """The JSON report of a command: the verdict block of its library
+    report (an empty one for None) with the command's own data after the
+    report's, and the command, its config and the skipped suites."""
+    block = (VerificationReport(config.command, 0.0) if report is None else report).to_dict()
+    return {"command": config.command, "config": _config_echo(config),
+            "residuals": block["residuals"], "margins": block["margins"],
+            "skipped": list(skipped or []), "data": {**block["data"], **(data or {})},
+            "passed": block["passed"]}
 
 
 def _model_from_config(c):
@@ -199,14 +192,14 @@ def cmd_build(c):
         data["model_written_to"] = c.output
     else:
         data["model"] = model_to_dict(model)
-    return _report(c, [rep], data=data)
+    return _report(c, rep, data=data)
 
 
 def cmd_verify_cf(c):
     model = _model_from_config(c)
     rep = verify_cardy_frobenius(model.cf, tol=c.tolerances())
     data = {"mu": complex_to_json(model.closed.mu), "rho": complex_to_json(model.rho)}
-    return _report(c, [rep], data=data)
+    return _report(c, rep, data=data)
 
 
 def cmd_chart(c):
@@ -227,7 +220,7 @@ def cmd_chart(c):
         "t": complex_to_json(chart.t[::step]),
         "tangents": [complex_to_json(tan) for tan in chart.tangents[::step]],
     }
-    return _report(c, [rep], data=data)
+    return _report(c, rep, data=data)
 
 
 def cmd_potential(c):
@@ -252,7 +245,7 @@ def cmd_potential(c):
         quartic = pot.terms[exps]
         data["quartic_coefficient"] = complex_to_json(quartic)
         data["quartic_ratio_to_one_over_24"] = complex_to_json(quartic * 24.0)
-    return _report(c, [rep], data=data)
+    return _report(c, rep, data=data)
 
 
 def cmd_wdvv(c):
@@ -266,7 +259,7 @@ def cmd_wdvv(c):
                 "and the unit direction carries the documented scale factor",
             }
         ]
-        return _report(c, [], skipped=skipped)
+        return _report(c, None, skipped=skipped)
     tol = c.tolerances()
     pot, fit = reconstruct_potential(c.n, tol=tol, seed=c.seed)
     count = c.samples if c.samples is not None else 20
@@ -278,7 +271,7 @@ def cmd_wdvv(c):
     wdvv_tol = ToleranceConfig(eq_tol=c.tol if c.tol is not None else 1e-7)
     rep = wdvv_check(pot, points, tol=wdvv_tol)
     rep.residuals["fit_residual"] = fit
-    return _report(c, [rep], data={"check_points": int(count)})
+    return _report(c, rep, data={"check_points": int(count)})
 
 
 def cmd_ext_wdvv(c):
@@ -288,36 +281,21 @@ def cmd_ext_wdvv(c):
         # the assembled coefficients on the cached layout, as verify_bundle checks them
         _, layout, coeffs = _assemble(model, _chart_on(model.closed), model.cf, c.t_degree, tol)
         source = {"assembled_from": _config_echo(c)["a"], "t_degree": c.t_degree}
-        return _report(c, [_conditions(layout, coeffs, tol)], data=source)
+        return _report(c, _conditions(layout, coeffs, tol), data=source)
     raw = _load_json(c.input)
     try:
         series = series_from_dict(raw)
     except (KeyError, TypeError, ValueError) as exc:
         raise CLIError("bad series file %s: %s" % (c.input, exc))
-    return _report(c, [ext_wdvv_check(series, tol=tol)], data={"series_file": c.input})
+    return _report(c, ext_wdvv_check(series, tol=tol), data={"series_file": c.input})
 
 
 def cmd_bundle(c):
     model = _model_from_config(c)
     points = c.samples if c.samples is not None else 10
-    rep = verify_bundle(
-        model,
-        t_degree=c.t_degree,
-        sample_points=points,
-        tol=c.tolerances(),
-        paper_scale=c.paper_scale,
-        seed=c.seed,
-    )
     # under --paper-scale the drift is documented behaviour: data, not a row
-    data = {
-        "routes_agree": bool(rep.routes_agree),
-        "frame_scale_spread": rep.frame_scale_spread,
-        "frame_scales": complex_to_json(rep.frame_scales),
-        "sample_points": int(points),
-        "frame_drift": rep.frame_drift,
-        "worst_sample": dict(rep.worst_sample),
-    }
-    return _report(c, [rep], data=data)
+    return _report(c, verify_bundle(model, t_degree=c.t_degree, sample_points=points,
+                                    tol=c.tolerances(), paper_scale=c.paper_scale, seed=c.seed))
 
 
 COMMANDS = {
@@ -496,11 +474,9 @@ def main(argv=None):
     except (CLIError, UnderdeterminedFitError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except DegenerateModelError as exc:
-        print("error: degenerate model: %s" % exc, file=sys.stderr)
-        return 3
     except ValueError as exc:
-        # degeneracies surfacing mid-run (singular forms, bad branches)
+        # a DegenerateModelError, or a degeneracy surfacing mid-run
+        # (singular forms, bad branches)
         print("error: degenerate model: %s" % exc, file=sys.stderr)
         return 3
     _emit(report, config)

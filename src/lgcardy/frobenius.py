@@ -60,11 +60,12 @@ def complex_to_json(x):
 
 
 def json_to_complex(obj):
-    """Inverse of complex_to_json."""
-    arr = np.asarray(obj, dtype=float)
-    if arr.shape[-1] != 2:
+    """Inverse of complex_to_json, bit for bit; refuses anything but numbers
+    in trailing [re, im] pairs with ValueError."""
+    arr = np.asarray(obj)
+    if arr.dtype.kind not in "biuf" or arr.shape[-1:] != (2,):
         raise ValueError("expected trailing [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
 
 
 def _block_slices(blocks, dim):
@@ -284,14 +285,11 @@ class VerificationReport:
         return "\n".join(lines)
 
     def to_dict(self):
+        """The verdict block of a CLI report: the rows of ``entries``, no
+        ``data`` and ``passed``."""
         residuals, margins = self.entries()
-        return {
-            "subject": self.subject,
-            "tol": self.tol,
-            "passed": self.passed,
-            "residuals": residuals,
-            "margins": margins,
-        }
+        return {"residuals": residuals, "margins": margins, "data": {},
+                "passed": all(row["pass"] for row in residuals + margins)}
 
 
 def _worst(defects, axis=None):

@@ -31,6 +31,7 @@ from .polycore import (
     _critical_stack,
     _Failures,
     _lagrange_rows,
+    _read_only,
     _residues,
 )
 from .frobenius import (
@@ -38,6 +39,7 @@ from .frobenius import (
     FrobeniusPair,
     _quaternion_table,
     complex_to_json,
+    json_to_complex,
 )
 from .cardy import CardyFrobeniusAlgebra, cf_to_dict, pair_to_dict
 
@@ -230,9 +232,7 @@ def _quaternion_blocks(n):
     stack_a = (points, np.ones((n, 1, 1, 1), dtype=complex))
     stack_b = (4 * points + np.arange(4), np.repeat(_quaternion_table()[None], n, axis=0))
     units = (np.ones(n, dtype=complex), np.tile(np.eye(1, 4, dtype=complex)[0], n))
-    for array in (*stack_a, *stack_b, *units):
-        array.flags.writeable = False
-    return stack_a, units[0], stack_b, units[1]
+    return _read_only((stack_a, units[0], stack_b, units[1]))
 
 
 def model_to_dict(model):
@@ -252,7 +252,7 @@ def model_to_dict(model):
 
 def model_from_dict(data, tol=None):
     """Rebuild a model from its JSON payload (recomputed from n, a)."""
-    a = [complex(re, im) for re, im in data["a"]]
+    a = json_to_complex(data["a"]).tolist()
     return build_quaternion_model(
         n=data["n"], a=a, branch=data.get("branch"), tol=tol
     )

@@ -28,10 +28,11 @@ from .polycore import (
     ToleranceConfig,
     _Failures,
     _degenerate,
+    _read_only,
     _weighted_exponents,
     reversion_polynomials,
 )
-from .frobenius import VerificationReport, _worst, complex_to_json
+from .frobenius import VerificationReport, _worst, complex_to_json, json_to_complex
 from .landau_ginzburg import (
     LGClosedAlgebra,
     _closed_algebra,
@@ -78,8 +79,8 @@ def _taylor_factors(e, k):
 @functools.lru_cache(maxsize=None)
 def _reversion_table(n):
     """The n reversion polynomials of order n and their n^2 first derivatives
-    as one linear map on monomials, formed once per n: ``exponents[m]`` is
-    the m-th monomial of a_1..a_n and ``coeffs[m, j]`` its coefficient in the
+    as one linear map on monomials, read-only, formed once per n: ``exponents[m]``
+    is the m-th monomial of a_1..a_n and ``coeffs[m, j]`` its coefficient in the
     j-th polynomial, t~^(j+1) for j < n, d t~^(i+1) / d a_(k+1) for j = n + n i + k."""
     polys = reversion_polynomials(n)
     e = np.array(sorted({x for q in polys for x in q}), dtype=int).reshape(-1, n)
@@ -91,7 +92,7 @@ def _reversion_table(n):
     coeffs = np.zeros((len(row), n + n * n), dtype=complex)
     coeffs[rows[:len(e)], :n] = c
     coeffs[rows[len(e):, None], n + n * np.arange(n) + k[:, None]] = factors[:, None] * c[m]
-    return np.array(list(row), dtype=int).reshape(-1, n), coeffs
+    return _read_only((np.array(list(row), dtype=int).reshape(-1, n), coeffs))
 
 
 def _flat_mixing_matrix(n):
@@ -359,13 +360,13 @@ def _sample_stack(n, count, seed, tol, scale):
 @functools.lru_cache(maxsize=None)
 def _sorted_triples(n):
     """The triples i <= j <= k in lexicographic order, (T, 3), and the
-    (n, n, n) array of the position there of every sorted (i, j, k)."""
+    (n, n, n) array of the position there of every sorted (i, j, k), read-only."""
     i, j, k = np.indices((n, n, n))
     is_sorted = (i <= j) & (j <= k)
     rank = np.cumsum(is_sorted).reshape(n, n, n) - 1
     low = np.minimum(np.minimum(i, j), k)
     high = np.maximum(np.maximum(i, j), k)
-    return np.argwhere(is_sorted), rank[low, i + j + k - low - high, high]
+    return _read_only((np.argwhere(is_sorted), rank[low, i + j + k - low - high, high]))
 
 
 def _third_derivative_basis(exponents, points):
@@ -490,8 +491,6 @@ def potential_from_dict(data):
     ``"index_reversal": true`` (as ``lgcardy potential --index-reversal``
     writes it) has its exponent tuples read back into the natural labels."""
     step = -1 if data.get("index_reversal", False) else 1
-    terms = {}
-    for row in data["monomials"]:
-        coeff = row["coeff"]
-        terms[tuple(row["exponents"][::step])] = complex(coeff[0], coeff[1])
-    return PotentialPoly(int(data["n"]), terms)
+    return PotentialPoly(int(data["n"]), {tuple(row["exponents"][::step]):
+                                          complex(json_to_complex(row["coeff"]))
+                                          for row in data["monomials"]})

@@ -21,7 +21,6 @@ coefficient of ``z**k``.  The module provides
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -149,6 +148,17 @@ class _Failures:
 def _degenerate(message):
     """The error of ``_Failures.flag`` for a point refused as degenerate."""
     return lambda s: DegenerateModelError(message)
+
+
+def _read_only(value):
+    """``value`` with every array in it, through nested tuples and lists,
+    made read-only: a cache shares them, so an edit in place must raise."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _read_only(item)
+    return value
 
 
 def critical_points(p, tol=None):
@@ -300,7 +310,6 @@ def _weighted_exponents(weights, total):
             for rest in _weighted_exponents(weights[1:], total - m * weights[0])]
 
 
-@functools.lru_cache(maxsize=None)
 def reversion_polynomials(n, order=None):
     """Reversion coefficients of ``w**(n+1) = p(z)`` at infinity as
     polynomials in a_1..a_n.
@@ -309,7 +318,7 @@ def reversion_polynomials(n, order=None):
     variables giving tt_k, the coefficient of w**(-k) in the inverse
     branch z(w) = w + sum_k tt_k w**(-k).
     Defaults to ``order = n`` terms, which is what the flat chart
-    consumes.  Cached per (n, order).
+    consumes.
 
     By the Lagrange inversion formula tt_k = -(1/k) [z**-1] p**(k/(n+1))
     (Dubrovin, hep-th/9407018, Lecture 4).  The binomial series of

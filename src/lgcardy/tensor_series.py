@@ -53,7 +53,8 @@ from math import comb
 import numpy as np
 
 from .polycore import ToleranceConfig
-from .frobenius import VerificationReport, _worst, nondegeneracy_margin
+from .frobenius import (VerificationReport, _worst, complex_to_json, json_to_complex,
+                        nondegeneracy_margin)
 
 __all__ = [
     "TensorSeries",
@@ -355,8 +356,8 @@ def _conditions(layout, coeffs, tol=None):
 
 def series_to_dict(series):
     """JSON payload; word letters are one based in the file format."""
-    terms = [{"t": [i + 1 for i in tw], "s": [j + 1 for j in sw], "coeff": [c.real, c.imag]}
-             for (tw, sw), c in ((key, complex(c)) for key, c in sorted(series.terms.items()))]
+    terms = [{"t": [i + 1 for i in tw], "s": [j + 1 for j in sw], "coeff": complex_to_json(c)}
+             for (tw, sw), c in sorted(series.terms.items())]
     return {"n": series.n, "m": series.m, "truncation": series.truncation, "terms": terms}
 
 
@@ -369,14 +370,13 @@ def series_from_dict(data):
         if getattr(out, name) < 0:
             raise ValueError("negative %s" % name)
     for row in data["terms"]:
-        re, im = row["coeff"]
+        coeff = complex(json_to_complex(row["coeff"]))
         tw = tuple(int(i) - 1 for i in row["t"])
         sw = tuple(int(j) - 1 for j in row["s"])
         if any(i < 0 or i >= n for i in tw) or any(j < 0 or j >= m for j in sw):
             raise ValueError("series letter out of range")
         if len(tw) + len(sw) > out.truncation:
             raise ValueError("term longer than truncation")
-        coeff = complex(re, im)
         if not np.isfinite(coeff):
             raise ValueError("non-finite coefficient %r" % coeff)
         out.add_term(tw, sw, coeff)

@@ -317,9 +317,10 @@ def test_report_round_trips_to_json(model):
     rep = verify_bundle(model, sample_points=1)
     blob = json.dumps(rep.to_dict())
     data = json.loads(blob)
-    assert data["routes_agree"] is True
-    assert "condition_7" in {row["name"] for row in data["conditions"]["residuals"]}
-    assert len(data["frame_scales"]) == 2
+    assert list(data) == ["residuals", "margins", "data", "passed"]
+    assert data["data"]["routes_agree"] is True and data["passed"] is True
+    assert "condition_7" in {row["name"] for row in data["residuals"]}
+    assert len(data["data"]["frame_scales"]) == 2
 
 
 def test_nan_at_one_sample_point_fails_pointwise_route(model, monkeypatch):

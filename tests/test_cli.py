@@ -11,9 +11,10 @@ from lgcardy import cli
 from lgcardy.bundle import assemble_potential, corrupt_model, verify_bundle
 from lgcardy.cli import main, parse_branch, parse_complex_list
 from lgcardy.landau_ginzburg import build_closed, build_quaternion_model, model_to_dict
-from lgcardy.moduli import potential_from_dict, wdvv_check
+from lgcardy.cardy import verify_cardy_frobenius
+from lgcardy.moduli import potential_from_dict, reconstruct_potential, wdvv_check
 from lgcardy.polycore import DegenerateModelError, ToleranceConfig
-from lgcardy.tensor_series import series_to_dict
+from lgcardy.tensor_series import ext_wdvv_check, series_to_dict
 
 FROZEN = ["--n", "2", "--a", "-3,0 0,0"]
 
@@ -417,6 +418,49 @@ def test_bundle_exit_code_is_the_library_verdict(capsys, extra):
     residuals, margins = rep.entries()
     report = json.loads(out)
     assert report["residuals"] == residuals and report["margins"] == margins
+
+
+def _frozen_model():
+    return build_quaternion_model(n=2, a=(-3.0, 0.0))
+
+
+def _wdvv_report():
+    """wdvv --n 2 --samples 3: the check points drawn from --seed, the fit
+    residual joined to the associativity rows, judged at 1e-7."""
+    potential, fit = reconstruct_potential(2, seed=42)
+    points = np.random.default_rng(42).uniform(-0.8, 0.8, size=(3, 2))
+    rep = wdvv_check(potential, points, tol=ToleranceConfig(eq_tol=1e-7))
+    rep.residuals["fit_residual"] = fit
+    return rep
+
+
+# each CLI run beside the library call on the same inputs
+SCHEMA_CASES = {
+    "verify-cf": (["verify-cf"] + FROZEN, lambda: verify_cardy_frobenius(_frozen_model().cf)),
+    "wdvv": (["wdvv", "--n", "2", "--samples", "3"], _wdvv_report),
+    "ext-wdvv": (["ext-wdvv"] + FROZEN,
+                 lambda: ext_wdvv_check(assemble_potential(_frozen_model()))),
+    "bundle": (["bundle"] + FROZEN, lambda: verify_bundle(_frozen_model(), seed=42)),
+    "bundle --paper-scale": (["bundle", "--paper-scale"] + FROZEN,
+                             lambda: verify_bundle(_frozen_model(), paper_scale=True, seed=42)),
+    "bundle --samples 0": (["bundle", "--samples", "0"] + FROZEN,
+                           lambda: verify_bundle(_frozen_model(), sample_points=0, seed=42)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_CASES))
+def test_cli_report_is_the_library_verdict_block(capsys, case):
+    argv, library = SCHEMA_CASES[case]
+    _, out = _run(capsys, argv)
+    report = json.loads(out)
+    block = json.loads(json.dumps(library().to_dict()))
+    assert list(block) == ["residuals", "margins", "data", "passed"]
+    for key in ("residuals", "margins", "passed"):
+        assert report[key] == block[key], key
+    # the report's data leads, the command's own follows
+    leading = list(report["data"])[:len(block["data"])]
+    assert leading == list(block["data"])
+    assert {key: report["data"][key] for key in leading} == block["data"]
 
 
 def test_wdvv_tol_reaches_the_library_report(capsys, monkeypatch):

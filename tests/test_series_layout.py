@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from lgcardy import bundle as bd
+from lgcardy import landau_ginzburg, moduli
 from lgcardy import tensor_series as ts
 from lgcardy.bundle import CORRUPTIONS, assemble_potential, corrupt_model, verify_bundle
 from lgcardy.cli import RunConfig, run
@@ -184,6 +185,32 @@ def test_cached_layout_holds_integers_only():
             else:
                 assert type(leaf) is int, type(leaf)
     assert bd._assembled_layout.cache_info().misses == 3
+
+
+# the per-process caches that hand out arrays, one call each
+ARRAY_CACHES = {
+    "_assembled_layout": lambda: bd._assembled_layout(2, 5, (((0, 1, 2, 3), (4, 5, 6, 7)),)),
+    "_quaternion_blocks": lambda: landau_ginzburg._quaternion_blocks(3),
+    "_reversion_table": lambda: moduli._reversion_table(3),
+    "_sorted_triples": lambda: moduli._sorted_triples(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_CACHES))
+def test_cached_arrays_refuse_an_edit_in_place(name):
+    value = ARRAY_CACHES[name]()
+    assert ARRAY_CACHES[name]() is value  # every caller shares one value
+    arrays = [leaf for leaf in _leaves(value) if isinstance(leaf, np.ndarray)]
+    assert arrays
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def test_cached_potential_holds_no_array():
+    # the fifth per-process cache: a potential of Python complex values
+    terms = _cached_potential(2, ToleranceConfig().root_sep_tol).terms
+    assert all(type(c) is complex for c in terms.values())
 
 
 def _shift_terms(terms, center):
