@@ -15,37 +15,36 @@ from lgcardy import (
     PREDICTED_CONDITION,
     assemble_potential,
     build_quaternion_model,
-    bundle_tensors,
     ext_wdvv_check,
-    flat_s_frame,
     verify_bundle,
 )
 
 model = build_quaternion_model(n=2, a=(-3.0, 0.0))
 
 # ----------------- frames near the base point -----------------
-# flat_s_frame matches critical points by proximity, continues the
-# branch signs, and reports how far the boundary Gram matrix moved.
-rng = np.random.default_rng(1)
-base = np.asarray(model.closed.p.a, dtype=complex)
-for k in range(3):
-    step = rng.normal(size=2) + 1j * rng.normal(size=2)
-    q = tuple(base + 1e-2 * step / np.linalg.norm(step))
-    frame = flat_s_frame(model, q)
-    literal = flat_s_frame(model, q, paper_scale=True)
-    print("point %d: sqrt-scale drift %.3e, literal-scale drift %.3e"
-          % (k, frame.drift, literal.drift))
+# verify_bundle continues the frame to its sample points: it matches
+# critical points by proximity, continues the branch signs, and reports
+# how far the boundary Gram matrix moved over the sweep.
+for paper_scale in (False, True):
+    rep = verify_bundle(model, t_degree=4, sample_points=10, paper_scale=paper_scale)
+    print("%s scale: frame drift %.3e, scale spread %.3e"
+          % ("literal" if paper_scale else "sqrt", rep.frame_drift, rep.frame_scale_spread))
 
 # The sqrt scale keeps the form constant to machine precision; the
 # literal ratio scale does not, and the drift above measures by how much.
 
-# ----------------- constant tensors of the series -----------------
-tensors = bundle_tensors(model)
-print("\nboundary cubic, block 0 unit entry:", np.round(tensors.cB[0, 0, 0], 12))
-print("transfer row for the z-direction:", np.round(tensors.cAB[1], 12))
-
-# ----------------- the assembled series and its conditions -----------------
+# ----------------- constant blocks of the series -----------------
+# The mixed block is the transfer 2 rho_i T_k(x_i) on the unit of block i;
+# the cubic boundary block is the triple pairing l((f_u f_v) f_w) / 3.
 series = assemble_potential(model, t_degree=4)
+print("\nrho:", np.round(model.rho, 12))
+for k in range(model.n):
+    row = [series.coefficient((k,), (u,)) for u in range(series.m)]
+    print("mixed row t%d:" % (k + 1), np.round(row, 12))
+print("cubic, block 0 unit entry:", np.round(series.coefficient((), (0, 0, 0)), 12))
+print("cubic, block 0 (I, J, K):", np.round(series.coefficient((), (1, 2, 3)), 12))
+
+# ----------------- the seven conditions on the series -----------------
 report = ext_wdvv_check(series)
 print("\n" + report.summary())
 

@@ -63,12 +63,8 @@ from .bundle import (
     CORRUPTIONS,
     PREDICTED_CONDITION,
     BundleReport,
-    BundleTensors,
-    FrameData,
     assemble_potential,
-    bundle_tensors,
     corrupt_model,
-    flat_s_frame,
     verify_bundle,
 )
 
@@ -117,12 +113,8 @@ __all__ = [
     "CORRUPTIONS",
     "PREDICTED_CONDITION",
     "BundleReport",
-    "BundleTensors",
-    "FrameData",
     "assemble_potential",
-    "bundle_tensors",
     "corrupt_model",
-    "flat_s_frame",
     "verify_bundle",
     "__version__",
 ]

@@ -31,14 +31,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .polycore import (
-    LGPolynomial,
-    ToleranceConfig,
-    _Failures,
-    _degenerate,
-    _read_only,
-    poly_eval,
-)
+from .polycore import ToleranceConfig, _Failures, _degenerate, _read_only, poly_eval
 from .frobenius import (
     FiniteAlgebra,
     FrobeniusPair,
@@ -49,11 +42,9 @@ from .frobenius import (
     _worst,
     _worst_row,
     complex_to_json,
-    orthogonal_sum_list,
-    quaternion_pair,
 )
 from .cardy import CardyFrobeniusAlgebra, _cardy_checks
-from .landau_ginzburg import LGClosedAlgebra, _critical_data, _quaternion_cf, build_closed
+from .landau_ginzburg import _critical_data, _quaternion_cf
 from .moduli import (
     _ansatz,
     _cached_potential,
@@ -68,11 +59,7 @@ from .tensor_series import TensorSeries, _conditions, _layout
 __all__ = [
     "CORRUPTIONS",
     "PREDICTED_CONDITION",
-    "FrameData",
-    "BundleTensors",
     "BundleReport",
-    "flat_s_frame",
-    "bundle_tensors",
     "assemble_potential",
     "corrupt_model",
     "verify_bundle",
@@ -106,44 +93,6 @@ PREDICTED_CONDITION = {
 FRAME_DRIFT_TOL = 1e-8
 
 
-@dataclass
-class FrameData:
-    """Continued boundary frame at one nearby polynomial.
-
-    ``closed`` is the closed algebra of that polynomial, in its own root
-    order; ``roots`` and ``mu`` are matched to the base point.  ``drift``
-    is the largest entry, in absolute value, of the frame's boundary
-    Gram matrix minus the base one.
-    """
-
-    closed: LGClosedAlgebra
-    roots: np.ndarray
-    mu: np.ndarray
-    rho: np.ndarray
-    scales: np.ndarray
-    drift: float
-
-
-def flat_s_frame(model, q, tol=None, paper_scale=False):
-    """Continue the boundary frame from the base model to a nearby point.
-
-    ``q`` is the target polynomial, given either as an LGPolynomial or
-    as its deformation coefficients.  Critical points are matched to the
-    base point by nearest neighbour (an ambiguous match raises
-    DegenerateModelError) and the square roots rho keep the sign
-    closest to the base values.
-    """
-    tol = tol or ToleranceConfig()
-    p = q if isinstance(q, LGPolynomial) else LGPolynomial(model.n, tuple(q))
-    closed_q = build_closed(p=p, tol=tol)
-    failures = _Failures(1)
-    frames = _continue_frames(model, closed_q.roots[None], closed_q.mu[None], tol, paper_scale,
-                              failures)
-    failures.raise_first()
-    roots, mu, rho, scales, drift = (x[0] for x in frames)
-    return FrameData(closed_q, roots, mu, rho, scales, float(drift))
-
-
 def _match_stack(roots, ref, sep_tol, failures):
     """Index of the root nearest each reference root, demanded bijective,
     for each row of ``roots`` (S, n) against the one reference ``ref``.
@@ -166,11 +115,11 @@ def _match_stack(roots, ref, sep_tol, failures):
 
 
 def _continue_frames(model, roots, mu, tol, paper_scale, failures):
-    """flat_s_frame from the critical points and weights of a stack of
-    nearby polynomials, each row in its own root order.  Returns the
-    matched roots, weights, rho, scales and the drift, each with a
-    leading (S,) axis; a row whose match is ambiguous is flagged in
-    ``failures``."""
+    """The frame continued from the base model to a stack of nearby
+    polynomials, given by their critical points and weights in their own
+    root order: roots matched by nearest neighbour (an ambiguous row is
+    flagged in ``failures``), rho signed nearest the base values.  Returns
+    the matched roots, weights, rho, scales and drift, each (S, ...)."""
     perm = _match_stack(roots, model.closed.roots, tol.root_sep_tol, failures)
     roots = np.take_along_axis(roots, perm, axis=1)
     mu = np.take_along_axis(mu, perm, axis=1)
@@ -186,21 +135,6 @@ def _continue_frames(model, roots, mu, tol, paper_scale, failures):
     return roots, mu, rho, scales, drift
 
 
-@dataclass
-class BundleTensors:
-    """Boundary structure tensors at one point, in the continued frame.
-
-    ``cB[u, v, w]`` pairs the product of two frame vectors against a
-    third; it is block diagonal and each block carries the quaternion
-    table scaled by the cube of the frame factor.  ``cAB[k, u]`` pairs
-    the image of a flat tangent direction against a frame vector and is
-    supported on the unit letter of each block.
-    """
-
-    cB: np.ndarray
-    cAB: np.ndarray
-
-
 def _cubic_blocks(pair, gram):
     """The triple pairing l((f_u f_v) f_w) = sum_q c[u, v, q] G[q, w] of a
     pair with Gram matrix G as one (index, cubes) per stack of blocks,
@@ -208,26 +142,6 @@ def _cubic_blocks(pair, gram):
     blocks, since a product of two basis vectors of one block stays there."""
     return [(index, (_matrices(c, 2) @ gram[index[:, :, None], index[:, None, :]]).reshape(c.shape))
             for index, c in pair.algebra.stacks]
-
-
-def bundle_tensors(model, q=None, tol=None):
-    """Structure tensors of the boundary sector at a nearby point.
-
-    ``q`` gives the deformation coefficients of the target polynomial
-    (default: the base point itself).  The tensors are expressed in the
-    transported frame vectors lambda_i V e_i.
-    """
-    n = model.n
-    frame = flat_s_frame(model, model.p.a if q is None else q, tol=tol)
-    m = 4 * n
-    boundary = orthogonal_sum_list([quaternion_pair(r) for r in frame.rho])
-    # the n quaternion blocks form one stack, in root order
-    (index, cubic), = _cubic_blocks(boundary, boundary.gram())
-    cb = _dense([(index, frame.scales[:, None, None, None] ** 3 * cubic)], m)
-    values = np.array([poly_eval(t, frame.roots) for t in _chart_on(frame.closed).tangents])
-    cab = np.zeros((n, m), dtype=complex)
-    cab[:, ::4] = values * (frame.scales * 2.0 * frame.rho)
-    return BundleTensors(cB=cb, cAB=cab)
 
 
 def assemble_potential(model, t_degree=4, tol=None, cf=None):

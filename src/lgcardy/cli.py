@@ -368,6 +368,9 @@ _READS = {
 }
 # what a model or series file fixes itself
 _FIXED_BY_INPUT = {"n", "a", "branch"}
+# the most classes a series check may hold: n = 8 at t_degree 6 holds 861
+# and peaks near 300 MB, n = 8 at t_degree 7 would hold 12,341
+MAX_SERIES_CLASSES = 1000
 
 
 def _refuse_unsupported(c):
@@ -392,6 +395,11 @@ def _refuse_unsupported(c):
     least = 4 if c.command == "bundle" else 3
     if c.t_degree < least:
         raise CLIError("--t-degree must be at least %d, got %d" % (least, c.t_degree))
+    # C(5n + w, w) classes of degree at most w = t_degree - 4 over 5n letters
+    classes = math.comb(5 * c.n + c.t_degree - 4, 5 * c.n) if c.n else 0
+    if classes > MAX_SERIES_CLASSES:
+        raise CLIError("--t-degree %d at n = %d needs %d series classes, more than %d"
+                       % (c.t_degree, c.n, classes, MAX_SERIES_CLASSES))
     if c.seed < 0:
         raise CLIError("--seed must not be negative, got %d" % c.seed)
     # potential and wdvv check nothing without a sample or check point

@@ -392,18 +392,10 @@ def matrix_pair(m, mu, name=None):
     mu = complex(mu)
     if mu == 0:
         raise ValueError("trace scale must be nonzero")
-    d = m * m
-    mul = np.zeros((d, d, d), dtype=complex)
-    for k in range(m):
-        for r in range(m):
-            for l in range(m):
-                for s in range(m):
-                    if r == l:
-                        mul[k * m + r, l * m + s, k * m + s] = 1.0
-    unit = np.zeros(d, dtype=complex)
-    for k in range(m):
-        unit[k * m + k] = 1.0
-    functional = mu * unit.copy()
+    d, e = m * m, np.eye(m, dtype=complex)
+    mul = np.einsum("kK,rl,sS->krlsKS", e, e, e).reshape(d, d, d)
+    unit = e.ravel()
+    functional = mu * unit
     labels = ["E%d%d" % (k + 1, r + 1) for k in range(m) for r in range(m)]
     return FrobeniusPair(
         FiniteAlgebra(mul, unit, labels=labels),

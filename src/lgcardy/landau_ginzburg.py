@@ -251,8 +251,12 @@ def model_to_dict(model):
 
 
 def model_from_dict(data, tol=None):
-    """Rebuild a model from its JSON payload (recomputed from n, a)."""
-    a = json_to_complex(data["a"]).tolist()
-    return build_quaternion_model(
-        n=data["n"], a=a, branch=data.get("branch"), tol=tol
-    )
+    """Rebuild a model from its JSON payload (recomputed from n, a); a field
+    of the wrong type or shape raises ValueError naming it."""
+    n, a = data["n"], np.asarray(data["a"], dtype=object)
+    if type(n) is not int or n < 1:  # int() would take 2.5, "2" and True
+        raise ValueError("n must be an integer of at least 1, got %r" % (n,))
+    if a.shape != (n, 2) or not all(type(x) in (int, float) for x in a.flat):
+        raise ValueError("a must be a list of n = %d [re, im] pairs of numbers" % n)
+    return build_quaternion_model(n=n, a=json_to_complex(a.astype(float)).tolist(),
+                                  branch=data.get("branch"), tol=tol)

@@ -10,15 +10,13 @@ from lgcardy.bundle import (
     CORRUPTIONS,
     PREDICTED_CONDITION,
     assemble_potential,
-    bundle_tensors,
     corrupt_model,
-    flat_s_frame,
     verify_bundle,
 )
 from lgcardy.cli import main
 from lgcardy.frobenius import FiniteAlgebra, FrobeniusPair, quaternion_pair
 from lgcardy.cardy import CardyFrobeniusAlgebra
-from lgcardy.landau_ginzburg import _quaternion_cf, build_quaternion_model
+from lgcardy.landau_ginzburg import _quaternion_cf, build_closed, build_quaternion_model
 from lgcardy.moduli import flat_chart
 from lgcardy.polycore import DegenerateModelError, ToleranceConfig, _Failures, poly_eval
 from lgcardy.tensor_series import ext_wdvv_check
@@ -33,56 +31,71 @@ def model():
     return build_quaternion_model(n=2, a=(-3.0, 0.0))
 
 
+def frame_at(model, a, tol=None, paper_scale=False):
+    """verify_bundle's frame at coefficients ``a``, one row of its sweep: the closed
+    algebra, matched roots, rho, scales and drift; an ambiguous match raises."""
+    tol = tol or ToleranceConfig()
+    closed, failures = build_closed(n=model.n, a=a, tol=tol), _Failures(1)
+    frames = bd._continue_frames(model, closed.roots[None], closed.mu[None], tol, paper_scale,
+                                 failures)
+    failures.raise_first()
+    roots, _, rho, scales, drift = (x[0] for x in frames)
+    return closed, roots, rho, scales, float(drift)
+
+
 def test_frame_identity_at_base(model):
-    frame = flat_s_frame(model, model.p)
-    assert np.allclose(frame.scales, 1.0, atol=1e-12)
-    assert frame.drift < 1e-12
-    assert np.allclose(frame.roots, model.closed.roots)
-    assert np.allclose(frame.rho, model.rho)
+    _, roots, rho, scales, drift = frame_at(model, model.p.a)
+    assert np.allclose(scales, 1.0, atol=1e-12)
+    assert drift < 1e-12
+    assert np.allclose(roots, model.closed.roots)
+    assert np.allclose(rho, model.rho)
 
 
 def test_frame_gram_constant_nearby(model):
-    frame = flat_s_frame(model, (-3.03, 0.0))
-    assert frame.drift < 1e-9
+    _, _, _, scales, drift = frame_at(model, (-3.03, 0.0))
+    assert drift < 1e-9
     # the scale factors themselves did move
-    assert np.max(np.abs(frame.scales - 1.0)) > 1e-4
+    assert np.max(np.abs(scales - 1.0)) > 1e-4
 
 
 def test_paper_scale_drift_is_the_documented_mismatch(model):
-    frame = flat_s_frame(model, (-3.03, 0.0), paper_scale=True)
-    assert frame.drift > 1e-4
-    expected = np.max(np.abs(2.0 * model.rho**2 / frame.rho - 2.0 * model.rho))
-    assert np.isclose(frame.drift, expected, rtol=1e-10)
+    _, _, rho, _, drift = frame_at(model, (-3.03, 0.0), paper_scale=True)
+    assert drift > 1e-4
+    expected = np.max(np.abs(2.0 * model.rho**2 / rho - 2.0 * model.rho))
+    assert np.isclose(drift, expected, rtol=1e-10)
 
 
 def test_frame_continuation_ambiguous_raises(model):
     # critical points of the target sit at +-i, equidistant from both
     # base critical points +-1
     with pytest.raises(DegenerateModelError, match="frame continuation failed"):
-        flat_s_frame(model, (3.0, 0.0))
+        frame_at(model, (3.0, 0.0))
 
 
-def test_bundle_tensors_frozen_values(model):
-    bt = bundle_tensors(model)
-    chart = flat_chart(p=model.p)
+def _cubic_closed_form(model):
+    """The boundary triple pairing l((f_u f_v) f_w), from the dense product
+    and the Gram matrix."""
+    return np.einsum("uvq,qw->uvw", dense(model.cf.b.algebra), model.cf.b.gram())
+
+
+def test_series_blocks_frozen_values(model):
+    series = assemble_potential(model)
     rho = model.rho
+    cubic = _cubic_closed_form(model)
     for i in range(2):
         u0 = 4 * i
-        assert np.isclose(bt.cB[u0, u0, u0], 2.0 * rho[i])
+        assert np.isclose(cubic[u0, u0, u0], 2.0 * rho[i])
         # (I J) K = K K = -1
-        assert np.isclose(bt.cB[u0 + 1, u0 + 2, u0 + 3], -2.0 * rho[i])
-        for k in range(2):
-            uval = poly_eval(chart.tangents[k], model.closed.roots[i])
-            assert np.isclose(bt.cAB[k, u0], 2.0 * rho[i] * uval)
-            assert np.allclose(bt.cAB[k, u0 + 1 : u0 + 4], 0.0)
+        assert np.isclose(cubic[u0 + 1, u0 + 2, u0 + 3], -2.0 * rho[i])
     # cross-block entries vanish
-    assert np.allclose(bt.cB[0:4, 4:8, :], 0.0)
-    assert np.isclose(abs(bt.cAB[0, 4]), 2.0 / np.sqrt(6.0))
+    assert np.allclose(cubic[0:4, 4:8, :], 0.0)
+    for u, v, w in np.ndindex(cubic.shape):
+        assert np.isclose(series.coefficient((), (u, v, w)), cubic[u, v, w] / 3.0, atol=1e-12)
+    assert np.isclose(abs(series.coefficient((0,), (4,))), 2.0 / np.sqrt(6.0))
 
 
-def test_series_quadratic_and_mixed_blocks_match_tensors(model):
+def test_series_quadratic_and_mixed_blocks_closed_forms(model):
     series = assemble_potential(model)
-    bt = bundle_tensors(model)
     m = 8
     gram = model.cf.b.gram()
     _, qs = quadratic_blocks(series)
@@ -90,15 +103,18 @@ def test_series_quadratic_and_mixed_blocks_match_tensors(model):
     for u in range(m):
         sign = 2.0 if u % 4 == 0 else -2.0
         assert np.isclose(series.coefficient((), (u, u)), sign * model.rho[u // 4])
+    # the mixed row k is 2 rho_i T_k(x_i) on the unit of block i, 0 on I, J, K
+    values = np.array([poly_eval(t, model.closed.roots) for t in flat_chart(p=model.p).tangents])
+    mixed = np.zeros((2, m), dtype=complex)
+    mixed[:, ::4] = 2.0 * model.rho * values
     for k in range(2):
         for u in range(m):
-            assert np.isclose(series.coefficient((k,), (u,)), bt.cAB[k, u], atol=1e-12)
+            assert np.isclose(series.coefficient((k,), (u,)), mixed[k, u], atol=1e-12)
 
 
 def test_dsss_reproduces_symmetrized_cubic(model):
     series = assemble_potential(model)
-    bt = bundle_tensors(model)
-    cb = bt.cB
+    cb = _cubic_closed_form(model)
     for (i, j, r) in [(0, 0, 0), (1, 2, 3), (0, 1, 1), (4, 5, 6), (0, 4, 4)]:
         d3 = d_sss(series, i, j, r)
         got = d3.coefficient((), ())
@@ -280,13 +296,13 @@ def test_frame_scales_are_taken_at_the_largest_departure():
 
 
 def test_quaternion_action_commutes_with_transfer(model):
-    frame = flat_s_frame(model, (-3.03, 0.0))
+    _, _, _, scales, _ = frame_at(model, (-3.03, 0.0))
     alg = quaternion_pair(1.0).algebra
     for letter in (1, 2, 3):
         x = np.zeros(4)
         x[letter] = 1.0
         act = alg.left_action_matrix(x)
-        for lam in frame.scales:
+        for lam in scales:
             transfer = lam * np.eye(4)
             assert np.array_equal(act @ transfer, transfer @ act)
 

@@ -1,8 +1,9 @@
 """The stacked sample sweep of verify_bundle against a per-point loop.
 
 ``_per_point`` writes out the pointwise route the way it ran before the
-sweep was stacked: one sample point at a time, each inverted, framed,
-built, corrupted and checked through the one-point functions, keeping
+sweep was stacked: one sample point at a time, each inverted, framed
+(``test_bundle.frame_at``, one row of the frame continuation), built,
+corrupted and checked through the one-point functions, keeping
 the worst value of every fact and margin and the point that gave it.
 ``verify_bundle`` must reproduce its facts, margins, drift, spread,
 scales and pass flags, and raise what it raises.  Its worst point of a
@@ -17,12 +18,14 @@ import pytest
 
 from lgcardy import bundle as bd
 from lgcardy import cardy
-from lgcardy.bundle import CORRUPTIONS, corrupt_model, flat_s_frame, verify_bundle
+from lgcardy.bundle import CORRUPTIONS, corrupt_model, verify_bundle
 from lgcardy.cardy import verify_cardy_frobenius
 from lgcardy.frobenius import _worst, verify_frobenius
 from lgcardy.landau_ginzburg import _quaternion_model, build_quaternion_model
 from lgcardy.moduli import _chart_on, coefficients_from_flat
 from lgcardy.polycore import DegenerateModelError, ToleranceConfig
+
+from test_bundle import frame_at
 
 
 def _seeded_model(n, seed):
@@ -66,12 +69,12 @@ def _per_point(model, corruption=None, eps=0.05, sample_points=10, sample_distan
         step /= np.linalg.norm(step)
         t = np.asarray(chart.t, dtype=complex) + sample_distance * step
         a_q = coefficients_from_flat(n, t, a0=model.p.a)
-        frame = flat_s_frame(model, a_q, tol=tol, paper_scale=paper_scale)
-        drift = np.max([drift, frame.drift])
-        spread_q = float(np.max(np.abs(frame.scales - 1.0)))
+        closed, _, _, scales_q, drift_q = frame_at(model, a_q, tol=tol, paper_scale=paper_scale)
+        drift = np.max([drift, drift_q])
+        spread_q = float(np.max(np.abs(scales_q - 1.0)))
         if spread == spread and not spread_q <= spread:
-            spread, scales = spread_q, tuple(frame.scales)
-        cf_q = _quaternion_model(frame.closed, model.branch).cf
+            spread, scales = spread_q, tuple(scales_q)
+        cf_q = _quaternion_model(closed, model.branch).cf
         if corruption is not None:
             cf_q = bd._corrupt_cf(cf_q, n, corruption, eps)
         facts_q, margins_q = _facts(verify_cardy_frobenius(cf_q, tol=tol),

@@ -2,6 +2,7 @@
 
 import enum
 import json
+import math
 import os
 
 import numpy as np
@@ -257,6 +258,39 @@ def test_exit_code_two_for_bad_arguments(tmp_path, capsys):
         series_file.write_text(json.dumps({"n": n, "m": m, "truncation": 4, "terms": []}))
         assert main(["ext-wdvv", "--input", str(series_file)]) == 2
         assert "bad series file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"n": 1, "a": [1.0, 0.0]}, "a must be a list of n = 1 [re, im] pairs"),
+    ({"n": 2, "a": [[-3.0, 0.0], [0.0]]}, "a must be a list of n = 2 [re, im] pairs"),
+    ({"n": 2, "a": [[-3.0, 0.0]]}, "a must be a list of n = 2 [re, im] pairs"),
+    ({"n": 2.5, "a": [[-3.0, 0.0], [0.0, 0.0]]}, "n must be an integer of at least 1, got 2.5"),
+    ({"n": "2", "a": [[-3.0, 0.0], [0.0, 0.0]]}, "n must be an integer of at least 1, got '2'"),
+    ({"n": True, "a": [[-3.0, 0.0]]}, "n must be an integer of at least 1, got True"),
+    ({"n": 0, "a": []}, "n must be an integer of at least 1, got 0"),
+])
+def test_model_file_fields_are_checked_where_read(tmp_path, capsys, payload, message):
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(payload))
+    assert main(["verify-cf", "--input", str(model_file)]) == 2
+    err = capsys.readouterr().err
+    assert "bad model file" in err and message in err
+
+
+def test_t_degree_beyond_the_class_cap_is_refused_before_any_layout(monkeypatch, capsys):
+    def no_layout(*args):
+        raise AssertionError("a layout was built")
+    monkeypatch.setattr(cli, "_assemble", no_layout)
+    monkeypatch.setattr(cli, "verify_bundle", no_layout)
+    a = ["--a=" + " ".join(["0.1,0"] * 8)]
+    # C(5n + w, w) classes with w = t_degree - 4: 12,341 at n = 8, t_degree 7
+    for command in ("bundle", "ext-wdvv"):
+        assert main([command, "--n", "8", "--t-degree", "7"] + a) == 2
+        assert "12341 series classes, more than %d" % cli.MAX_SERIES_CLASSES in (
+            capsys.readouterr().err)
+    # 861 classes at n = 8, t_degree 6 stay under the cap
+    assert math.comb(5 * 8 + 2, 2) == 861 <= cli.MAX_SERIES_CLASSES
+    cli._refuse_unsupported(cli.RunConfig("bundle", n=8, t_degree=6))
 
 
 def test_exit_code_three_for_degenerate_model(capsys):

@@ -141,6 +141,25 @@ def test_matrix_pair_products():
     assert rep.residuals["commutativity"] > 0.5
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_matrix_pair_equals_the_loop_it_replaced(m):
+    d = m * m
+    mul = np.zeros((d, d, d), dtype=complex)
+    for k in range(m):
+        for r in range(m):
+            for l in range(m):
+                for s in range(m):
+                    if r == l:
+                        mul[k * m + r, l * m + s, k * m + s] = 1.0
+    unit = np.zeros(d, dtype=complex)
+    for k in range(m):
+        unit[k * m + k] = 1.0
+    p = matrix_pair(m, 0.7 - 0.2j)
+    assert np.array_equal(dense(p.algebra), mul)
+    assert np.array_equal(p.algebra.unit, unit)
+    assert np.array_equal(p.functional, (0.7 - 0.2j) * unit)
+
+
 def test_matrix_pair_gram():
     mu = 0.7 - 0.2j
     p = matrix_pair(3, mu)
