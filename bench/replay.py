@@ -2,6 +2,7 @@
 
     python bench/replay.py dump OUT.jsonl
     python bench/replay.py diff A.jsonl B.jsonl
+    python bench/replay.py pin [OUT.json]
 
 ``dump`` imports the package from the ``src/`` of the checkout the script
 sits in and runs a fixed, seeded grid: for n = 1..8 and the coefficient
@@ -32,7 +33,14 @@ second), the ``worst_sample`` maps that changed, the raised messages
 that changed, and the CLI report texts that changed (counted over the
 cases whose records in both dumps carry a digest).  It exits 1 when
 anything flipped, else 0; a changed text alone is not a flip.
-This script is not part of the test suite.
+
+``pin`` runs the same grid and writes its verdicts alone, one per case
+(``verdict``: the exit code or raised error type, ``passed``,
+``routes_agree`` and the names of the failing rows; no values), to the
+golden file that ``tests/test_replay_verdicts.py`` replays against
+(default ``tests/replay_verdicts.json``).  A change that moves a verdict
+rewrites that file in the same commit.  ``dump`` and ``diff`` are not
+part of the test suite.
 """
 
 import argparse
@@ -164,6 +172,32 @@ def grid():
                         case, a, corruption, t)
 
 
+def verdict(record):
+    """The verdict of a record, without values: the exit code or raised
+    error type, ``passed``, ``routes_agree`` and the failing rows."""
+    out = {key: record[key] for key in ("exit", "passed", "routes_agree") if key in record}
+    if "exit" not in record:  # a library call: the type of its error, None if it returned
+        out["raised"] = record.get("raised", {}).get("type")
+    if "rows" in record:
+        out["failing"] = sorted(name for name, _, _, ok in record["rows"] if not ok)
+    return out
+
+
+def verdicts():
+    """The verdict of every case of the grid, by case name."""
+    return {r["case"]: verdict(r) for r in (thunk() for thunk in grid())}
+
+
+def pin(path):
+    """Write the grid's verdicts to ``path`` as a JSON object, one case a line."""
+    lines = ["%s: %s" % (json.dumps(case), json.dumps(v, sort_keys=True))
+             for case, v in sorted(verdicts().items())]
+    with open(path, "w") as fh:
+        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+    print("wrote the verdicts of the grid to %s" % path)
+    return 0
+
+
 def dump(path):
     with open(path, "w") as fh:
         header = {"case": None, "machine": perfbench_run.environment()}
@@ -279,9 +313,13 @@ def main(argv=None):
     both = sub.add_parser("diff")
     both.add_argument("a")
     both.add_argument("b")
+    sub.add_parser("pin").add_argument(
+        "out", nargs="?", default=os.path.join(ROOT, "tests", "replay_verdicts.json"))
     args = parser.parse_args(argv)
     if args.action == "dump":
         return dump(args.out)
+    if args.action == "pin":
+        return pin(args.out)
     return diff(args.a, args.b)
 
 

@@ -161,7 +161,7 @@ def series_route(model, chart, tol, t_degree=4):
     """The series route of ``verify_bundle`` on a clean model: the
     coefficient vector over the structural keys, then the numeric pass on
     the cached layout."""
-    _, layout, coeffs = bundle._assemble(model, chart, model.cf, t_degree, tol)
+    _, layout, coeffs = bundle._assemble(model, chart, model.cf, t_degree)
     return _conditions(layout, coeffs, tol)
 
 
@@ -171,7 +171,7 @@ def layers(model):
     chart = _chart_on(closed)
     series = lib.assemble_potential(model)
     ga, gb = cf.a.gram(), cf.b.gram()
-    tol = lib.ToleranceConfig()
+    tol = lib.EQ_TOL
     stacks = {count: seeded_stack(n, count) for count in CRITICAL_STACKS}
     potential, _ = lib.reconstruct_potential(n)
     points = np.random.default_rng(42).uniform(-0.8, 0.8, size=(WDVV_POINTS, n))
@@ -183,7 +183,7 @@ def layers(model):
     return {
         "critical_points": lambda: lib.critical_points(p),
         "build_closed": lambda: lib.build_closed(p=p),
-        **{"critical_data_s%d" % count: lambda a=a: _critical_data(a, tol, _Failures(len(a)))
+        **{"critical_data_s%d" % count: lambda a=a: _critical_data(a, _Failures(len(a)))
            for count, a in stacks.items()},
         "flat_chart": lambda: _chart_on(closed),
         "structure_tensor": lambda: lib.structure_tensor(chart),

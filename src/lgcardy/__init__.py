@@ -9,9 +9,9 @@ third derivatives, and the extended system coupling both sectors.
 """
 
 from .polycore import (
+    EQ_TOL,
     DegenerateModelError,
     LGPolynomial,
-    ToleranceConfig,
     critical_points,
     residue_functional,
     reversion_polynomials,
@@ -71,9 +71,9 @@ from .bundle import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "EQ_TOL",
     "DegenerateModelError",
     "LGPolynomial",
-    "ToleranceConfig",
     "critical_points",
     "residue_functional",
     "reversion_polynomials",

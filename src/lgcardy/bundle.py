@@ -31,7 +31,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .polycore import ToleranceConfig, _Failures, _degenerate, _read_only, poly_eval
+from .polycore import EQ_TOL, ROOT_SEP_TOL, _Failures, _degenerate, _read_only, poly_eval
 from .frobenius import (
     FiniteAlgebra,
     FrobeniusPair,
@@ -93,11 +93,11 @@ PREDICTED_CONDITION = {
 FRAME_DRIFT_TOL = 1e-8
 
 
-def _match_stack(roots, ref, sep_tol, failures):
+def _match_stack(roots, ref, failures):
     """Index of the root nearest each reference root, demanded bijective,
     for each row of ``roots`` (S, n) against the one reference ``ref``.
 
-    Two candidate roots at the same distance (within sep_tol) make the
+    Two candidate roots at the same distance (within ROOT_SEP_TOL) make the
     continuation ambiguous, as does any non-bijective assignment; such a
     row is flagged in ``failures`` as degenerate, a sign that the
     perturbation jumped between branches.
@@ -109,18 +109,18 @@ def _match_stack(roots, ref, sep_tol, failures):
     bad = np.any(np.sort(perm, axis=1) != np.arange(n), axis=1)
     if n > 1:
         near = np.take_along_axis(dist, order[..., :2], axis=-1)
-        bad |= np.any(near[..., 1] - near[..., 0] < sep_tol, axis=1)
+        bad |= np.any(near[..., 1] - near[..., 0] < ROOT_SEP_TOL, axis=1)
     failures.flag(bad, _degenerate("frame continuation failed"))
     return perm
 
 
-def _continue_frames(model, roots, mu, tol, paper_scale, failures):
+def _continue_frames(model, roots, mu, paper_scale, failures):
     """The frame continued from the base model to a stack of nearby
     polynomials, given by their critical points and weights in their own
     root order: roots matched by nearest neighbour (an ambiguous row is
     flagged in ``failures``), rho signed nearest the base values.  Returns
     the matched roots, weights, rho, scales and drift, each (S, ...)."""
-    perm = _match_stack(roots, model.closed.roots, tol.root_sep_tol, failures)
+    perm = _match_stack(roots, model.closed.roots, failures)
     roots = np.take_along_axis(roots, perm, axis=1)
     mu = np.take_along_axis(mu, perm, axis=1)
     rho = np.sqrt(mu.astype(complex))
@@ -144,7 +144,7 @@ def _cubic_blocks(pair, gram):
             for index, c in pair.algebra.stacks]
 
 
-def assemble_potential(model, t_degree=4, tol=None, cf=None):
+def assemble_potential(model, t_degree=4, cf=None):
     """Truncated potential series of a model at its own base point.
 
     The degree-two part is the constant pairing data by convention.  The
@@ -159,7 +159,7 @@ def assemble_potential(model, t_degree=4, tol=None, cf=None):
     nonzero entries of the structural keys, in their order.
     """
     cf = model.cf if cf is None else cf
-    keys, _, coeffs = _assemble(model, _chart_on(model.closed), cf, t_degree, tol)
+    keys, _, coeffs = _assemble(model, _chart_on(model.closed), cf, t_degree)
     return TensorSeries(model.n, cf.b.algebra.dim, t_degree,
                         {key: c for key, c in zip(keys, coeffs.tolist()) if c != 0})
 
@@ -191,20 +191,19 @@ def _assembled_layout(n, t_degree, blocks):
                                         _layout(n, sum(map(len, rows)), t_degree, keys)))
 
 
-def _assemble(model, chart, cf, t_degree, tol):
+def _assemble(model, chart, cf, t_degree):
     """assemble_potential on the flat chart of the base point, as the
     structural keys of the declared boundary blocks, their cached check
     layout and their coefficients, exact zeros included."""
     if t_degree < 3:
         raise ValueError("t-degree must be at least 3")
-    tol = tol or ToleranceConfig()
     n, index = model.n, [i for i, _ in cf.b.algebra.stacks]
     blocks = tuple(tuple(map(tuple, i.tolist())) for i in index)
     keys, ansatz, (binom, (m, q), low), counts, layout = _assembled_layout(n, t_degree, blocks)
     coeffs = [structure_tensor(chart).ravel() / 6.0]
     if len(q):
         # the bulk potential read by exponent and recentred at the chart
-        terms = dict(_cached_potential(n, tol.root_sep_tol).terms)
+        terms = dict(_cached_potential(n).terms)
         f = np.array([terms.pop(e, 0.0) for e in map(tuple, ansatz.tolist())], dtype=complex)
         if terms:
             raise ValueError("potential has monomials outside the ansatz: %s" % sorted(terms))
@@ -320,10 +319,10 @@ def _sample_sweep(model, chart, corruption, eps, sample_points, sample_distance,
     failures = _Failures(sample_points)
     a = _invert_flat(n, targets, model.p.a, failures)
     a[~failures.ok] = model.p.a
-    _, roots, _, _, mu = _critical_data(a, tol, failures)
+    _, roots, _, _, mu = _critical_data(a, failures)
     bad = ~failures.ok
     roots[bad], mu[bad] = model.closed.roots, model.closed.mu
-    _, _, _, scales, drift = _continue_frames(model, roots, mu, tol, paper_scale, failures)
+    _, _, _, scales, drift = _continue_frames(model, roots, mu, paper_scale, failures)
     # row 0, the base point, passed these guards when the model was built
     failures.errors.insert(0, None)
     # the models are built in each point's own root order
@@ -414,7 +413,7 @@ class BundleReport:
 
 
 def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
-                  tol=None, corruption=None, eps=0.05, paper_scale=False,
+                  tol=EQ_TOL, corruption=None, eps=0.05, paper_scale=False,
                   seed=0):
     """Check one model along the series route and the pointwise route.
 
@@ -444,11 +443,10 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
     if t_degree < 4:
         raise ValueError("verify_bundle needs a t_degree of at least 4, got %r: below it no"
                          " class is in the window of conditions 3-7" % (t_degree,))
-    tol = tol or ToleranceConfig()
     n = model.n
     cf = model.cf if corruption is None else corrupt_model(model, corruption, eps=eps)
     chart = _chart_on(model.closed)
-    _, layout, coeffs = _assemble(model, chart, cf, t_degree, tol)
+    _, layout, coeffs = _assemble(model, chart, cf, t_degree)
     if corruption == "t_symmetry":  # the bump words (0, 0, 1) and (0, 1, 0)
         coeffs[[1, n]] += (eps, -eps)
     conditions = _conditions(layout, coeffs, tol)
@@ -479,7 +477,7 @@ def verify_bundle(model, t_degree=4, sample_points=10, sample_distance=1e-2,
     else:
         spread, frame_scales = float(np.max(spreads)), tuple(scales[_worst_row(spreads)])
     pointwise = VerificationReport("pointwise axioms (%d sample points)" % sample_points,
-                                   tol.eq_tol, facts, margins)
+                                   tol, facts, margins)
     frame_rep = VerificationReport("frame pairing drift", FRAME_DRIFT_TOL,
                                    {} if paper_scale else {"frame_drift": drift})
     return BundleReport(

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polycore import DEGENERACY_TOL, ToleranceConfig
+from .polycore import DEGENERACY_TOL, EQ_TOL, ROOT_SEP_TOL
 from .frobenius import (
     FiniteAlgebra,
     FrobeniusPair,
@@ -132,7 +132,7 @@ def _coordinate_route(cf, ga, gb):
     return lhs - alg.block_matrix(rhs)
 
 
-def verify_cardy_frobenius(cf, tol=None):
+def verify_cardy_frobenius(cf, tol=EQ_TOL):
     """Numerical check of every bulk-boundary axiom.
 
     Residuals: commutativity of the bulk, phi being multiplicative and
@@ -142,18 +142,17 @@ def verify_cardy_frobenius(cf, tol=None):
     Raises ValueError("degenerate A-form") when the bulk Gram matrix is
     too close to singular for the transfer identity.
     """
-    tol = tol or ToleranceConfig()
     defects, margins, degenerate = _cardy_checks(cf, tol)
     if degenerate:
         raise ValueError("degenerate A-form")
-    return VerificationReport(cf.name, tol.eq_tol, {k: _worst(v) for k, v in defects.items()},
+    return VerificationReport(cf.name, tol, {k: _worst(v) for k, v in defects.items()},
                               {k: float(v) for k, v in margins.items()})
 
 
 def _cardy_checks(cf, tol):
     """Defect arrays and margins of verify_cardy_frobenius for one pair or
     a stack of pairs, and whether the bulk form is too degenerate for the
-    transfer identity (margin at or below eq_tol).  ``defects`` maps each
+    transfer identity (margin at or below ``tol``).  ``defects`` maps each
     residual name to its list of defect arrays, for the caller to reduce.
 
     The structure constants are read one stack of blocks at a time, phi
@@ -198,7 +197,7 @@ def _cardy_checks(cf, tol):
     defects["centrality"] = central
     gb = cf.b.gram()
     margins["nondegeneracy_B"] = nondegeneracy_margin(gb)
-    degenerate = np.asarray(margin_a <= tol.eq_tol)
+    degenerate = np.asarray(margin_a <= tol)
     # NaN where either form has a non-finite entry
     unknown = np.isnan(margin_a + margins["nondegeneracy_B"])
     skip = unknown | degenerate
@@ -211,7 +210,7 @@ def _cardy_checks(cf, tol):
     return defects, margins, degenerate
 
 
-def decompose_commutative(pair, tol=None, seed=0):
+def decompose_commutative(pair, tol=EQ_TOL, seed=0):
     """Split a commutative semisimple pair into idempotents.
 
     Diagonalises left multiplication by a random element, up to three
@@ -221,7 +220,6 @@ def decompose_commutative(pair, tol=None, seed=0):
     weight.  Raises ValueError("not semisimple") when no generic
     element yields a clean idempotent basis.
     """
-    tol = tol or ToleranceConfig()
     alg = pair.algebra
     d = alg.dim
     rng = np.random.default_rng(seed)
@@ -230,7 +228,7 @@ def decompose_commutative(pair, tol=None, seed=0):
         vals, vecs = np.linalg.eig(alg.left_action_matrix(x))
         scale = max(1.0, float(np.max(np.abs(vals))))
         gaps = np.abs(vals[:, None] - vals[None, :]) + np.eye(d) * 2 * scale
-        if float(np.min(gaps)) < tol.root_sep_tol * scale:
+        if float(np.min(gaps)) < ROOT_SEP_TOL * scale:
             continue
         idempotents = []
         defect = 0.0
@@ -239,7 +237,7 @@ def decompose_commutative(pair, tol=None, seed=0):
             sq = alg.multiply(v, v)
             j = int(np.argmax(np.abs(v)))
             c = sq[j] / v[j]
-            if abs(c) < tol.eq_tol:
+            if abs(c) < tol:
                 defect = np.inf
                 break
             e = v / c

@@ -51,7 +51,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .polycore import ToleranceConfig
+from .polycore import EQ_TOL
 from .frobenius import VerificationReport, _worst, complex_to_json
 from .cardy import verify_cardy_frobenius
 from .landau_ginzburg import build_quaternion_model, model_from_dict, model_to_dict
@@ -91,10 +91,8 @@ class RunConfig:
     paper_scale: bool = False
     index_reversal: bool = False
 
-    def tolerances(self):
-        if self.tol is None:
-            return ToleranceConfig()
-        return ToleranceConfig(eq_tol=float(self.tol))
+    def eq_tol(self):
+        return EQ_TOL if self.tol is None else float(self.tol)
 
 
 def parse_complex(text):
@@ -159,16 +157,15 @@ def _report(config, report, data=None, skipped=None):
 
 
 def _model_from_config(c):
-    tol = c.tolerances()
     if c.input:
         raw = _load_json(c.input)
         try:
-            return model_from_dict(raw, tol=tol)
+            return model_from_dict(raw)
         except (KeyError, TypeError, ValueError) as exc:
             raise CLIError("bad model file %s: %s" % (c.input, exc))
     if c.n is None or c.a is None:
         raise CLIError("need --n together with --a, or --input FILE")
-    return build_quaternion_model(n=c.n, a=c.a, branch=c.branch, tol=tol)
+    return build_quaternion_model(n=c.n, a=c.a, branch=c.branch)
 
 
 def _idempotent_residuals(closed):
@@ -183,7 +180,7 @@ def _idempotent_residuals(closed):
 def cmd_build(c):
     model = _model_from_config(c)
     idem, unit = _idempotent_residuals(model.closed)
-    rep = VerificationReport("idempotents", c.tolerances().eq_tol,
+    rep = VerificationReport("idempotents", c.eq_tol(),
                              {"idempotent_products": idem, "unit_sum": unit})
     data = {"mu": complex_to_json(model.closed.mu), "rho": complex_to_json(model.rho)}
     if c.output:
@@ -197,7 +194,7 @@ def cmd_build(c):
 
 def cmd_verify_cf(c):
     model = _model_from_config(c)
-    rep = verify_cardy_frobenius(model.cf, tol=c.tolerances())
+    rep = verify_cardy_frobenius(model.cf, tol=c.eq_tol())
     data = {"mu": complex_to_json(model.closed.mu), "rho": complex_to_json(model.rho)}
     return _report(c, rep, data=data)
 
@@ -205,10 +202,9 @@ def cmd_verify_cf(c):
 def cmd_chart(c):
     if c.n is None or c.a is None:
         raise CLIError("chart needs --n together with --a")
-    tol = c.tolerances()
-    chart = flat_chart(n=c.n, a=c.a, tol=tol)
+    chart = flat_chart(n=c.n, a=c.a)
     euler = euler_check(chart)
-    rep = VerificationReport("chart", tol.eq_tol, {
+    rep = VerificationReport("chart", c.eq_tol(), {
         "metric_constancy": chart.metric_residual,
         "grading_of_p": euler["p_identity"],
         "grading_of_flat_coordinates": euler["flat_scaling"],
@@ -226,10 +222,9 @@ def cmd_chart(c):
 def cmd_potential(c):
     if c.n is None:
         raise CLIError("potential needs --n")
-    tol = c.tolerances()
     count = c.samples if c.samples is not None else 60
-    pot, fit = reconstruct_potential(c.n, sample_count=count, tol=tol, seed=c.seed)
-    rep = VerificationReport("potential", tol.eq_tol, {
+    pot, fit = reconstruct_potential(c.n, sample_count=count, seed=c.seed)
+    rep = VerificationReport("potential", c.eq_tol(), {
         "fit_residual": fit,
         "quasi_homogeneity": pot.quasi_homogeneity_residual(),
     })
@@ -260,42 +255,42 @@ def cmd_wdvv(c):
             }
         ]
         return _report(c, None, skipped=skipped)
-    tol = c.tolerances()
-    pot, fit = reconstruct_potential(c.n, tol=tol, seed=c.seed)
+    pot, fit = reconstruct_potential(c.n, seed=c.seed)
     count = c.samples if c.samples is not None else 20
     rng = np.random.default_rng(c.seed)
     points = rng.uniform(-0.8, 0.8, size=(count, c.n))
     if c.index_reversal:  # the check points are given in the reversed labels
         points = points[:, ::-1]
     # the fit and the equations are judged at 1e-7 unless --tol is given
-    wdvv_tol = ToleranceConfig(eq_tol=c.tol if c.tol is not None else 1e-7)
-    rep = wdvv_check(pot, points, tol=wdvv_tol)
+    rep = wdvv_check(pot, points, tol=c.tol if c.tol is not None else 1e-7)
     rep.residuals["fit_residual"] = fit
     return _report(c, rep, data={"check_points": int(count)})
 
 
 def cmd_ext_wdvv(c):
-    tol = c.tolerances()
     if not c.input:
         model = _model_from_config(c)
+        _refuse_large_series(model.n, model.cf.b.algebra.dim, c.t_degree)
         # the assembled coefficients on the cached layout, as verify_bundle checks them
-        _, layout, coeffs = _assemble(model, _chart_on(model.closed), model.cf, c.t_degree, tol)
+        _, layout, coeffs = _assemble(model, _chart_on(model.closed), model.cf, c.t_degree)
         source = {"assembled_from": _config_echo(c)["a"], "t_degree": c.t_degree}
-        return _report(c, _conditions(layout, coeffs, tol), data=source)
+        return _report(c, _conditions(layout, coeffs, c.eq_tol()), data=source)
     raw = _load_json(c.input)
     try:
         series = series_from_dict(raw)
     except (KeyError, TypeError, ValueError) as exc:
         raise CLIError("bad series file %s: %s" % (c.input, exc))
-    return _report(c, ext_wdvv_check(series, tol=tol), data={"series_file": c.input})
+    _refuse_large_series(series.n, series.m, series.truncation)
+    return _report(c, ext_wdvv_check(series, tol=c.eq_tol()), data={"series_file": c.input})
 
 
 def cmd_bundle(c):
     model = _model_from_config(c)
+    _refuse_large_series(model.n, model.cf.b.algebra.dim, c.t_degree)
     points = c.samples if c.samples is not None else 10
     # under --paper-scale the drift is documented behaviour: data, not a row
     return _report(c, verify_bundle(model, t_degree=c.t_degree, sample_points=points,
-                                    tol=c.tolerances(), paper_scale=c.paper_scale, seed=c.seed))
+                                    tol=c.eq_tol(), paper_scale=c.paper_scale, seed=c.seed))
 
 
 COMMANDS = {
@@ -368,9 +363,19 @@ _READS = {
 }
 # what a model or series file fixes itself
 _FIXED_BY_INPUT = {"n", "a", "branch"}
-# the most classes a series check may hold: n = 8 at t_degree 6 holds 861
-# and peaks near 300 MB, n = 8 at t_degree 7 would hold 12,341
+# the most classes a series check may hold: a model of n = 8 (m = 32) holds
+# 861 at t_degree 6 and peaks near 300 MB, and would hold 12,341 at 7
 MAX_SERIES_CLASSES = 1000
+
+
+def _refuse_large_series(n, m, t_degree):
+    """Raise CLIError when the C(n + m + w, w) classes of degree at most
+    w = t_degree - 4 over n + m letters exceed MAX_SERIES_CLASSES."""
+    w = t_degree - 4
+    classes = math.comb(n + m + w, w) if w >= 0 else 0
+    if classes > MAX_SERIES_CLASSES:
+        raise CLIError("--t-degree %d at n = %d, m = %d needs %d series classes, more than %d"
+                       % (t_degree, n, m, classes, MAX_SERIES_CLASSES))
 
 
 def _refuse_unsupported(c):
@@ -395,11 +400,6 @@ def _refuse_unsupported(c):
     least = 4 if c.command == "bundle" else 3
     if c.t_degree < least:
         raise CLIError("--t-degree must be at least %d, got %d" % (least, c.t_degree))
-    # C(5n + w, w) classes of degree at most w = t_degree - 4 over 5n letters
-    classes = math.comb(5 * c.n + c.t_degree - 4, 5 * c.n) if c.n else 0
-    if classes > MAX_SERIES_CLASSES:
-        raise CLIError("--t-degree %d at n = %d needs %d series classes, more than %d"
-                       % (c.t_degree, c.n, classes, MAX_SERIES_CLASSES))
     if c.seed < 0:
         raise CLIError("--seed must not be negative, got %d" % c.seed)
     # potential and wdvv check nothing without a sample or check point

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polycore import ToleranceConfig
+from .polycore import EQ_TOL
 
 __all__ = [
     "FiniteAlgebra",
@@ -345,7 +345,7 @@ def nondegeneracy_margin(matrix):
     return float(margin) if margin.ndim == 0 else margin
 
 
-def verify_frobenius(pair, tol=None, commutative=False):
+def verify_frobenius(pair, tol=EQ_TOL, commutative=False):
     """Check the Frobenius pair axioms numerically.
 
     Residuals: associativity, two-sided unit, symmetry of the form
@@ -354,8 +354,7 @@ def verify_frobenius(pair, tol=None, commutative=False):
     On a stack of functionals the form symmetry and the margin report
     the worst functional of the stack, NaN if any is.
     """
-    tol = tol or ToleranceConfig()
-    rep = VerificationReport(subject=pair.name, tol=tol.eq_tol)
+    rep = VerificationReport(subject=pair.name, tol=tol)
     if pair.algebra.dim == 0:
         return rep
     rep.residuals, g = _frobenius_residuals(pair, commutative)

@@ -27,7 +27,6 @@ import numpy as np
 
 from .polycore import (
     LGPolynomial,
-    ToleranceConfig,
     _critical_stack,
     _Failures,
     _lagrange_rows,
@@ -84,7 +83,7 @@ class LGClosedAlgebra:
         return self.p.n
 
 
-def build_closed(n=None, a=None, p=None, tol=None):
+def build_closed(n=None, a=None, p=None):
     """Construct the closed-sector Frobenius pair of a polynomial model.
 
     Pass either an LGPolynomial via ``p`` or the degree data ``n`` and
@@ -96,7 +95,7 @@ def build_closed(n=None, a=None, p=None, tol=None):
     """
     p = LGPolynomial(int(n), tuple(a)) if p is None else p
     failures = _Failures(1)
-    data = _critical_data(np.array([p.a]), tol or ToleranceConfig(), failures)
+    data = _critical_data(np.array([p.a]), failures)
     failures.raise_first()
     return _closed_algebra(p, *(x[0] for x in data))
 
@@ -120,7 +119,7 @@ def _mu_product(roots):
     return 1.0 / ((n + 1) * np.prod(diffs, axis=-1))
 
 
-def _critical_data(a, tol, failures):
+def _critical_data(a, failures):
     """Critical data of a stack of polynomials of one degree n, the row
     a[s] holding the coefficients (a_1, ..., a_n) of the s-th.
 
@@ -136,8 +135,8 @@ def _critical_data(a, tol, failures):
     count, n = a.shape
     coeffs = np.concatenate([a[:, ::-1], np.zeros((count, 1)), np.ones((count, 1))], axis=1)
     dp = coeffs[:, 1:] * np.arange(1, n + 2)
-    roots, table, curv = _critical_stack(dp, tol, failures, 2 * n - 2)
-    values = _residues(np.eye(2 * n - 1, dtype=complex), dp, table, curv, tol, failures)
+    roots, table, curv = _critical_stack(dp, failures, 2 * n - 2)
+    values = _residues(np.eye(2 * n - 1, dtype=complex), dp, table, curv, failures)
     # r[:, k]: r[:, k-1] shifted up, its z^n term traded for p'
     r = np.zeros((count, 2 * n - 1, n), dtype=complex)
     r[:, :n] = np.eye(n)
@@ -171,7 +170,7 @@ class QuaternionLGModel:
         return self.closed.p
 
 
-def build_quaternion_model(n=None, a=None, p=None, branch=None, tol=None):
+def build_quaternion_model(n=None, a=None, p=None, branch=None):
     """Attach quaternion blocks of scale rho_i = sqrt(mu_i) to a model.
 
     ``branch`` optionally flips the principal square root per critical
@@ -180,7 +179,7 @@ def build_quaternion_model(n=None, a=None, p=None, branch=None, tol=None):
     vector is the idempotent at the i-th critical point and the
     transfer map sends it to the unit of the i-th block.
     """
-    return _quaternion_model(build_closed(n=n, a=a, p=p, tol=tol), branch)
+    return _quaternion_model(build_closed(n=n, a=a, p=p), branch)
 
 
 def _quaternion_model(closed, branch):
@@ -250,7 +249,7 @@ def model_to_dict(model):
     }
 
 
-def model_from_dict(data, tol=None):
+def model_from_dict(data):
     """Rebuild a model from its JSON payload (recomputed from n, a); a field
     of the wrong type or shape raises ValueError naming it."""
     n, a = data["n"], np.asarray(data["a"], dtype=object)
@@ -259,4 +258,4 @@ def model_from_dict(data, tol=None):
     if a.shape != (n, 2) or not all(type(x) in (int, float) for x in a.flat):
         raise ValueError("a must be a list of n = %d [re, im] pairs of numbers" % n)
     return build_quaternion_model(n=n, a=json_to_complex(a.astype(float)).tolist(),
-                                  branch=data.get("branch"), tol=tol)
+                                  branch=data.get("branch"))

@@ -23,9 +23,9 @@ from itertools import product
 import numpy as np
 
 from .polycore import (
+    EQ_TOL,
     DegenerateModelError,
     LGPolynomial,
-    ToleranceConfig,
     _Failures,
     _degenerate,
     _read_only,
@@ -55,6 +55,8 @@ __all__ = [
     "potential_to_dict",
     "potential_from_dict",
 ]
+
+FLAT_NEWTON_STEPS = 60  # of the flat coordinate inversion, before a row is refused
 
 
 def _monomials(points, exponents):
@@ -152,10 +154,10 @@ def _reversion_values(n, a):
     return values[..., :n], values[..., n:].reshape(values.shape[:-1] + (n, n))
 
 
-def flat_chart(p=None, n=None, a=None, tol=None):
+def flat_chart(p=None, n=None, a=None):
     """Flat coordinates, their tangent polynomials and metric residuals,
     in the one labelling of ``FlatChart`` (the unit direction first)."""
-    return _chart_on(build_closed(n=n, a=a, p=p, tol=tol))
+    return _chart_on(build_closed(n=n, a=a, p=p))
 
 
 def _chart_on(closed):
@@ -286,26 +288,26 @@ def _structure_stack(tangents, mul, functional):
     return c[(slice(None),) + tuple(_sorted_triples(n)[0].T)]
 
 
-def coefficients_from_flat(n, t_target, a0=None, max_iter=60):
+def coefficients_from_flat(n, t_target, a0=None):
     """Invert the flat coordinate map by Newton iteration."""
     failures = _Failures(1)
-    a = _invert_flat(n, np.asarray(t_target, dtype=complex)[None], a0, failures, max_iter)
+    a = _invert_flat(n, np.asarray(t_target, dtype=complex)[None], a0, failures)
     failures.raise_first()
     return a[0]
 
 
-def _invert_flat(n, targets, a0, failures, max_iter=60):
+def _invert_flat(n, targets, a0, failures):
     """coefficients_from_flat for each row of ``targets`` (S, n), every row
     starting from ``a0`` (default 0).  A row runs its own Newton iterates
     until its residual falls below 1e-13 max(1, |t|) and is then left
-    alone; a row still moving after ``max_iter`` steps is flagged in
+    alone; a row still moving after FLAT_NEWTON_STEPS steps is flagged in
     ``failures``."""
     L = _flat_mixing_matrix(n)
     a = np.zeros(targets.shape, dtype=complex)
     a[:] = 0.0 if a0 is None else np.asarray(a0, dtype=complex)
     bound = 1e-13 * np.maximum(1.0, np.max(np.abs(targets), axis=1))
     moving = np.arange(len(targets))
-    for _ in range(max_iter):
+    for _ in range(FLAT_NEWTON_STEPS):
         ttilde, jac = _reversion_values(n, a[moving])
         res = targets[moving] - (L @ ttilde[..., None])[..., 0]
         going = ~(np.max(np.abs(res), axis=1) < bound[moving])
@@ -318,7 +320,7 @@ def _invert_flat(n, targets, a0, failures, max_iter=60):
     return a
 
 
-def sample_charts(n, count, seed=42, tol=None, scale=0.8):
+def sample_charts(n, count, seed=42, scale=0.8):
     """Random admissible base points with their flat charts.
 
     Rejects coefficient draws whose critical points collide or whose
@@ -327,17 +329,16 @@ def sample_charts(n, count, seed=42, tol=None, scale=0.8):
     one stack, which draws the same numbers and keeps the same charts as
     one draw at a time; each chart is then given its closed algebra.
     """
-    a, *data = _sample_stack(n, count, seed, tol, scale)
+    a, *data = _sample_stack(n, count, seed, scale)
     closeds = [_closed_algebra(LGPolynomial(n, tuple(a[s])), *(x[s] for x in data))
                for s in range(len(a))]
     return _charts(n, closeds, a, data[2])
 
 
-def _sample_stack(n, count, seed, tol, scale):
+def _sample_stack(n, count, seed, scale):
     """The coefficients of the first ``count`` admissible draws and their
     rows of ``_critical_data``, each with a leading (count,) axis.  The
     draws still missing are made and judged as one batch at a time."""
-    tol = tol or ToleranceConfig()
     rng = np.random.default_rng(seed)
     batches, found, draws = [], 0, 0
     while found < count or not batches:
@@ -348,7 +349,7 @@ def _sample_stack(n, count, seed, tol, scale):
         z = rng.normal(size=(k, 2, n))
         a = scale * (z[:, 0] + 1j * z[:, 1])
         failures = _Failures(k)
-        data = (a,) + _critical_data(a, tol, failures)
+        data = (a,) + _critical_data(a, failures)
         ok = np.flatnonzero(failures.ok)
         mu = np.abs(_mu_product(data[2][ok]))
         keep = ok[(mu.min(axis=1) >= 1e-3) & (mu.max(axis=1) <= 1e3)]
@@ -417,7 +418,7 @@ class UnderdeterminedFitError(ValueError):
     """The sampled structure tensors leave the potential undetermined."""
 
 
-def reconstruct_potential(n, sample_count=60, tol=None, seed=42):
+def reconstruct_potential(n, sample_count=60, seed=42):
     """Fit the potential whose third derivatives are the structure tensor.
 
     The ansatz is ``_ansatz(n)``.  The draws of ``sample_charts`` are
@@ -428,7 +429,7 @@ def reconstruct_potential(n, sample_count=60, tol=None, seed=42):
     matrix has lower rank than the ansatz has monomials.
     """
     exponents = _ansatz(n)
-    a, r, _, values, _, _ = _sample_stack(n, sample_count, seed, tol, 0.8)
+    a, r, _, values, _, _ = _sample_stack(n, sample_count, seed, 0.8)
     _, t, tangents, _, _ = _chart_stack(n, a, values)
     mul = r[:, np.add.outer(np.arange(n), np.arange(n))]
     # one row per chart and sorted triple i <= j <= k, chart-major
@@ -445,12 +446,12 @@ def reconstruct_potential(n, sample_count=60, tol=None, seed=42):
 
 
 @functools.lru_cache(maxsize=None)
-def _cached_potential(n, root_sep_tol):
-    """reconstruct_potential once per n and root_sep_tol, the one tolerance it reads."""
-    return reconstruct_potential(n, tol=ToleranceConfig(root_sep_tol=root_sep_tol))[0]
+def _cached_potential(n):
+    """reconstruct_potential once per n."""
+    return reconstruct_potential(n)[0]
 
 
-def wdvv_check(potential, points, tol=None):
+def wdvv_check(potential, points, tol=EQ_TOL):
     """Associativity, normalization and quasi-homogeneity residuals.
 
     ``points`` is an iterable of flat coordinate vectors.  The
@@ -462,13 +463,12 @@ def wdvv_check(potential, points, tol=None):
     first coordinate, with the metric.  The quasi-homogeneity residual is
     per-monomial and point independent.
     """
-    tol = tol or ToleranceConfig()
     n = potential.n
     flip = np.fliplr(np.eye(n))
     d3 = potential._third_derivatives_at(list(points))
     pairs = d3.reshape(-1, n * n, n)
     left = (pairs[..., ::-1] @ pairs.transpose(0, 2, 1)).reshape(-1, n, n, n, n)
-    rep = VerificationReport(subject="wdvv_n%d" % n, tol=tol.eq_tol)
+    rep = VerificationReport(subject="wdvv_n%d" % n, tol=tol)
     rep.residuals["associativity"] = _worst([left - left.transpose(0, 3, 2, 1, 4)])
     rep.residuals["normalization"] = _worst([d3[..., 0] - flip])
     rep.residuals["quasi_homogeneity"] = potential.quasi_homogeneity_residual()

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "ToleranceConfig",
+    "EQ_TOL",
     "DegenerateModelError",
     "LGPolynomial",
     "poly_trim",
@@ -40,23 +40,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical tolerances shared across the package.
+# The default tolerance of every judge (its ``tol``).
+EQ_TOL = 1e-9
 
-    eq_tol:       generic equality threshold for residuals.
-    root_sep_tol: minimal allowed distance between critical points.
-    """
-
-    eq_tol: float = 1e-9
-    root_sep_tol: float = 1e-8
-
-
-# Bound on the relative defect of a refined critical point and on the
-# disagreement of the two residue routes.  It judges whether the model
-# is computable at all, so it does not move with the residual tolerance
-# (1e3 times the default eq_tol).
+# Building a model reads these bounds and never a judge's ``tol``:
+# DEGENERACY_TOL bounds the relative defect of a refined critical point
+# and the disagreement of the two residue routes, ROOT_SEP_TOL the
+# separation of critical points (and |p''| at them), of the eigenvalues
+# of decompose_commutative and of the frame continuation's matches.
 DEGENERACY_TOL = 1e-6
+ROOT_SEP_TOL = 1e-8
 
 
 class DegenerateModelError(ValueError):
@@ -161,16 +154,16 @@ def _read_only(value):
     return value
 
 
-def critical_points(p, tol=None):
+def critical_points(p):
     """Sorted critical points of an LGPolynomial (roots of p').
 
     Roots come from the companion matrix and are then polished with
     three Newton steps.  They are sorted by (real, imag) so the ordering
     is a deterministic function of the model.  Raises DegenerateModelError
-    when two critical points come closer than ``root_sep_tol``.
+    when two critical points come closer than ROOT_SEP_TOL.
     """
     failures = _Failures(1)
-    roots = _critical_stack(p.derivative_coeffs()[None], tol or ToleranceConfig(), failures, 0)[0]
+    roots = _critical_stack(p.derivative_coeffs()[None], failures, 0)[0]
     failures.raise_first()
     return roots[0]
 
@@ -182,7 +175,7 @@ def _powers(x, degree):
     return np.multiply.accumulate(table, axis=-1, out=table)
 
 
-def _critical_stack(dp, tol, failures, degree):
+def _critical_stack(dp, failures, degree):
     """critical_points for a stack of derivatives p', one per row of ``dp``
     (ascending, leading coefficient n + 1).  The companion eigenvalues of
     the stack are one batched call, and each guard flags its rows in
@@ -221,7 +214,7 @@ def _critical_stack(dp, tol, failures, degree):
                   _degenerate("critical point refinement did not converge"))
     gaps = np.abs(roots[:, :, None] - roots[:, None, :])
     gaps[:, np.arange(n), np.arange(n)] = np.inf
-    failures.flag((gaps < tol.root_sep_tol).any(axis=(1, 2)),
+    failures.flag((gaps < ROOT_SEP_TOL).any(axis=(1, 2)),
                   _degenerate("degenerate critical points"))
     return roots, table, values[..., 1]
 
@@ -242,7 +235,7 @@ def _laurent_inverse(c, depth):
     return b
 
 
-def _residues(rows, dp, table, curv, tol, failures):
+def _residues(rows, dp, table, curv, failures):
     """residue_functional on each row of ``rows`` (ascending coefficients
     of equal length) for a stack of polynomials: ``dp[s]`` holds p_s',
     ``table[s]`` and ``curv[s]`` the powers of its critical points and
@@ -251,7 +244,7 @@ def _residues(rows, dp, table, curv, tol, failures):
     each guard flags its polynomials in ``failures``.  Returns the
     (S, rows) values."""
     n, width = dp.shape[-1] - 1, rows.shape[1]
-    flat = (np.abs(curv) < tol.root_sep_tol).any(axis=1)
+    flat = (np.abs(curv) < ROOT_SEP_TOL).any(axis=1)
     if flat.any():
         failures.flag(flat, _degenerate("vanishing second derivative at a critical point"))
         curv = np.where(flat[:, None], 1.0, curv)
@@ -266,7 +259,7 @@ def _residues(rows, dp, table, curv, tol, failures):
     return val_pf
 
 
-def residue_functional(q, p, tol=None):
+def residue_functional(q, p):
     """Value of the trace functional on the class of ``q``: the coefficient
     of 1/z in the Laurent expansion of q/p' at infinity.
 
@@ -275,12 +268,11 @@ def residue_functional(q, p, tol=None):
     disagreement raises DegenerateModelError, so a returned value is always
     a cross-checked one.
     """
-    tol = tol or ToleranceConfig()
     q = poly_trim(np.asarray(q, dtype=complex))
     dp = p.derivative_coeffs()[None]
     failures = _Failures(1)
-    _, table, curv = _critical_stack(dp, tol, failures, len(q) - 1)
-    value = _residues(q[None, :], dp, table, curv, tol, failures)
+    _, table, curv = _critical_stack(dp, failures, len(q) - 1)
+    value = _residues(q[None, :], dp, table, curv, failures)
     failures.raise_first()
     return complex(value[0, 0])
 

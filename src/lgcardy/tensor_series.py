@@ -52,7 +52,7 @@ from math import comb
 
 import numpy as np
 
-from .polycore import ToleranceConfig
+from .polycore import EQ_TOL
 from .frobenius import (VerificationReport, _worst, complex_to_json, json_to_complex,
                         nondegeneracy_margin)
 
@@ -282,7 +282,7 @@ def _class_sum(spec, x, live_x, y, live_y, pairs):
     return out
 
 
-def ext_wdvv_check(series, tol=None):
+def ext_wdvv_check(series, tol=EQ_TOL):
     """Evaluate the seven conditions on a truncated potential series.
 
     Residuals condition_1 and condition_3 .. condition_7 are worst
@@ -297,24 +297,23 @@ def ext_wdvv_check(series, tol=None):
     return _conditions(layout, np.array(list(series.terms.values()), dtype=complex), tol)
 
 
-def _conditions(layout, coeffs, tol=None):
+def _conditions(layout, coeffs, tol=EQ_TOL):
     """ext_wdvv_check as one numeric pass over ``coeffs``, in the key order
     of ``layout``.  Conditions 4 and 5, Fb and the boundary factors of 6
     and 7 run per s-block; the right sides of 6 and 7 are scattered into
     their dense places, where they meet the left sides over all letters."""
-    tol = tol or ToleranceConfig()
     n, m, pairs = layout.n, layout.m, layout.pairs
     # the zero read by a missing ordering in a condition-1 group
     c = np.append(np.asarray(coeffs, dtype=complex), 0.0)
 
-    rep = VerificationReport(subject="ext_wdvv", tol=tol.eq_tol)
+    rep = VerificationReport(subject="ext_wdvv", tol=tol)
     rep.residuals["condition_1"] = _worst(_condition_one(layout.groups, c))
 
     t3, s3, m2, ga, gb = _scattered(layout, c)
     gb = 0.5 * gb
     for name, gram in (("condition_2_t", ga), ("condition_2_s", gb))[:1 + (m > 0)]:
         rep.margins[name] = nondegeneracy_margin(gram)
-        if rep.margins[name] <= tol.eq_tol:
+        if rep.margins[name] <= tol:
             raise ValueError("no inverse Gram")
     fa = np.linalg.inv(ga)
 

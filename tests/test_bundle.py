@@ -18,7 +18,7 @@ from lgcardy.frobenius import FiniteAlgebra, FrobeniusPair, quaternion_pair
 from lgcardy.cardy import CardyFrobeniusAlgebra
 from lgcardy.landau_ginzburg import _quaternion_cf, build_closed, build_quaternion_model
 from lgcardy.moduli import flat_chart
-from lgcardy.polycore import DegenerateModelError, ToleranceConfig, _Failures, poly_eval
+from lgcardy.polycore import DegenerateModelError, _Failures, poly_eval
 from lgcardy.tensor_series import ext_wdvv_check
 
 from letter_calculus import d_sss
@@ -31,12 +31,11 @@ def model():
     return build_quaternion_model(n=2, a=(-3.0, 0.0))
 
 
-def frame_at(model, a, tol=None, paper_scale=False):
+def frame_at(model, a, paper_scale=False):
     """verify_bundle's frame at coefficients ``a``, one row of its sweep: the closed
     algebra, matched roots, rho, scales and drift; an ambiguous match raises."""
-    tol = tol or ToleranceConfig()
-    closed, failures = build_closed(n=model.n, a=a, tol=tol), _Failures(1)
-    frames = bd._continue_frames(model, closed.roots[None], closed.mu[None], tol, paper_scale,
+    closed, failures = build_closed(n=model.n, a=a), _Failures(1)
+    frames = bd._continue_frames(model, closed.roots[None], closed.mu[None], paper_scale,
                                  failures)
     failures.raise_first()
     roots, _, rho, scales, drift = (x[0] for x in frames)
@@ -173,14 +172,6 @@ def test_truncation_five_residuals_pinned(model):
         for name, value in residuals.items():
             want = pinned.get(name, 0.0)
             assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (corruption, name)
-
-
-def test_bulk_potential_is_fitted_under_the_given_tolerances(model):
-    assemble_potential(model, t_degree=5)
-    # no draw keeps its critical points 1e3 apart, so a fit under these
-    # tolerances must sample afresh and fail
-    with pytest.raises(DegenerateModelError, match="sampling kept hitting degenerate models"):
-        assemble_potential(model, t_degree=5, tol=ToleranceConfig(root_sep_tol=1e3))
 
 
 def test_series_route_misses_a_corrupted_bulk_product(model):

@@ -23,7 +23,7 @@ from lgcardy.cardy import verify_cardy_frobenius
 from lgcardy.frobenius import _worst, verify_frobenius
 from lgcardy.landau_ginzburg import _quaternion_model, build_quaternion_model
 from lgcardy.moduli import _chart_on, coefficients_from_flat
-from lgcardy.polycore import DegenerateModelError, ToleranceConfig
+from lgcardy.polycore import EQ_TOL, DegenerateModelError
 
 from test_bundle import frame_at
 
@@ -51,8 +51,7 @@ def _facts(rep, a_associativity, b_associativity):
 
 
 def _per_point(model, corruption=None, eps=0.05, sample_points=10, sample_distance=1e-2,
-               tol=None, paper_scale=False, seed=0):
-    tol = tol or ToleranceConfig()
+               tol=EQ_TOL, paper_scale=False, seed=0):
     n = model.n
     cf = model.cf if corruption is None else corrupt_model(model, corruption, eps=eps)
     chart = _chart_on(model.closed)
@@ -69,7 +68,7 @@ def _per_point(model, corruption=None, eps=0.05, sample_points=10, sample_distan
         step /= np.linalg.norm(step)
         t = np.asarray(chart.t, dtype=complex) + sample_distance * step
         a_q = coefficients_from_flat(n, t, a0=model.p.a)
-        closed, _, _, scales_q, drift_q = frame_at(model, a_q, tol=tol, paper_scale=paper_scale)
+        closed, _, _, scales_q, drift_q = frame_at(model, a_q, paper_scale=paper_scale)
         drift = np.max([drift, drift_q])
         spread_q = float(np.max(np.abs(scales_q - 1.0)))
         if spread == spread and not spread_q <= spread:
@@ -181,7 +180,7 @@ def test_a_degenerate_sample_form_raises_what_the_loop_raises():
     margins = _per_point(model, sample_points=10, sample_distance=0.2)["margins"]
     base = verify_cardy_frobenius(model.cf).margins["nondegeneracy_A"]
     assert margins["nondegeneracy_A"] < base
-    tol = ToleranceConfig(eq_tol=0.5 * (base + margins["nondegeneracy_A"]))
+    tol = 0.5 * (base + margins["nondegeneracy_A"])
     kwargs = dict(sample_points=10, sample_distance=0.2, tol=tol)
     assert _outcome(lambda: verify_bundle(model, **kwargs))[1] == (ValueError, "degenerate A-form")
     assert _outcome(lambda: _per_point(model, **kwargs))[1] == (ValueError, "degenerate A-form")
@@ -196,7 +195,7 @@ def test_ten_sample_points_keep_memory_small():
         verify_bundle(model, sample_points=10)
         whole = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        bd._sample_sweep(model, chart, None, 0.05, 10, 1e-2, ToleranceConfig(), False, 0)
+        bd._sample_sweep(model, chart, None, 0.05, 10, 1e-2, EQ_TOL, False, 0)
         sweep = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -218,8 +217,8 @@ def test_the_first_failing_sample_point_decides_the_error(monkeypatch):
     stuck = "flat coordinate inversion did not converge"
 
     def stuck_at(k):
-        def invert(n, targets, a0, failures, max_iter=60):
-            a = exact(n, targets, a0, failures, max_iter)
+        def invert(n, targets, a0, failures):
+            a = exact(n, targets, a0, failures)
             failures.flag(np.arange(len(targets)) == k - 1,
                           lambda s: DegenerateModelError(stuck))
             return a
@@ -255,7 +254,7 @@ def test_one_cardy_stack_holds_the_base_point_and_the_samples(monkeypatch, n):
         assert np.array_equal(cf.b.functional[0], base_cf.b.functional)
         # row 0 is the one-point check, bit for bit; the transfer routes
         # carry the point axis, the other defects are shared
-        defects, margins, _ = exact(cf, ToleranceConfig())
+        defects, margins, _ = exact(cf, EQ_TOL)
         base = verify_cardy_frobenius(base_cf)
         for name, value in base.residuals.items():
             axis = (-2, -1) if name in ("cardy_trace", "cardy_coordinate") else None
@@ -271,12 +270,12 @@ def test_a_degenerate_base_point_raises_before_any_sample_error(monkeypatch):
     # (row 0), and that error wins over a failing first sample point
     model = _seeded_model(3, 91)
     base = verify_cardy_frobenius(model.cf).margins["nondegeneracy_A"]
-    tol = ToleranceConfig(eq_tol=base)
+    tol = base
     exact = bd._invert_flat
     stuck = (DegenerateModelError, "flat coordinate inversion did not converge")
 
-    def stuck_at_first(n, targets, a0, failures, max_iter=60):
-        a = exact(n, targets, a0, failures, max_iter)
+    def stuck_at_first(n, targets, a0, failures):
+        a = exact(n, targets, a0, failures)
         failures.flag(np.arange(len(targets)) == 0, lambda s: DegenerateModelError(stuck[1]))
         return a
 

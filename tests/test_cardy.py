@@ -33,7 +33,7 @@ from lgcardy.frobenius import (
     verify_frobenius,
 )
 from lgcardy.landau_ginzburg import build_closed, build_quaternion_model
-from lgcardy.polycore import DegenerateModelError, ToleranceConfig
+from lgcardy.polycore import EQ_TOL, DegenerateModelError
 
 from test_frobenius import dense
 
@@ -302,7 +302,7 @@ def test_decompose_commutative_does_not_depend_on_eq_tol():
     assert [b for _, b in closed.pair.algebra.blocks] == [3]
     want = np.array(sorted(closed.mu, key=lambda w: (w.real, w.imag)))
     for eq_tol in (1e-30, 1e-9, 1e-3):
-        idems, weights = decompose_commutative(closed.pair, tol=ToleranceConfig(eq_tol=eq_tol))
+        idems, weights = decompose_commutative(closed.pair, tol=eq_tol)
         assert np.allclose(weights, want, rtol=0, atol=1e-12), eq_tol
         assert len(idems) == 3
 
@@ -497,7 +497,7 @@ def _kernel_and_einsum(name, cf, ga, gb):
             rhs.append(np.einsum("gksc,...gcls->...gkl", c, y))
         return [_coordinate_route(cf, ga, gb)], [m1.swapaxes(-1, -2) @ np.linalg.inv(ga) @ m1
                                                  - alg_b.block_matrix(rhs)]
-    defects = _cardy_checks(cf, ToleranceConfig())[0]
+    defects = _cardy_checks(cf, EQ_TOL)[0]
     if name == "homomorphism":
         images = np.zeros((alg_a.dim, alg_a.dim, alg_b.dim), dtype=complex)
         for index, c in alg_a.stacks:

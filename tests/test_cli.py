@@ -14,7 +14,7 @@ from lgcardy.cli import main, parse_branch, parse_complex_list
 from lgcardy.landau_ginzburg import build_closed, build_quaternion_model, model_to_dict
 from lgcardy.cardy import verify_cardy_frobenius
 from lgcardy.moduli import potential_from_dict, reconstruct_potential, wdvv_check
-from lgcardy.polycore import DegenerateModelError, ToleranceConfig
+from lgcardy.polycore import DegenerateModelError
 from lgcardy.tensor_series import ext_wdvv_check, series_to_dict
 
 FROZEN = ["--n", "2", "--a", "-3,0 0,0"]
@@ -114,7 +114,7 @@ def test_potential_index_reversal_only_relabels(n):
     if n > 1:  # wdvv --index-reversal checks the same potential at its reversed points
         wdvv, code = cli.run(cli.RunConfig("wdvv", n=n, index_reversal=True))
         points = np.random.default_rng(42).uniform(-0.8, 0.8, size=(20, n))[:, ::-1]
-        rep = wdvv_check(back, points, tol=ToleranceConfig(eq_tol=1e-7))
+        rep = wdvv_check(back, points, tol=1e-7)
         assert rep.passed and code == 0
         rows = {row["name"]: row["value"] for row in wdvv["residuals"]}
         assert all(rows[name] == value for name, value in rep.residuals.items())
@@ -277,20 +277,46 @@ def test_model_file_fields_are_checked_where_read(tmp_path, capsys, payload, mes
     assert "bad model file" in err and message in err
 
 
-def test_t_degree_beyond_the_class_cap_is_refused_before_any_layout(monkeypatch, capsys):
-    def no_layout(*args):
+def _no_layout(monkeypatch):
+    """Make every route to a series layout fail the test."""
+    def no_layout(*args, **kwargs):
         raise AssertionError("a layout was built")
-    monkeypatch.setattr(cli, "_assemble", no_layout)
-    monkeypatch.setattr(cli, "verify_bundle", no_layout)
+    for name in ("_assemble", "_conditions", "verify_bundle", "ext_wdvv_check"):
+        monkeypatch.setattr(cli, name, no_layout)
+
+
+# C(n + m + w, w) classes with w = t_degree - 4: 12,341 at n = 8, m = 32, t_degree 7
+OVER_THE_CAP = "12341 series classes, more than %d" % cli.MAX_SERIES_CLASSES
+
+
+def test_t_degree_beyond_the_class_cap_is_refused_before_any_layout(monkeypatch, capsys):
+    _no_layout(monkeypatch)
     a = ["--a=" + " ".join(["0.1,0"] * 8)]
-    # C(5n + w, w) classes with w = t_degree - 4: 12,341 at n = 8, t_degree 7
     for command in ("bundle", "ext-wdvv"):
         assert main([command, "--n", "8", "--t-degree", "7"] + a) == 2
-        assert "12341 series classes, more than %d" % cli.MAX_SERIES_CLASSES in (
-            capsys.readouterr().err)
+        assert OVER_THE_CAP in capsys.readouterr().err
     # 861 classes at n = 8, t_degree 6 stay under the cap
-    assert math.comb(5 * 8 + 2, 2) == 861 <= cli.MAX_SERIES_CLASSES
-    cli._refuse_unsupported(cli.RunConfig("bundle", n=8, t_degree=6))
+    assert math.comb(8 + 32 + 2, 2) == 861 <= cli.MAX_SERIES_CLASSES
+    cli._refuse_large_series(8, 32, 6)
+
+
+def test_bundle_of_a_model_file_beyond_the_class_cap_is_refused(tmp_path, monkeypatch, capsys):
+    model_file = tmp_path / "model.json"
+    a = "--a=" + " ".join(["0.1,0"] * 8)
+    assert main(["build", "--n", "8", a, "--output", str(model_file)]) == 0
+    capsys.readouterr()
+    _no_layout(monkeypatch)
+    assert main(["bundle", "--input", str(model_file), "--t-degree", "7"]) == 2
+    assert OVER_THE_CAP in capsys.readouterr().err
+
+
+def test_series_file_beyond_the_class_cap_is_refused(tmp_path, monkeypatch, capsys):
+    series_file = tmp_path / "series.json"
+    term = {"t": [1, 1, 1], "s": [], "coeff": [1.0, 0.0]}
+    series_file.write_text(json.dumps({"n": 8, "m": 32, "truncation": 7, "terms": [term]}))
+    _no_layout(monkeypatch)
+    assert main(["ext-wdvv", "--input", str(series_file)]) == 2
+    assert OVER_THE_CAP in capsys.readouterr().err
 
 
 def test_exit_code_three_for_degenerate_model(capsys):
@@ -463,7 +489,7 @@ def _wdvv_report():
     residual joined to the associativity rows, judged at 1e-7."""
     potential, fit = reconstruct_potential(2, seed=42)
     points = np.random.default_rng(42).uniform(-0.8, 0.8, size=(3, 2))
-    rep = wdvv_check(potential, points, tol=ToleranceConfig(eq_tol=1e-7))
+    rep = wdvv_check(potential, points, tol=1e-7)
     rep.residuals["fit_residual"] = fit
     return rep
 

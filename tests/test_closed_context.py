@@ -108,9 +108,9 @@ def test_bundle_builds_each_closed_algebra_once(monkeypatch):
     rows = []
     exact = landau_ginzburg._critical_stack
 
-    def recording(dp, tol, failures, degree):
+    def recording(dp, failures, degree):
         rows.append(len(dp))
-        return exact(dp, tol, failures, degree)
+        return exact(dp, failures, degree)
 
     monkeypatch.setattr(landau_ginzburg, "_critical_stack", recording)
     model = build_quaternion_model(n=2, a=(-3.0, 0.0))
@@ -203,11 +203,10 @@ def test_stacked_critical_data_is_each_row_bit_for_bit():
     for n, rows in by_degree.items():
         a = np.array(rows)
         failures = polycore._Failures(len(a))
-        stacked = landau_ginzburg._critical_data(a, polycore.ToleranceConfig(), failures)
+        stacked = landau_ginzburg._critical_data(a, failures)
         assert failures.ok.all()
         for s in range(len(a)):
-            alone = landau_ginzburg._critical_data(a[s:s + 1], polycore.ToleranceConfig(),
-                                                   polycore._Failures(1))
+            alone = landau_ginzburg._critical_data(a[s:s + 1], polycore._Failures(1))
             for got, want in zip(stacked, alone):
                 assert np.array_equal(got[s], want[0])
 

@@ -17,7 +17,7 @@ from lgcardy.moduli import (
     wdvv_check,
 )
 from lgcardy.moduli import _ansatz, _sorted_triples, _third_derivative_basis
-from lgcardy.polycore import ToleranceConfig, _weighted_exponents
+from lgcardy.polycore import _weighted_exponents
 
 from test_polycore import poly_mod
 
@@ -276,14 +276,13 @@ def test_third_derivatives_do_not_depend_on_term_order():
                                   pot._third_derivatives_at(points))
 
 
-def structure_gradient_residual(chart, tol=None):
+def structure_gradient_residual(chart):
     """Symmetry defect of the flat gradient of the structure tensor.
 
     Central differences of c_ijk along t^l are compared against the
     derivative along t^i of c_ljk: total symmetry of the four-index
     array is what makes a potential exist locally.
     """
-    tol = tol or ToleranceConfig()
     n = chart.n
     step = FD_STEP
     a0 = np.asarray(chart.p.a, dtype=complex)
@@ -293,8 +292,8 @@ def structure_gradient_residual(chart, tol=None):
         shift[l] = step
         a_plus = coefficients_from_flat(n, chart.t + shift, a0=a0)
         a_minus = coefficients_from_flat(n, chart.t - shift, a0=a0)
-        c_plus = structure_tensor(flat_chart(n=n, a=a_plus, tol=tol))
-        c_minus = structure_tensor(flat_chart(n=n, a=a_minus, tol=tol))
+        c_plus = structure_tensor(flat_chart(n=n, a=a_plus))
+        c_minus = structure_tensor(flat_chart(n=n, a=a_minus))
         grad[l] = (c_plus - c_minus) / (2 * step)
     residual = 0.0
     for perm in ((1, 0, 2, 3), (2, 1, 0, 3), (3, 1, 2, 0)):

@@ -1,5 +1,7 @@
 """Tests for the polynomial ground layer."""
 
+import importlib
+
 import numpy as np
 import pytest
 import sympy
@@ -7,7 +9,6 @@ import sympy
 from lgcardy.polycore import (
     DegenerateModelError,
     LGPolynomial,
-    ToleranceConfig,
     _lagrange_rows,
     _weighted_exponents,
     critical_points,
@@ -17,7 +18,7 @@ from lgcardy.polycore import (
     residue_functional,
     reversion_polynomials,
 )
-from lgcardy.moduli import _reversion_table
+from lgcardy.moduli import _reversion_table, sample_charts
 
 
 def poly_mod(a, m):
@@ -294,10 +295,30 @@ def test_weighted_exponents_order():
 
 def test_tighter_tolerances_still_met():
     # the polish loop reaches well below the default thresholds
-    tol = ToleranceConfig(eq_tol=1e-12, root_sep_tol=1e-8)
     p = LGPolynomial(4, (0.4, -1.1, 0.2, 0.9))
-    roots = critical_points(p, tol)
+    roots = critical_points(p)
     res = np.abs(poly_eval(p.derivative_coeffs(), roots))
     assert np.max(res) < 1e-10
-    val = residue_functional([0, 0, 0, 1.0], p, tol)
+    val = residue_functional([0, 0, 0, 1.0], p)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
+
+
+def test_root_sep_tol_is_the_one_separation_bound(monkeypatch):
+    # building reads one separation bound, the module constant: raised in
+    # every module that reads it, past any distance between critical
+    # points, it refuses every model
+    names = ("polycore", "frobenius", "cardy", "landau_ginzburg", "moduli",
+             "tensor_series", "bundle", "cli")
+    readers = [m for m in map(importlib.import_module, ["lgcardy." + x for x in names])
+               if hasattr(m, "ROOT_SEP_TOL")]
+    assert sorted(m.__name__ for m in readers) == ["lgcardy.bundle", "lgcardy.cardy",
+                                                   "lgcardy.polycore"]
+    p = LGPolynomial(2, (-3.0, 0.0))
+    critical_points(p)
+    sample_charts(2, 3)
+    for module in readers:
+        monkeypatch.setattr(module, "ROOT_SEP_TOL", 1e3)
+    with pytest.raises(DegenerateModelError, match="degenerate critical points"):
+        critical_points(p)
+    with pytest.raises(DegenerateModelError, match="sampling kept hitting degenerate models"):
+        sample_charts(2, 3)

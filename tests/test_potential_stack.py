@@ -108,7 +108,7 @@ def test_stacked_fit_matches_per_chart_loop(n, index_reversal):
 @pytest.mark.parametrize("count", (1, 60))
 def test_stacked_lagrange_rows_match_the_reference(count):
     for n in range(1, 9):
-        roots = _sample_stack(n, count, 7, None, 0.8)[2]
+        roots = _sample_stack(n, count, 7, 0.8)[2]
         got = _lagrange_rows(roots)
         assert got.shape == (count, n, n)
         for s in range(count):
@@ -140,12 +140,12 @@ def test_fit_is_one_stack_per_draw_batch(monkeypatch):
     rows = []
     exact = landau_ginzburg._critical_stack
 
-    def recording(dp, tol, failures, degree):
+    def recording(dp, failures, degree):
         rows.append(len(dp))
-        return exact(dp, tol, failures, degree)
+        return exact(dp, failures, degree)
 
     monkeypatch.setattr(landau_ginzburg, "_critical_stack", recording)
-    _sample_stack(3, 10, 5, None, 200.0)
+    _sample_stack(3, 10, 5, 200.0)
     assert rows[0] == 10 and len(rows) > 1 and sum(rows) == draws
     for n in (3, 8):
         rows.clear()
@@ -165,8 +165,8 @@ def test_skewed_laurent_route_flags_every_draw(monkeypatch):
     errors = []
     critical_data = moduli._critical_data
 
-    def recording(a, tol, failures):
-        out = critical_data(a, tol, failures)
+    def recording(a, failures):
+        out = critical_data(a, failures)
         errors.extend(failures.errors)
         return out
 

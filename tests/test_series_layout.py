@@ -21,7 +21,7 @@ from lgcardy.bundle import CORRUPTIONS, assemble_potential, corrupt_model, verif
 from lgcardy.cli import RunConfig, run
 from lgcardy.landau_ginzburg import build_quaternion_model
 from lgcardy.moduli import PotentialPoly, _cached_potential, _chart_on
-from lgcardy.polycore import DegenerateModelError, ToleranceConfig
+from lgcardy.polycore import DegenerateModelError
 from lgcardy.tensor_series import ext_wdvv_check
 
 EPS = 0.05
@@ -209,7 +209,7 @@ def test_cached_arrays_refuse_an_edit_in_place(name):
 
 def test_cached_potential_holds_no_array():
     # the fifth per-process cache: a potential of Python complex values
-    terms = _cached_potential(2, ToleranceConfig().root_sep_tol).terms
+    terms = _cached_potential(2).terms
     assert all(type(c) is complex for c in terms.values())
 
 
@@ -237,12 +237,12 @@ def test_recentred_bulk_matches_shifted_terms(n, t_degree):
     their orderings, and every other key against truncation 4."""
     model = _seeded_model(n, 0)
     chart = _chart_on(model.closed)
-    potential = _cached_potential(n, ToleranceConfig().root_sep_tol)
+    potential = _cached_potential(n)
     shifted = _shift_terms(potential.terms, np.asarray(chart.t, dtype=complex))
     for kind in _kinds(n):
         cf = model.cf if kind is None else corrupt_model(model, kind, EPS)
-        keys, _, got = bd._assemble(model, chart, cf, t_degree, None)
-        want = dict(zip(*bd._assemble(model, chart, cf, 4, None)[::2]))
+        keys, _, got = bd._assemble(model, chart, cf, t_degree)
+        want = dict(zip(*bd._assemble(model, chart, cf, 4)[::2]))
         bulk = 0
         for (word, boundary), g in zip(keys, got):
             if boundary or len(word) < 4:
@@ -267,7 +267,7 @@ def _assembled_with(monkeypatch, model, potential):
 
 def test_series_reads_the_potential_by_exponent(monkeypatch):
     model = _seeded_model(3, 0)
-    terms = _cached_potential(3, ToleranceConfig().root_sep_tol).terms
+    terms = _cached_potential(3).terms
     want = assemble_potential(model, t_degree=5).terms
     reordered = PotentialPoly(3, dict(reversed(list(terms.items()))))
     assert list(reordered.terms) != list(terms)
@@ -278,11 +278,11 @@ def test_series_reads_the_potential_by_exponent(monkeypatch):
 
 
 def test_potential_is_fitted_once_whatever_the_eq_tol():
-    """The fit reads root_sep_tol alone, so a new eq_tol reuses the fit."""
+    """The fit reads no tolerance, so every eq_tol reuses the one fit of n."""
     model = _seeded_model(2, 0)
     _cached_potential.cache_clear()
     for eq_tol in (1e-8, 1e-9, 1e-10):
-        verify_bundle(model, t_degree=5, sample_points=0, tol=ToleranceConfig(eq_tol=eq_tol))
+        verify_bundle(model, t_degree=5, sample_points=0, tol=eq_tol)
     assert _cached_potential.cache_info().misses == 1
 
 
