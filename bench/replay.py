@@ -41,11 +41,16 @@ golden file that ``tests/test_replay_verdicts.py`` replays against
 (default ``tests/replay_verdicts.json``).  A change that moves a verdict
 rewrites that file in the same commit.  ``dump`` and ``diff`` are not
 part of the test suite.
+
+Only the script entry puts ``src/`` on ``sys.path`` and caps the BLAS
+threads in the environment; imported as a module, the script reads
+``lgcardy`` from the path it is given and leaves both alone.
 """
 
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -54,19 +59,31 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-import run as perfbench_run  # noqa: E402  (perfbench/run.py; imports no numpy)
 
-perfbench_run.cap_blas_threads()  # before numpy is imported
+def _perfbench(name):
+    """perfbench/<name>.py, loaded from its path under the module name
+    ``perfbench_<name>``, so that nothing is put on sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, os.path.join(ROOT, "perfbench", name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+if __name__ == "__main__":
+    # the package of this checkout, and the BLAS caps before numpy is imported
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    _perfbench("run").cap_blas_threads()
 
 import numpy as np  # noqa: E402
 
-import workloads  # noqa: E402
 import lgcardy as lib  # noqa: E402
 from lgcardy import cli  # noqa: E402
 from lgcardy.frobenius import complex_to_json  # noqa: E402
+
+workloads = _perfbench("workloads")
 
 SIZES = range(1, 9)
 SCALES = (workloads.SCALE, workloads.LARGE_SCALE)
@@ -200,7 +217,7 @@ def pin(path):
 
 def dump(path):
     with open(path, "w") as fh:
-        header = {"case": None, "machine": perfbench_run.environment()}
+        header = {"case": None, "machine": _perfbench("run").environment()}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         count = 0
         for thunk in grid():

@@ -9,7 +9,7 @@ coordinate system on that space and the objects living in it:
   antidiagonal identity;
 * the Euler field, which rescales each coordinate by a fixed charge;
 * the structure tensor c_ijk and a potential F with dF^3 = c, fitted on
-  the monomials of Euler degree upsilon + 3 and checked for associativity,
+  the monomials of charge 2n + 4 and checked for associativity,
   normalization and quasi-homogeneity, its monomials (as the reversion
   table's) read through one calculus: ``_monomials``, ``_taylor_factors``.
 """
@@ -17,7 +17,7 @@ coordinate system on that space and the objects living in it:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -30,6 +30,7 @@ from .polycore import (
     _degenerate,
     _read_only,
     _weighted_exponents,
+    _weights,
     reversion_polynomials,
 )
 from .frobenius import VerificationReport, _worst, complex_to_json, json_to_complex
@@ -43,7 +44,6 @@ from .landau_ginzburg import (
 
 __all__ = [
     "FlatChart",
-    "EulerData",
     "PotentialPoly",
     "flat_chart",
     "euler_check",
@@ -121,19 +121,19 @@ class FlatChart:
     """Flat coordinates at a base point, labelled t^1..t^n with the unit
     direction t^1 first.
 
-    ``closed`` is the closed algebra the chart was built on.
-    ``tangents[k]`` holds the ascending coefficients (length n) of
-    dp/dt^{k+1}, and the metric residuals compare the residue pairing of
-    tangents against the constant model: antidiagonal 1 in t,
-    antidiagonal (n+1) in the raw coordinates.
+    ``closed`` is the closed algebra the chart was built on, ``ttilde``
+    the raw inversion coefficients and ``jacobian`` dt~/da, [i, k] along
+    a_(k+1).  ``tangents[k]`` holds the ascending coefficients (length n)
+    of dp/dt^{k+1}; ``metric_residual`` compares their residue pairing
+    with the constant antidiagonal identity.
     """
 
     closed: LGClosedAlgebra
     ttilde: np.ndarray
     t: np.ndarray
     tangents: np.ndarray
+    jacobian: np.ndarray
     metric_residual: float
-    metric_residual_raw: float
 
     @property
     def p(self):
@@ -155,7 +155,7 @@ def _reversion_values(n, a):
 
 
 def flat_chart(p=None, n=None, a=None):
-    """Flat coordinates, their tangent polynomials and metric residuals,
+    """Flat coordinates, their tangent polynomials and metric residual,
     in the one labelling of ``FlatChart`` (the unit direction first)."""
     return _chart_on(build_closed(n=n, a=a, p=p))
 
@@ -168,16 +168,16 @@ def _chart_on(closed):
 def _charts(n, closeds, a, values):
     """The FlatCharts of ``_chart_stack``, one per closed algebra."""
     rows = zip(*_chart_stack(n, a, values))
-    return [FlatChart(closed, ttilde, t, tangents, float(metric), float(metric_raw))
-            for closed, (ttilde, t, tangents, metric, metric_raw) in zip(closeds, rows)]
+    return [FlatChart(closed, ttilde, t, tangents, jacobian, float(metric))
+            for closed, (ttilde, t, tangents, jacobian, metric) in zip(closeds, rows)]
 
 
 def _chart_stack(n, a, values):
-    """t~, t, the tangents and both metric residuals at each row of
+    """t~, t, the tangents, dt~/da and the metric residual at each row of
     a (S, n), ``values`` (S, 2n-1) the closed functional values there.
 
-    t~ is read from the cached reversion polynomials, and both metrics
-    are T H T^T, H[a, b] = l(z^(a+b)) the Hankel matrix of the closed
+    t~ is read from the cached reversion polynomials, and the metric is
+    T H T^T, H[a, b] = l(z^(a+b)) the Hankel matrix of the closed
     functional values: the pairing of tangents needs no reduction mod p'.
     """
     ttilde, jac_tta = _reversion_values(n, a)  # t~ and dt~/da
@@ -187,35 +187,15 @@ def _chart_stack(n, a, values):
 
     # dp/dt^k = sum_j (da_j/dt^k) z^{n-j}
     tangents = jac_at.swapaxes(1, 2)[..., ::-1]
-    raw_tangents = np.linalg.inv(jac_tta).swapaxes(1, 2)[..., ::-1]
     hankel = values[:, np.add.outer(np.arange(n), np.arange(n))]
-    flip = np.fliplr(np.eye(n))
     g = tangents @ hankel @ tangents.swapaxes(1, 2)
-    g_raw = raw_tangents @ hankel @ raw_tangents.swapaxes(1, 2)
-    metric = _worst([g - flip], axis=(1, 2))
-    metric_raw = _worst([g_raw - (n + 1) * flip], axis=(1, 2))
-    return ttilde, t, tangents, metric, metric_raw
-
-
-@dataclass
-class EulerData:
-    """Charges of the grading field: coordinate t^i (the unit direction
-    t^1 first) scales with degree d_i = (n+2-i)/(n+1), and the field
-    itself has conformal weight upsilon = 2/(n+1) - 1."""
-
-    n: int
-    degrees: np.ndarray = field(init=False)
-    upsilon: float = field(init=False)
-
-    def __post_init__(self):
-        n = self.n
-        self.degrees = np.array([(n + 2.0 - i) / (n + 1.0) for i in range(1, n + 1)])
-        self.upsilon = 2.0 / (n + 1.0) - 1.0
+    metric = _worst([g - np.fliplr(np.eye(n))], axis=(1, 2))
+    return ttilde, t, tangents, jac_tta, metric
 
 
 def _ansatz(n):
-    """The exponents (M, n) of Euler degree upsilon + 3, charges (n + 1) d_i."""
-    return np.array(_weighted_exponents(tuple(range(n + 1, 1, -1)), 2 * n + 4))
+    """The exponents (M, n) of charge 2n + 4 under the weights of t^1..t^n."""
+    return np.array(_weighted_exponents(_weights(n)[::-1], 2 * n + 4))
 
 
 def _recentring(e, low, high):
@@ -237,14 +217,14 @@ def euler_check(chart):
     p - (z/(n+1)) p', coefficient by coefficient.  ``flat_scaling``:
     applying the field to each flat coordinate function of a returns
     d_i times its value.  ``raw_scaling``: the same for the raw
-    inversion coefficients.
+    inversion coefficients, through the chart's ``jacobian``.
     """
     p = chart.p
     n = p.n
     avals = np.asarray(p.a, dtype=complex)
-    degrees = EulerData(n).degrees
     # E p: a_k and the raw coefficient t~^k carry the charge (k+1)/(n+1)
-    e_vec = degrees[::-1] * avals
+    charges = np.array(_weights(n)) / (n + 1.0)
+    e_vec = charges * avals
     rhs = p.coeffs()
     rhs[1:] -= p.derivative_coeffs() / (n + 1.0)
     rhs[:n] -= e_vec[::-1]
@@ -254,10 +234,8 @@ def euler_check(chart):
     # [k, n-1-j] of the tangents is da_(j+1)/dt^(k+1)
     jac_ta = np.linalg.inv(chart.tangents[:, ::-1].T)
     lhs = jac_ta @ e_vec
-    flat_scaling = _worst([lhs - degrees * chart.t])
-
-    lhs_raw = _reversion_values(n, avals)[1] @ e_vec
-    raw_scaling = _worst([lhs_raw - degrees[::-1] * chart.ttilde])
+    flat_scaling = _worst([lhs - charges[::-1] * chart.t])
+    raw_scaling = _worst([chart.jacobian @ e_vec - charges * chart.ttilde])
     return {
         "p_identity": p_identity,
         "flat_scaling": flat_scaling,
@@ -389,8 +367,8 @@ class PotentialPoly:
     """Polynomial potential in the flat coordinates of ``FlatChart``.
 
     ``terms`` maps exponent tuples, the unit direction t^1 first, to
-    coefficients.  The charges of ``EulerData(n)`` make quasi-homogeneity
-    a statement about each monomial separately.
+    coefficients.  The weights of ``polycore._weights`` make quasi-homogeneity
+    a statement about each monomial separately: its charge is 2n + 4.
     """
 
     n: int
@@ -406,11 +384,10 @@ class PotentialPoly:
         return np.sum(coeffs[:, None] * basis, axis=1)[:, _sorted_triples(self.n)[1]]
 
     def quasi_homogeneity_residual(self):
-        """Worst weighted-degree defect over cubic-and-higher monomials; a
-        NaN coefficient makes it NaN."""
-        euler = EulerData(self.n)
-        d, target = euler.degrees, euler.upsilon + 3.0
-        return _worst([np.array([abs(coeff) * abs(float(np.dot(d, exps)) - target)
+        """Worst |coefficient| |charge - (2n + 4)| / (n + 1) over cubic-and-higher
+        monomials, exactly 0 on the ansatz; a NaN coefficient makes it NaN."""
+        n, weights = self.n, _weights(self.n)[::-1]
+        return _worst([np.array([abs(coeff) * abs(np.dot(weights, exps) - 2 * n - 4) / (n + 1)
                                  for exps, coeff in self.terms.items() if sum(exps) > 2])])
 
 

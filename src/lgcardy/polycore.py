@@ -13,6 +13,8 @@ coefficient of ``z**k``.  The module provides
   whose guards then judge each polynomial on its own (``_Failures``),
 * one evaluation rule: a polynomial is read at points as its
   coefficients contracted with the table of their powers (``_powers``),
+* the one grading (``_weights``): a_j has weight j + 1, the flat
+  t^1..t^n the same weights reversed, and the potential charge 2n + 4,
 * the reversion coefficients of w**(n+1) = p(z) at infinity as
   polynomials in the coefficients, exponent dictionaries read from the
   Lagrange inversion formula, from which the flat chart reads its
@@ -302,6 +304,12 @@ def _weighted_exponents(weights, total):
             for rest in _weighted_exponents(weights[1:], total - m * weights[0])]
 
 
+def _weights(n):
+    """The integer weights (2, ..., n + 1) of a_1..a_n, with z of weight 1 and p
+    of weight n + 1; t^1..t^n carry them reversed.  Over n + 1: Euler degrees."""
+    return tuple(range(2, n + 2))
+
+
 def reversion_polynomials(n, order=None):
     """Reversion coefficients of ``w**(n+1) = p(z)`` at infinity as
     polynomials in a_1..a_n.
@@ -325,7 +333,7 @@ def reversion_polynomials(n, order=None):
     for k in range(1, order + 1):
         alpha = Fraction(k, n + 1)
         terms = {}
-        for m in _weighted_exponents(tuple(range(2, n + 2)), k + 1):
+        for m in _weighted_exponents(_weights(n), k + 1):
             c = Fraction(-1, k)
             for r in range(sum(m)):
                 c *= alpha - r

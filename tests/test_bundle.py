@@ -492,6 +492,8 @@ def test_corruptions_leave_the_model_stacks_read_only():
         (_, cubes), = model.cf.b.algebra.stacks
         with pytest.raises(ValueError, match="read-only"):
             cubes[0, 1, 2, 2] += 0.05
+    with pytest.raises(ValueError, match="unknown corruption 'nope'"):
+        corrupt_model(model, "nope")
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -258,6 +258,20 @@ def test_exit_code_two_for_bad_arguments(tmp_path, capsys):
         series_file.write_text(json.dumps({"n": n, "m": m, "truncation": 4, "terms": []}))
         assert main(["ext-wdvv", "--input", str(series_file)]) == 2
         assert "bad series file" in capsys.readouterr().err
+    # each guard of the option parsers and the model sources, with its message
+    junk_file = tmp_path / "junk.json"
+    junk_file.write_text("{not json")
+    for argv, message in (
+            (["verify-cf", "--n", "1", "--a=1,2,3"], "bad complex value '1,2,3'"),
+            (["verify-cf", "--n", "1", "--a= "], "empty coefficient list"),
+            (["build"] + FROZEN + ["--branch", "x"], "bad branch entry 'x'"),
+            (["verify-cf", "--input", str(junk_file)], "is not valid JSON"),
+            (["verify-cf"], "need --n together with --a, or --input FILE"),
+            (["chart", "--n", "2"], "chart needs --n together with --a"),
+            (["potential"], "needs --n"),
+            (["wdvv"], "needs --n")):
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 @pytest.mark.parametrize("payload, message", [

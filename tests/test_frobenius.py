@@ -118,6 +118,10 @@ def test_number_pair():
     assert p.gram()[0, 0] == pytest.approx(0.5)
     with pytest.raises(ValueError, match="degenerate functional"):
         number_pair(0.0)
+    with pytest.raises(ValueError, match="trace scale must be nonzero"):
+        matrix_pair(2, 0)
+    with pytest.raises(ValueError, match="scale must be nonzero"):
+        quaternion_pair(0)
 
 
 def test_matrix_pair_products():
@@ -211,6 +215,8 @@ def test_orthogonal_sum():
     # folding over a list keeps one block per summand
     q = orthogonal_sum_list([number_pair(1.0), number_pair(2.0), quaternion_pair(1.0)])
     assert q.algebra.blocks == [(0, 1), (1, 1), (2, 4)]
+    with pytest.raises(ValueError, match="need at least one summand"):
+        orthogonal_sum_list([])
 
 
 def test_orthogonal_sum_with_zero_dim():
@@ -296,6 +302,13 @@ def test_blocks_must_split_structure_tensor():
     with pytest.raises(ValueError, match="do not split"):
         FiniteAlgebra(mul, p.algebra.unit, blocks=p.algebra.blocks)
     FiniteAlgebra(mul, p.algebra.unit)  # one whole block is always a split
+    # the tensor must be a cube, the unit and the functional of its dimension
+    with pytest.raises(ValueError, match="must be d x d x d"):
+        FiniteAlgebra(mul[:, :, :4], p.algebra.unit)
+    with pytest.raises(ValueError, match="unit has wrong length"):
+        FiniteAlgebra(mul, p.algebra.unit[:4])
+    with pytest.raises(ValueError, match="functional has wrong length"):
+        FrobeniusPair(p.algebra, p.functional[:4])
     # a dense tensor is not one array per block, flat or wrapped in a list
     for whole in (complex_to_json(mul.reshape(-1)), [complex_to_json(mul.reshape(-1))]):
         d = pair_to_dict(p)
@@ -335,6 +348,10 @@ def test_pair_from_dict_needs_one_cube_per_block():
                 pair_from_dict(d)
     with pytest.raises(KeyError):
         pair_from_dict({k: v for k, v in good.items() if k != "blocks"})
+    # the algebra reads its dimension off the unit, so only this check holds
+    # the unit to the declared dim
+    with pytest.raises(ValueError, match="unit has wrong length"):
+        pair_from_dict(dict(good, unit=good["unit"][:-1]))
 
 
 def test_nan_in_one_block_fails_associativity():
@@ -386,6 +403,9 @@ def test_json_round_trip():
     assert q.algebra.blocks == p.algebra.blocks
     x = json_to_complex(complex_to_json(np.array([[1 + 2j, 0], [3, -1j]])))
     assert np.allclose(x, [[1 + 2j, 0], [3, -1j]])
+    for bad in ([[1, 2, 3]], [["a", "b"]]):
+        with pytest.raises(ValueError, match=r"expected trailing \[re, im\] pairs"):
+            json_to_complex(bad)
 
 
 def test_complex_to_json_matches_stacked_parts():

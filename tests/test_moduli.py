@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from lgcardy import moduli
 from lgcardy.moduli import (
-    EulerData,
     PotentialPoly,
     coefficients_from_flat,
     euler_check,
@@ -17,7 +17,7 @@ from lgcardy.moduli import (
     wdvv_check,
 )
 from lgcardy.moduli import _ansatz, _sorted_triples, _third_derivative_basis
-from lgcardy.polycore import _weighted_exponents
+from lgcardy.polycore import DegenerateModelError, _weighted_exponents, _weights
 
 from test_polycore import poly_mod
 
@@ -33,7 +33,6 @@ def test_flat_chart_frozen_cubic():
     assert np.allclose(fc.tangents[0], [1.0, 0.0])
     assert np.allclose(fc.tangents[1], [0.0, 3.0])
     assert fc.metric_residual < 1e-12
-    assert fc.metric_residual_raw < 1e-12
 
 
 def test_flat_chart_frozen_quartic():
@@ -63,13 +62,29 @@ def test_metric_constant_at_random_points():
     for n in (2, 3, 4, 5):
         for chart in sample_charts(n, 5, seed=10 + n):
             assert chart.metric_residual < 1e-8
-            assert chart.metric_residual_raw < 1e-8
 
 
-def test_euler_data():
-    ed = EulerData(3)
-    assert np.allclose(ed.degrees, [1.0, 0.75, 0.5])
-    assert ed.upsilon == pytest.approx(-0.5)
+def test_grading_weights():
+    # a_1..a_3 carry 2, 3, 4; t^1..t^3 the same reversed, so the Euler
+    # degrees of the flat coordinates are 1, 3/4 and 1/2
+    assert _weights(3) == (2, 3, 4)
+    assert np.array_equal(np.array(_weights(3)[::-1]) / 4.0, [1.0, 0.75, 0.5])
+    # a monomial outside the ansatz: charge 4 * 0 + 3 * 4 + 2 * 0 = 12 against 10
+    assert PotentialPoly(3, {(0, 4, 0): 0.1}).quasi_homogeneity_residual() == pytest.approx(0.05)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_chart_jacobian_is_the_derivative_of_ttilde(n):
+    # central differences of t~ along each a_k, against chart.jacobian[:, k]
+    rng = np.random.default_rng(50 + n)
+    a = 0.8 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    chart = flat_chart(n=n, a=a)
+    h = 1e-6
+    for k in range(n):
+        step = np.zeros(n, dtype=complex)
+        step[k] = h
+        fd = (flat_chart(n=n, a=a + step).ttilde - flat_chart(n=n, a=a - step).ttilde) / (2 * h)
+        assert np.max(np.abs(chart.jacobian[:, k] - fd)) < 1e-7 * max(1.0, np.max(np.abs(fd)))
 
 
 def test_euler_identities():
@@ -307,13 +322,17 @@ def test_structure_gradient_symmetry():
     assert res < 100 * FD_STEP
 
 
-def test_coefficients_from_flat_round_trip():
+def test_coefficients_from_flat_round_trip(monkeypatch):
     rng = np.random.default_rng(17)
     for n in (2, 3, 4):
         a = 0.7 * (rng.normal(size=n) + 1j * rng.normal(size=n))
         fc = flat_chart(n=n, a=a)
         back = coefficients_from_flat(n, fc.t)
         assert np.max(np.abs(back - a)) < 1e-10
+    # a row still moving when the steps run out is refused
+    monkeypatch.setattr(moduli, "FLAT_NEWTON_STEPS", 0)
+    with pytest.raises(DegenerateModelError, match="flat coordinate inversion did not converge"):
+        coefficients_from_flat(n, fc.t)
 
 
 def test_reconstruct_potential_n2():
@@ -330,6 +349,12 @@ def test_reconstruct_potential_n1():
     F, fit = reconstruct_potential(1, sample_count=10)
     assert fit < 1e-9
     assert F.terms[(3,)] == pytest.approx(np.sqrt(2.0) / 6.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fitted_potential_is_exactly_quasi_homogeneous(n):
+    # every fitted monomial lies in the ansatz, so each charge defect is 0
+    assert reconstruct_potential(n)[0].quasi_homogeneity_residual() == 0.0
 
 
 def test_reconstruction_matches_fresh_samples():

@@ -22,20 +22,23 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "replay_verdicts.json"
 
 
+def _load_replay():
+    spec = importlib.util.spec_from_file_location("replay", ROOT / "bench" / "replay.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(scope="module")
 def replay():
-    # the script puts src/ and perfbench/ on sys.path and caps BLAS threads
-    # in the environment; the suite keeps its own
+    return _load_replay()
+
+
+def test_importing_the_replay_script_leaves_path_and_environment_alone():
     path, environ = list(sys.path), dict(os.environ)
-    try:
-        spec = importlib.util.spec_from_file_location("replay", ROOT / "bench" / "replay.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:] = path
-        os.environ.clear()
-        os.environ.update(environ)
-    return module
+    _load_replay()
+    assert sys.path == path
+    assert dict(os.environ) == environ
 
 
 def test_replay_grid_verdicts_match_the_golden_file(replay):
