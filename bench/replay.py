@@ -50,26 +50,16 @@ threads in the environment; imported as a module, the script reads
 import argparse
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import math
 import os
+import runpy
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-
-
-def _perfbench(name):
-    """perfbench/<name>.py, loaded from its path under the module name
-    ``perfbench_<name>``, so that nothing is put on sys.path."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_" + name, os.path.join(ROOT, "perfbench", name + ".py"))
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
+_perfbench = runpy.run_path(os.path.join(HERE, "_perfbench.py"))["load"]  # imports no numpy
 
 
 if __name__ == "__main__":

@@ -44,7 +44,12 @@ times, and ``src_lines`` records the size of the package source as
 machine (CPU, Python, numpy, BLAS and its threads, commit and source hash)
 is recorded, with the helpers of
 ``perfbench/run.py``; models are drawn and CLI coefficients formatted by
-``perfbench/workloads.py``.  This script is not part of the test suite.
+``perfbench/workloads.py``, each loaded from its path by
+``bench/_perfbench.py``.  Only the script entry puts ``src/`` on
+``sys.path`` and caps the BLAS threads in the environment; imported as a
+module, the script reads ``lgcardy`` from the path it is given and leaves
+both alone, so its cells can be reused.  This script is not part of the
+test suite.
 """
 
 import argparse
@@ -52,6 +57,7 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import statistics
 import sys
 import time
@@ -59,17 +65,16 @@ from datetime import datetime, timezone
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+_perfbench = runpy.run_path(os.path.join(HERE, "_perfbench.py"))["load"]  # imports no numpy
+perfbench_run = _perfbench("run")  # imports no numpy either
 
-import run as perfbench_run  # noqa: E402  (perfbench/run.py; imports no numpy)
-
-perfbench_run.cap_blas_threads()  # before numpy is imported
+if __name__ == "__main__":
+    # the package of this checkout, and the BLAS caps before numpy is imported
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    perfbench_run.cap_blas_threads()
 
 import numpy as np  # noqa: E402
 
-import calibration  # noqa: E402
-import workloads  # noqa: E402
 import lgcardy as lib  # noqa: E402
 from lgcardy import bundle, cli  # noqa: E402
 from lgcardy.landau_ginzburg import _critical_data  # noqa: E402
@@ -78,6 +83,9 @@ from lgcardy.cardy import _cardy_checks, _coordinate_route, _trace_route  # noqa
 from lgcardy.frobenius import _worst  # noqa: E402
 from lgcardy.moduli import _chart_on, _reversion_table  # noqa: E402
 from lgcardy.tensor_series import _conditions  # noqa: E402
+
+calibration = _perfbench("calibration")
+workloads = _perfbench("workloads")
 
 SIZES = (2, 3, 4, 6, 8)
 BUDGET_S = 0.3
@@ -182,7 +190,7 @@ def layers(model):
         t5["series_route_t5"] = lambda: series_route(model, chart, tol, 5)
     return {
         "critical_points": lambda: lib.critical_points(p),
-        "build_closed": lambda: lib.build_closed(p=p),
+        "build_closed": lambda: lib.build_closed(p.n, p.a),
         **{"critical_data_s%d" % count: lambda a=a: _critical_data(a, _Failures(len(a)))
            for count, a in stacks.items()},
         "flat_chart": lambda: _chart_on(closed),
@@ -193,7 +201,7 @@ def layers(model):
         "cardy_stack_s%d" % (1 + BUNDLE_SAMPLE_POINTS): lambda: _cardy_checks(swept, tol),
         "verify_frobenius_bulk": lambda: lib.verify_frobenius(cf.a, commutative=True),
         "verify_frobenius_boundary": lambda: lib.verify_frobenius(cf.b),
-        "build_quaternion_model": lambda: lib.build_quaternion_model(p=p),
+        "build_quaternion_model": lambda: lib.build_quaternion_model(p.n, p.a),
         "corrupt_model": lambda: lib.corrupt_model(model, "b_associativity"),
         "cubic_blocks": lambda: bundle._cubic_blocks(cf.b, gb),
         "reconstruct_potential": lambda: lib.reconstruct_potential(n),

@@ -68,6 +68,14 @@ def json_to_complex(obj):
     return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
 
 
+def _json_int(value, name, least):
+    """The file field ``name``, refused with ValueError unless an integer of
+    at least ``least``; int() would take 2.9, "2" and True, this refuses them."""
+    if type(value) is not int or value < least:
+        raise ValueError("%s must be an integer of at least %d, got %r" % (name, least, value))
+    return value
+
+
 def _block_slices(blocks, dim):
     """Blocks as (offset, dim) integer pairs, refused unless they are
     disjoint slices of a basis of dimension ``dim``."""
@@ -509,8 +517,9 @@ def pair_to_dict(pair):
 def pair_from_dict(data):
     """Inverse of pair_to_dict.  Refuses a ``structure`` that does not
     hold exactly one array of d^3 entries per declared block."""
-    d = int(data["dim"])
-    blocks = _block_slices(data["blocks"], d)
+    d = _json_int(data["dim"], "dim", 0)
+    blocks = _block_slices([[_json_int(x, "block entry", 0) for x in block]
+                            for block in data["blocks"]], d)
     cubes = data["structure"]
     if len(cubes) != len(blocks):
         raise ValueError("structure must hold one array per block")

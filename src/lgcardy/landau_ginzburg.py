@@ -36,6 +36,7 @@ from .polycore import (
 from .frobenius import (
     FiniteAlgebra,
     FrobeniusPair,
+    _json_int,
     _quaternion_table,
     complex_to_json,
     json_to_complex,
@@ -83,17 +84,17 @@ class LGClosedAlgebra:
         return self.p.n
 
 
-def build_closed(n=None, a=None, p=None):
-    """Construct the closed-sector Frobenius pair of a polynomial model.
+def build_closed(n, a):
+    """Construct the closed-sector Frobenius pair of the polynomial model
+    z^(n+1) + a_1 z^(n-1) + ... + a_n (``LGPolynomial(n, a)``).
 
-    Pass either an LGPolynomial via ``p`` or the degree data ``n`` and
-    coefficient tuple ``a``.  The critical points are found once and the
-    residue functional on z^0 .. z^(2n-2) is evaluated over them in one
-    pass, each value along both residue routes; the reductions z^k mod p'
-    give the structure tensor.  Raises DegenerateModelError when critical
-    points collide or the routes disagree.
+    The critical points are found once and the residue functional on
+    z^0 .. z^(2n-2) is evaluated over them in one pass, each value along
+    both residue routes; the reductions z^k mod p' give the structure
+    tensor.  Raises DegenerateModelError when critical points collide or
+    the routes disagree.
     """
-    p = LGPolynomial(int(n), tuple(a)) if p is None else p
+    p = LGPolynomial(n, a)
     failures = _Failures(1)
     data = _critical_data(np.array([p.a]), failures)
     failures.raise_first()
@@ -170,7 +171,7 @@ class QuaternionLGModel:
         return self.closed.p
 
 
-def build_quaternion_model(n=None, a=None, p=None, branch=None):
+def build_quaternion_model(n, a, branch=None):
     """Attach quaternion blocks of scale rho_i = sqrt(mu_i) to a model.
 
     ``branch`` optionally flips the principal square root per critical
@@ -179,7 +180,7 @@ def build_quaternion_model(n=None, a=None, p=None, branch=None):
     vector is the idempotent at the i-th critical point and the
     transfer map sends it to the unit of the i-th block.
     """
-    return _quaternion_model(build_closed(n=n, a=a, p=p), branch)
+    return _quaternion_model(build_closed(n, a), branch)
 
 
 def _quaternion_model(closed, branch):
@@ -202,9 +203,10 @@ def _quaternion_cf(mu, branch, failures):
     functional) is flagged in ``failures``.
     """
     n = mu.shape[-1]
-    branch = (1,) * n if branch is None else tuple(int(b) for b in branch)
-    if len(branch) != n or any(b not in (-1, 1) for b in branch):
+    branch = (1,) * n if branch is None else tuple(branch)
+    if len(branch) != n or any(b not in (-1, 1) for b in branch):  # int() first would take 1.5
         raise ValueError("branch must give +1 or -1 per critical point")
+    branch = tuple(int(b) for b in branch)
     failures.flag(np.any(mu == 0, axis=-1), lambda s: ValueError("degenerate functional"))
     rho = np.array(branch) * np.sqrt(mu)
     stack_a, unit_a, stack_b, unit_b = _quaternion_blocks(n)
@@ -252,10 +254,12 @@ def model_to_dict(model):
 def model_from_dict(data):
     """Rebuild a model from its JSON payload (recomputed from n, a); a field
     of the wrong type or shape raises ValueError naming it."""
-    n, a = data["n"], np.asarray(data["a"], dtype=object)
-    if type(n) is not int or n < 1:  # int() would take 2.5, "2" and True
-        raise ValueError("n must be an integer of at least 1, got %r" % (n,))
+    n = _json_int(data["n"], "n", 1)
+    a, branch = np.asarray(data["a"], dtype=object), data.get("branch")
     if a.shape != (n, 2) or not all(type(x) in (int, float) for x in a.flat):
         raise ValueError("a must be a list of n = %d [re, im] pairs of numbers" % n)
-    return build_quaternion_model(n=n, a=json_to_complex(a.astype(float)).tolist(),
-                                  branch=data.get("branch"))
+    if branch is not None and not (type(branch) is list and len(branch) == n and all(
+            type(b) is int and b in (-1, 1) for b in branch)):  # int() would take 1.7, "1", True
+        raise ValueError("branch must be a list of n = %d entries, each 1 or -1, got %r"
+                         % (n, branch))
+    return build_quaternion_model(n, json_to_complex(a.astype(float)).tolist(), branch)

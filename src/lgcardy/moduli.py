@@ -154,10 +154,10 @@ def _reversion_values(n, a):
     return values[..., :n], values[..., n:].reshape(values.shape[:-1] + (n, n))
 
 
-def flat_chart(p=None, n=None, a=None):
+def flat_chart(n, a):
     """Flat coordinates, their tangent polynomials and metric residual,
     in the one labelling of ``FlatChart`` (the unit direction first)."""
-    return _chart_on(build_closed(n=n, a=a, p=p))
+    return _chart_on(build_closed(n, a))
 
 
 def _chart_on(closed):

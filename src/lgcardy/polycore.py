@@ -24,6 +24,7 @@ coefficient of ``z**k``.  The module provides
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -92,8 +93,10 @@ class LGPolynomial:
     a: tuple = field(default=())
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need n >= 1")
+        # operator.index refuses 2.9 and "2" with TypeError, but takes True
+        if isinstance(self.n, bool) or operator.index(self.n) < 1:
+            raise ValueError("need an integer n >= 1, got %r" % (self.n,))
+        object.__setattr__(self, "n", operator.index(self.n))
         a = tuple(complex(x) for x in self.a)
         if len(a) != self.n:
             raise ValueError("expected %d deformation coefficients, got %d" % (self.n, len(a)))
@@ -179,10 +182,9 @@ def _powers(x, degree):
 
 def _critical_stack(dp, failures, degree):
     """critical_points for a stack of derivatives p', one per row of ``dp``
-    (ascending, leading coefficient n + 1).  The companion eigenvalues of
-    the stack are one batched call, and each guard flags its rows in
-    ``failures``.  Trailing zero coefficients are split off as exact zero
-    roots, as numpy.roots does.
+    (ascending, leading coefficient n + 1).  The roots of the stack are the
+    eigenvalues of its companion matrices of order n, one batched call,
+    and each guard flags its rows in ``failures``.
 
     Each of the three Newton steps contracts one table of the powers of
     the roots with the (n + 1, 2) matrix of the coefficients of p' and
@@ -193,16 +195,11 @@ def _critical_stack(dp, failures, degree):
     derivs = np.zeros(dp.shape + (2,), dtype=complex)
     derivs[..., 0] = dp
     derivs[:, :n, 1] = dp[:, 1:] * np.arange(1, n + 1)
-    roots = np.zeros(dp.shape[:1] + (n,), dtype=complex)
-    # zeros[s]: trailing zero coefficients of p'_s, each an exact root 0
-    zeros = np.argmax(dp != 0, axis=1)
-    for z in set(zeros.tolist()) - {n}:  # z = n: p' is a monomial, every root 0
-        rows = zeros == z
-        k = n - z
-        companion = np.zeros((rows.sum(), k, k), dtype=complex)
-        companion[:, 1:, :-1] = np.eye(k - 1)
-        companion[:, 0, :] = -dp[rows, n - 1:z - 1 if z else None:-1] / dp[rows, n, None]
-        roots[rows, :k] = np.linalg.eigvals(companion)
+    companion = np.zeros((len(dp), n, n), dtype=complex)
+    companion[:, 1:, :-1] = np.eye(n - 1)
+    # 0.0 - x, not -x: a zero coefficient gives +0.0, so a root at 0 stays +0.0
+    companion[:, 0] = (0.0 - dp[:, n - 1::-1]) / dp[:, n, None]
+    roots = np.linalg.eigvals(companion)
     for _ in range(3):
         values = _powers(roots, n) @ derivs
         safe = np.abs(values[..., 1]) > 1e-300  # a root where p'' vanishes stays put

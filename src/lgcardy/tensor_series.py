@@ -53,7 +53,7 @@ from math import comb
 import numpy as np
 
 from .polycore import EQ_TOL
-from .frobenius import (VerificationReport, _worst, complex_to_json, json_to_complex,
+from .frobenius import (VerificationReport, _json_int, _worst, complex_to_json, json_to_complex,
                         nondegeneracy_margin)
 
 __all__ = [
@@ -361,18 +361,16 @@ def series_to_dict(series):
 
 
 def series_from_dict(data):
-    """Series from its JSON payload; refuses negative sizes, non-finite
-    coefficients and what add_term would drop."""
-    n, m = int(data["n"]), int(data["m"])
-    out = TensorSeries(n, m, int(data["truncation"]))
-    for name in ("n", "m", "truncation"):
-        if getattr(out, name) < 0:
-            raise ValueError("negative %s" % name)
+    """Series from its JSON payload; refuses sizes and letters that are not
+    integers, negative sizes, non-finite coefficients and what add_term
+    would drop."""
+    n, m, truncation = (_json_int(data[name], name, 0) for name in ("n", "m", "truncation"))
+    out = TensorSeries(n, m, truncation)
     for row in data["terms"]:
         coeff = complex(json_to_complex(row["coeff"]))
-        tw = tuple(int(i) - 1 for i in row["t"])
-        sw = tuple(int(j) - 1 for j in row["s"])
-        if any(i < 0 or i >= n for i in tw) or any(j < 0 or j >= m for j in sw):
+        tw = tuple(_json_int(i, "t letter", 1) - 1 for i in row["t"])
+        sw = tuple(_json_int(j, "s letter", 1) - 1 for j in row["s"])
+        if any(i >= n for i in tw) or any(j >= m for j in sw):
             raise ValueError("series letter out of range")
         if len(tw) + len(sw) > out.truncation:
             raise ValueError("term longer than truncation")

@@ -103,7 +103,8 @@ def test_series_quadratic_and_mixed_blocks_closed_forms(model):
         sign = 2.0 if u % 4 == 0 else -2.0
         assert np.isclose(series.coefficient((), (u, u)), sign * model.rho[u // 4])
     # the mixed row k is 2 rho_i T_k(x_i) on the unit of block i, 0 on I, J, K
-    values = np.array([poly_eval(t, model.closed.roots) for t in flat_chart(p=model.p).tangents])
+    tangents = flat_chart(model.p.n, model.p.a).tangents
+    values = np.array([poly_eval(t, model.closed.roots) for t in tangents])
     mixed = np.zeros((2, m), dtype=complex)
     mixed[:, ::4] = 2.0 * model.rho * values
     for k in range(2):
@@ -240,7 +241,7 @@ def test_boundary_blocks_of_series_match_dense_formulas(n):
     # the dense formulas, written out over the whole 4n-dimensional
     # boundary algebra, against the per-block reader of the series
     model = _seeded_model(n, 40 + n)
-    chart = flat_chart(p=model.p)
+    chart = flat_chart(model.p.n, model.p.a)
     values = np.array([[poly_eval(tan, r) for r in model.closed.roots]
                        for tan in chart.tangents])
     for corruption, cf in _corrupted_cfs(model):

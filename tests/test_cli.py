@@ -282,6 +282,17 @@ def test_exit_code_two_for_bad_arguments(tmp_path, capsys):
     ({"n": "2", "a": [[-3.0, 0.0], [0.0, 0.0]]}, "n must be an integer of at least 1, got '2'"),
     ({"n": True, "a": [[-3.0, 0.0]]}, "n must be an integer of at least 1, got True"),
     ({"n": 0, "a": []}, "n must be an integer of at least 1, got 0"),
+    # int() would have read these as the branch (1, -1) or failed on "+"
+    ({"n": 2, "a": [[-3.0, 0.0], [0.0, 0.0]], "branch": [1.7, -1]},
+     "branch must be a list of n = 2 entries, each 1 or -1, got [1.7, -1]"),
+    ({"n": 2, "a": [[-3.0, 0.0], [0.0, 0.0]], "branch": ["1", "-1"]},
+     "branch must be a list of n = 2 entries, each 1 or -1, got ['1', '-1']"),
+    ({"n": 2, "a": [[-3.0, 0.0], [0.0, 0.0]], "branch": [True, -1]},
+     "branch must be a list of n = 2 entries, each 1 or -1, got [True, -1]"),
+    ({"n": 2, "a": [[-3.0, 0.0], [0.0, 0.0]], "branch": "+-"},
+     "branch must be a list of n = 2 entries, each 1 or -1, got '+-'"),
+    ({"n": 2, "a": [[-3.0, 0.0], [0.0, 0.0]], "branch": [1]},
+     "branch must be a list of n = 2 entries, each 1 or -1, got [1]"),
 ])
 def test_model_file_fields_are_checked_where_read(tmp_path, capsys, payload, message):
     model_file = tmp_path / "model.json"

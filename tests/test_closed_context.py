@@ -6,6 +6,7 @@ charts, frames and the CLI reuse it instead of recomputing it.
 """
 
 import collections
+import itertools
 
 import numpy as np
 import pytest
@@ -32,6 +33,19 @@ def _draws():
         for n in range(1, 9):
             for _ in range(3):
                 yield scale, n, tuple(scale * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+
+
+def _zero_constant_draws():
+    """Draws whose p' has a zero constant term, so that 0 is a critical
+    point: a_(n-1) = 0 at n = 3..8, and every n = 1 draw (p' = 2z)."""
+    rng = np.random.default_rng(2029)
+    for scale in (0.8, 1e3):
+        for n in (1, 3, 4, 5, 6, 7, 8):
+            for _ in range(3):
+                a = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+                if n > 1:
+                    a[n - 2] = 0.0  # a_(n-1), the constant term of p'
+                yield scale, n, tuple(a)
 
 
 def _relative(got, want):
@@ -61,7 +75,7 @@ def test_one_pass_matches_per_monomial_reference():
         ])
         roots = critical_points(p)
         idem = _lagrange_reference(roots)
-        closed = build_closed(p=p)
+        closed = build_closed(p.n, p.a)
         assert np.array_equal(closed.roots, roots)
         assert _relative(closed.functional_values, values) <= 1e-13
         assert _relative(closed.idempotents, idem) <= 1e-13
@@ -184,7 +198,7 @@ def _horner_critical_data(p):
 
 
 def test_power_table_matches_the_horner_route():
-    for scale, n, a in _draws():
+    for scale, n, a in itertools.chain(_draws(), _zero_constant_draws()):
         closed = build_closed(n=n, a=a)
         roots, values, idem, mu = _horner_critical_data(closed.p)
         # the same root order: each reference root is nearest its own slot
@@ -196,9 +210,29 @@ def test_power_table_matches_the_horner_route():
         _assert_agree(closed.idempotents, idem, scale)
 
 
+def test_zero_constant_term_gives_the_critical_point_plus_zero():
+    # the order-n companion has a zero last column, so 0 is an exact
+    # eigenvalue, and 0.0 - x keeps its sign bits clear
+    for _, n, a in _zero_constant_draws():
+        roots = build_closed(n, a).roots
+        zero = roots[np.argmin(np.abs(roots))]
+        assert zero == 0 and not np.signbit(zero.real) and not np.signbit(zero.imag)
+
+
+def test_builders_take_an_integer_n_and_no_polynomial():
+    for n in (2.9, "2", True):
+        with pytest.raises((TypeError, ValueError)):
+            build_closed(n, (-3.0, 0.0))
+    for builder in (build_closed, build_quaternion_model, moduli.flat_chart):
+        with pytest.raises(TypeError):
+            builder(p=LGPolynomial(2, (-3.0, 0.0)))
+    assert build_closed(np.int64(2), (-3.0, 0.0)).n == 2
+
+
 def test_stacked_critical_data_is_each_row_bit_for_bit():
+    # rows with and without a zero constant term of p' share each stack
     by_degree = collections.defaultdict(list)
-    for _, n, a in _draws():
+    for _, n, a in itertools.chain(_draws(), _zero_constant_draws()):
         by_degree[n].append(a)
     for n, rows in by_degree.items():
         a = np.array(rows)

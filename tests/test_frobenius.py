@@ -1,5 +1,7 @@
 """Tests for algebra construction and Frobenius pair verification."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from lgcardy.frobenius import (
     quaternion_pair,
     verify_frobenius,
 )
+from lgcardy.cli import main
 from lgcardy.moduli import flat_chart
 
 
@@ -406,6 +409,39 @@ def test_json_round_trip():
     for bad in ([[1, 2, 3]], [["a", "b"]]):
         with pytest.raises(ValueError, match=r"expected trailing \[re, im\] pairs"):
             json_to_complex(bad)
+
+
+# each file field that int() would have truncated is refused, naming it
+@pytest.mark.parametrize("change, message", [
+    ({"dim": 1.7}, "dim must be an integer of at least 0, got 1.7"),
+    ({"dim": True}, "dim must be an integer of at least 0, got True"),
+    ({"blocks": [[0, 1.9]]}, "block entry must be an integer of at least 0, got 1.9"),
+    ({"blocks": [["0", 1]]}, "block entry must be an integer of at least 0, got '0'"),
+])
+def test_pair_fields_are_checked_where_read(change, message):
+    with pytest.raises(ValueError, match=message):
+        pair_from_dict(dict(pair_to_dict(number_pair(2.0)), **change))
+
+
+SERIES_FILE = {"n": 2, "m": 0, "truncation": 4,
+               "terms": [{"t": [1, 2], "s": [], "coeff": [1.0, 0.0]}]}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"terms": [{"t": [1.7, 2], "s": [], "coeff": [1.0, 0.0]}]},
+     "t letter must be an integer of at least 1, got 1.7"),
+    ({"terms": [{"t": [True, 2], "s": [], "coeff": [1.0, 0.0]}]},
+     "t letter must be an integer of at least 1, got True"),
+    ({"n": 2.9}, "n must be an integer of at least 0, got 2.9"),
+    ({"m": 0.5}, "m must be an integer of at least 0, got 0.5"),
+    ({"truncation": "4"}, "truncation must be an integer of at least 0, got '4'"),
+])
+def test_series_file_fields_are_checked_where_read(tmp_path, capsys, change, message):
+    series_file = tmp_path / "series.json"
+    series_file.write_text(json.dumps(dict(SERIES_FILE, **change)))
+    assert main(["ext-wdvv", "--input", str(series_file)]) == 2
+    err = capsys.readouterr().err
+    assert "bad series file" in err and message in err
 
 
 def test_complex_to_json_matches_stacked_parts():

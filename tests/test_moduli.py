@@ -123,7 +123,7 @@ def test_structure_tensor_against_root_sum():
     from lgcardy.polycore import poly_eval
 
     for chart in sample_charts(4, 3, seed=31):
-        closed = build_closed(p=chart.p)
+        closed = build_closed(chart.p.n, chart.p.a)
         vals = np.array(
             [[poly_eval(chart.tangents[k], r) for r in closed.roots] for k in range(4)]
         )

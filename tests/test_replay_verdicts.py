@@ -22,8 +22,9 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "replay_verdicts.json"
 
 
-def _load_replay():
-    spec = importlib.util.spec_from_file_location("replay", ROOT / "bench" / "replay.py")
+def _load_script(name):
+    """bench/<name>.py, imported from its path as a module."""
+    spec = importlib.util.spec_from_file_location("bench_" + name, ROOT / "bench" / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -31,14 +32,17 @@ def _load_replay():
 
 @pytest.fixture(scope="module")
 def replay():
-    return _load_replay()
+    return _load_script("replay")
 
 
-def test_importing_the_replay_script_leaves_path_and_environment_alone():
-    path, environ = list(sys.path), dict(os.environ)
-    _load_replay()
+@pytest.mark.parametrize("script", ["replay", "run"])
+def test_importing_a_bench_script_leaves_path_environment_and_modules_alone(script):
+    path, environ, modules = list(sys.path), dict(os.environ), set(sys.modules)
+    _load_script(script)
     assert sys.path == path
     assert dict(os.environ) == environ
+    # the perfbench modules are loaded by path, never under their bare names
+    assert not {"run", "workloads", "calibration"} & (set(sys.modules) - modules)
 
 
 def test_replay_grid_verdicts_match_the_golden_file(replay):

@@ -390,8 +390,8 @@ def test_series_json_round_trip():
                  "terms": [{"t": [1, 1, 1, 1], "s": [], "coeff": [1.0, 0.0]}]}
     with pytest.raises(ValueError, match="term longer than truncation"):
         series_from_dict(long_term)
-    with pytest.raises(ValueError, match="negative truncation"):
+    with pytest.raises(ValueError, match="truncation must be an integer of at least 0, got -1"):
         series_from_dict({"n": 1, "m": 0, "truncation": -1, "terms": []})
     for name in ("n", "m"):
-        with pytest.raises(ValueError, match="negative %s" % name):
+        with pytest.raises(ValueError, match="%s must be an integer of at least 0, got -2" % name):
             series_from_dict({"n": 1, "m": 0, "truncation": 4, "terms": [], name: -2})
