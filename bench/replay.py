@@ -144,11 +144,11 @@ def closed_record(case, a):
     record = {"case": case}
     try:
         closed = lib.build_closed(n=len(a), a=a)
+        # the roots and mu are computed on first read, and may raise there
+        record["closed"] = {name: complex_to_json(getattr(closed, name))
+                            for name in CLOSED_DATA}
     except Exception as exc:  # the raise itself is part of the record
         record["raised"] = _error(exc)
-        return record
-    record["closed"] = {name: complex_to_json(getattr(closed, name))
-                        for name in CLOSED_DATA}
     return record
 
 

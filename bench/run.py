@@ -7,11 +7,14 @@ in, and the result is written to ``BENCH_NAME.json`` at its root.  For
 n = 2, 3, 4, 6 and 8 it builds one seeded model and times each layer of
 the verifier on it: critical points, ``build_closed``, the critical data
 of a stack of S seeded polynomials in one ``_critical_data`` call at
-S = 10 (the sample sweep of ``verify_bundle``) and S = 60 (the draws of
-one potential fit), the flat chart
-(``_chart_on``), ``structure_tensor``, both Cardy routes (``_trace_route``
-and ``_coordinate_route``, their defects reduced by ``_worst``, the Gram
-matrices formed outside the timed call), ``verify_cardy_frobenius``, the
+S = 10 (the sample sweep of ``verify_bundle``, with the idempotents and
+weights of ``_idempotents``) and S = 60 (the draws of one potential fit,
+which form none), the flat chart from (n, a) (``flat_chart``, its closed
+algebra built in the call) and on the model's closed algebra
+(``chart_on``: ``_chart_on``), ``structure_tensor``, both Cardy routes
+(``_trace_route`` and ``_coordinate_route``, their defects reduced by
+``_worst``, the Gram matrices formed outside the timed call),
+``verify_cardy_frobenius``, the
 stacked Cardy check of the ``verify_bundle`` sweep (``cardy_stack_s11``: its
 one ``_cardy_checks`` call on the base point and BUNDLE_SAMPLE_POINTS sample
 points, the stacked pair recorded from one sweep), both
@@ -77,7 +80,7 @@ import numpy as np  # noqa: E402
 
 import lgcardy as lib  # noqa: E402
 from lgcardy import bundle, cli  # noqa: E402
-from lgcardy.landau_ginzburg import _critical_data  # noqa: E402
+from lgcardy.landau_ginzburg import _critical_data, _idempotents  # noqa: E402
 from lgcardy.polycore import _Failures  # noqa: E402
 from lgcardy.cardy import _cardy_checks, _coordinate_route, _trace_route  # noqa: E402
 from lgcardy.frobenius import _worst  # noqa: E402
@@ -95,7 +98,8 @@ MAX_SAMPLES = 200
 BUNDLE_SAMPLE_POINTS = 10
 # stack sizes of the critical-data cells: the sweep's sample points and the
 # draws of one potential fit
-CRITICAL_STACKS = (BUNDLE_SAMPLE_POINTS, 60)
+FIT_DRAWS = 60
+CRITICAL_STACKS = (BUNDLE_SAMPLE_POINTS, FIT_DRAWS)
 # check points of the wdvv_check cell, as many as the CLI's wdvv draws
 WDVV_POINTS = 20
 # largest n of the series_route_t5 cell, as far as the replay grid runs
@@ -115,6 +119,14 @@ def seeded_stack(n, count):
     workloads draw theirs."""
     rng = np.random.default_rng(2000 + 10 * n + count)
     return np.array([workloads.draw_coefficients(rng, n, workloads.SCALE) for _ in range(count)])
+
+
+def sweep_critical_data(a):
+    """The critical data of the ``verify_bundle`` sweep on the rows of a:
+    roots and functional values, then the idempotents and weights."""
+    failures = _Failures(len(a))
+    _, roots, values = _critical_data(a, failures)
+    return _idempotents(roots, values, failures.ok)
 
 
 def sweep_cardy_pair(model):
@@ -191,9 +203,12 @@ def layers(model):
     return {
         "critical_points": lambda: lib.critical_points(p),
         "build_closed": lambda: lib.build_closed(p.n, p.a),
-        **{"critical_data_s%d" % count: lambda a=a: _critical_data(a, _Failures(len(a)))
-           for count, a in stacks.items()},
-        "flat_chart": lambda: _chart_on(closed),
+        "critical_data_s%d" % BUNDLE_SAMPLE_POINTS:
+            lambda: sweep_critical_data(stacks[BUNDLE_SAMPLE_POINTS]),
+        "critical_data_s%d" % FIT_DRAWS: lambda: _critical_data(stacks[FIT_DRAWS],
+                                                                 _Failures(FIT_DRAWS)),
+        "flat_chart": lambda: lib.flat_chart(p.n, p.a),
+        "chart_on": lambda: _chart_on(closed),
         "structure_tensor": lambda: lib.structure_tensor(chart),
         "cardy_trace": lambda: _worst([_trace_route(cf, ga, gb)]),
         "cardy_coordinate": lambda: _worst([_coordinate_route(cf, ga, gb)]),

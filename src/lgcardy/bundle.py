@@ -44,7 +44,7 @@ from .frobenius import (
     complex_to_json,
 )
 from .cardy import CardyFrobeniusAlgebra, _cardy_checks
-from .landau_ginzburg import _critical_data, _quaternion_cf
+from .landau_ginzburg import _critical_data, _idempotents, _quaternion_cf
 from .moduli import (
     _ansatz,
     _cached_potential,
@@ -319,7 +319,8 @@ def _sample_sweep(model, chart, corruption, eps, sample_points, sample_distance,
     failures = _Failures(sample_points)
     a = _invert_flat(n, targets, model.p.a, failures)
     a[~failures.ok] = model.p.a
-    _, roots, _, _, mu = _critical_data(a, failures)
+    _, roots, values = _critical_data(a, failures)
+    _, mu = _idempotents(roots, values, failures.ok)
     bad = ~failures.ok
     roots[bad], mu[bad] = model.closed.roots, model.closed.mu
     _, _, _, scales, drift = _continue_frames(model, roots, mu, paper_scale, failures)

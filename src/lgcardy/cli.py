@@ -27,8 +27,11 @@ the first NaN, else the first within about 128 ulps of the extreme).
 Suites that do not apply are never dropped silently: they appear
 under "skipped" with a reason.  Exit codes: 0 when the report passes,
 1 when it fails, 2 for unusable arguments or input files, 3 for a
-degenerate model.  An option the subcommand does not read is unusable
-unless left at its default, and so is a --tol that is NaN, negative or
+degenerate model.  chart reads no critical point, so it runs on the
+discriminant too (at a = 0 it exits 0, with t = 0); build, verify-cf,
+ext-wdvv and bundle find the critical points and exit 3 where two
+collide.  An option the subcommand does not read is unusable unless
+left at its default, and so is a --tol that is NaN, negative or
 infinite; with --input the file fixes the model (and, for ext-wdvv, the
 truncation).
 With the same arguments and seed the report is byte identical except

@@ -61,10 +61,13 @@ def complex_to_json(x):
 
 def json_to_complex(obj):
     """Inverse of complex_to_json, bit for bit; refuses anything but numbers
-    in trailing [re, im] pairs with ValueError."""
+    in trailing [re, im] pairs with ValueError, booleans included."""
     arr = np.asarray(obj)
-    if arr.dtype.kind not in "biuf" or arr.shape[-1:] != (2,):
-        raise ValueError("expected trailing [re, im] pairs")
+    # beside a number numpy reads True as 1.0, so a list is searched for booleans
+    booleans = not isinstance(obj, np.ndarray) and arr.dtype.kind in "iuf" and (
+        {bool, np.bool_} & set(map(type, np.asarray(obj, dtype=object).flat)))
+    if arr.dtype.kind not in "iuf" or arr.shape[-1:] != (2,) or booleans:
+        raise ValueError("expected trailing [re, im] pairs of numbers")
     return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
 
 
@@ -78,7 +81,12 @@ def _json_int(value, name, least):
 
 def _block_slices(blocks, dim):
     """Blocks as (offset, dim) integer pairs, refused unless they are
-    disjoint slices of a basis of dimension ``dim``."""
+    disjoint slices of a basis of dimension ``dim``; an entry must be an
+    integer (numpy's too), where int() would take 1.9, "1" and True."""
+    blocks = list(blocks)
+    if any(isinstance(x, bool) or not isinstance(x, (int, np.integer))
+           for block in blocks for x in block):
+        raise ValueError("block entries must be integers, got %r" % (blocks,))
     blocks = [(int(off), int(d)) for off, d in blocks]
     end = 0
     for off, d in sorted(blocks):

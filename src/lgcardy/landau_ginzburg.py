@@ -12,10 +12,15 @@ unit.  This produces a bulk-boundary pair that passes every axiom in
 The critical data and the quaternion models are built for a stack of
 polynomials of one degree at once (``_critical_data``,
 ``_quaternion_cf``); ``build_closed`` and ``build_quaternion_model`` are
-their one-polynomial case.  Every critical point, guard and functional
-value is read off one table of root powers; the block stacks of the
-quaternion models are built once per n (``_quaternion_blocks``),
-read-only, and each model keeps its own functionals and phi.
+their one-polynomial case.  The critical data comes in two stages.  The
+root-free stage (``_closed_data``) reads the functional values off the
+Laurent inverse of p' and the reductions off p'; the closed algebra and
+its flat chart need nothing more.  The roots stage (``_critical_roots``,
+``_idempotents``) finds the critical points, cross-checks the values by
+partial fractions over them and forms the idempotents and weights, only
+where they are read.  The block stacks of the quaternion models are
+built once per n (``_quaternion_blocks``), read-only, and each model
+keeps its own functionals and phi.
 """
 
 from __future__ import annotations
@@ -27,11 +32,15 @@ import numpy as np
 
 from .polycore import (
     LGPolynomial,
+    _bezoutian_guard,
     _critical_stack,
+    _degenerate,
+    _hankel_index,
     _Failures,
     _lagrange_rows,
+    _laurent_values,
+    _partial_fractions,
     _read_only,
-    _residues,
 )
 from .frobenius import (
     FiniteAlgebra,
@@ -61,56 +70,73 @@ class LGClosedAlgebra:
     k = 0 .. 2n-2, enough to pair any two basis monomials: the pairing
     is the Hankel matrix H[a, b] = functional_values[a + b].  The
     product is the gather z^i z^j = r[i + j] of the 2n-1 reductions
-    r[k] = z^k mod p'.  ``mu`` holds the idempotent weights in root
-    order, computed from the residue functional; ``mu_product`` is the
-    same quantity from the product formula
-    1/((n+1) prod_{j!=i} (alpha_i - alpha_j)).
+    r[k] = z^k mod p'.  Both are read off p' alone, at every a.
 
-    It is the per-model context: charts, frames and the CLI read the
-    roots, weights and functional values from here instead of
-    recomputing them.
+    The critical data is computed on first read and kept: the sorted
+    ``roots`` (colliding ones raise DegenerateModelError there), the
+    Lagrange ``idempotents`` and ``mu``, their weights l(e_i) in root
+    order, and ``mu_product``, the same from the product formula
+    1/((n+1) prod_{j!=i} (alpha_i - alpha_j)).  It is the per-model
+    context: frames and the CLI read these from here instead of
+    recomputing them, and a chart reads none of them.
     """
 
     p: LGPolynomial
     pair: FrobeniusPair
-    roots: np.ndarray
-    idempotents: np.ndarray
-    mu: np.ndarray
-    mu_product: np.ndarray
     functional_values: np.ndarray
 
     @property
     def n(self):
         return self.p.n
 
+    @functools.cached_property
+    def roots(self):
+        failures = _Failures(1)
+        roots = _critical_roots(np.array([self.p.a]), self.functional_values[None], failures)
+        failures.raise_first()
+        return roots[0]
+
+    @functools.cached_property
+    def _critical_weights(self):
+        idem, mu = _idempotents(self.roots[None], self.functional_values[None], np.ones(1, bool))
+        return idem[0], mu[0]
+
+    @property
+    def idempotents(self):
+        return self._critical_weights[0]
+
+    @property
+    def mu(self):
+        return self._critical_weights[1]
+
+    @functools.cached_property
+    def mu_product(self):
+        return _mu_product(self.roots)
+
 
 def build_closed(n, a):
     """Construct the closed-sector Frobenius pair of the polynomial model
-    z^(n+1) + a_1 z^(n-1) + ... + a_n (``LGPolynomial(n, a)``).
-
-    The critical points are found once and the residue functional on
-    z^0 .. z^(2n-2) is evaluated over them in one pass, each value along
-    both residue routes; the reductions z^k mod p' give the structure
-    tensor.  Raises DegenerateModelError when critical points collide or
-    the routes disagree.
+    z^(n+1) + a_1 z^(n-1) + ... + a_n (``LGPolynomial(n, a)``) from the
+    root-free stage ``_closed_data``; no critical point is found until one
+    is read.  Raises DegenerateModelError when the Bezoutian identity fails.
     """
     p = LGPolynomial(n, a)
     failures = _Failures(1)
-    data = _critical_data(np.array([p.a]), failures)
+    r, values = _closed_data(np.array([p.a]), failures)
     failures.raise_first()
-    return _closed_algebra(p, *(x[0] for x in data))
+    return _closed_algebra(p, r[0], values[0])
 
 
-def _closed_algebra(p, r, roots, values, idem, mu):
-    """The closed algebra of p from its row of ``_critical_data``."""
+def _closed_algebra(p, r, values):
+    """The closed algebra of p from its row of ``_closed_data``."""
     n = p.n
     # the one block is the whole algebra, so there is nothing to check
-    cubes = r[None, np.add.outer(np.arange(n), np.arange(n))]
+    cubes = r[None, _hankel_index(n)]
     algebra = FiniteAlgebra._from_stacks([(np.arange(n)[None], cubes)],
                                          np.eye(1, n, dtype=complex)[0],
                                          ["z^%d" % k for k in range(n)])
     pair = FrobeniusPair(algebra, values[:n], name="closed_n%d" % n)
-    return LGClosedAlgebra(p, pair, roots, idem, mu, _mu_product(roots), values)
+    return LGClosedAlgebra(p, pair, values)
 
 
 def _mu_product(roots):
@@ -120,37 +146,68 @@ def _mu_product(roots):
     return 1.0 / ((n + 1) * np.prod(diffs, axis=-1))
 
 
-def _critical_data(a, failures):
-    """Critical data of a stack of polynomials of one degree n, the row
-    a[s] holding the coefficients (a_1, ..., a_n) of the s-th.
-
-    Returns the reductions r[s, k] = z^k mod p' and the residue functional
-    on z^k (both routes), k = 0 .. 2n-2, the sorted critical points, the
-    Lagrange idempotents and the weights mu = l(idempotent), each with a
-    leading (S,) axis.  One table of the powers z^0 .. z^(2n-2) of the
-    sorted roots gives the convergence guard, p'' and the partial
-    fractions of every functional value.  Every guard of critical_points
-    and of the residue routes flags its polynomials in ``failures``; the
-    idempotents of a flagged polynomial are left zero.
-    """
+def _derivatives(a):
+    """The ascending coefficients of p' (leading coefficient n + 1) for each
+    row a[s] = (a_1, ..., a_n) of a stack of polynomials of one degree n."""
     count, n = a.shape
-    coeffs = np.concatenate([a[:, ::-1], np.zeros((count, 1)), np.ones((count, 1))], axis=1)
-    dp = coeffs[:, 1:] * np.arange(1, n + 2)
-    roots, table, curv = _critical_stack(dp, failures, 2 * n - 2)
-    values = _residues(np.eye(2 * n - 1, dtype=complex), dp, table, curv, failures)
+    dp = np.zeros((count, n + 1), dtype=complex)
+    dp[:, :n - 1] = a[:, :n - 1][:, ::-1] * np.arange(1, n)  # k a_(n-k) on z^(k-1)
+    dp[:, n] = n + 1.0
+    return dp
+
+
+def _closed_data(a, failures):
+    """The root-free stage for a stack of polynomials of one degree n, the row
+    a[s] holding (a_1, ..., a_n): the reductions r[s, k] = z^k mod p' and the
+    residue functional on z^k, k = 0 .. 2n-2, read off the Laurent inverse of
+    p' and judged by the Bezoutian identity.  Non-finite coefficients and
+    the guard flag their rows in ``failures``; a row gets the same bits alone
+    and in a stack."""
+    count, n = a.shape
+    failures.flag(~np.isfinite(a).all(axis=1), _degenerate("non-finite coefficients"))
+    dp = _derivatives(a)
+    values = _laurent_values(dp, 2 * n - 1)
+    _bezoutian_guard(dp, values, failures)
     # r[:, k]: r[:, k-1] shifted up, its z^n term traded for p'
     r = np.zeros((count, 2 * n - 1, n), dtype=complex)
     r[:, :n] = np.eye(n)
+    lead, low = dp[:, n:], dp[:, :n]
     for k in range(n, 2 * n - 1):
         r[:, k, 1:] = r[:, k - 1, :-1]
-        r[:, k] -= (r[:, k - 1, -1] / dp[:, n])[:, None] * dp[:, :n]
-    # the stacked product rounds differently from one np.convolve per
-    # factor: idempotents move by ~1e-15 relative, mu by at most as much
-    ok = failures.ok
-    idem = np.zeros((count, n, n), dtype=complex)
-    idem[ok] = _lagrange_rows(roots[ok])
+        r[:, k] -= r[:, k - 1, -1:] / lead * low
+    return r, values
+
+
+def _critical_roots(a, values, failures):
+    """The roots stage, layered on ``_closed_data``: the sorted critical
+    points (S, n) of each row of a (``_critical_stack``), over which the
+    partial fractions cross-check the ``values``; guards flag ``failures``."""
+    dp = _derivatives(a)
+    roots, table, curv = _critical_stack(dp, failures, values.shape[1] - 1)
+    _partial_fractions(values, table, curv, failures)
+    return roots
+
+
+def _idempotents(roots, values, ok):
+    """The Lagrange idempotents at the ``roots`` (S, n) and their weights
+    mu = l(idempotent) under the functional ``values``; the idempotents of a
+    row not ``ok`` are left zero."""
+    count, n = roots.shape
+    if ok.all():
+        idem = _lagrange_rows(roots)
+    else:
+        idem = np.zeros((count, n, n), dtype=complex)
+        idem[ok] = _lagrange_rows(roots[ok])
     mu = (idem @ values[:, :n, None])[..., 0]
-    return r, roots, values, idem, mu
+    return idem, mu
+
+
+def _critical_data(a, failures):
+    """Both stages for a stack of polynomials of one degree: (r, roots,
+    values), each with a leading (S,) axis; ``_idempotents`` adds the
+    weights where they are read."""
+    r, values = _closed_data(a, failures)
+    return r, _critical_roots(a, values, failures), values
 
 
 @dataclass

@@ -28,6 +28,7 @@ from .polycore import (
     LGPolynomial,
     _Failures,
     _degenerate,
+    _hankel_index,
     _read_only,
     _weighted_exponents,
     _weights,
@@ -187,7 +188,7 @@ def _chart_stack(n, a, values):
 
     # dp/dt^k = sum_j (da_j/dt^k) z^{n-j}
     tangents = jac_at.swapaxes(1, 2)[..., ::-1]
-    hankel = values[:, np.add.outer(np.arange(n), np.arange(n))]
+    hankel = values[:, _hankel_index(n)]
     g = tangents @ hankel @ tangents.swapaxes(1, 2)
     metric = _worst([g - np.fliplr(np.eye(n))], axis=(1, 2))
     return ttilde, t, tangents, jac_tta, metric
@@ -305,18 +306,22 @@ def sample_charts(n, count, seed=42, scale=0.8):
     weights leave the window [1e-3, 1e3], so downstream linear algebra
     stays well conditioned.  The draws are made, judged and charted as
     one stack, which draws the same numbers and keeps the same charts as
-    one draw at a time; each chart is then given its closed algebra.
+    one draw at a time; each chart is then given its closed algebra, with
+    the roots the stack found.
     """
-    a, *data = _sample_stack(n, count, seed, scale)
-    closeds = [_closed_algebra(LGPolynomial(n, tuple(a[s])), *(x[s] for x in data))
+    a, r, roots, values = _sample_stack(n, count, seed, scale)
+    closeds = [_closed_algebra(LGPolynomial(n, tuple(a[s])), r[s], values[s])
                for s in range(len(a))]
-    return _charts(n, closeds, a, data[2])
+    for closed, found in zip(closeds, roots):
+        closed.roots = found  # the stack's rows, the bits a first read would find
+    return _charts(n, closeds, a, values)
 
 
 def _sample_stack(n, count, seed, scale):
     """The coefficients of the first ``count`` admissible draws and their
-    rows of ``_critical_data``, each with a leading (count,) axis.  The
-    draws still missing are made and judged as one batch at a time."""
+    rows of ``_critical_data`` (reductions, roots, functional values), each
+    with a leading (count,) axis.  The draws still missing are made and
+    judged as one batch at a time; no idempotent is formed."""
     rng = np.random.default_rng(seed)
     batches, found, draws = [], 0, 0
     while found < count or not batches:
@@ -406,9 +411,9 @@ def reconstruct_potential(n, sample_count=60, seed=42):
     matrix has lower rank than the ansatz has monomials.
     """
     exponents = _ansatz(n)
-    a, r, _, values, _, _ = _sample_stack(n, sample_count, seed, 0.8)
+    a, r, _, values = _sample_stack(n, sample_count, seed, 0.8)
     _, t, tangents, _, _ = _chart_stack(n, a, values)
-    mul = r[:, np.add.outer(np.arange(n), np.arange(n))]
+    mul = r[:, _hankel_index(n)]
     # one row per chart and sorted triple i <= j <= k, chart-major
     design = _third_derivative_basis(exponents, t).transpose(0, 2, 1).reshape(-1, len(exponents))
     rhs = _structure_stack(tangents, mul, values[:, :n]).reshape(-1)

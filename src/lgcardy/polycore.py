@@ -7,8 +7,9 @@ coefficient of ``z**k``.  The module provides
 * helpers to trim, differentiate and evaluate,
 * the depressed monic family ``z**(n+1) + a_1 z**(n-1) + ... + a_n``,
 * critical point extraction with three Newton steps and guards,
-* the residue-at-infinity functional computed along two independent
-  routes that cross-check each other,
+* the residue-at-infinity functional read off the Laurent inverse of p',
+  which needs no critical point, judged by the Bezoutian identity and,
+  where the critical points are known, cross-checked by partial fractions,
   both for one polynomial or for a stack of polynomials of one degree,
   whose guards then judge each polynomial on its own (``_Failures``),
 * one evaluation rule: a polynomial is read at points as its
@@ -23,6 +24,7 @@ coefficient of ``z**k``.  The module provides
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -47,10 +49,11 @@ __all__ = [
 EQ_TOL = 1e-9
 
 # Building a model reads these bounds and never a judge's ``tol``:
-# DEGENERACY_TOL bounds the relative defect of a refined critical point
-# and the disagreement of the two residue routes, ROOT_SEP_TOL the
-# separation of critical points (and |p''| at them), of the eigenvalues
-# of decompose_commutative and of the frame continuation's matches.
+# DEGENERACY_TOL bounds the relative defect of a refined critical point,
+# the disagreement of the residue routes and each entry of the Bezoutian
+# identity, ROOT_SEP_TOL the separation of critical points (and |p''| at
+# them), of the eigenvalues of decompose_commutative and of the frame
+# continuation's matches.
 DEGENERACY_TOL = 1e-6
 ROOT_SEP_TOL = 1e-8
 
@@ -218,62 +221,94 @@ def _critical_stack(dp, failures, degree):
     return roots, table, values[..., 1]
 
 
+@functools.lru_cache(maxsize=None)
+def _hankel_index(n):
+    """The (n, n) index a + b that gathers a Hankel matrix from a sequence,
+    read-only, formed once per n."""
+    return _read_only(np.add.outer(np.arange(n), np.arange(n)))
+
+
 def _laurent_inverse(c, depth):
     """Coefficients b_0..b_depth of the expansion 1/P = sum_j b_j z**(-d-j)
     at infinity, for P with ascending coefficients ``c`` of exact degree d.
     ``c`` may hold a stack of polynomials of one degree along its trailing
-    axes; b is indexed the same way, b[j] the j-th coefficient."""
+    axes; b is indexed the same way, b[j] the j-th coefficient.  Each b_s
+    is subtracted into the later sums as soon as it is found, so every sum
+    runs in one order: a polynomial gets the same bits alone and in a stack."""
     c = np.asarray(c, dtype=complex)
     d = len(c) - 1
-    lead = c[d]
+    below = c[d - 1::-1]  # c[d-1], ..., c[0]: the factors of b_s in b_(s+1), b_(s+2), ...
     b = np.zeros((depth + 1,) + c.shape[1:], dtype=complex)
-    b[0] = 1.0 / lead
-    for t in range(1, depth + 1):
-        m = min(t, d)
-        b[t] = -(c[d - m:d] * b[t - m:t]).sum(axis=0) / lead
+    b[0] = 1.0
+    for s in range(depth + 1):
+        b[s] /= c[d]
+        b[s + 1:s + 1 + d] -= below[:depth - s] * b[s]
     return b
 
 
-def _residues(rows, dp, table, curv, failures):
-    """residue_functional on each row of ``rows`` (ascending coefficients
-    of equal length) for a stack of polynomials: ``dp[s]`` holds p_s',
-    ``table[s]`` and ``curv[s]`` the powers of its critical points and
-    p_s'' there, from ``_critical_stack``.  The partial fractions sum the
-    powers weighted by 1/p'' over the roots, then contract with the rows;
-    each guard flags its polynomials in ``failures``.  Returns the
-    (S, rows) values."""
-    n, width = dp.shape[-1] - 1, rows.shape[1]
+def _laurent_values(dp, width):
+    """l(z^k) = [z^-1] z^k / p', k = 0 .. width-1, for each row of ``dp``
+    (p' of degree n), read off 1/p' = sum_j b_j z^(-n-j): b_(k-n+1) for
+    k >= n-1 and 0 below.  Returns (S, width)."""
+    n = dp.shape[-1] - 1
+    values = np.zeros((len(dp), width), dtype=complex)
+    if width >= n:
+        values[:, n - 1:] = _laurent_inverse(dp.T, width - n).T
+    return values
+
+
+def _bezoutian_guard(dp, values, failures):
+    """Flag in ``failures`` each row whose Hankel matrix H[a, b] = l(z^(a+b))
+    of the functional ``values`` is not the inverse of the Bezoutian
+    B[i, j] = p'_(i+j+1) of p' (Fuhrmann, A Polynomial Approach to Linear
+    Algebra, ch. 8): an entry of H B - I above DEGENERACY_TOL (|H| |B|) at
+    that entry, or not finite, fails.  H vanishes above its antidiagonal and
+    B below its own, so H B is lower triangular Toeplitz: the product with
+    B[:, 0] = (p'_1, ..., p'_n) holds every entry that is not a sum of zeros."""
+    count, n = len(dp), dp.shape[-1] - 1
+    hankel = values[:, _hankel_index(n)]
+    column = dp[:, 1:, None]
+    defect = (hankel @ column)[..., 0]
+    defect[:, 0] -= 1.0
+    bad = ~(np.abs(defect) <= DEGENERACY_TOL * (np.abs(hankel) @ np.abs(column))[..., 0])
+    failures.flag(bad.any(axis=1), lambda s: DegenerateModelError(
+        "residue routes disagree: the Laurent values break the Bezoutian identity,"
+        " H B - I = %r on diagonal %d" % (defect[s, np.argmax(bad[s])], np.argmax(bad[s]))))
+
+
+def _partial_fractions(values, table, curv, failures):
+    """Cross-check the functional ``values`` (S, width), l(z^k) for k < width,
+    against the partial fractions sum_alpha alpha^k / p''(alpha), from the
+    root powers ``table`` and p'' at the roots ``curv`` of ``_critical_stack``;
+    each guard flags its polynomials in ``failures``."""
+    width = values.shape[1]
     flat = (np.abs(curv) < ROOT_SEP_TOL).any(axis=1)
     if flat.any():
         failures.flag(flat, _degenerate("vanishing second derivative at a critical point"))
         curv = np.where(flat[:, None], 1.0, curv)
-    val_pf = np.sum(table[..., :width] / curv[..., None], axis=1) @ rows.T
-
-    b = _laurent_inverse(dp.T, max(0, width - n))
-    val_lr = b[: max(0, width - n + 1)].T @ rows[:, n - 1 :].T
-    bad = np.abs(val_pf - val_lr) > DEGENERACY_TOL * np.maximum(1.0, np.abs(val_pf))
-    first = np.argmax(bad, axis=1)
+    val_pf = np.sum(table[..., :width] / curv[..., None], axis=1)
+    bad = np.abs(val_pf - values) > DEGENERACY_TOL * np.maximum(1.0, np.abs(val_pf))
     failures.flag(bad.any(axis=1), lambda s: DegenerateModelError(
-        "residue routes disagree: %r vs %r" % (val_pf[s, first[s]], val_lr[s, first[s]])))
-    return val_pf
+        "residue routes disagree: partial fractions give %r, the Laurent inverse %r"
+        % (val_pf[s, np.argmax(bad[s])], values[s, np.argmax(bad[s])])))
 
 
 def residue_functional(q, p):
     """Value of the trace functional on the class of ``q``: the coefficient
     of 1/z in the Laurent expansion of q/p' at infinity.
 
-    Two independent routes are evaluated: a partial-fraction sum over the
-    critical points, and the Laurent inverse of p' contracted with q.  Their
-    disagreement raises DegenerateModelError, so a returned value is always
-    a cross-checked one.
+    The value is read off the Laurent inverse of p' and cross-checked by
+    partial fractions over the critical points; their disagreement raises
+    DegenerateModelError, so a returned value is always a cross-checked one.
     """
     q = poly_trim(np.asarray(q, dtype=complex))
     dp = p.derivative_coeffs()[None]
     failures = _Failures(1)
+    values = _laurent_values(dp, len(q))
     _, table, curv = _critical_stack(dp, failures, len(q) - 1)
-    value = _residues(q[None, :], dp, table, curv, failures)
+    _partial_fractions(values, table, curv, failures)
     failures.raise_first()
-    return complex(value[0, 0])
+    return complex(values[0] @ q)
 
 
 def _lagrange_rows(roots):

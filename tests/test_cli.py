@@ -350,10 +350,12 @@ def test_exit_code_three_for_degenerate_model(capsys):
 
 
 SEEDED3 = ["--n", "3", "--a=0.3,0.1 -0.7,0.2 0.5,-0.4"]
+SEEDED8 = ["--n", "8", "--a=" + " ".join("%r,%r" % (0.3 * k - 1.0, 0.1 * k) for k in range(8))]
 
 
+# the chart rows of SEEDED3 read exactly 0, so its chart is judged on SEEDED8
 @pytest.mark.parametrize("argv", [
-    ["build"] + SEEDED3, ["verify-cf"] + SEEDED3, ["chart"] + SEEDED3,
+    ["build"] + SEEDED3, ["verify-cf"] + SEEDED3, ["chart"] + SEEDED8,
     ["bundle", "--samples", "2"] + SEEDED3, ["ext-wdvv"] + SEEDED3,
     ["bundle", "--samples", "2"] + FROZEN,
     ["potential", "--n", "2"], ["wdvv", "--n", "2"],
@@ -376,8 +378,6 @@ def test_reports_deterministic_modulo_timestamp(tmp_path, capsys):
     capsys.readouterr()
     assert first == second
 
-
-SEEDED8 = ["--n", "8", "--a=" + " ".join("%r,%r" % (0.3 * k - 1.0, 0.1 * k) for k in range(8))]
 
 WRITER_CASES = [[command] + args for command in ("chart", "build", "verify-cf", "bundle", "ext-wdvv")
                 for args in (FROZEN, SEEDED3, SEEDED8)] + [

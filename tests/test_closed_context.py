@@ -1,8 +1,10 @@
 """The closed algebra as the per-model context.
 
-``build_closed`` finds the critical points once and evaluates the residue
-functional on every basis monomial in one pass, along both residue routes;
-charts, frames and the CLI reuse it instead of recomputing it.
+``build_closed`` reads the residue functional on every basis monomial off
+the Laurent inverse of p', judged by the Bezoutian identity, and finds
+the critical points only when they are first read, cross-checking the
+values by partial fractions there; charts, frames and the CLI reuse it
+instead of recomputing it.
 """
 
 import collections
@@ -85,7 +87,8 @@ def test_one_pass_matches_per_monomial_reference():
 @pytest.mark.parametrize("j", range(3))
 def test_corrupted_laurent_route_raises(monkeypatch, j):
     # b[j] of the Laurent inverse of p' enters only the value on z^(n-1+j),
-    # so each case shows that value is still cross-checked
+    # so each case shows that value is still judged: without roots by the
+    # Bezoutian identity, before a model reads any root
     n, a = 3, (-0.7, 0.4 + 0.2j, 0.3)
     build_closed(n=n, a=a)
     exact = polycore._laurent_inverse
@@ -96,8 +99,26 @@ def test_corrupted_laurent_route_raises(monkeypatch, j):
         return b
 
     monkeypatch.setattr(polycore, "_laurent_inverse", skewed)
-    with pytest.raises(DegenerateModelError, match="residue routes disagree"):
-        build_closed(n=n, a=a)
+    for builder in (build_closed, build_quaternion_model):
+        with pytest.raises(DegenerateModelError, match="residue routes disagree: .* Bezoutian"):
+            builder(n=n, a=a)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_partial_fractions_cross_check_the_functional_where_roots_exist(k):
+    # a value that reaches the roots stage skewed is caught there
+    n, a = 3, (-0.7, 0.4 + 0.2j, 0.3)
+    closed = build_closed(n=n, a=a)
+    closed.functional_values[k] += 1e-3
+    with pytest.raises(DegenerateModelError, match="disagree: partial fractions give"):
+        closed.roots
+
+
+def test_non_finite_coefficients_are_refused():
+    for a in ((np.inf, 0.0), (0.0, np.nan)):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DegenerateModelError, match="non-finite coefficients"):
+                build_closed(2, a)
 
 
 def _count_calls(monkeypatch, names):
@@ -135,12 +156,30 @@ def test_bundle_builds_each_closed_algebra_once(monkeypatch):
 
 
 def test_chart_command_builds_one_chart(monkeypatch, capsys):
+    # a chart reads no critical point: _critical_stack is never called
     names = ("build_closed", "flat_chart", "_critical_stack")
     counts = _count_calls(monkeypatch, names)
     a = "--a=0.3,0.1 -1,0 0.2,0 0.8,0 0.1,0.2 -0.5,0 0.3,0.3 0.1,0"
     assert cli.main(["chart", "--n", "8", a]) == 0
     capsys.readouterr()
-    assert counts == {"build_closed": 1, "flat_chart": 1, "_critical_stack": 1}
+    assert counts == {"build_closed": 1, "flat_chart": 1}
+
+
+def test_only_a_read_of_the_roots_finds_them(monkeypatch):
+    counts = _count_calls(monkeypatch, ("_critical_stack",))
+    closed = build_closed(n=3, a=(-0.7, 0.4 + 0.2j, 0.3))
+    moduli.structure_tensor(_chart_on(closed))
+    moduli.flat_chart(n=3, a=(-0.7, 0.4 + 0.2j, 0.3))
+    assert counts == {}
+    # the roots, idempotents, mu and mu_product of one closed algebra: one call
+    closed.mu_product, closed.mu, closed.idempotents, closed.roots
+    assert counts == {"_critical_stack": 1}
+    # sample charts keep the roots of their one stack
+    charts = moduli.sample_charts(3, 10, seed=5)
+    for chart in charts:
+        chart.closed.mu_product, chart.closed.mu
+        assert np.array_equal(chart.closed.roots, build_closed(3, chart.p.a).roots)
+    assert counts == {"_critical_stack": 2 + len(charts)}
 
 
 def _assert_agree(got, want, scale):
@@ -243,6 +282,24 @@ def test_stacked_critical_data_is_each_row_bit_for_bit():
             alone = landau_ginzburg._critical_data(a[s:s + 1], polycore._Failures(1))
             for got, want in zip(stacked, alone):
                 assert np.array_equal(got[s], want[0])
+
+
+def test_stacked_weights_are_each_closed_algebras_bit_for_bit():
+    # the sweep's stacked roots, idempotents and mu are those that one
+    # closed algebra computes on first read
+    by_degree = collections.defaultdict(list)
+    for _, n, a in itertools.chain(_draws(), _zero_constant_draws()):
+        by_degree[n].append(a)
+    for n, rows in by_degree.items():
+        a = np.array(rows)
+        failures = polycore._Failures(len(a))
+        _, roots, values = landau_ginzburg._critical_data(a, failures)
+        idem, mu = landau_ginzburg._idempotents(roots, values, failures.ok)
+        for s in range(len(a)):
+            closed = build_closed(n, a[s])
+            assert np.array_equal(closed.roots, roots[s])
+            assert np.array_equal(closed.idempotents, idem[s])
+            assert np.array_equal(closed.mu, mu[s])
 
 
 def test_products_are_the_poly_mod_reductions():

@@ -406,9 +406,19 @@ def test_json_round_trip():
     assert q.algebra.blocks == p.algebra.blocks
     x = json_to_complex(complex_to_json(np.array([[1 + 2j, 0], [3, -1j]])))
     assert np.allclose(x, [[1 + 2j, 0], [3, -1j]])
-    for bad in ([[1, 2, 3]], [["a", "b"]]):
+    # numpy would read True as 1, alone or beside a number
+    for bad in ([[1, 2, 3]], [["a", "b"]], [[True, False]], [[True, 1.5]], [[0.5, 1], [False, 2]]):
         with pytest.raises(ValueError, match=r"expected trailing \[re, im\] pairs"):
             json_to_complex(bad)
+
+
+def test_dense_blocks_must_be_integers():
+    # int() would have read 1.9 as the block (0, 1); numpy integers are integers
+    for blocks in ([(0, 1.9)], [(0, "1")], [(0, True)], [(np.float64(0), 1)]):
+        with pytest.raises(ValueError, match="block entries must be integers"):
+            FiniteAlgebra(np.ones((1, 1, 1)), np.ones(1), blocks=blocks)
+    algebra = FiniteAlgebra(np.ones((1, 1, 1)), np.ones(1), blocks=[(np.int64(0), np.int32(1))])
+    assert algebra.blocks == [(0, 1)] and type(algebra.blocks[0][1]) is int
 
 
 # each file field that int() would have truncated is refused, naming it
@@ -435,6 +445,8 @@ SERIES_FILE = {"n": 2, "m": 0, "truncation": 4,
     ({"n": 2.9}, "n must be an integer of at least 0, got 2.9"),
     ({"m": 0.5}, "m must be an integer of at least 0, got 0.5"),
     ({"truncation": "4"}, "truncation must be an integer of at least 0, got '4'"),
+    ({"terms": [{"t": [1, 2], "s": [], "coeff": [True, False]}]}, "expected trailing [re, im]"),
+    ({"terms": [{"t": [1, 2], "s": [], "coeff": [True, 0.5]}]}, "expected trailing [re, im]"),
 ])
 def test_series_file_fields_are_checked_where_read(tmp_path, capsys, change, message):
     series_file = tmp_path / "series.json"
