@@ -14,8 +14,9 @@ polynomials of one degree at once (``_critical_data``,
 ``_quaternion_cf``); ``build_closed`` and ``build_quaternion_model`` are
 their one-polynomial case.  The critical data comes in two stages.  The
 root-free stage (``_closed_data``) reads the functional values off the
-Laurent inverse of p' and the reductions off p'; the closed algebra and
-its flat chart need nothing more.  The roots stage (``_critical_roots``,
+Laurent inverse of p' and the reductions off p', and cross-checks the
+one by the other; the closed algebra and its flat chart need nothing
+more.  The roots stage (``_critical_roots``,
 ``_idempotents``) finds the critical points, cross-checks the values by
 partial fractions over them and forms the idempotents and weights, only
 where they are read.  The block stacks of the quaternion models are
@@ -32,8 +33,8 @@ import numpy as np
 
 from .polycore import (
     LGPolynomial,
-    _bezoutian_guard,
     _critical_stack,
+    _cross_check,
     _degenerate,
     _hankel_index,
     _Failures,
@@ -92,22 +93,18 @@ class LGClosedAlgebra:
     @functools.cached_property
     def roots(self):
         failures = _Failures(1)
-        roots = _critical_roots(np.array([self.p.a]), self.functional_values[None], failures)
+        dp = _derivatives(np.array([self.p.a]))
+        roots = _critical_roots(dp, self.functional_values[None], failures)
         failures.raise_first()
         return roots[0]
 
     @functools.cached_property
-    def _critical_weights(self):
-        idem, mu = _idempotents(self.roots[None], self.functional_values[None], np.ones(1, bool))
-        return idem[0], mu[0]
-
-    @property
     def idempotents(self):
-        return self._critical_weights[0]
+        return _lagrange_rows(self.roots[None])[0]
 
-    @property
+    @functools.cached_property
     def mu(self):
-        return self._critical_weights[1]
+        return _idempotent_weights(self.idempotents[None], self.functional_values[None])[0]
 
     @functools.cached_property
     def mu_product(self):
@@ -118,11 +115,11 @@ def build_closed(n, a):
     """Construct the closed-sector Frobenius pair of the polynomial model
     z^(n+1) + a_1 z^(n-1) + ... + a_n (``LGPolynomial(n, a)``) from the
     root-free stage ``_closed_data``; no critical point is found until one
-    is read.  Raises DegenerateModelError when the Bezoutian identity fails.
+    is read.  Raises DegenerateModelError when the residue routes disagree.
     """
     p = LGPolynomial(n, a)
     failures = _Failures(1)
-    r, values = _closed_data(np.array([p.a]), failures)
+    _, r, values = _closed_data(np.array([p.a]), failures)
     failures.raise_first()
     return _closed_algebra(p, r[0], values[0])
 
@@ -158,16 +155,16 @@ def _derivatives(a):
 
 def _closed_data(a, failures):
     """The root-free stage for a stack of polynomials of one degree n, the row
-    a[s] holding (a_1, ..., a_n): the reductions r[s, k] = z^k mod p' and the
-    residue functional on z^k, k = 0 .. 2n-2, read off the Laurent inverse of
-    p' and judged by the Bezoutian identity.  Non-finite coefficients and
-    the guard flag their rows in ``failures``; a row gets the same bits alone
-    and in a stack."""
+    a[s] holding (a_1, ..., a_n): p' (``_derivatives``), the reductions
+    r[s, k] = z^k mod p' and the residue functional on z^k, k = 0 .. 2n-2,
+    read off the Laurent inverse of p'.  The reductions read the functional
+    a second way, l(z^k) = [z^(n-1)] r[k] / (n + 1), and the two must agree.
+    Non-finite coefficients and a disagreement flag their rows in
+    ``failures``; a row gets the same bits alone and in a stack."""
     count, n = a.shape
     failures.flag(~np.isfinite(a).all(axis=1), _degenerate("non-finite coefficients"))
     dp = _derivatives(a)
     values = _laurent_values(dp, 2 * n - 1)
-    _bezoutian_guard(dp, values, failures)
     # r[:, k]: r[:, k-1] shifted up, its z^n term traded for p'
     r = np.zeros((count, 2 * n - 1, n), dtype=complex)
     r[:, :n] = np.eye(n)
@@ -175,14 +172,14 @@ def _closed_data(a, failures):
     for k in range(n, 2 * n - 1):
         r[:, k, 1:] = r[:, k - 1, :-1]
         r[:, k] -= r[:, k - 1, -1:] / lead * low
-    return r, values
+    _cross_check(values, r[..., n - 1] / lead, "the reductions", failures)
+    return dp, r, values
 
 
-def _critical_roots(a, values, failures):
+def _critical_roots(dp, values, failures):
     """The roots stage, layered on ``_closed_data``: the sorted critical
-    points (S, n) of each row of a (``_critical_stack``), over which the
+    points (S, n) of each row of p' (``_critical_stack``), over which the
     partial fractions cross-check the ``values``; guards flag ``failures``."""
-    dp = _derivatives(a)
     roots, table, curv = _critical_stack(dp, failures, values.shape[1] - 1)
     _partial_fractions(values, table, curv, failures)
     return roots
@@ -193,21 +190,23 @@ def _idempotents(roots, values, ok):
     mu = l(idempotent) under the functional ``values``; the idempotents of a
     row not ``ok`` are left zero."""
     count, n = roots.shape
-    if ok.all():
-        idem = _lagrange_rows(roots)
-    else:
-        idem = np.zeros((count, n, n), dtype=complex)
-        idem[ok] = _lagrange_rows(roots[ok])
-    mu = (idem @ values[:, :n, None])[..., 0]
-    return idem, mu
+    idem = np.zeros((count, n, n), dtype=complex)
+    idem[ok] = _lagrange_rows(roots[ok])
+    return idem, _idempotent_weights(idem, values)
+
+
+def _idempotent_weights(idem, values):
+    """mu = l(idempotent) for a stack of idempotents (S, n, n) under the
+    functional ``values`` (S, width)."""
+    return (idem @ values[:, :idem.shape[-1], None])[..., 0]
 
 
 def _critical_data(a, failures):
     """Both stages for a stack of polynomials of one degree: (r, roots,
     values), each with a leading (S,) axis; ``_idempotents`` adds the
     weights where they are read."""
-    r, values = _closed_data(a, failures)
-    return r, _critical_roots(a, values, failures), values
+    dp, r, values = _closed_data(a, failures)
+    return r, _critical_roots(dp, values, failures), values
 
 
 @dataclass

@@ -306,14 +306,11 @@ def sample_charts(n, count, seed=42, scale=0.8):
     weights leave the window [1e-3, 1e3], so downstream linear algebra
     stays well conditioned.  The draws are made, judged and charted as
     one stack, which draws the same numbers and keeps the same charts as
-    one draw at a time; each chart is then given its closed algebra, with
-    the roots the stack found.
+    one draw at a time; each chart is then given its closed algebra.
     """
-    a, r, roots, values = _sample_stack(n, count, seed, scale)
+    a, r, _, values = _sample_stack(n, count, seed, scale)
     closeds = [_closed_algebra(LGPolynomial(n, tuple(a[s])), r[s], values[s])
                for s in range(len(a))]
-    for closed, found in zip(closeds, roots):
-        closed.roots = found  # the stack's rows, the bits a first read would find
     return _charts(n, closeds, a, values)
 
 

@@ -8,8 +8,8 @@ coefficient of ``z**k``.  The module provides
 * the depressed monic family ``z**(n+1) + a_1 z**(n-1) + ... + a_n``,
 * critical point extraction with three Newton steps and guards,
 * the residue-at-infinity functional read off the Laurent inverse of p',
-  which needs no critical point, judged by the Bezoutian identity and,
-  where the critical points are known, cross-checked by partial fractions,
+  which needs no critical point, cross-checked by the reductions
+  z^k mod p' and, where the critical points are known, by partial fractions,
   both for one polynomial or for a stack of polynomials of one degree,
   whose guards then judge each polynomial on its own (``_Failures``),
 * one evaluation rule: a polynomial is read at points as its
@@ -49,11 +49,10 @@ __all__ = [
 EQ_TOL = 1e-9
 
 # Building a model reads these bounds and never a judge's ``tol``:
-# DEGENERACY_TOL bounds the relative defect of a refined critical point,
-# the disagreement of the residue routes and each entry of the Bezoutian
-# identity, ROOT_SEP_TOL the separation of critical points (and |p''| at
-# them), of the eigenvalues of decompose_commutative and of the frame
-# continuation's matches.
+# DEGENERACY_TOL bounds the relative defect of a refined critical point
+# and the disagreement of the residue routes, ROOT_SEP_TOL the separation
+# of critical points (and |p''| at them), of the eigenvalues of
+# decompose_commutative and of the frame continuation's matches.
 DEGENERACY_TOL = 1e-6
 ROOT_SEP_TOL = 1e-8
 
@@ -257,23 +256,14 @@ def _laurent_values(dp, width):
     return values
 
 
-def _bezoutian_guard(dp, values, failures):
-    """Flag in ``failures`` each row whose Hankel matrix H[a, b] = l(z^(a+b))
-    of the functional ``values`` is not the inverse of the Bezoutian
-    B[i, j] = p'_(i+j+1) of p' (Fuhrmann, A Polynomial Approach to Linear
-    Algebra, ch. 8): an entry of H B - I above DEGENERACY_TOL (|H| |B|) at
-    that entry, or not finite, fails.  H vanishes above its antidiagonal and
-    B below its own, so H B is lower triangular Toeplitz: the product with
-    B[:, 0] = (p'_1, ..., p'_n) holds every entry that is not a sum of zeros."""
-    count, n = len(dp), dp.shape[-1] - 1
-    hankel = values[:, _hankel_index(n)]
-    column = dp[:, 1:, None]
-    defect = (hankel @ column)[..., 0]
-    defect[:, 0] -= 1.0
-    bad = ~(np.abs(defect) <= DEGENERACY_TOL * (np.abs(hankel) @ np.abs(column))[..., 0])
+def _cross_check(values, other, route, failures):
+    """Flag in ``failures`` each row of the functional ``values`` (S, width)
+    that ``other``, the same values read by ``route``, contradicts: an entry
+    apart by more than DEGENERACY_TOL max(1, |other|), or not finite, fails."""
+    bad = ~(np.abs(other - values) <= DEGENERACY_TOL * np.maximum(1.0, np.abs(other)))
     failures.flag(bad.any(axis=1), lambda s: DegenerateModelError(
-        "residue routes disagree: the Laurent values break the Bezoutian identity,"
-        " H B - I = %r on diagonal %d" % (defect[s, np.argmax(bad[s])], np.argmax(bad[s]))))
+        "residue routes disagree: %s give %r, the Laurent inverse %r"
+        % (route, other[s, np.argmax(bad[s])], values[s, np.argmax(bad[s])])))
 
 
 def _partial_fractions(values, table, curv, failures):
@@ -287,10 +277,7 @@ def _partial_fractions(values, table, curv, failures):
         failures.flag(flat, _degenerate("vanishing second derivative at a critical point"))
         curv = np.where(flat[:, None], 1.0, curv)
     val_pf = np.sum(table[..., :width] / curv[..., None], axis=1)
-    bad = np.abs(val_pf - values) > DEGENERACY_TOL * np.maximum(1.0, np.abs(val_pf))
-    failures.flag(bad.any(axis=1), lambda s: DegenerateModelError(
-        "residue routes disagree: partial fractions give %r, the Laurent inverse %r"
-        % (val_pf[s, np.argmax(bad[s])], values[s, np.argmax(bad[s])])))
+    _cross_check(values, val_pf, "partial fractions", failures)
 
 
 def residue_functional(q, p):

@@ -1,7 +1,7 @@
 """The closed algebra as the per-model context.
 
 ``build_closed`` reads the residue functional on every basis monomial off
-the Laurent inverse of p', judged by the Bezoutian identity, and finds
+the Laurent inverse of p', cross-checked by the reductions, and finds
 the critical points only when they are first read, cross-checking the
 values by partial fractions there; charts, frames and the CLI reuse it
 instead of recomputing it.
@@ -88,7 +88,7 @@ def test_one_pass_matches_per_monomial_reference():
 def test_corrupted_laurent_route_raises(monkeypatch, j):
     # b[j] of the Laurent inverse of p' enters only the value on z^(n-1+j),
     # so each case shows that value is still judged: without roots by the
-    # Bezoutian identity, before a model reads any root
+    # reductions z^k mod p', before a model reads any root
     n, a = 3, (-0.7, 0.4 + 0.2j, 0.3)
     build_closed(n=n, a=a)
     exact = polycore._laurent_inverse
@@ -100,7 +100,7 @@ def test_corrupted_laurent_route_raises(monkeypatch, j):
 
     monkeypatch.setattr(polycore, "_laurent_inverse", skewed)
     for builder in (build_closed, build_quaternion_model):
-        with pytest.raises(DegenerateModelError, match="residue routes disagree: .* Bezoutian"):
+        with pytest.raises(DegenerateModelError, match="residue routes disagree: the reductions give"):
             builder(n=n, a=a)
 
 
@@ -174,12 +174,6 @@ def test_only_a_read_of_the_roots_finds_them(monkeypatch):
     # the roots, idempotents, mu and mu_product of one closed algebra: one call
     closed.mu_product, closed.mu, closed.idempotents, closed.roots
     assert counts == {"_critical_stack": 1}
-    # sample charts keep the roots of their one stack
-    charts = moduli.sample_charts(3, 10, seed=5)
-    for chart in charts:
-        chart.closed.mu_product, chart.closed.mu
-        assert np.array_equal(chart.closed.roots, build_closed(3, chart.p.a).roots)
-    assert counts == {"_critical_stack": 2 + len(charts)}
 
 
 def _assert_agree(got, want, scale):
